@@ -1,6 +1,7 @@
 """Command-line front end: one subcommand per capability, JSON on stdout.
 
-Exit codes: 0 success, 1 validation error, 2 budget exceeded.  Exact
+Exit codes: 0 success, 1 validation error, 2 budget exceeded, 3 internal
+invariant failure (an AssertionError, i.e. a bug rather than bad input).  Exact
 rationals are emitted as {"num", "den", "float"} objects.  All randomized
 paths honor --seed, so identical invocations produce identical bytes.
 """
@@ -387,9 +388,12 @@ def run(argv=None) -> int:
     except BudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, AssertionError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except AssertionError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -18,7 +18,7 @@ import mpmath as mp
 NEG, ZERO, POS = -1, 0, 1
 
 #: doubles closer to zero than this (scaled) are re-checked exactly
-_FLOAT_GUARD = 2.0**-40
+FLOAT_GUARD = 2.0**-40
 
 
 @lru_cache(maxsize=None)
@@ -81,7 +81,7 @@ def _mp_part(symbols: Sequence[int], trig) -> mp.mpf:
 
 
 def _certified(symbols: Sequence[int], approx: float, exact_zero, trig, scale: float) -> int:
-    if abs(approx) > _FLOAT_GUARD * scale:
+    if abs(approx) > FLOAT_GUARD * scale:
         return POS if approx > 0 else NEG
     if exact_zero(symbols):
         return ZERO

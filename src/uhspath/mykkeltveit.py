@@ -30,12 +30,12 @@ from .core import (
     necklaces,
     rotation_code,
 )
-from .exactsign import NEG, POS, ZERO
+from .exactsign import FLOAT_GUARD, NEG, POS, ZERO
 from .kmerset import KmerSet
 
 #: scaled guard band below which double signs are not trusted
 def _theta(sigma: int, w: int) -> float:
-    return 2.0**-40 * (sigma - 1) * w
+    return FLOAT_GUARD * (sigma - 1) * w
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,19 @@
 """Longest remaining path and decycling checks on the implicit de Bruijn graph.
 
-The graph on sigma^w nodes is peeled with an iterative, wave-based Kahn
-topological sort (no recursion, vectorized over numpy arrays).  When the
-surviving subgraph is acyclic, a DP over the reversed wave order yields the
-exact maximum path length in vertices together with one witness path.
-Path lengths are always counted in vertices (w-mers); a string of L symbols
-corresponds to a walk of L - w + 1 vertices.
+The surviving subgraph (the graph on sigma^w nodes minus a set) is peeled
+sink-first: wave k labels every surviving node whose surviving successors
+all carry labels below k, so a node's label is the number of vertices on the
+longest surviving path that starts there.  The predecessors of node v are
+v // sigma + b * sigma^(w-1), and all of them share the successor row
+v // sigma, so each wave reads whole successor rows of a bool ``pending``
+array; it needs no degree array, no hashing and no scatter-add.  Nodes still
+pending at the end lie on a cycle or lead into one.
+
+The label array doubles as a certificate: ``verify_labels`` checks, without
+the peel, that labels strictly decrease along every surviving edge, which
+proves both acyclicity and the upper bound.  Path lengths are always counted
+in vertices (w-mers); a string of L symbols corresponds to a walk of
+L - w + 1 vertices.
 """
 
 from __future__ import annotations
@@ -31,71 +39,93 @@ class PathReport:
     cycle_witness: list[Kmer] = field(default_factory=list)
 
 
-def _peel(survives: np.ndarray, sigma: int, n: int):
-    """Kahn peel restricted to surviving nodes.
+def _reverse_peel(survives: np.ndarray, sigma: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sink-first peel restricted to surviving nodes.
 
-    Returns (codes, waves, done): surviving codes, the frontier waves in
-    topological order (each wave sorted ascending), and the done mask.
-    Nodes left not-done lie on a cycle or on a path feeding one.
+    Returns (label, pending): label[v] >= 1 is the number of vertices on the
+    longest surviving path from v, 0 for removed or pending nodes; pending
+    marks survivors that lie on or lead into a cycle.  With m = sigma^(w-1),
+    node u's successors are row u % m of ``pending.reshape(m, sigma)`` and
+    the owners of row r are r + b*m, so a wave keeps the rows the last
+    frontier touched that have nothing pending, and takes their pending
+    owners; for sorted rows, the owners come out sorted in b-major order.
     """
-    codes = np.flatnonzero(survives)
-    indeg = np.zeros(n, dtype=np.int32)
-    for a in range(sigma):
-        sv = (codes * sigma + a) % n
-        sv = sv[survives[sv]]
-        if sv.size:
-            indeg += np.bincount(sv, minlength=n).astype(np.int32)
-    done = np.zeros(n, dtype=bool)
-    frontier = codes[indeg[codes] == 0]
-    waves: list[np.ndarray] = []
-    while frontier.size:
-        done[frontier] = True
-        waves.append(frontier)
-        parts = []
-        for a in range(sigma):
-            sv = (frontier * sigma + a) % n
-            parts.append(sv[survives[sv]])
-        allsucc = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        if allsucc.size == 0:
+    m = n // sigma
+    pending = survives.copy()
+    pending_rows = pending.reshape(m, sigma)
+    label = np.zeros(n, dtype=np.int32)
+    owners = np.arange(sigma, dtype=np.int64)[:, None] * m
+    rows = np.arange(m, dtype=np.int64)
+    k = 0
+    while rows.size:
+        k += 1
+        rows = rows[~pending_rows[rows].any(1)]
+        cand = (rows + owners).ravel()
+        frontier = cand[pending[cand]]
+        if frontier.size == 0:
             break
-        if allsucc.size > n >> 3:
-            indeg -= np.bincount(allsucc, minlength=n).astype(np.int32)
-            frontier = np.flatnonzero((indeg == 0) & survives & ~done)
-        else:
-            np.subtract.at(indeg, allsucc, 1)
-            cand = np.unique(allsucc)
-            frontier = cand[(indeg[cand] == 0) & ~done[cand]]
-    return codes, waves, done
+        pending[frontier] = False
+        label[frontier] = k
+        rows = frontier // sigma
+        rows = rows[np.r_[True, rows[1:] != rows[:-1]]]
+    return label, pending
 
 
-def _cycle_witness(survives: np.ndarray, done: np.ndarray, sigma: int, n: int) -> list[int]:
-    """Extract one cycle from the leftover (non-peelable) nodes.
+def _cycle_witness(pending: np.ndarray, sigma: int, n: int) -> list[int]:
+    """Extract one forward cycle from the nodes the peel left pending.
 
-    Every leftover node has a leftover predecessor, so walking predecessors
-    from the least leftover node must revisit a node; the revisited segment,
-    reversed, is a forward cycle.
+    Every pending node has a pending successor, so walking least-symbol
+    pending successors from the least pending node must revisit a node; the
+    segment from its first visit is a cycle.
     """
-    leftover = survives & ~done
-    start = int(np.flatnonzero(leftover)[0])
-    shift = n // sigma
-    seen = {start: 0}
-    walk = [start]
-    v = start
-    while True:
-        base = v // sigma
-        for b in range(sigma):
-            u = base + b * shift
-            if leftover[u]:
+    v = int(np.flatnonzero(pending)[0])
+    seen: dict[int, int] = {}
+    walk: list[int] = []
+    while v not in seen:
+        seen[v] = len(walk)
+        walk.append(v)
+        base = (v * sigma) % n
+        for a in range(sigma):
+            if pending[base + a]:
+                v = base + a
                 break
-        else:  # pragma: no cover - impossible by the Kahn invariant
-            raise AssertionError("leftover node without leftover predecessor")
-        if u in seen:
-            cyc = walk[seen[u] :]
-            cyc.reverse()
-            return cyc
-        seen[u] = len(walk)
-        walk.append(u)
-        v = u
+        else:  # pragma: no cover - impossible by the peel invariant
+            raise AssertionError("pending node without pending successor")
+    return walk[seen[v] :]
+
+
+def path_labels(kset: KmerSet, budget: int = DEFAULT_NODE_BUDGET) -> np.ndarray:
+    """Longest-path label of every node (int32, length sigma^w).
+
+    label[v] is the number of vertices on the longest path from v avoiding the
+    set; 0 means v is in the set, or lies on or leads into a cycle.
+    """
+    check_budget(kset.n, budget, "path labels")
+    label, _ = _reverse_peel(~kset.mask, kset.sigma, kset.n)
+    return label
+
+
+def verify_labels(kset: KmerSet, labels: np.ndarray) -> int | None:
+    """Certified upper bound on the longest path avoiding the set, or None.
+
+    Accepts iff every surviving node has a label >= 1 and every surviving
+    edge u -> v has labels[u] > labels[v]; then no path avoiding the set has
+    more vertices than the largest survivor label, which is returned (for
+    labels from ``path_labels`` that is ``labels.max()``).  Independent of the
+    peel and O(sigma^w): with m = sigma^(w-1), the nodes r + b*m all have the
+    successors r*sigma .. r*sigma + sigma-1, so per r it compares the least
+    surviving owner label with the largest surviving successor label.
+    """
+    sigma, n = kset.sigma, kset.n
+    labels = np.asarray(labels)
+    if labels.shape != (n,) or labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be an integer array of length sigma**w = {n}")
+    survives = ~kset.mask
+    owner_min = np.where(survives, labels, np.iinfo(labels.dtype).max).reshape(sigma, -1).min(0)
+    succ_max = np.where(survives, labels, 0).reshape(-1, sigma).max(1)
+    if not bool((owner_min > succ_max).all()):
+        return None
+    return int(labels[survives].max()) if survives.any() else 0
 
 
 def longest_remaining_path(kset: KmerSet, budget: int = DEFAULT_NODE_BUDGET) -> PathReport:
@@ -109,38 +139,21 @@ def longest_remaining_path(kset: KmerSet, budget: int = DEFAULT_NODE_BUDGET) -> 
     sigma, w = kset.sigma, kset.w
     n = kset.n
     check_budget(n, budget, "longest remaining path")
-    survives = ~kset.mask
-    codes, waves, done = _peel(survives, sigma, n)
+    label, pending = _reverse_peel(~kset.mask, sigma, n)
 
-    if int(done.sum()) != codes.size:
-        cyc = _cycle_witness(survives, done, sigma, n)
+    if pending.any():
+        cyc = _cycle_witness(pending, sigma, n)
         return PathReport(CYCLIC, cycle_witness=[Kmer(c, sigma, w) for c in cyc])
 
-    if codes.size == 0:
+    v = int(np.argmax(label))
+    longest = int(label[v])
+    if longest == 0:
         return PathReport(ACYCLIC, longest_vertices=0)
-
-    best = np.zeros(n, dtype=np.int32)
-    choice = np.full(n, -1, dtype=np.int8)
-    for wave in reversed(waves):
-        bv = np.ones(wave.size, dtype=np.int32)
-        ch = np.full(wave.size, -1, dtype=np.int8)
-        for a in range(sigma):
-            sv = (wave * sigma + a) % n
-            cand = np.where(survives[sv], best[sv] + 1, 0).astype(np.int32)
-            upd = cand > bv
-            bv[upd] = cand[upd]
-            ch[upd] = a
-        best[wave] = bv
-        choice[wave] = ch
-
-    longest = int(best[codes].max())
-    start = int(codes[best[codes] == longest][0])
-    path = [start]
-    v = start
-    while choice[v] >= 0:
-        v = (v * sigma + int(choice[v])) % n
+    path = [v]
+    for k in range(longest - 1, 0, -1):
+        base = (v * sigma) % n
+        v = next(u for u in range(base, base + sigma) if label[u] == k)
         path.append(v)
-    assert len(path) == longest
     return PathReport(
         ACYCLIC, longest_vertices=longest, witness=[Kmer(c, sigma, w) for c in path]
     )
@@ -150,9 +163,8 @@ def is_decycling(kset: KmerSet, budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """True iff the subgraph induced by the complement of the set is acyclic."""
     n = kset.n
     check_budget(n, budget, "decycling check")
-    survives = ~kset.mask
-    codes, _, done = _peel(survives, kset.sigma, n)
-    return int(done.sum()) == codes.size
+    _, pending = _reverse_peel(~kset.mask, kset.sigma, n)
+    return not pending.any()
 
 
 def is_uhs(kset: KmerSet, l: int, budget: int = DEFAULT_NODE_BUDGET) -> bool:

@@ -188,3 +188,13 @@ class TestExitCodes:
 
     def test_missing_file(self, capsys):
         assert run(["check-uhs", "--sigma", "2", "--w", "4", "--set", "/nope"]) == 1
+
+    def test_internal_invariant_failure(self, capsys, monkeypatch):
+        from uhspath import mykkeltveit
+
+        def broken(*args, **kwargs):
+            raise AssertionError("sign classification bug")
+
+        monkeypatch.setattr(mykkeltveit, "build_mykkeltveit_set", broken)
+        assert run(["mykkeltveit", "--sigma", "2", "--w", "6"]) == 3
+        assert "internal error: sign classification bug" in capsys.readouterr().err
