@@ -47,7 +47,6 @@ from .contexts import (
     ContextSet,
     build_context_set_forward,
     build_context_set_local,
-    context_density,
 )
 from .forbidden import (
     FsmMatrix,

@@ -302,7 +302,6 @@ def _add_common(p, w=True):
         p.add_argument("--w", type=int, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility")
 
 
 def _add_scheme_opts(p):

@@ -5,7 +5,8 @@ selects a position no earlier window already selected (a "charged" window).
 For a scheme with windows of `ws` symbols the local contexts have
 2w + k - 2 symbols (w windows ending at the last one); for forward schemes
 ws + 1 symbols suffice (only the preceding window matters).  The expected
-density of the scheme equals the relative size of its context set.
+density of the scheme equals the relative size of its context set, which is
+how `schemes.expected_density` computes it.
 """
 
 from __future__ import annotations
@@ -80,7 +81,3 @@ def build_context_set_forward(
     member = fv[codes % sigma**ws] + 1 != fv[codes // sigma]
     return ContextSet(KmerSet(sigma, ws + 1, member), repr(scheme))
 
-
-def context_density(contexts: ContextSet) -> Fraction:
-    """Expected density implied by a context set: |C| / sigma^|context|."""
-    return contexts.relative_size()

@@ -25,9 +25,9 @@ from . import exactsign
 from .core import (
     DEFAULT_NODE_BUDGET,
     Kmer,
+    canonical_rotation_code,
     check_budget,
     necklace_count,
-    necklaces,
     rotation_code,
 )
 from .exactsign import FLOAT_GUARD, NEG, POS, ZERO
@@ -99,6 +99,21 @@ def _certify_borderline(sgn, vals, borderline, sigma, w, part_sign):
         sgn[c] = part_sign(syms, float(vals[c]), sigma)
 
 
+def _member(im, im_rot, re, least):
+    """The keep rule on certified signs of P(x) and P(R(x)), R the pure rotation.
+
+    Since P(R(x)) = r^-1 P(x), these signs place x on its class's circle:
+    keep x just below the negative real axis (Im P(x) < 0 < Im P(R(x))),
+    exactly on it, or, when the class sits at the origin, if x is its least
+    rotation.  Works elementwise on sign arrays; `least` is only consulted
+    where P(x) = 0.
+    """
+    on_axis = im == ZERO
+    return ((im == NEG) & (im_rot == POS)) | (on_axis & (re == NEG)) | (
+        on_axis & (re == ZERO) & least
+    )
+
+
 def build_mykkeltveit_set(
     sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> KmerSet:
@@ -129,18 +144,16 @@ def build_mykkeltveit_set(
     _certify_borderline(re_sgn, re, near, sigma, w, exactsign.re_sign)
 
     rot = (codes * sigma + codes // (n // sigma)) % n
-    mask = (im_sgn == NEG) & (im_sgn[rot] == POS)  # just below the negative real axis
-    mask |= (im_sgn == ZERO) & (re_sgn == NEG)  # exactly on it
-
-    # classes embedded at the origin: take the least rotation
-    zero = (im_sgn == ZERO) & (re_sgn == ZERO)
-    if zero.any():
-        canon = codes.copy()
-        c = codes
-        for _ in range(w - 1):
-            c = (c * sigma + c // (n // sigma)) % n
-            np.minimum(canon, c, out=canon)
-        mask |= zero & (canon == codes)
+    # classes embedded at the origin (the all-zero word's among them) keep
+    # their least rotation
+    least = (im_sgn == ZERO) & (re_sgn == ZERO)
+    c = origin = np.flatnonzero(least)
+    canon = origin.copy()
+    for _ in range(w - 1):
+        c = (c * sigma + c // (n // sigma)) % n
+        np.minimum(canon, c, out=canon)
+    least[origin] = canon == origin
+    mask = _member(im_sgn, im_sgn[rot], re_sgn, least)
 
     kset = KmerSet(sigma, w, mask)
     if kset.cardinality != necklace_count(sigma, w):
@@ -151,43 +164,20 @@ def build_mykkeltveit_set(
     return kset
 
 
-def _class_pick(rep_code: int, sigma: int, w: int) -> int:
-    """The member of rep's conjugacy class that the set keeps."""
-    members = [rep_code]
-    c = rotation_code(rep_code, sigma, w)
-    while c != rep_code:
-        members.append(c)
-        c = rotation_code(c, sigma, w)
-    rep_syms = Kmer(members[0], sigma, w).symbols()
-    if exactsign.sum_is_zero(rep_syms):
-        return min(members)
-    th = _theta(sigma, w)
-    ims = []
-    for mc in members:
-        syms = Kmer(mc, sigma, w).symbols()
-        p = _raw_embedding(syms, w)
-        if abs(p.imag) > th:
-            s = POS if p.imag > 0 else NEG
-        else:
-            s = exactsign.im_sign(syms, p.imag, sigma)
-        if s == ZERO:
-            rs = exactsign.re_sign(syms, p.real, sigma)
-            if rs == NEG:
-                return mc
-        ims.append(s)
-    k = len(members)
-    picks = [members[j] for j in range(k) if ims[j] == NEG and ims[(j + 1) % k] == POS]
-    if len(picks) != 1:
-        raise AssertionError(f"sign classification bug in class of {rep_code}")
-    return picks[0]
-
-
 def in_mykkeltveit(x: Kmer) -> bool:
-    """Set membership decided from x's conjugacy class alone (no bitmap)."""
-    from .core import canonical_rotation_code
+    """Set membership from the certified signs of P(x) and P(R(x)), no bitmap.
 
-    rep = canonical_rotation_code(x.code, x.sigma, x.w)
-    return _class_pick(rep, x.sigma, x.w) == x.code
+    Two embeddings per query; the least rotation of x's class is computed
+    only when P(x) = 0.
+    """
+    pt = embedding(x)
+    rot = Kmer(rotation_code(x.code, x.sigma, x.w), x.sigma, x.w)
+    if pt.im_sign == ZERO:
+        re = exactsign.re_sign(x.symbols(), pt.re, x.sigma)
+    else:  # the rule ignores Re off the real axis
+        re = NEG if pt.re < 0 else POS
+    least = re == ZERO and canonical_rotation_code(x.code, x.sigma, x.w) == x.code
+    return bool(_member(pt.im_sign, im_sign(rot), re, least))
 
 
 # -- long avoiding path ------------------------------------------------------
@@ -300,19 +290,21 @@ def build_long_path(sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET) -> Lo
         zero_tags, quads = _odd_quadruples(w)
     trace, rounds = _run_ring(sigma, w, zero_tags, quads)
 
+    # Revisits, illegal edges and set members can only come from a bug
+    # (AssertionError); Im(P) <= 0 means the program does not work at this w.
     n = sigma**w
     if len(set(trace)) != len(trace):
-        raise ValueError("constructed walk revisits a vertex")
+        raise AssertionError("constructed walk revisits a vertex")
     vertices = [Kmer(c, sigma, w) for c in trace]
     embeddings = []
     for step, (u, v) in enumerate(zip(trace, trace[1:])):
         if not (u * sigma) % n <= v < (u * sigma) % n + sigma:
-            raise ValueError(f"illegal edge at step {step}")
+            raise AssertionError(f"illegal edge at step {step}")
     for step, x in enumerate(vertices):
         pt = embedding(x)
         if pt.im_sign != POS:
             raise ValueError(f"vertex at step {step} has Im(P) <= 0")
         if in_mykkeltveit(x):
-            raise ValueError(f"vertex at step {step} lies in the decycling set")
+            raise AssertionError(f"vertex at step {step} lies in the decycling set")
         embeddings.append(pt)
     return LongPath(sigma, w, vertices, embeddings, quads, rounds)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DEFAULT_NODE_BUDGET, check_budget, debruijn_sequence, parse_symbols
+from .core import DEFAULT_NODE_BUDGET, check_budget, parse_symbols
 from .kmerset import KmerSet
 from . import paths
 
@@ -251,33 +251,36 @@ def particular_density(
     return DensityResult(len(selected), denom, Fraction(len(selected), denom), PARTICULAR)
 
 
-def required_debruijn_order(scheme: SelectionScheme) -> int:
-    """de Bruijn order on which the expected density is exact.
-
-    2w-1 for arbitrary (possibly non-forward) table schemes; one symbol more
-    than the window for minimizers, which select forward.
-    """
-    if scheme.kind == TABLE:
-        return 2 * scheme.w - 1
-    return scheme.window_symbols + 1
-
-
 def expected_density(
     scheme: SelectionScheme,
     exact_budget: int = DEFAULT_EXACT_BUDGET,
     sample_symbols: int = 10**7,
     seed: int = 0,
 ) -> DensityResult:
-    """Exact density on the cyclic de Bruijn sequence of sufficient order.
+    """Exact density as the relative size of the scheme's context set.
 
-    Falls back to a seeded random-sequence estimate with a reported standard
-    error when the exact order exceeds the budget.
+    Minimizer kinds select forward, so their contexts have w + k symbols;
+    tables may not, and use the local contexts of 2w - 1 symbols.  By the
+    context theorem |C| / sigma^|context| is the density on the cyclic
+    de Bruijn sequence of that order, and `selected` / `windows` are its
+    counts.  Falls back to a seeded random-sequence estimate with a reported
+    standard error when sigma^|context| exceeds the budget.
     """
-    order = required_debruijn_order(scheme)
-    if scheme.sigma**order <= exact_budget:
-        seq = debruijn_sequence(scheme.sigma, order, cyclic=True)
-        res = particular_density(scheme, seq, cyclic=True)
-        return DensityResult(res.selected, res.windows, res.density, EXPECTED_EXACT)
+    from .contexts import (
+        build_context_set_forward,
+        build_context_set_local,
+        forward_context_symbols,
+        local_context_symbols,
+    )
+
+    if scheme.kind == TABLE:
+        order, build = local_context_symbols(scheme), build_context_set_local
+    else:
+        order, build = forward_context_symbols(scheme), build_context_set_forward
+    windows = scheme.sigma**order
+    if windows <= exact_budget:
+        selected = build(scheme).kset.cardinality
+        return DensityResult(selected, windows, Fraction(selected, windows), EXPECTED_EXACT)
     return estimate_density(scheme, sample_symbols=sample_symbols, seed=seed)
 
 
@@ -323,18 +326,6 @@ def estimate_density(
     p = count / denom
     stderr = float(np.sqrt(p * (1.0 - p) / denom))
     return DensityResult(count, denom, Fraction(count, denom), EXPECTED_ESTIMATE, stderr)
-
-
-def as_local_scheme(scheme: SelectionScheme, k: int, budget: int = DEFAULT_NODE_BUDGET) -> SelectionScheme:
-    """Wrap a selection scheme (k=1) as a (w, k) local scheme that ignores
-    the trailing k-1 symbols of every window."""
-    if scheme.kind != TABLE or scheme.k != 1:
-        raise ValueError("only table selection schemes can be wrapped")
-    sigma, w = scheme.sigma, scheme.w
-    m = sigma ** (w + k - 1)
-    check_budget(m, budget, "local scheme table")
-    codes = np.arange(m, dtype=np.int64) // sigma ** (k - 1)
-    return SelectionScheme(sigma, w, TABLE, k=k, table=scheme.table[codes])
 
 
 # -- file formats ------------------------------------------------------------

@@ -198,3 +198,21 @@ class TestExitCodes:
         monkeypatch.setattr(mykkeltveit, "build_mykkeltveit_set", broken)
         assert run(["mykkeltveit", "--sigma", "2", "--w", "6"]) == 3
         assert "internal error: sign classification bug" in capsys.readouterr().err
+
+    def test_long_path_undefined_width(self, capsys):
+        # the even program leaves the upper half plane at w=18: bad input, not a bug
+        assert run(["long-path", "--sigma", "2", "--w", "18"]) == 1
+        assert "has Im(P) <= 0" in capsys.readouterr().err
+
+    def test_long_path_self_check_failure(self, capsys, monkeypatch):
+        from uhspath import mykkeltveit
+
+        real_run_ring = mykkeltveit._run_ring
+
+        def repeating(*args, **kwargs):
+            trace, rounds = real_run_ring(*args, **kwargs)
+            return trace + trace[-1:], rounds
+
+        monkeypatch.setattr(mykkeltveit, "_run_ring", repeating)
+        assert run(["long-path", "--sigma", "2", "--w", "16"]) == 3
+        assert "internal error: constructed walk revisits a vertex" in capsys.readouterr().err

@@ -6,7 +6,6 @@ import pytest
 from uhspath.contexts import (
     build_context_set_forward,
     build_context_set_local,
-    context_density,
     forward_context_symbols,
     local_context_symbols,
 )
@@ -62,7 +61,7 @@ class TestLocal:
             w = int(rng.integers(2, 5))
             sch = table_scheme(2, w, rng.integers(0, w, size=2**w))
             cs = build_context_set_local(sch)
-            assert context_density(cs) == expected_density(sch).density
+            assert cs.relative_size() == expected_density(sch).density
 
     def test_minimizer_contexts(self):
         sch = lexicographic_minimizer(2, 2, 3)
@@ -99,7 +98,7 @@ class TestForward:
             checked += 1
             cs = build_context_set_forward(sch)
             assert cs.kset.w == forward_context_symbols(sch)
-            assert context_density(cs) == expected_density(sch).density
+            assert cs.relative_size() == expected_density(sch).density
         assert checked > 20
 
 

@@ -4,10 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from uhspath.core import Kmer, kmer_encode, necklace_count, successor
+from uhspath import exactsign
+from uhspath.core import (
+    Kmer,
+    canonical_rotation_code,
+    kmer_encode,
+    necklace_count,
+    rotation_code,
+    successor,
+)
 from uhspath.exactsign import NEG, POS, ZERO
 from uhspath.kmerset import KmerSet
 from uhspath.mykkeltveit import (
+    _raw_embedding,
+    _theta,
     build_long_path,
     build_mykkeltveit_set,
     embedding,
@@ -18,6 +28,43 @@ from uhspath.mykkeltveit import (
     weight_in_embedding,
 )
 from uhspath.paths import is_decycling, longest_remaining_path
+
+
+def class_pick(rep_code, sigma, w):
+    """Oracle: the member of rep's conjugacy class the set keeps, found by
+    walking the whole class (about w embeddings per class)."""
+    members = [rep_code]
+    c = rotation_code(rep_code, sigma, w)
+    while c != rep_code:
+        members.append(c)
+        c = rotation_code(c, sigma, w)
+    rep_syms = Kmer(members[0], sigma, w).symbols()
+    if exactsign.sum_is_zero(rep_syms):
+        return min(members)
+    th = _theta(sigma, w)
+    ims = []
+    for mc in members:
+        syms = Kmer(mc, sigma, w).symbols()
+        p = _raw_embedding(syms, w)
+        if abs(p.imag) > th:
+            s = POS if p.imag > 0 else NEG
+        else:
+            s = exactsign.im_sign(syms, p.imag, sigma)
+        if s == ZERO:
+            rs = exactsign.re_sign(syms, p.real, sigma)
+            if rs == NEG:
+                return mc
+        ims.append(s)
+    k = len(members)
+    picks = [members[j] for j in range(k) if ims[j] == NEG and ims[(j + 1) % k] == POS]
+    assert len(picks) == 1, f"class of {rep_code} keeps {len(picks)} members"
+    return picks[0]
+
+
+def class_walk_member(x):
+    """Oracle for in_mykkeltveit: decided from x's conjugacy class alone."""
+    rep = canonical_rotation_code(x.code, x.sigma, x.w)
+    return class_pick(rep, x.sigma, x.w) == x.code
 
 
 class TestEmbedding:
@@ -112,6 +159,25 @@ class TestSetConstruction:
             x = Kmer(code, 2, w)
             xbar = Kmer(2**w - 1 - code, 2, w)
             assert abs(complex(embedding(x)) + complex(embedding(xbar))) < 1e-9
+
+
+class TestAgainstClassWalk:
+    @pytest.mark.parametrize(
+        "sigma,wmax", [(2, 14), (3, 8), (4, 7), (5, 4), (6, 4)]
+    )
+    def test_every_code(self, sigma, wmax):
+        for w in range(2, wmax + 1):
+            m = build_mykkeltveit_set(sigma, w)
+            reps = {canonical_rotation_code(c, sigma, w) for c in range(sigma**w)}
+            picks = {class_pick(rep, sigma, w) for rep in reps}
+            assert picks == set(m.codes().tolist())
+            for code in range(sigma**w):
+                assert in_mykkeltveit(Kmer(code, sigma, w)) == (code in picks)
+
+    @pytest.mark.parametrize("w", [40, 41])
+    def test_long_path_vertices(self, w):
+        for x in build_long_path(2, w).vertices:
+            assert in_mykkeltveit(x) is class_walk_member(x) is False
 
 
 class TestOneWayCrossing:

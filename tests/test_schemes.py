@@ -126,14 +126,24 @@ class TestExpectedDensity:
         assert res.density == Fraction(3, 4)
 
     def test_exact_equals_particular_on_debruijn(self):
+        # oracle: walk the cyclic de Bruijn sequence of the context order
         rng = np.random.default_rng(2)
-        for _ in range(10):
-            w = int(rng.integers(2, 5))
-            sch = table_scheme(2, w, rng.integers(0, w, size=2**w))
-            res = expected_density(sch)
-            assert res.mode == EXPECTED_EXACT
-            seq = debruijn_sequence(2, 2 * w - 1, cyclic=True)
-            assert res.density == particular_density(sch, seq, cyclic=True).density
+        for sigma in (2, 3, 4):
+            cases = []
+            for _ in range(10):
+                w = int(rng.integers(2, 5 if sigma == 2 else 4))
+                cases.append((table_scheme(sigma, w, rng.integers(0, w, size=sigma**w)), 2 * w - 1))
+            for _ in range(10):
+                k = int(rng.integers(1, 4))
+                w = int(rng.integers(2, 5))
+                cases.append((minimizer_scheme(sigma, k, w, rng.permutation(sigma**k)), w + k))
+            for sch, order in cases:
+                res = expected_density(sch)
+                assert res.mode == EXPECTED_EXACT
+                seq = debruijn_sequence(sigma, order, cyclic=True)
+                walk = particular_density(sch, seq, cyclic=True)
+                assert (res.selected, res.windows) == (walk.selected, walk.windows)
+                assert res.density == walk.density
 
     def test_density_bounds(self):
         rng = np.random.default_rng(3)
