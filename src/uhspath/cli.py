@@ -188,7 +188,9 @@ def _cmd_density(args) -> None:
     elif args.estimate:
         res = schemes.estimate_density(scheme, sample_symbols=args.sample, seed=args.seed)
     else:
-        res = schemes.expected_density(scheme, sample_symbols=args.sample, seed=args.seed)
+        res = schemes.expected_density(
+            scheme, sample_symbols=args.sample, seed=args.seed, budget=args.budget
+        )
     out.update(_density_json(res))
     if scheme.guarantee is not None:
         out["uhs_guarantee"] = scheme.guarantee

@@ -2,10 +2,12 @@
 
 Quantities of the form sum_i x_i * zeta^(i+1), zeta = e^(2 pi i / w), are
 evaluated in doubles first.  A value safely away from zero keeps its float
-sign.  Borderline values get an exact zero test -- an integer combination
-of powers of zeta vanishes iff the w-th cyclotomic polynomial divides the
-corresponding integer polynomial -- and provably nonzero values have their
-sign pinned down with escalating mpmath precision.
+sign.  Borderline values get an exact zero test: an integer combination of
+powers of zeta vanishes iff the w-th cyclotomic polynomial Phi_w divides the
+corresponding integer polynomial, and reduction mod Phi_w is an integer
+linear map (Lam & Leung 2000), so the test is one product of the digit rows
+with a cached w x phi(w) integer matrix, for one word or for many.  Provably
+nonzero values have their sign pinned down with escalating mpmath precision.
 """
 
 from __future__ import annotations
@@ -14,64 +16,104 @@ from functools import lru_cache
 from typing import Sequence
 
 import mpmath as mp
+import numpy as np
 
 NEG, ZERO, POS = -1, 0, 1
 
 #: doubles closer to zero than this (scaled) are re-checked exactly
 FLOAT_GUARD = 2.0**-40
 
+#: sign of the conjugate term in each part's polynomial (0: no conjugate term)
+_CONJ = {"im": -1, "re": 1, "sum": 0}
+
+
+def _divide_monic(num: list[int], den: tuple[int, ...]) -> list[int]:
+    # exact quotient of integer polynomials (ascending), den monic
+    num = list(num)
+    q = [0] * (len(num) - len(den) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = num[i + len(den) - 1]
+        if c:
+            for j, p in enumerate(den):
+                num[i + j] -= c * p
+    assert not any(num), "cyclotomic division left a remainder"
+    return q
+
 
 @lru_cache(maxsize=None)
 def cyclotomic_coeffs(w: int) -> tuple[int, ...]:
-    """Coefficients of the w-th cyclotomic polynomial, ascending degree."""
-    from sympy import Poly, Symbol, cyclotomic_poly
+    """Coefficients of the w-th cyclotomic polynomial, ascending degree.
 
-    x = Symbol("x")
-    coeffs = Poly(cyclotomic_poly(w, x), x).all_coeffs()
-    return tuple(int(c) for c in reversed(coeffs))
+    (x^w - 1) divided by Phi_d for every proper divisor d of w.
+    """
+    poly = [-1] + [0] * (w - 1) + [1]
+    for d in range(1, w):
+        if w % d == 0:
+            poly = _divide_monic(poly, cyclotomic_coeffs(d))
+    return tuple(poly)
 
 
-def _reduce_mod_cyclotomic(coef: list[int], w: int) -> bool:
-    """True iff the integer polynomial (ascending coef) is divisible by Phi_w."""
+@lru_cache(maxsize=None)
+def _power_remainders(w: int) -> tuple[tuple[int, ...], ...]:
+    # x^k mod Phi_w for k < w, each as phi(w) ascending coefficients
     phi = cyclotomic_coeffs(w)
     deg = len(phi) - 1
-    rem = list(coef)
-    for i in range(len(rem) - 1, deg - 1, -1):
-        c = rem[i]
-        if c:
-            for j, p in enumerate(phi):
-                rem[i - deg + j] -= c * p
-    return all(v == 0 for v in rem[:deg])
+    rem = [1] + [0] * (deg - 1)
+    out = [tuple(rem)]
+    for _ in range(w - 1):
+        lead = rem[-1]
+        rem = [0] + rem[:-1]
+        rem = [r - lead * p for r, p in zip(rem, phi)]
+        out.append(tuple(rem))
+    return tuple(out)
 
 
-def _combination(symbols: Sequence[int], conj_sign: int) -> list[int]:
-    # polynomial for sum x_i (zeta^(i+1) + conj_sign * zeta^-(i+1))
-    w = len(symbols)
-    coef = [0] * w
-    for i, x in enumerate(symbols):
-        if x:
-            coef[(i + 1) % w] += x
-            coef[(w - i - 1) % w] += conj_sign * x
-    return coef
+@lru_cache(maxsize=None)
+def _reduction_matrix(w: int, part: str, top: int) -> np.ndarray:
+    """w x phi(w) integer matrix mapping a digit row to a remainder mod Phi_w.
+
+    Row i is the remainder of digit i's term in the Im ('im': z^(i+1) -
+    z^-(i+1)), Re ('re': z^(i+1) + z^-(i+1)) or plain-sum ('sum': z^(i+1))
+    polynomial, exponents mod w, so `digits @ A` is the remainder of a whole
+    row and the row's part is zero iff it is.  int64 when rows of digits up
+    to `top` cannot overflow it, else Python ints (dtype=object).
+    """
+    powers = _power_remainders(w)
+    conj = _CONJ[part]
+    rows = [
+        [a + conj * b for a, b in zip(powers[(i + 1) % w], powers[(w - i - 1) % w])]
+        for i in range(w)
+    ]
+    big = max(abs(v) for row in rows for v in row) * top * w >= 2**63
+    A = np.array(rows, dtype=object if big else np.int64)
+    A.flags.writeable = False  # shared by every caller through the cache
+    return A
+
+
+def zero_rows(digits, part: str) -> np.ndarray:
+    """Exactly decide, per digit row, whether its `part` of sum x_i zeta^(i+1) is 0.
+
+    `digits` is one word (shape (w,)) or a stack of words (shape (m, w));
+    the result is a bool per word.
+    """
+    d = np.asarray(digits, dtype=np.int64)
+    A = _reduction_matrix(d.shape[-1], part, int(np.abs(d).max(initial=0)))
+    return ~(d @ A).any(axis=-1)
 
 
 def im_is_zero(symbols: Sequence[int]) -> bool:
     """Exactly decide Im(sum x_i zeta^(i+1)) == 0."""
-    return _reduce_mod_cyclotomic(_combination(symbols, -1), len(symbols))
+    return bool(zero_rows(symbols, "im"))
 
 
 def re_is_zero(symbols: Sequence[int]) -> bool:
     """Exactly decide Re(sum x_i zeta^(i+1)) == 0."""
-    return _reduce_mod_cyclotomic(_combination(symbols, +1), len(symbols))
+    return bool(zero_rows(symbols, "re"))
 
 
 def sum_is_zero(symbols: Sequence[int]) -> bool:
     """Exactly decide sum x_i zeta^(i+1) == 0."""
-    w = len(symbols)
-    coef = [0] * w
-    for i, x in enumerate(symbols):
-        coef[(i + 1) % w] += x
-    return _reduce_mod_cyclotomic(coef, w)
+    return bool(zero_rows(symbols, "sum"))
 
 
 def _mp_part(symbols: Sequence[int], trig) -> mp.mpf:

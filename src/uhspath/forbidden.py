@@ -46,14 +46,32 @@ def min_w_for_construction(sigma: int) -> int:
     return w
 
 
-def _max_zero_run(codes: np.ndarray, sigma: int, w: int) -> np.ndarray:
-    run = np.zeros(codes.size, dtype=np.int8)
-    best = np.zeros(codes.size, dtype=np.int8)
-    for i in range(w):
-        digit = (codes // sigma ** (w - 1 - i)) % sigma
-        run = np.where(digit == 0, run + 1, 0).astype(np.int8)
+def _zero_runs(sigma: int, length: int):
+    """(leading zeros, trailing zeros, longest zero run) of every length-symbol code."""
+    codes = np.arange(sigma**length)
+    lead = np.zeros(codes.size, dtype=np.int64)
+    run = np.zeros(codes.size, dtype=np.int64)
+    best = np.zeros(codes.size, dtype=np.int64)
+    for i in range(length):
+        zero = (codes // sigma ** (length - 1 - i)) % sigma == 0
+        run = np.where(zero, run + 1, 0)
+        lead += run == i + 1  # still inside the leading run
         np.maximum(best, run, out=best)
-    return best
+    return lead, run, best
+
+
+def _run_free(sigma: int, w: int, d: int) -> np.ndarray:
+    """Bool per w-mer code: no run of d zeros.
+
+    A code is its leading ceil(w/2) symbols (hi) followed by its trailing
+    floor(w/2) symbols (lo); its longest zero run is the longest of either
+    half's and hi's trailing run joined to lo's leading run.
+    """
+    _, trail_hi, best_hi = _zero_runs(sigma, w - w // 2)
+    lead_lo, _, best_lo = _zero_runs(sigma, w // 2)
+    free = (best_hi < d)[:, None] & (best_lo < d)[None, :]
+    free &= trail_hi[:, None] < (d - lead_lo)[None, :]
+    return free.ravel()
 
 
 def build_forbidden_set(sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET) -> KmerSet:
@@ -65,10 +83,8 @@ def build_forbidden_set(sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET) -
         )
     n = sigma**w
     check_budget(n, budget, "forbidden-run set")
-    mask = np.zeros(n, dtype=bool)
+    mask = _run_free(sigma, w, d)
     mask[: sigma ** (w - d)] = True  # first d symbols all zero
-    codes = np.arange(n, dtype=np.int64)
-    mask |= _max_zero_run(codes, sigma, w) < d
     return KmerSet(sigma, w, mask)
 
 

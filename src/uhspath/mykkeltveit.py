@@ -33,8 +33,8 @@ from .core import (
 from .exactsign import FLOAT_GUARD, NEG, POS, ZERO
 from .kmerset import KmerSet
 
-#: scaled guard band below which double signs are not trusted
 def _theta(sigma: int, w: int) -> float:
+    """Scaled guard band below which double signs are not trusted."""
     return FLOAT_GUARD * (sigma - 1) * w
 
 
@@ -92,11 +92,30 @@ def rotation_identity_check(x: Kmer, a: int, eps: float = 1e-9) -> bool:
 # -- the set -----------------------------------------------------------------
 
 
-def _certify_borderline(sgn, vals, borderline, sigma, w, part_sign):
-    codes = np.flatnonzero(borderline)
-    for c in codes:
-        syms = Kmer(int(c), sigma, w).symbols()
-        sgn[c] = part_sign(syms, float(vals[c]), sigma)
+def _digit_rows(codes: np.ndarray, sigma: int, w: int) -> np.ndarray:
+    return (codes[:, None] // sigma ** np.arange(w - 1, -1, -1)) % sigma
+
+
+def _half_tables(sigma: int, w: int, trig):
+    """sum_i x_i trig(2 pi (i+1) / w) over the leading ceil(w/2) symbols (hi)
+    and over the trailing floor(w/2) symbols (lo), one value per half code."""
+    h = w - w // 2
+    t = trig(2 * np.pi * np.arange(1, w + 1) / w)
+    hi = _digit_rows(np.arange(sigma**h), sigma, h) @ t[:h]
+    lo = _digit_rows(np.arange(sigma ** (w - h)), sigma, w - h) @ t[h:]
+    return hi, lo
+
+
+def _settle(sgn, codes, vals, rows, sigma, part):
+    """Certify sgn[codes], whose doubles `vals` lie in the guard band: exact
+    zeros by one matrix product over the digit rows, the rest by mpmath.
+    Returns the zero mask over `codes`."""
+    zero = exactsign.zero_rows(rows, part)
+    sgn[codes[zero]] = ZERO
+    part_sign = exactsign.im_sign if part == "im" else exactsign.re_sign
+    for c, v, row in zip(codes[~zero], vals[~zero], rows[~zero]):
+        sgn[c] = part_sign(row.tolist(), float(v), sigma)
+    return zero
 
 
 def _member(im, im_rot, re, least):
@@ -122,38 +141,46 @@ def build_mykkeltveit_set(
     classes with P = 0 contribute their lexicographically least member;
     otherwise the member exactly on the negative real axis if one exists,
     else the unique member with Im(P(x)) < 0 and Im(P(R(x))) > 0.
+
+    P is summed in doubles from two half-word tables; the codes in the guard
+    band are expanded to digit rows and settled exactly, together.
     """
     if w < 2:
         raise ValueError("need w >= 2")
     n = sigma**w
     check_budget(n, budget, "decycling set construction")
-    codes = np.arange(n, dtype=np.int64)
-    im = np.zeros(n)
-    re = np.zeros(n)
-    for i in range(w):
-        digit = (codes // sigma ** (w - 1 - i)) % sigma
-        ang = 2 * math.pi * (i + 1) / w
-        im += digit * math.sin(ang)
-        re += digit * math.cos(ang)
     th = _theta(sigma, w)
 
-    im_sgn = np.sign(im).astype(np.int8)
-    _certify_borderline(im_sgn, im, np.abs(im) <= th, sigma, w, exactsign.im_sign)
-    re_sgn = np.sign(re).astype(np.int8)
-    near = (np.abs(re) <= th) & (im_sgn == 0)  # Re sign only matters when Im = 0
-    _certify_borderline(re_sgn, re, near, sigma, w, exactsign.re_sign)
+    im_hi, im_lo = _half_tables(sigma, w, np.sin)
+    im = (im_hi[:, None] + im_lo[None, :]).ravel()
+    b = np.flatnonzero((-th <= im) & (im <= th))
+    im_b = im[b]
+    im_sgn = np.sign(im, out=im).astype(np.int8)
+    del im
+    rows = _digit_rows(b, sigma, w)
+    on_axis = _settle(im_sgn, b, im_b, rows, sigma, "im")
 
-    rot = (codes * sigma + codes // (n // sigma)) % n
+    # Re's sign only matters where Im = 0
+    z, rows = b[on_axis], rows[on_axis]
+    re_hi, re_lo = _half_tables(sigma, w, np.cos)
+    re = re_hi[z // re_lo.size] + re_lo[z % re_lo.size]
+    re_sgn = np.zeros(n, dtype=np.int8)
+    re_sgn[z] = np.sign(re)
+    near = np.abs(re) <= th
+    origin_zero = _settle(re_sgn, z[near], re[near], rows[near], sigma, "re")
+
     # classes embedded at the origin (the all-zero word's among them) keep
     # their least rotation
-    least = (im_sgn == ZERO) & (re_sgn == ZERO)
-    c = origin = np.flatnonzero(least)
+    c = origin = z[near][origin_zero]
     canon = origin.copy()
     for _ in range(w - 1):
         c = (c * sigma + c // (n // sigma)) % n
         np.minimum(canon, c, out=canon)
+    least = np.zeros(n, dtype=bool)
     least[origin] = canon == origin
-    mask = _member(im_sgn, im_sgn[rot], re_sgn, least)
+    # P(R(x)) for x = a.r (leading symbol a) is at code r.a
+    im_rot = im_sgn.reshape(-1, sigma).T.ravel()
+    mask = _member(im_sgn, im_rot, re_sgn, least)
 
     kset = KmerSet(sigma, w, mask)
     if kset.cardinality != necklace_count(sigma, w):
@@ -164,13 +191,12 @@ def build_mykkeltveit_set(
     return kset
 
 
-def in_mykkeltveit(x: Kmer) -> bool:
-    """Set membership from the certified signs of P(x) and P(R(x)), no bitmap.
+def _in_set(x: Kmer, pt: ComplexPoint) -> bool:
+    """The keep rule for x given its certified point pt = embedding(x).
 
-    Two embeddings per query; the least rotation of x's class is computed
+    Certifies P(R(x)) as well; the least rotation of x's class is computed
     only when P(x) = 0.
     """
-    pt = embedding(x)
     rot = Kmer(rotation_code(x.code, x.sigma, x.w), x.sigma, x.w)
     if pt.im_sign == ZERO:
         re = exactsign.re_sign(x.symbols(), pt.re, x.sigma)
@@ -178,6 +204,11 @@ def in_mykkeltveit(x: Kmer) -> bool:
         re = NEG if pt.re < 0 else POS
     least = re == ZERO and canonical_rotation_code(x.code, x.sigma, x.w) == x.code
     return bool(_member(pt.im_sign, im_sign(rot), re, least))
+
+
+def in_mykkeltveit(x: Kmer) -> bool:
+    """Set membership from the certified signs of P(x) and P(R(x)), no bitmap."""
+    return _in_set(x, embedding(x))
 
 
 # -- long avoiding path ------------------------------------------------------
@@ -304,7 +335,7 @@ def build_long_path(sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET) -> Lo
         pt = embedding(x)
         if pt.im_sign != POS:
             raise ValueError(f"vertex at step {step} has Im(P) <= 0")
-        if in_mykkeltveit(x):
+        if _in_set(x, pt):
             raise AssertionError(f"vertex at step {step} lies in the decycling set")
         embeddings.append(pt)
     return LongPath(sigma, w, vertices, embeddings, quads, rounds)

@@ -256,6 +256,7 @@ def expected_density(
     exact_budget: int = DEFAULT_EXACT_BUDGET,
     sample_symbols: int = 10**7,
     seed: int = 0,
+    budget: int = DEFAULT_NODE_BUDGET,
 ) -> DensityResult:
     """Exact density as the relative size of the scheme's context set.
 
@@ -264,7 +265,8 @@ def expected_density(
     context theorem |C| / sigma^|context| is the density on the cyclic
     de Bruijn sequence of that order, and `selected` / `windows` are its
     counts.  Falls back to a seeded random-sequence estimate with a reported
-    standard error when sigma^|context| exceeds the budget.
+    standard error when sigma^|context| exceeds `exact_budget`; `budget`
+    is passed to the context-set builder.
     """
     from .contexts import (
         build_context_set_forward,
@@ -279,7 +281,7 @@ def expected_density(
         order, build = forward_context_symbols(scheme), build_context_set_forward
     windows = scheme.sigma**order
     if windows <= exact_budget:
-        selected = build(scheme).kset.cardinality
+        selected = build(scheme, budget=budget).kset.cardinality
         return DensityResult(selected, windows, Fraction(selected, windows), EXPECTED_EXACT)
     return estimate_density(scheme, sample_symbols=sample_symbols, seed=seed)
 

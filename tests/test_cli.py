@@ -186,6 +186,12 @@ class TestExitCodes:
     def test_budget_error(self, capsys):
         assert run(["mykkeltveit", "--sigma", "2", "--w", "20", "--budget", "100"]) == 2
 
+    def test_exact_density_budget(self, capsys):
+        # the forward context set has 2^(4+3) = 128 states
+        argv = ["density", "--sigma", "2", "--w", "4", "--minimizer", "--k", "3", "--budget", "10"]
+        assert run(argv) == 2
+        assert "budget is 10" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert run(["check-uhs", "--sigma", "2", "--w", "4", "--set", "/nope"]) == 1
 

@@ -1,4 +1,8 @@
+import itertools
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -8,12 +12,14 @@ from uhspath.exactsign import (
     NEG,
     POS,
     ZERO,
+    _reduction_matrix,
     cyclotomic_coeffs,
     im_is_zero,
     im_sign,
     re_is_zero,
     re_sign,
     sum_is_zero,
+    zero_rows,
 )
 
 
@@ -33,6 +39,32 @@ def mp_im(symbols, dps=200):
         return mp.fsum(x * mp.sin(2 * mp.pi * (i + 1) / w) for i, x in enumerate(symbols))
 
 
+def reduce_mod_cyclotomic(coef, w):
+    """Oracle: True iff the integer polynomial (ascending coef) is divisible
+    by Phi_w, by long division."""
+    phi = cyclotomic_coeffs(w)
+    deg = len(phi) - 1
+    rem = list(coef)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if c:
+            for j, p in enumerate(phi):
+                rem[i - deg + j] -= c * p
+    return all(v == 0 for v in rem[:deg])
+
+
+def part_polynomial(symbols, part):
+    """sum x_i (z^(i+1) + c z^-(i+1)), exponents mod w; c = -1 (im), +1 (re),
+    or no conjugate term (sum)."""
+    w = len(symbols)
+    coef = [0] * w
+    for i, x in enumerate(symbols):
+        coef[(i + 1) % w] += x
+        if part != "sum":
+            coef[(w - i - 1) % w] += (-1 if part == "im" else 1) * x
+    return coef
+
+
 class TestCyclotomic:
     def test_small_polynomials(self):
         assert cyclotomic_coeffs(1) == (-1, 1)
@@ -46,6 +78,52 @@ class TestCyclotomic:
 
         for w in range(1, 40):
             assert len(cyclotomic_coeffs(w)) - 1 == _totient(w)
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for w in range(1, 121):
+            coeffs = sympy.Poly(sympy.cyclotomic_poly(w, x), x).all_coeffs()
+            assert cyclotomic_coeffs(w) == tuple(int(c) for c in reversed(coeffs)), w
+
+
+class TestZeroMatrix:
+    @pytest.mark.parametrize("sigma,wmax", [(2, 14), (3, 9)])
+    def test_every_code_matches_division(self, sigma, wmax):
+        for w in range(1, wmax + 1):
+            words = np.array(list(itertools.product(range(sigma), repeat=w)))
+            for part in ("im", "re", "sum"):
+                expect = [
+                    reduce_mod_cyclotomic(part_polynomial(row, part), w)
+                    for row in words.tolist()
+                ]
+                assert zero_rows(words, part).tolist() == expect, (w, part)
+
+    def test_scalar_and_bulk_agree(self):
+        words = np.random.default_rng(3).integers(0, 3, size=(200, 12))
+        bulk = zero_rows(words, "im")
+        assert [im_is_zero(row) for row in words.tolist()] == bulk.tolist()
+
+    def test_wide_digits_use_python_ints(self):
+        # digits large enough that an int64 product could overflow
+        for w in (6, 12, 15):
+            words = np.random.default_rng(w).integers(0, 2, size=(100, w))
+            for part in ("im", "re", "sum"):
+                assert _reduction_matrix(w, part, 2**62).dtype == object
+                assert np.array_equal(zero_rows(words * 2**62, part), zero_rows(words, part))
+
+    def test_no_sympy_at_runtime(self):
+        import uhspath
+
+        src = os.path.dirname(os.path.dirname(uhspath.__file__))
+        code = (
+            "import sys; from uhspath.cli import run; "
+            "assert run(['mykkeltveit', '--sigma', '3', '--w', '12']) == 0; "
+            "assert 'sympy' not in sys.modules"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr.decode()
 
 
 class TestZeroDecisions:

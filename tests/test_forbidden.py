@@ -6,6 +6,7 @@ import pytest
 
 from uhspath.core import kmer_decode
 from uhspath.forbidden import (
+    _run_free,
     bracket_holds,
     build_forbidden_set,
     char_poly_eval,
@@ -31,6 +32,17 @@ def brute_avoiders(sigma, d, w):
         if "0" * d not in s:
             count += 1
     return count
+
+
+def max_zero_run(codes, sigma, w):
+    """Oracle: longest zero run of each code, one digit pass per symbol."""
+    run = np.zeros(codes.size, dtype=np.int8)
+    best = np.zeros(codes.size, dtype=np.int8)
+    for i in range(w):
+        digit = (codes // sigma ** (w - 1 - i)) % sigma
+        run = np.where(digit == 0, run + 1, 0).astype(np.int8)
+        np.maximum(best, run, out=best)
+    return best
 
 
 def recurrence_avoiders(sigma, d, w):
@@ -76,6 +88,21 @@ class TestSetConstruction:
             avoid = "0" * d not in s
             assert not (prefix and avoid)
             assert F.contains_code(code) == (prefix or avoid)
+
+    def test_equals_digit_loop(self):
+        sigma = 2
+        for w in range(min_w_for_construction(sigma), 23):
+            d = forbidden_d(sigma, w)
+            expect = max_zero_run(np.arange(sigma**w), sigma, w) < d
+            expect[: sigma ** (w - d)] = True
+            assert np.array_equal(build_forbidden_set(sigma, w).mask, expect), w
+
+    @pytest.mark.parametrize("sigma", [3, 4])
+    def test_half_tables_give_longest_run(self, sigma):
+        for w in range(1, 10):
+            best = max_zero_run(np.arange(sigma**w), sigma, w)
+            for d in range(1, w + 2):
+                assert np.array_equal(_run_free(sigma, w, d), best < d), (w, d)
 
     def test_d_zero_rejected(self):
         with pytest.raises(ValueError):

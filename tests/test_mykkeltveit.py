@@ -15,7 +15,9 @@ from uhspath.core import (
 )
 from uhspath.exactsign import NEG, POS, ZERO
 from uhspath.kmerset import KmerSet
+from uhspath import mykkeltveit
 from uhspath.mykkeltveit import (
+    _member,
     _raw_embedding,
     _theta,
     build_long_path,
@@ -65,6 +67,40 @@ def class_walk_member(x):
     """Oracle for in_mykkeltveit: decided from x's conjugacy class alone."""
     rep = canonical_rotation_code(x.code, x.sigma, x.w)
     return class_pick(rep, x.sigma, x.w) == x.code
+
+
+def digit_loop_build(sigma, w):
+    """Oracle: the Mykkeltveit mask from w int64 digit passes over all codes,
+    each borderline sign certified one code at a time."""
+    n = sigma**w
+    codes = np.arange(n, dtype=np.int64)
+    im = np.zeros(n)
+    re = np.zeros(n)
+    for i in range(w):
+        digit = (codes // sigma ** (w - 1 - i)) % sigma
+        ang = 2 * math.pi * (i + 1) / w
+        im += digit * math.sin(ang)
+        re += digit * math.cos(ang)
+    th = _theta(sigma, w)
+
+    def certify(sgn, vals, borderline, part_sign):
+        for c in np.flatnonzero(borderline):
+            syms = Kmer(int(c), sigma, w).symbols()
+            sgn[c] = part_sign(syms, float(vals[c]), sigma)
+
+    im_sgn = np.sign(im).astype(np.int8)
+    certify(im_sgn, im, np.abs(im) <= th, exactsign.im_sign)
+    re_sgn = np.sign(re).astype(np.int8)
+    certify(re_sgn, re, (np.abs(re) <= th) & (im_sgn == 0), exactsign.re_sign)
+    rot = (codes * sigma + codes // (n // sigma)) % n
+    least = (im_sgn == ZERO) & (re_sgn == ZERO)
+    c = origin = np.flatnonzero(least)
+    canon = origin.copy()
+    for _ in range(w - 1):
+        c = (c * sigma + c // (n // sigma)) % n
+        np.minimum(canon, c, out=canon)
+    least[origin] = canon == origin
+    return _member(im_sgn, im_sgn[rot], re_sgn, least)
 
 
 class TestEmbedding:
@@ -180,6 +216,16 @@ class TestAgainstClassWalk:
             assert in_mykkeltveit(x) is class_walk_member(x) is False
 
 
+class TestAgainstDigitLoop:
+    @pytest.mark.parametrize(
+        "sigma,wmax", [(2, 20), (3, 12), (4, 9), (5, 7), (6, 6)]
+    )
+    def test_masks_equal(self, sigma, wmax):
+        for w in range(2, wmax + 1):
+            m = build_mykkeltveit_set(sigma, w)
+            assert np.array_equal(m.mask, digit_loop_build(sigma, w)), (sigma, w)
+
+
 class TestOneWayCrossing:
     @pytest.mark.parametrize("sigma,w", [(2, 8), (2, 12), (2, 16), (3, 6)])
     def test_im_never_recovers(self, sigma, w):
@@ -232,6 +278,19 @@ class TestLongPath:
         n = 2**24
         for a, b in zip(lp.vertices, lp.vertices[1:]):
             assert b.code in ((a.code * 2) % n, (a.code * 2 + 1) % n)
+
+    def test_one_embedding_per_vertex(self, monkeypatch):
+        calls = []
+        real = mykkeltveit.embedding
+
+        def counting(x):
+            calls.append(x.code)
+            return real(x)
+
+        monkeypatch.setattr(mykkeltveit, "embedding", counting)
+        lp = build_long_path(2, 100)
+        assert len(lp.vertices) == 1313
+        assert sorted(calls) == sorted(x.code for x in lp.vertices)
 
     def test_small_w_rejected(self):
         with pytest.raises(ValueError):
