@@ -2,21 +2,25 @@
 
 A scheme picks one position in every window of a string.  Window length is
 always `w` positions; for minimizer kinds a position holds a k-mer, so a
-window spans w + k - 1 symbols.  Particular density follows the convention
+window spans w + k - 1 symbols.  `select` is the scalar definition on one
+window; particular and sampled density both count the positions marked in
+the bitmap of one chunked kernel, `_selected`, which holds for any table,
+forward or not.  Particular density follows the convention
 pinned by the worked minimizer example: the count of distinct selected
 positions is divided by the number of k-mer positions (|s| - k + 1) for
 minimizer kinds and by the number of windows (|s| - w + 1) for table
-schemes; on a cyclic sequence both equal the sequence length.
+schemes; on a cyclic sequence both equal the sequence length.  Exact
+expected density counts the scheme's context set.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import DEFAULT_NODE_BUDGET, check_budget, parse_symbols
 from .kmerset import KmerSet
@@ -32,6 +36,12 @@ EXPECTED_ESTIMATE = "EXPECTED_ESTIMATE"
 
 #: Largest sigma^order for which expected density is computed exactly.
 DEFAULT_EXACT_BUDGET = 1 << 20
+
+#: Windows per chunk of the selection kernel `_selected`.
+_CHUNK = 1 << 18
+
+#: Batches of the batch-means standard error of `estimate_density`.
+_BATCHES = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,49 +201,49 @@ def _window_positions_denominator(scheme: SelectionScheme, length: int, cyclic: 
     return length - scheme.k + 1
 
 
-def _selected_positions(scheme: SelectionScheme, syms: Sequence[int], cyclic: bool) -> set[int]:
-    sigma = scheme.sigma
-    ws = scheme.window_symbols
-    length = len(syms)
+def _require_window(scheme: SelectionScheme, length: int) -> None:
+    if length < scheme.window_symbols:
+        raise ValueError(
+            f"string of length {length} is shorter than a window "
+            f"({scheme.window_symbols} symbols)"
+        )
+
+
+def _selected(scheme: SelectionScheme, syms: Sequence[int], cyclic: bool) -> np.ndarray:
+    """Bool mask over the positions of syms: True where some window selects.
+
+    A cyclic string is extended by its first window_symbols - 1 symbols.
+    Windows are taken _CHUNK at a time; each chunk rolls the codes it needs
+    (window codes for tables, k-mer codes for minimizer kinds), and argmin
+    returns the first minimum, so the leftmost minimum k-mer wins.
+    """
+    sigma, ws = scheme.sigma, scheme.window_symbols
+    syms = np.asarray(syms, dtype=np.int64)
+    length = syms.size
     if cyclic:
-        work = list(syms) + list(syms[: ws - 1])
-        nwin = length
-    else:
-        work = list(syms)
-        nwin = length - ws + 1
-    selected: set[int] = set()
-    if scheme.kind == TABLE:
-        m = sigma**ws
-        code = 0
-        for v in work[:ws]:
-            code = code * sigma + v
-        selected.add(int(scheme.table[code]))
-        for i in range(1, nwin):
-            code = (code * sigma + work[ws + i - 1]) % m
-            p = i + int(scheme.table[code])
-            selected.add(p % length if cyclic else p)
-        return selected
-    # minimizer kinds: rolling k-mer ranks with a monotonic deque
-    kk = sigma**scheme.k
-    rank = scheme.rank
-    code = 0
-    for v in work[: scheme.k - 1]:
-        code = code * sigma + v
-    dq: deque[tuple[int, int]] = deque()  # (rank, k-mer position), increasing rank
-    npos = len(work) - scheme.k + 1
-    for j in range(npos):
-        code = (code * sigma + work[j + scheme.k - 1]) % kk
-        r = int(rank[code])
-        while dq and dq[-1][0] > r:
-            dq.pop()
-        dq.append((r, j))
-        i = j - scheme.w + 1  # window index whose last k-mer position is j
-        if i >= 0:
-            while dq[0][1] < i:
-                dq.popleft()
-            p = dq[0][1]
-            selected.add(p % length if cyclic else p)
-    return selected
+        syms = np.concatenate([syms, syms[: ws - 1]])
+    span = ws if scheme.kind == TABLE else scheme.k  # symbols per rolled code
+    seen = np.zeros(length, dtype=bool)
+    nwin = syms.size - ws + 1
+    for start in range(0, nwin, _CHUNK):
+        n = min(_CHUNK, nwin - start)
+        ncodes = n + ws - span
+        codes = np.zeros(ncodes, dtype=np.int64)
+        for j in range(span):
+            codes *= sigma
+            codes += syms[start + j : start + j + ncodes]
+        if scheme.kind == TABLE:
+            off = scheme.table[codes]
+        else:
+            off = sliding_window_view(scheme.rank[codes], scheme.w).argmin(axis=1)
+        pos = start + np.arange(n) + off
+        seen[pos % length if cyclic else pos] = True
+    return seen
+
+
+def _selected_positions(scheme: SelectionScheme, syms: Sequence[int], cyclic: bool) -> set[int]:
+    """The selected positions as a set (the form the acceptance tests check)."""
+    return set(np.flatnonzero(_selected(scheme, syms, cyclic)).tolist())
 
 
 def particular_density(
@@ -241,14 +251,10 @@ def particular_density(
 ) -> DensityResult:
     """Distinct selected positions over the position count of s."""
     syms = parse_symbols(s, scheme.sigma)
-    if len(syms) < scheme.window_symbols:
-        raise ValueError(
-            f"string of length {len(syms)} is shorter than a window "
-            f"({scheme.window_symbols} symbols)"
-        )
-    selected = _selected_positions(scheme, syms, cyclic)
+    _require_window(scheme, len(syms))
+    selected = int(np.count_nonzero(_selected(scheme, syms, cyclic)))
     denom = _window_positions_denominator(scheme, len(syms), cyclic)
-    return DensityResult(len(selected), denom, Fraction(len(selected), denom), PARTICULAR)
+    return DensityResult(selected, denom, Fraction(selected, denom), PARTICULAR)
 
 
 def expected_density(
@@ -289,44 +295,23 @@ def expected_density(
 def estimate_density(
     scheme: SelectionScheme, sample_symbols: int = 10**7, seed: int = 0
 ) -> DensityResult:
-    """Density on a seeded uniform random string, with binomial standard error."""
-    sigma = scheme.sigma
+    """Density on a seeded uniform random string, with a batch-means standard error.
+
+    Neighbouring selections are correlated, so the error is not binomial: the
+    selected-position mask is cut into _BATCHES equal batches and the reported
+    standard error is the standard deviation of their densities over
+    sqrt(_BATCHES).
+    """
+    _require_window(scheme, sample_symbols)
+    if sample_symbols < _BATCHES:
+        raise ValueError(f"a sample of {sample_symbols} symbols cannot fill {_BATCHES} batches")
     rng = np.random.default_rng(seed)
-    s = rng.integers(0, sigma, size=sample_symbols, dtype=np.int64)
-    ws = scheme.window_symbols
-    if scheme.kind == TABLE:
-        m = sigma**ws
-        codes = np.zeros(sample_symbols - ws + 1, dtype=np.int64)
-        for j in range(ws):
-            codes = codes * sigma + s[j : j + codes.size]
-        sel = np.arange(codes.size) + scheme.table[codes]
-        count = int(np.unique(sel).size)
-    else:
-        kk = sigma**scheme.k
-        npos = sample_symbols - scheme.k + 1
-        codes = np.zeros(npos, dtype=np.int64)
-        for j in range(scheme.k):
-            codes = codes * sigma + s[j : j + npos]
-        ranks = scheme.rank[codes].astype(np.int64)
-        count = 0
-        prev = -1
-        chunk = 1 << 20
-        view_len = scheme.w
-        for start in range(0, npos - view_len + 1, chunk):
-            stop = min(start + chunk, npos - view_len + 1)
-            windows = np.lib.stride_tricks.sliding_window_view(
-                ranks[start : stop + view_len - 1], view_len
-            )
-            sel = start + np.arange(stop - start) + np.argmin(windows, axis=1)
-            # forward scheme: selected positions are non-decreasing
-            count += int(np.count_nonzero(np.diff(sel)))
-            if sel.size:
-                if sel[0] != prev:
-                    count += 1
-                prev = int(sel[-1])
+    s = rng.integers(0, scheme.sigma, size=sample_symbols, dtype=np.int64)
+    seen = _selected(scheme, s, cyclic=False)
+    count = int(np.count_nonzero(seen))
     denom = _window_positions_denominator(scheme, sample_symbols, cyclic=False)
-    p = count / denom
-    stderr = float(np.sqrt(p * (1.0 - p) / denom))
+    batches = [b.mean() for b in np.array_split(seen, _BATCHES)]
+    stderr = float(np.std(batches, ddof=1) / np.sqrt(_BATCHES))
     return DensityResult(count, denom, Fraction(count, denom), EXPECTED_ESTIMATE, stderr)
 
 

@@ -192,6 +192,16 @@ class TestExitCodes:
         assert run(argv) == 2
         assert "budget is 10" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sample", ["0", "2", "5"])
+    def test_estimate_sample_shorter_than_window(self, capsys, sample):
+        # a (k=3, w=4) minimizer window spans 6 symbols
+        argv = ["density", "--sigma", "2", "--w", "4", "--minimizer", "--k", "3",
+                "--estimate", "--sample", sample]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: string of length {sample} is shorter than a window (6 symbols)\n"
+
     def test_missing_file(self, capsys):
         assert run(["check-uhs", "--sigma", "2", "--w", "4", "--set", "/nope"]) == 1
 

@@ -1,10 +1,14 @@
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from uhspath import schemes
 from uhspath.core import debruijn_sequence, parse_symbols
+from uhspath.forbidden import build_forbidden_set
 from uhspath.kmerset import KmerSet
+from uhspath.paths import longest_remaining_path
 from uhspath.schemes import (
     EXPECTED_ESTIMATE,
     EXPECTED_EXACT,
@@ -27,6 +31,69 @@ from uhspath.schemes import (
 )
 
 WORKED_SEQ = "CACTGCTGTACCTCTTCT"
+
+
+def rolling_positions(scheme, syms, cyclic):
+    """Oracle: walk the string once with a rolling code (tables) or a monotonic deque."""
+    sigma = scheme.sigma
+    ws = scheme.window_symbols
+    length = len(syms)
+    if cyclic:
+        work = list(syms) + list(syms[: ws - 1])
+        nwin = length
+    else:
+        work = list(syms)
+        nwin = length - ws + 1
+    selected = set()
+    if scheme.kind == "TABLE":
+        m = sigma**ws
+        code = 0
+        for v in work[:ws]:
+            code = code * sigma + v
+        selected.add(int(scheme.table[code]))
+        for i in range(1, nwin):
+            code = (code * sigma + work[ws + i - 1]) % m
+            p = i + int(scheme.table[code])
+            selected.add(p % length if cyclic else p)
+        return selected
+    # minimizer kinds: rolling k-mer ranks with a monotonic deque
+    kk = sigma**scheme.k
+    rank = scheme.rank
+    code = 0
+    for v in work[: scheme.k - 1]:
+        code = code * sigma + v
+    dq = deque()  # (rank, k-mer position), increasing rank
+    npos = len(work) - scheme.k + 1
+    for j in range(npos):
+        code = (code * sigma + work[j + scheme.k - 1]) % kk
+        r = int(rank[code])
+        while dq and dq[-1][0] > r:
+            dq.pop()
+        dq.append((r, j))
+        i = j - scheme.w + 1  # window index whose last k-mer position is j
+        if i >= 0:
+            while dq[0][1] < i:
+                dq.popleft()
+            p = dq[0][1]
+            selected.add(p % length if cyclic else p)
+    return selected
+
+
+def random_schemes(rng, sigma):
+    """Random tables (mostly not forward), random-order and compatible minimizers."""
+    out = []
+    for _ in range(6):
+        w = int(rng.integers(1, 5 if sigma == 2 else 4))
+        out.append(table_scheme(sigma, w, rng.integers(0, w, size=sigma**w)))
+    for _ in range(6):
+        k, w = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        out.append(minimizer_scheme(sigma, k, w, rng.permutation(sigma**k)))
+    for _ in range(3):
+        k, w = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        U = KmerSet(sigma, k, rng.random(sigma**k) < 0.3)
+        if U.cardinality:
+            out.append(build_compatible_minimizer(U, w))
+    return out
 
 
 def straight_line_density(scheme, s):
@@ -96,6 +163,42 @@ class TestParticularDensity:
                 sch = minimizer_scheme(sigma, k, w, order)
             s = "".join(str(x) for x in rng.integers(0, sigma, size=20))
             assert particular_density(sch, s, cyclic=True).density == straight_line_density(sch, s)
+
+
+class TestSelectionKernel:
+    @pytest.mark.parametrize("chunk", [None, 1, 7])
+    def test_equals_rolling_oracle(self, monkeypatch, chunk):
+        # chunks of 1 and 7 windows put seams everywhere
+        if chunk is not None:
+            monkeypatch.setattr(schemes, "_CHUNK", chunk)
+        rng = np.random.default_rng(20)
+        for sigma in (2, 3, 4):
+            for sch in random_schemes(rng, sigma):
+                for cyclic in (False, True):
+                    n = sch.window_symbols + int(rng.integers(0, 40))
+                    syms = rng.integers(0, sigma, size=n).tolist()
+                    assert _selected_positions(sch, syms, cyclic) == rolling_positions(sch, syms, cyclic)
+
+    def test_non_forward_tables_covered(self):
+        rng = np.random.default_rng(20)
+        tables = [s for sigma in (2, 3, 4) for s in random_schemes(rng, sigma) if s.kind == "TABLE"]
+        assert sum(not is_forward(s) for s in tables) >= 5
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    def test_estimate_selected_equals_oracle(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(schemes, "_CHUNK", chunk)
+        rng = np.random.default_rng(21)
+        cases = [
+            table_scheme(3, 3, rng.integers(0, 3, size=27)),
+            minimizer_scheme(4, 3, 5, rng.permutation(64)),
+        ]
+        for seed, sch in enumerate(cases):
+            res = estimate_density(sch, sample_symbols=4000, seed=seed)
+            draw = np.random.default_rng(seed).integers(0, sch.sigma, size=4000, dtype=np.int64)
+            picked = rolling_positions(sch, draw.tolist(), False)
+            assert res.selected == len(picked)
+            assert res.windows == 4000 - (sch.window_symbols if sch.kind == "TABLE" else sch.k) + 1
 
 
 class TestIsForward:
@@ -186,6 +289,41 @@ class TestExpectedDensity:
         for i in range(3000 - sch.window_symbols + 1):
             picked.add(i + select(sch, list(s[i : i + sch.window_symbols])))
         assert res.selected == len(picked)
+
+
+def compatible_forbidden_12():
+    F = build_forbidden_set(2, 12)
+    return build_compatible_minimizer(F, longest_remaining_path(F).longest_vertices + 1)
+
+
+class TestEstimateErrorBars:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: lexicographic_minimizer(4, 3, 5),
+            lambda: lexicographic_minimizer(2, 6, 12),
+            compatible_forbidden_12,
+        ],
+        ids=["s4k3w5", "s2k6w12", "compatible_f12"],
+    )
+    def test_seed_sweep(self, make):
+        # the reported standard error matches the spread of the estimate over seeds
+        sch = make()
+        runs = [estimate_density(sch, sample_symbols=20_000, seed=seed) for seed in range(200)]
+        reported = np.mean([r.stderr for r in runs])
+        empirical = np.std([float(r.density) for r in runs], ddof=1)
+        assert 0.75 <= reported / empirical <= 1.25
+
+    @pytest.mark.parametrize("sample", [-1, 0, 2, 5])
+    def test_shorter_than_window(self, sample):
+        sch = lexicographic_minimizer(2, 3, 4)  # a window spans 6 symbols
+        with pytest.raises(ValueError, match="shorter than a window"):
+            estimate_density(sch, sample_symbols=sample)
+
+    def test_too_short_for_batches(self):
+        with pytest.raises(ValueError, match="batches"):
+            estimate_density(lexicographic_minimizer(2, 3, 4), sample_symbols=31)
+        assert estimate_density(lexicographic_minimizer(2, 3, 4), sample_symbols=32).stderr >= 0
 
 
 class TestCompatibleMinimizer:
