@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import DEFAULT_NODE_BUDGET, check_budget
 from .kmerset import KmerSet
-from .schemes import TABLE, SelectionScheme, is_forward, scheme_values
+from .schemes import TABLE, SelectionScheme, digit_slice, is_forward, scheme_values
 
 
 @dataclass(frozen=True)
@@ -46,18 +46,15 @@ def build_context_set_local(
     """Contexts whose last window picks a position none of the w-1 windows
     before it picked.  Valid for any scheme, forward or not."""
     sigma = scheme.sigma
-    ws = scheme.window_symbols
     W = local_context_symbols(scheme)
     m = sigma**W
     check_budget(m, budget, "local context set")
-    fv = scheme_values(scheme, budget=budget)
-    codes = np.arange(m, dtype=np.int64)
-    win = (codes // sigma ** (W - (scheme.w - 1) - ws)) % sigma**ws
-    last_pick = (scheme.w - 1) + fv[win]
+    fv = scheme_values(scheme, budget=budget).astype(np.int16, copy=False)
+    last = digit_slice(fv, sigma, scheme.w - 1, W)
     member = np.ones(m, dtype=bool)
     for i in range(scheme.w - 1):
-        win = (codes // sigma ** (W - i - ws)) % sigma**ws
-        member &= last_pick != i + fv[win]
+        # window i picks i + f(window i), the last window (w - 1) + f(last window)
+        member &= last != digit_slice(fv + (i - (scheme.w - 1)), sigma, i, W)
     return ContextSet(KmerSet(sigma, W, member), repr(scheme))
 
 
@@ -76,8 +73,7 @@ def build_context_set_forward(
     ws = scheme.window_symbols
     m = sigma ** (ws + 1)
     check_budget(m, budget, "forward context set")
-    fv = scheme_values(scheme, budget=budget)
-    codes = np.arange(m, dtype=np.int64)
-    member = fv[codes % sigma**ws] + 1 != fv[codes // sigma]
+    fv = scheme_values(scheme, budget=budget).astype(np.int16, copy=False)
+    member = digit_slice(fv + 1, sigma, 1, ws + 1) != digit_slice(fv, sigma, 0, ws + 1)
     return ContextSet(KmerSet(sigma, ws + 1, member), repr(scheme))
 

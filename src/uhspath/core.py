@@ -264,6 +264,8 @@ def debruijn_sequence(
     Linear form has length sigma**n + n - 1 and contains every n-mer exactly
     once; the cyclic form has length sigma**n.
     """
+    if sigma < 2:
+        raise ValueError(f"alphabet size must be >= 2, got {sigma}")
     check_budget(sigma**n + n - 1, budget, "de Bruijn sequence")
     parts: list[int] = []
     for word, _ in _fkm(sigma, n, lyndon=True):

@@ -27,6 +27,8 @@ from .kmerset import KmerSet
 
 def forbidden_d(sigma: int, w: int) -> int:
     """floor(log_sigma(w / ln w)) - 1, computed away from float rounding."""
+    if sigma < 2:
+        raise ValueError(f"alphabet size must be >= 2, got {sigma}")
     if w < 2:
         raise ValueError("need w >= 2")
     x = w / math.log(w)

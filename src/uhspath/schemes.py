@@ -56,6 +56,12 @@ class SelectionScheme:
     rank: np.ndarray | None = None  # minimizer kinds: total order on k-mer codes
     guarantee: bool | None = None  # COMPATIBLE: is_uhs(U, w) held? None = unverified
 
+    def __post_init__(self) -> None:
+        if self.sigma < 2:
+            raise ValueError(f"alphabet size must be >= 2, got {self.sigma}")
+        if self.w < 1 or self.k < 1:
+            raise ValueError(f"need w >= 1 and k >= 1, got w={self.w} k={self.k}")
+
     @property
     def window_symbols(self) -> int:
         return self.w + self.k - 1
@@ -116,10 +122,8 @@ def build_compatible_minimizer(
     if window_positions < 1:
         raise ValueError("window must have at least one position")
     n = U.n
-    rank = np.where(U.mask, 0, n).astype(np.int64) + np.arange(n, dtype=np.int64)
-    order = np.argsort(rank, kind="stable")
-    perm = np.empty(n, dtype=np.int64)
-    perm[order] = np.arange(n)
+    c = np.cumsum(U.mask, dtype=np.int64)  # members up to and including each code
+    perm = np.where(U.mask, c - 1, c[-1] + np.arange(n, dtype=np.int64) - c)
     guarantee = None
     if n <= uhs_check_budget:
         guarantee = paths.is_uhs(U, window_positions, budget=uhs_check_budget)
@@ -157,6 +161,16 @@ def select(scheme: SelectionScheme, window: str | Sequence[int]) -> int:
     return best_pos
 
 
+def digit_slice(values: np.ndarray, sigma: int, lead: int, total: int) -> np.ndarray:
+    """values[digits of each total-digit code from `lead` on], in code order.
+
+    `values` covers all codes of d digits, so the slice is digits [lead, lead + d).
+    The result is a broadcast of `values`; no array of codes is built.
+    """
+    shape = (sigma**lead, values.size, sigma**total // (sigma**lead * values.size))
+    return np.broadcast_to(values.reshape(1, -1, 1), shape).reshape(-1)
+
+
 def scheme_values(scheme: SelectionScheme, budget: int = DEFAULT_NODE_BUDGET) -> np.ndarray:
     """f over every possible window code (dense array of sigma^window_symbols)."""
     sigma = scheme.sigma
@@ -165,19 +179,15 @@ def scheme_values(scheme: SelectionScheme, budget: int = DEFAULT_NODE_BUDGET) ->
     check_budget(m, budget, "dense scheme table")
     if scheme.kind == TABLE:
         return scheme.table
-    codes = np.arange(m, dtype=np.int64)
-    kk = sigma**scheme.k
-    best = None
-    pos = np.zeros(m, dtype=np.int32)
-    for i in range(scheme.w):
-        kcode = (codes // sigma ** (ws - i - scheme.k)) % kk
-        r = scheme.rank[kcode]
-        if best is None:
-            best = r.copy()
-        else:
-            upd = r < best  # strict: leftmost minimum wins ties
-            best[upd] = r[upd]
-            pos[upd] = i
+    # ranks are a permutation of [0, sigma^k): the smallest dtype holds them
+    rank = scheme.rank.astype(np.min_scalar_type(scheme.rank.size - 1))
+    best = digit_slice(rank, sigma, 0, ws)
+    pos = np.zeros(m, dtype=np.int16)
+    for i in range(1, scheme.w):
+        r = digit_slice(rank, sigma, i, ws)
+        upd = r < best  # strict: leftmost minimum wins ties
+        np.copyto(best, r, where=upd)
+        pos[upd] = i
     return pos
 
 
@@ -186,11 +196,9 @@ def is_forward(scheme: SelectionScheme, budget: int = DEFAULT_NODE_BUDGET) -> bo
     sigma = scheme.sigma
     ws = scheme.window_symbols
     check_budget(sigma ** (ws + 1), budget, "forwardness check")
-    fv = scheme_values(scheme, budget=budget)
-    c = np.arange(sigma ** (ws + 1), dtype=np.int64)
-    w1 = c // sigma
-    w2 = c % sigma**ws
-    return bool(np.all(fv[w2] >= fv[w1] - 1))
+    fv = scheme_values(scheme, budget=budget).astype(np.int16, copy=False)
+    nxt = digit_slice(fv + 1, sigma, 1, ws + 1)  # the next window's pick, one symbol on
+    return bool(np.all(nxt >= digit_slice(fv, sigma, 0, ws + 1)))
 
 
 def _window_positions_denominator(scheme: SelectionScheme, length: int, cyclic: bool) -> int:

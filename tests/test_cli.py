@@ -202,6 +202,23 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: string of length {sample} is shorter than a window (6 symbols)\n"
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("density --sigma 2 --w 0 --minimizer --k 2", "need w >= 1 and k >= 1, got w=0 k=2"),
+            ("contexts --sigma 2 --w 3 --minimizer --k -1", "need w >= 1 and k >= 1, got w=3 k=-1"),
+            ("density --sigma 1 --w 3 --minimizer --k 2", "alphabet size must be >= 2, got 1"),
+            ("forbidden --sigma 1 --w 30", "alphabet size must be >= 2, got 1"),
+            ("debruijn-seq --sigma 1 --n 3", "alphabet size must be >= 2, got 1"),
+        ],
+        ids=["w0", "k-1", "sigma1", "forbidden_sigma1", "debruijn_sigma1"],
+    )
+    def test_bad_shape(self, capsys, argv, message):
+        assert run(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_missing_file(self, capsys):
         assert run(["check-uhs", "--sigma", "2", "--w", "4", "--set", "/nope"]) == 1
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,13 +13,16 @@ from uhspath.contexts import (
 from uhspath.core import parse_symbols
 from uhspath.paths import is_uhs, longest_remaining_path
 from uhspath.schemes import (
+    TABLE,
     expected_density,
     is_forward,
     lexicographic_minimizer,
+    minimizer_scheme,
     scheme_values,
     select,
     table_scheme,
 )
+from test_schemes import oracle_schemes
 
 
 def brute_local_contexts(scheme):
@@ -33,6 +37,79 @@ def brute_local_contexts(scheme):
         if all(last != i + select(scheme, syms[i : i + ws]) for i in range(w - 1)):
             members.append(code)
     return set(members)
+
+
+def code_array_local(scheme):
+    """Oracle: local contexts, slicing window codes out of an array of all context codes."""
+    sigma = scheme.sigma
+    ws = scheme.window_symbols
+    W = local_context_symbols(scheme)
+    m = sigma**W
+    fv = scheme_values(scheme)
+    codes = np.arange(m, dtype=np.int64)
+    win = (codes // sigma ** (W - (scheme.w - 1) - ws)) % sigma**ws
+    last_pick = (scheme.w - 1) + fv[win]
+    member = np.ones(m, dtype=bool)
+    for i in range(scheme.w - 1):
+        win = (codes // sigma ** (W - i - ws)) % sigma**ws
+        member &= last_pick != i + fv[win]
+    return member
+
+
+def code_array_forward(scheme):
+    """Oracle: forward contexts over an array of all (window_symbols+1)-symbol codes."""
+    sigma = scheme.sigma
+    ws = scheme.window_symbols
+    fv = scheme_values(scheme)
+    codes = np.arange(sigma ** (ws + 1), dtype=np.int64)
+    return fv[codes % sigma**ws] + 1 != fv[codes // sigma]
+
+
+def traced_bytes_per_code(build, scheme, order):
+    """tracemalloc peak of build(scheme) over the sigma^order context codes."""
+    tracemalloc.start()
+    try:
+        build(scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / scheme.sigma**order
+
+
+class TestCodeArrayOracles:
+    @pytest.mark.parametrize("sigma", [2, 3, 4])
+    def test_masks_equal(self, sigma):
+        rng = np.random.default_rng(50 + sigma)
+        kinds = set()
+        for sch in oracle_schemes(rng, sigma):
+            if sigma ** local_context_symbols(sch) <= 1 << 16:
+                local = build_context_set_local(sch).kset.mask
+                assert np.array_equal(local, code_array_local(sch))
+                kinds.add((sch.kind, "local"))
+            if sch.kind != TABLE or is_forward(sch):
+                forward = build_context_set_forward(sch).kset.mask
+                assert np.array_equal(forward, code_array_forward(sch))
+                kinds.add((sch.kind, "forward"))
+        assert len(kinds) == 6
+
+
+class TestBytesPerCode:
+    # W = 19 symbols; the code-array builders took 37-41 B per context code
+    def test_local(self):
+        rng = np.random.default_rng(3)
+        table = table_scheme(2, 10, rng.integers(0, 10, size=2**10))
+        mini = lexicographic_minimizer(2, 5, 8)
+        for sch in (table, mini):
+            assert local_context_symbols(sch) == 19
+            assert traced_bytes_per_code(build_context_set_local, sch, 19) <= 8
+
+    def test_forward(self):
+        rng = np.random.default_rng(4)
+        mini = minimizer_scheme(2, 5, 14, rng.permutation(32))
+        table = table_scheme(2, 18, scheme_values(mini))
+        for sch in (table, mini):
+            assert forward_context_symbols(sch) == 19
+            assert traced_bytes_per_code(build_context_set_forward, sch, 19) <= 8
 
 
 class TestLocal:

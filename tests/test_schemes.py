@@ -13,7 +13,10 @@ from uhspath.schemes import (
     EXPECTED_ESTIMATE,
     EXPECTED_EXACT,
     MINIMIZER,
+    TABLE,
+    SelectionScheme,
     build_compatible_minimizer,
+    digit_slice,
     estimate_density,
     expected_density,
     is_forward,
@@ -94,6 +97,60 @@ def random_schemes(rng, sigma):
         if U.cardinality:
             out.append(build_compatible_minimizer(U, w))
     return out
+
+
+def oracle_schemes(rng, sigma):
+    """random_schemes plus forward tables, lexicographic minimizers and w = 1 (k = window_symbols)."""
+    out = random_schemes(rng, sigma)
+    for k in (1, 2, 3):
+        out.append(lexicographic_minimizer(sigma, k, int(rng.integers(1, 5))))
+        out.append(minimizer_scheme(sigma, k, 1, rng.permutation(sigma**k)))
+    out.append(table_scheme(sigma, 1, [0] * sigma))
+    for mini in [s for s in out if s.kind == MINIMIZER][:3]:  # as tables: forward
+        out.append(table_scheme(sigma, mini.window_symbols, scheme_values(mini)))
+    return out
+
+
+def code_array_scheme_values(scheme):
+    """Oracle: f over every window code, slicing k-mer codes out of an array of codes."""
+    sigma = scheme.sigma
+    ws = scheme.window_symbols
+    m = sigma**ws
+    if scheme.kind == TABLE:
+        return scheme.table
+    codes = np.arange(m, dtype=np.int64)
+    kk = sigma**scheme.k
+    best = None
+    pos = np.zeros(m, dtype=np.int32)
+    for i in range(scheme.w):
+        kcode = (codes // sigma ** (ws - i - scheme.k)) % kk
+        r = scheme.rank[kcode]
+        if best is None:
+            best = r.copy()
+        else:
+            upd = r < best
+            best[upd] = r[upd]
+            pos[upd] = i
+    return pos
+
+
+def code_array_is_forward(scheme):
+    """Oracle: forwardness over an array of all (window_symbols+1)-symbol codes."""
+    sigma = scheme.sigma
+    ws = scheme.window_symbols
+    fv = code_array_scheme_values(scheme)
+    c = np.arange(sigma ** (ws + 1), dtype=np.int64)
+    return bool(np.all(fv[c % sigma**ws] >= fv[c // sigma] - 1))
+
+
+def argsort_compatible_rank(mask):
+    """Oracle: members first, lexicographic within, by a stable argsort of doubled keys."""
+    n = mask.size
+    rank = np.where(mask, 0, n).astype(np.int64) + np.arange(n, dtype=np.int64)
+    order = np.argsort(rank, kind="stable")
+    perm = np.empty(n, dtype=np.int64)
+    perm[order] = np.arange(n)
+    return perm
 
 
 def straight_line_density(scheme, s):
@@ -199,6 +256,38 @@ class TestSelectionKernel:
             picked = rolling_positions(sch, draw.tolist(), False)
             assert res.selected == len(picked)
             assert res.windows == 4000 - (sch.window_symbols if sch.kind == "TABLE" else sch.k) + 1
+
+
+class TestDigitSlice:
+    @pytest.mark.parametrize("sigma", [2, 3, 4])
+    def test_equals_code_arithmetic(self, sigma):
+        rng = np.random.default_rng(sigma)
+        for digits in (1, 2, 3):
+            values = rng.integers(-5, 50, size=sigma**digits).astype(np.int16)
+            for total in range(digits, digits + 4):
+                codes = np.arange(sigma**total)
+                for lead in range(total - digits + 1):
+                    want = values[(codes // sigma ** (total - lead - digits)) % sigma**digits]
+                    got = digit_slice(values, sigma, lead, total)
+                    assert got.dtype == values.dtype
+                    assert np.array_equal(got, want)
+
+
+class TestCodeArrayOracles:
+    @pytest.mark.parametrize("sigma", [2, 3, 4])
+    def test_scheme_values(self, sigma):
+        rng = np.random.default_rng(30 + sigma)
+        for sch in oracle_schemes(rng, sigma):
+            assert np.array_equal(scheme_values(sch), code_array_scheme_values(sch))
+
+    @pytest.mark.parametrize("sigma", [2, 3, 4])
+    def test_is_forward(self, sigma):
+        rng = np.random.default_rng(40 + sigma)
+        verdicts = []
+        for sch in oracle_schemes(rng, sigma):
+            verdicts.append(is_forward(sch))
+            assert verdicts[-1] == code_array_is_forward(sch)
+        assert True in verdicts and False in verdicts
 
 
 class TestIsForward:
@@ -355,6 +444,34 @@ class TestCompatibleMinimizer:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             build_compatible_minimizer(KmerSet.empty(2, 2), 3)
+
+    def test_rank_equals_argsort_oracle(self):
+        rng = np.random.default_rng(11)
+        for _ in range(250):
+            sigma, k = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+            mask = rng.random(sigma**k) < rng.random()
+            if not mask.any():
+                continue
+            sch = build_compatible_minimizer(KmerSet(sigma, k, mask), 2, uhs_check_budget=0)
+            assert np.array_equal(sch.rank, argsort_compatible_rank(mask))
+
+
+class TestSchemeValidation:
+    @pytest.mark.parametrize(
+        "sigma,w,k",
+        [(1, 3, 1), (0, 3, 1), (2, 0, 1), (2, -1, 2), (2, 3, 0), (2, 3, -1)],
+    )
+    def test_constructor_rejects(self, sigma, w, k):
+        with pytest.raises(ValueError):
+            SelectionScheme(sigma, w, MINIMIZER, k=k, rank=np.arange(4))
+
+    def test_builders_reject(self):
+        with pytest.raises(ValueError, match="got w=0 k=2"):
+            lexicographic_minimizer(2, 2, 0)
+        with pytest.raises(ValueError, match="got w=3 k=-1"):
+            lexicographic_minimizer(2, -1, 3)
+        with pytest.raises(ValueError, match="alphabet size"):
+            table_scheme(1, 2, [0])
 
 
 class TestFiles:
