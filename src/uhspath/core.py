@@ -29,6 +29,11 @@ def check_budget(n: int, budget: int = DEFAULT_NODE_BUDGET, what: str = "operati
         raise BudgetError(f"{what} needs {n} states, budget is {budget}")
 
 
+def check_alphabet(sigma: int) -> None:
+    if sigma < 2:
+        raise ValueError(f"alphabet size must be >= 2, got {sigma}")
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Alphabet {0, ..., sigma-1}; symbols render as decimal digits, or ACGT when sigma=4."""
@@ -36,8 +41,7 @@ class Alphabet:
     sigma: int
 
     def __post_init__(self) -> None:
-        if self.sigma < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.sigma}")
+        check_alphabet(self.sigma)
 
     def parse(self, text: str) -> tuple[int, ...]:
         return parse_symbols(text, self.sigma)
@@ -264,8 +268,9 @@ def debruijn_sequence(
     Linear form has length sigma**n + n - 1 and contains every n-mer exactly
     once; the cyclic form has length sigma**n.
     """
-    if sigma < 2:
-        raise ValueError(f"alphabet size must be >= 2, got {sigma}")
+    check_alphabet(sigma)
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     check_budget(sigma**n + n - 1, budget, "de Bruijn sequence")
     parts: list[int] = []
     for word, _ in _fkm(sigma, n, lyndon=True):

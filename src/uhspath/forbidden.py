@@ -21,14 +21,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import DEFAULT_NODE_BUDGET, check_budget
+from .core import DEFAULT_NODE_BUDGET, check_alphabet, check_budget
 from .kmerset import KmerSet
 
 
 def forbidden_d(sigma: int, w: int) -> int:
     """floor(log_sigma(w / ln w)) - 1, computed away from float rounding."""
-    if sigma < 2:
-        raise ValueError(f"alphabet size must be >= 2, got {sigma}")
+    check_alphabet(sigma)
     if w < 2:
         raise ValueError("need w >= 2")
     x = w / math.log(w)
@@ -146,6 +145,7 @@ class FsmMatrix:
 
 def fsm_matrix(sigma: int, d: int) -> FsmMatrix:
     """d x d matrix: first row all 1 - mu (run resets), subdiagonal mu (run grows)."""
+    check_alphabet(sigma)
     if d < 1:
         raise ValueError("need d >= 1")
     mu = Fraction(1, sigma)
@@ -165,14 +165,21 @@ def _mat_vec(rows, v):
 
 
 def survival_probability(sigma: int, d: int, w: int) -> Fraction:
-    """Exact probability that a uniform w-string contains no 0^d run."""
+    """Exact probability that a uniform w-string contains no 0^d run.
+
+    The chain's steps in integers: counts[i] is the number of strings so
+    far with no 0^d run that end in a zero run of length i; a nonzero
+    symbol (sigma - 1 ways) resets any run, a zero lengthens it.
+    """
     if w < 0:
         raise ValueError("need w >= 0")
-    A = fsm_matrix(sigma, d)
-    p = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(d))
+    check_alphabet(sigma)
+    if d < 1:
+        raise ValueError("need d >= 1")
+    counts = [1] + [0] * (d - 1)
     for _ in range(w):
-        p = _mat_vec(A.rows, p)
-    return sum(p, Fraction(0))
+        counts = [(sigma - 1) * sum(counts)] + counts[:-1]
+    return Fraction(sum(counts), sigma**w)
 
 
 def char_poly_eval(sigma: int, d: int, lam: Fraction) -> Fraction:

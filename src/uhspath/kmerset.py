@@ -8,6 +8,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .core import (
+    ACGT,
     DEFAULT_NODE_BUDGET,
     Kmer,
     check_budget,
@@ -16,6 +17,45 @@ from .core import (
 )
 
 _BINARY_MAGIC = b"UHS1"
+
+
+def encode_lines(lines: Iterable[str], sigma: int, w: int) -> np.ndarray:
+    """int64 codes of the non-blank lines of a text file, in order.
+
+    Each line is stripped and read as `kmer_encode` reads it: ACGT when
+    sigma = 4 and its first character is an ACGT letter, digits otherwise.
+    Lines of w ASCII symbols are encoded together; any other line goes
+    through `kmer_encode`, so the first bad line raises its error, or the
+    wrong-length error when it has a length other than w.
+    """
+    texts = [t for t in map(str.strip, lines) if t]
+    codes = np.zeros(len(texts), dtype=np.int64)
+    ok = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)) == w
+    if ok.any() and 2 <= sigma <= 10:
+        chars = "".join(t for t, good in zip(texts, ok) if good)
+        raw = np.frombuffer(chars.encode("ascii", "replace"), dtype=np.uint8).reshape(-1, w)
+        lut = np.full(256, sigma, dtype=np.int64)  # sigma marks a bad symbol
+        lut[ord("0") : ord("0") + sigma] = np.arange(sigma)
+        vals = lut[raw]
+        if sigma == 4:
+            acgt = np.full(256, sigma, dtype=np.int64)
+            acgt[np.frombuffer(ACGT.encode(), dtype=np.uint8)] = np.arange(4)
+            letters = acgt[raw[:, 0]] < sigma
+            vals[letters] = acgt[raw[letters]]
+        good = np.zeros(len(vals), dtype=np.int64)
+        for j in range(w):
+            good *= sigma
+            good += vals[:, j]
+        codes[ok] = good
+        ok[ok] = (vals < sigma).all(axis=1)
+    else:
+        ok[:] = False
+    for i in np.flatnonzero(~ok):
+        k = kmer_encode(texts[i], sigma)
+        if k.w != w:
+            raise ValueError(f"k-mer {texts[i]!r} has wrong length, expected {w}")
+        codes[i] = k.code
+    return codes
 
 
 class KmerSet:
@@ -127,13 +167,7 @@ class KmerSet:
             w = int(header[2].removeprefix("w="))
             check_budget(sigma**w, budget, "KmerSet")
             mask = np.zeros(sigma**w, dtype=bool)
-            for line in fh:
-                line = line.strip()
-                if line:
-                    k = kmer_encode(line, sigma)
-                    if k.w != w:
-                        raise ValueError(f"k-mer {line!r} has wrong length, expected {w}")
-                    mask[k.code] = True
+            mask[encode_lines(fh.read().split("\n"), sigma, w)] = True
         return cls(sigma, w, mask)
 
     def save_binary(self, path: str) -> None:

@@ -4,26 +4,27 @@ A scheme picks one position in every window of a string.  Window length is
 always `w` positions; for minimizer kinds a position holds a k-mer, so a
 window spans w + k - 1 symbols.  `select` is the scalar definition on one
 window; particular and sampled density both count the positions marked in
-the bitmap of one chunked kernel, `_selected`, which holds for any table,
-forward or not.  Particular density follows the convention
-pinned by the worked minimizer example: the count of distinct selected
-positions is divided by the number of k-mer positions (|s| - k + 1) for
-minimizer kinds and by the number of windows (|s| - w + 1) for table
-schemes; on a cyclic sequence both equal the sequence length.  Exact
-expected density counts the scheme's context set.
+the bitmap of one streaming kernel, `_selected`, which reads the string
+piece by piece (the seeded sample is drawn piece by piece too), takes each
+window's offset from the table or its leftmost minimum rank
+(`_leftmost_min`), and holds for any table, forward or not.  Particular
+density follows the convention pinned by the worked minimizer example: the
+count of distinct selected positions is divided by the number of k-mer
+positions (|s| - k + 1) for minimizer kinds and by the number of windows
+(|s| - w + 1) for table schemes; on a cyclic sequence both equal the
+sequence length.  Exact expected density counts the scheme's context set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import DEFAULT_NODE_BUDGET, check_budget, parse_symbols
-from .kmerset import KmerSet
+from .core import DEFAULT_NODE_BUDGET, check_alphabet, check_budget, parse_symbols
+from .kmerset import KmerSet, encode_lines
 from . import paths
 
 TABLE = "TABLE"
@@ -37,7 +38,7 @@ EXPECTED_ESTIMATE = "EXPECTED_ESTIMATE"
 #: Largest sigma^order for which expected density is computed exactly.
 DEFAULT_EXACT_BUDGET = 1 << 20
 
-#: Windows per chunk of the selection kernel `_selected`.
+#: Symbols per piece of string that the selection kernel `_selected` consumes.
 _CHUNK = 1 << 18
 
 #: Batches of the batch-means standard error of `estimate_density`.
@@ -57,8 +58,7 @@ class SelectionScheme:
     guarantee: bool | None = None  # COMPATIBLE: is_uhs(U, w) held? None = unverified
 
     def __post_init__(self) -> None:
-        if self.sigma < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.sigma}")
+        check_alphabet(self.sigma)
         if self.w < 1 or self.k < 1:
             raise ValueError(f"need w >= 1 and k >= 1, got w={self.w} k={self.k}")
 
@@ -217,41 +217,78 @@ def _require_window(scheme: SelectionScheme, length: int) -> None:
         )
 
 
-def _selected(scheme: SelectionScheme, syms: Sequence[int], cyclic: bool) -> np.ndarray:
-    """Bool mask over the positions of syms: True where some window selects.
+def _leftmost_min(rank: np.ndarray, w: int) -> np.ndarray:
+    """Position of the leftmost minimum in each run of w consecutive ranks.
 
-    A cyclic string is extended by its first window_symbols - 1 symbols.
-    Windows are taken _CHUNK at a time; each chunk rolls the codes it needs
-    (window codes for tables, k-mer codes for minimizer kinds), and argmin
-    returns the first minimum, so the leftmost minimum k-mer wins.
+    Keys rank << shift | position order by rank, then by position, so their
+    minimum is the leftmost minimum and its low bits are its position.
+    Doubling passes take the minimum over runs of 2, 4, ..., 2^p <= w keys,
+    and one more pass joins two overlapping 2^p runs into a run of w.
+    """
+    m = rank.size
+    shift = m.bit_length()
+    key = rank.astype(np.int64, copy=False) << shift | np.arange(m, dtype=np.int64)
+    h = 1
+    while 2 * h <= w:
+        key = np.minimum(key[:-h], key[h:])
+        h *= 2
+    if h < w:
+        key = np.minimum(key[: m - w + 1], key[w - h :])
+    return key & ((1 << shift) - 1)
+
+
+def _selected(
+    scheme: SelectionScheme, chunks: Iterable[np.ndarray], length: int, cyclic: bool
+) -> np.ndarray:
+    """Bool mask over `length` positions: True where some window selects.
+
+    `chunks` are consecutive pieces of the symbol string; a cyclic string is
+    extended by its first window_symbols - 1 symbols and its positions wrap
+    modulo `length`.  The last window_symbols - 1 symbols of each piece are
+    carried into the next, so each piece rolls the codes of its windows
+    (window codes for tables, k-mer codes for minimizer kinds) and picks an
+    offset from the table or the leftmost minimum rank (`_leftmost_min`).
     """
     sigma, ws = scheme.sigma, scheme.window_symbols
+    span = ws if scheme.kind == TABLE else scheme.k  # symbols per rolled code
+    dtype = np.int32 if sigma**span < 1 << 31 else np.int64
+    seen = np.zeros(length, dtype=bool)
+    buf = np.zeros(0, dtype=dtype)
+    start = 0  # string position of buf[0]
+    for chunk in chunks:
+        buf = np.concatenate([buf, chunk.astype(dtype, copy=False)])
+        n = buf.size - ws + 1  # windows in buf
+        if n <= 0:
+            continue
+        ncodes = n + ws - span
+        codes = np.zeros(ncodes, dtype=dtype)
+        for j in range(span):
+            codes *= sigma
+            codes += buf[j : j + ncodes]
+        if scheme.kind == TABLE:
+            pick = np.arange(n) + scheme.table[codes]
+        else:
+            pick = _leftmost_min(scheme.rank[codes], scheme.w)
+        pos = start + pick
+        seen[pos % length if cyclic else pos] = True
+        start += n
+        buf = buf[n:]
+    return seen
+
+
+def _string_selected(scheme: SelectionScheme, syms: Sequence[int], cyclic: bool) -> np.ndarray:
+    """`_selected` over a whole string, cut into pieces of _CHUNK symbols."""
     syms = np.asarray(syms, dtype=np.int64)
     length = syms.size
     if cyclic:
-        syms = np.concatenate([syms, syms[: ws - 1]])
-    span = ws if scheme.kind == TABLE else scheme.k  # symbols per rolled code
-    seen = np.zeros(length, dtype=bool)
-    nwin = syms.size - ws + 1
-    for start in range(0, nwin, _CHUNK):
-        n = min(_CHUNK, nwin - start)
-        ncodes = n + ws - span
-        codes = np.zeros(ncodes, dtype=np.int64)
-        for j in range(span):
-            codes *= sigma
-            codes += syms[start + j : start + j + ncodes]
-        if scheme.kind == TABLE:
-            off = scheme.table[codes]
-        else:
-            off = sliding_window_view(scheme.rank[codes], scheme.w).argmin(axis=1)
-        pos = start + np.arange(n) + off
-        seen[pos % length if cyclic else pos] = True
-    return seen
+        syms = np.concatenate([syms, syms[: scheme.window_symbols - 1]])
+    pieces = (syms[i : i + _CHUNK] for i in range(0, syms.size, _CHUNK))
+    return _selected(scheme, pieces, length, cyclic)
 
 
 def _selected_positions(scheme: SelectionScheme, syms: Sequence[int], cyclic: bool) -> set[int]:
     """The selected positions as a set (the form the acceptance tests check)."""
-    return set(np.flatnonzero(_selected(scheme, syms, cyclic)).tolist())
+    return set(np.flatnonzero(_string_selected(scheme, syms, cyclic)).tolist())
 
 
 def particular_density(
@@ -260,7 +297,7 @@ def particular_density(
     """Distinct selected positions over the position count of s."""
     syms = parse_symbols(s, scheme.sigma)
     _require_window(scheme, len(syms))
-    selected = int(np.count_nonzero(_selected(scheme, syms, cyclic)))
+    selected = int(np.count_nonzero(_string_selected(scheme, syms, cyclic)))
     denom = _window_positions_denominator(scheme, len(syms), cyclic)
     return DensityResult(selected, denom, Fraction(selected, denom), PARTICULAR)
 
@@ -314,8 +351,11 @@ def estimate_density(
     if sample_symbols < _BATCHES:
         raise ValueError(f"a sample of {sample_symbols} symbols cannot fill {_BATCHES} batches")
     rng = np.random.default_rng(seed)
-    s = rng.integers(0, scheme.sigma, size=sample_symbols, dtype=np.int64)
-    seen = _selected(scheme, s, cyclic=False)
+    draws = (
+        rng.integers(0, scheme.sigma, size=min(_CHUNK, sample_symbols - i), dtype=np.int64)
+        for i in range(0, sample_symbols, _CHUNK)
+    )
+    seen = _selected(scheme, draws, sample_symbols, cyclic=False)
     count = int(np.count_nonzero(seen))
     denom = _window_positions_denominator(scheme, sample_symbols, cyclic=False)
     batches = [b.mean() for b in np.array_split(seen, _BATCHES)]
@@ -338,8 +378,6 @@ def save_scheme_table(scheme: SelectionScheme, path: str, budget: int = DEFAULT_
 
 
 def load_scheme_table(path: str, budget: int = DEFAULT_NODE_BUDGET) -> SelectionScheme:
-    from .core import kmer_encode
-
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 3 or header[0] != "scheme":
@@ -348,11 +386,13 @@ def load_scheme_table(path: str, budget: int = DEFAULT_NODE_BUDGET) -> Selection
         w = int(header[2].removeprefix("w="))
         check_budget(sigma**w, budget, "scheme table")
         table = np.full(sigma**w, -1, dtype=np.int64)
+        windows, picks = [], []
         for line in fh:
-            if not line.strip():
-                continue
-            km, p = line.split()
-            table[kmer_encode(km, sigma).code] = int(p)
+            if line.strip():
+                km, p = line.split()
+                windows.append(km)
+                picks.append(int(p))
+    table[encode_lines(windows, sigma, w)] = picks
     if (table < 0).any():
         raise ValueError(f"scheme file {path} does not cover all windows")
     return table_scheme(sigma, w, table)
@@ -371,20 +411,13 @@ def save_minimizer_order(scheme: SelectionScheme, path: str) -> None:
 
 
 def load_minimizer_order(path: str, sigma: int, w: int) -> SelectionScheme:
-    from .core import kmer_encode
-
-    kmers = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                kmers.append(line)
+        kmers = [t for t in map(str.strip, fh) if t]
     if not kmers:
         raise ValueError(f"empty order file {path}")
     k = len(kmers[0])
     rank = np.full(sigma**k, -1, dtype=np.int64)
-    for i, t in enumerate(kmers):
-        rank[kmer_encode(t, sigma).code] = i
+    rank[encode_lines(kmers, sigma, k)] = np.arange(len(kmers))
     if (rank < 0).any():
         raise ValueError(f"order file {path} does not list every k-mer")
     return minimizer_scheme(sigma, k, w, rank)

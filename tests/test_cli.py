@@ -210,8 +210,13 @@ class TestExitCodes:
             ("density --sigma 1 --w 3 --minimizer --k 2", "alphabet size must be >= 2, got 1"),
             ("forbidden --sigma 1 --w 30", "alphabet size must be >= 2, got 1"),
             ("debruijn-seq --sigma 1 --n 3", "alphabet size must be >= 2, got 1"),
+            ("debruijn-seq --sigma 2 --n 0", "need n >= 1, got 0"),
+            ("debruijn-seq --sigma 2 --n -2", "need n >= 1, got -2"),
+            ("fsm --sigma 1 --d 2 --w 10", "alphabet size must be >= 2, got 1"),
+            ("fsm --sigma 1 --d 2", "alphabet size must be >= 2, got 1"),
         ],
-        ids=["w0", "k-1", "sigma1", "forbidden_sigma1", "debruijn_sigma1"],
+        ids=["w0", "k-1", "sigma1", "forbidden_sigma1", "debruijn_sigma1", "debruijn_n0",
+             "debruijn_n-2", "fsm_sigma1", "fsm_sigma1_matrix_only"],
     )
     def test_bad_shape(self, capsys, argv, message):
         assert run(argv.split()) == 1

@@ -133,3 +133,10 @@ class TestDeBruijnSequence:
     def test_budget(self):
         with pytest.raises(BudgetError):
             debruijn_sequence(2, 30, budget=1 << 20)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_order_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match=f"need n >= 1, got {n}"):
+            debruijn_sequence(2, n)
+        with pytest.raises(ValueError, match=f"need n >= 1, got {n}"):
+            debruijn_sequence(3, n, cyclic=True)

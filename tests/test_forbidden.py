@@ -45,6 +45,15 @@ def max_zero_run(codes, sigma, w):
     return best
 
 
+def matvec_survival(sigma, d, w):
+    """Oracle: w exact mat-vecs of the FSM matrix from the empty-run state, summed."""
+    rows = fsm_matrix(sigma, d).rows
+    p = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(d))
+    for _ in range(w):
+        p = tuple(sum(r * x for r, x in zip(row, p)) for row in rows)
+    return sum(p, Fraction(0))
+
+
 def recurrence_avoiders(sigma, d, w):
     """a(n) = (sigma-1) * sum_{j=1..d} a(n-j), a(n) = sigma^n for n < d."""
     a = [sigma**n for n in range(d)]
@@ -150,6 +159,27 @@ class TestSurvival:
     def test_known_values(self):
         assert survival_probability(2, 2, 4) == Fraction(8, 16)
         assert survival_probability(2, 1, 3) == Fraction(1, 8)
+
+    @pytest.mark.parametrize("sigma", [2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3, 6])
+    def test_equals_matvec_oracle(self, sigma, d):
+        for w in (0, 1, 5, 40):
+            assert survival_probability(sigma, d, w) == matvec_survival(sigma, d, w)
+
+    def test_design_point_equals_matvec_oracle(self):
+        # the fsm step of the benchmark: sigma = 2, d = 6, w = 2000
+        assert survival_probability(2, 6, 2000) == matvec_survival(2, 6, 2000)
+
+    def test_rejects_bad_shape(self):
+        for sigma in (1, 0):
+            with pytest.raises(ValueError, match=f"alphabet size must be >= 2, got {sigma}"):
+                survival_probability(sigma, 2, 10)
+            with pytest.raises(ValueError, match=f"alphabet size must be >= 2, got {sigma}"):
+                fsm_matrix(sigma, 2)
+        with pytest.raises(ValueError, match="need d >= 1"):
+            survival_probability(2, 0, 10)
+        with pytest.raises(ValueError, match="need w >= 0"):
+            survival_probability(2, 2, -1)
 
     def test_one_norm_decay(self):
         # || A_d^w p0 ||_1 shrinks roughly like 1/w at the design point w(d)

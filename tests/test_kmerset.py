@@ -4,12 +4,40 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uhspath.core import kmer_encode
-from uhspath.kmerset import KmerSet, hits
+from uhspath.core import check_budget, kmer_decode, kmer_encode
+from uhspath.kmerset import KmerSet, encode_lines, hits
 
 
 def random_set(rng, sigma, w, p=0.3):
     return KmerSet(sigma, w, rng.random(sigma**w) < p)
+
+
+def per_line_load_text(path, budget=1 << 28):
+    """Oracle: the set file read one line at a time with kmer_encode."""
+    with open(path) as fh:
+        header = fh.readline().split()
+        if len(header) != 3 or header[0] != "uhs":
+            raise ValueError(f"bad set file header in {path}")
+        sigma = int(header[1].removeprefix("sigma="))
+        w = int(header[2].removeprefix("w="))
+        check_budget(sigma**w, budget, "KmerSet")
+        mask = np.zeros(sigma**w, dtype=bool)
+        for line in fh:
+            line = line.strip()
+            if line:
+                k = kmer_encode(line, sigma)
+                if k.w != w:
+                    raise ValueError(f"k-mer {line!r} has wrong length, expected {w}")
+                mask[k.code] = True
+    return KmerSet(sigma, w, mask)
+
+
+def outcome(load, path):
+    """The loaded set, or the type and text of the error it raised."""
+    try:
+        return load(path)
+    except Exception as e:  # compared by type and message
+        return type(e), str(e)
 
 
 class TestBasics:
@@ -81,6 +109,73 @@ class TestSerialization:
         p.write_bytes(b"XXXX\x02\x03\x00\x00\x00")
         with pytest.raises(ValueError):
             KmerSet.load_binary(str(p))
+
+
+class TestVectorisedParse:
+    """load_text encodes its lines in bulk; the per-line reader is the oracle."""
+
+    @pytest.mark.parametrize("sigma", [2, 3, 4])
+    def test_equals_per_line_oracle(self, tmp_path, sigma):
+        rng = np.random.default_rng(40 + sigma)
+        pads = ["", " ", "\t", "  \t ", "\r"]
+        for trial in range(30):
+            w = int(rng.integers(1, 7))
+            s = random_set(rng, sigma, w, p=float(rng.random()))
+            lines = []
+            for km in s.kmers():
+                text = km.text(acgt=sigma == 4 and bool(rng.random() < 0.5))
+                lines.append(rng.choice(pads) + text + rng.choice(pads))
+                if rng.random() < 0.2:
+                    lines.append(rng.choice(pads))  # blank line
+            p = tmp_path / f"s{trial}.txt"
+            p.write_text(f"uhs sigma={sigma} w={w}\n" + "\n".join(lines) + "\n" * int(rng.integers(0, 3)))
+            got = KmerSet.load_text(str(p))
+            assert got == per_line_load_text(str(p)) == s
+
+    @pytest.mark.parametrize(
+        "sigma,w,body",
+        [
+            (2, 3, ["010", "01", "111"]),  # wrong length
+            (2, 3, ["010", "0110"]),  # wrong length, longer
+            (3, 2, ["01", "13", "2"]),  # symbol out of range before a wrong length
+            (2, 2, ["01", "0x"]),  # not a digit
+            (4, 3, ["ACG", "ACX"]),  # bad ACGT symbol
+            (4, 3, ["ACG", "A1G"]),  # digit inside an ACGT line
+            (4, 3, ["012", "0C1"]),  # letter inside a digit line
+            (4, 3, ["ACG", "AC"]),  # short ACGT line
+            (2, 2, ["01", "\u0661\u0660"]),  # non-ASCII digits, which int() reads
+            (2, 2, ["01", "1\u00e9"]),  # non-ASCII letter
+            (12, 1, ["1"]),  # digit text needs sigma <= 10
+            (1, 2, ["00"]),  # one-letter alphabet
+            (2, 0, ["0"]),  # no line has length 0
+            (2, 3, []),  # empty file body
+            (2, 3, ["", "   "]),  # only blank lines
+        ],
+    )
+    def test_error_text_parity(self, tmp_path, sigma, w, body):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"uhs sigma={sigma} w={w}\n" + "\n".join(body) + "\n")
+        assert outcome(KmerSet.load_text, str(p)) == outcome(per_line_load_text, str(p))
+
+    def test_error_names_the_first_bad_line(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text("uhs sigma=2 w=3\n010\n 01 \n2222\n")
+        with pytest.raises(ValueError, match=r"^k-mer '01' has wrong length, expected 3$"):
+            KmerSet.load_text(str(p))
+        p.write_text("uhs sigma=4 w=3\nACG\nAXG\n01\n")
+        with pytest.raises(ValueError, match=r"^invalid ACGT symbol 'X'$"):
+            KmerSet.load_text(str(p))
+        p.write_text("uhs sigma=3 w=2\n01\n13\n")
+        with pytest.raises(ValueError, match=r"^symbol 3 out of range for sigma=3$"):
+            KmerSet.load_text(str(p))
+
+    def test_encode_lines_equals_kmer_encode(self):
+        rng = np.random.default_rng(44)
+        for sigma in (2, 3, 4, 7, 10):
+            for w in (1, 4, 9):
+                codes = rng.integers(0, sigma**w, size=50)
+                texts = [kmer_decode(int(c), sigma, w) for c in codes]
+                assert encode_lines(texts, sigma, w).tolist() == [kmer_encode(t, sigma).code for t in texts]
 
 
 class TestHits:

@@ -1,11 +1,13 @@
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from uhspath import schemes
-from uhspath.core import debruijn_sequence, parse_symbols
+from uhspath.core import debruijn_sequence, kmer_decode, parse_symbols
 from uhspath.forbidden import build_forbidden_set
 from uhspath.kmerset import KmerSet
 from uhspath.paths import longest_remaining_path
@@ -30,6 +32,7 @@ from uhspath.schemes import (
     scheme_values,
     select,
     table_scheme,
+    _leftmost_min,
     _selected_positions,
 )
 
@@ -80,6 +83,45 @@ def rolling_positions(scheme, syms, cyclic):
             p = dq[0][1]
             selected.add(p % length if cyclic else p)
     return selected
+
+
+def single_draw_selected(scheme, syms, cyclic):
+    """Oracle: the whole string in memory, windows in chunks, argmin for minimizer kinds."""
+    chunk = 1 << 18
+    sigma, ws = scheme.sigma, scheme.window_symbols
+    syms = np.asarray(syms, dtype=np.int64)
+    length = syms.size
+    if cyclic:
+        syms = np.concatenate([syms, syms[: ws - 1]])
+    span = ws if scheme.kind == TABLE else scheme.k
+    seen = np.zeros(length, dtype=bool)
+    nwin = syms.size - ws + 1
+    for start in range(0, nwin, chunk):
+        n = min(chunk, nwin - start)
+        ncodes = n + ws - span
+        codes = np.zeros(ncodes, dtype=np.int64)
+        for j in range(span):
+            codes *= sigma
+            codes += syms[start + j : start + j + ncodes]
+        if scheme.kind == TABLE:
+            off = scheme.table[codes]
+        else:
+            off = sliding_window_view(scheme.rank[codes], scheme.w).argmin(axis=1)
+        pos = start + np.arange(n) + off
+        seen[pos % length if cyclic else pos] = True
+    return seen
+
+
+def single_draw_estimate(scheme, sample_symbols, seed):
+    """Oracle: one draw of the whole sample, then the selection mask and its batch means."""
+    s = np.random.default_rng(seed).integers(0, scheme.sigma, size=sample_symbols, dtype=np.int64)
+    seen = single_draw_selected(scheme, s, cyclic=False)
+    count = int(np.count_nonzero(seen))
+    span = scheme.window_symbols if scheme.kind == TABLE else scheme.k
+    denom = sample_symbols - span + 1
+    batches = [b.mean() for b in np.array_split(seen, schemes._BATCHES)]
+    stderr = float(np.std(batches, ddof=1) / np.sqrt(schemes._BATCHES))
+    return schemes.DensityResult(count, denom, Fraction(count, denom), EXPECTED_ESTIMATE, stderr)
 
 
 def random_schemes(rng, sigma):
@@ -256,6 +298,77 @@ class TestSelectionKernel:
             picked = rolling_positions(sch, draw.tolist(), False)
             assert res.selected == len(picked)
             assert res.windows == 4000 - (sch.window_symbols if sch.kind == "TABLE" else sch.k) + 1
+
+
+class TestLeftmostMin:
+    @pytest.mark.parametrize("w", [1, 2, 3, 5, 12, 16, 31])
+    @pytest.mark.parametrize("distinct", [2, 5, 1 << 20])
+    def test_equals_argmin_oracle(self, w, distinct):
+        # few distinct ranks put ties in most windows; the leftmost must win
+        rng = np.random.default_rng(w * 100 + distinct % 97)
+        for m in (w, w + 1, w + 37, 3000):
+            rank = rng.integers(0, distinct, size=m)
+            expect = sliding_window_view(rank, w).argmin(axis=1)
+            got = _leftmost_min(rank, w)
+            assert got.tolist() == (np.arange(m - w + 1) + expect).tolist()
+
+
+class TestStreamingDraw:
+    """The sample is drawn and consumed piece by piece; one whole draw is the oracle."""
+
+    @pytest.mark.parametrize("sigma", [2, 3, 4])
+    def test_estimate_equals_single_draw(self, sigma):
+        rng = np.random.default_rng(50 + sigma)
+        chunk = schemes._CHUNK
+        cases = [
+            minimizer_scheme(sigma, 3, 30, rng.permutation(sigma**3)),  # a window of 32 symbols
+            table_scheme(sigma, 3, rng.integers(0, 3, size=sigma**3)),
+        ]
+        for sch in cases:
+            ws = sch.window_symbols
+            for size in (max(ws, schemes._BATCHES), chunk - 1, chunk + ws, 3 * chunk + 7):
+                seed = int(rng.integers(1 << 31))
+                got = estimate_density(sch, sample_symbols=size, seed=seed)
+                assert got == single_draw_estimate(sch, size, seed)
+
+    @pytest.mark.parametrize("sigma", [2, 5, 7])
+    def test_chunked_draw_replays_one_draw(self, sigma):
+        # the property the piecewise draw rests on, with uneven pieces
+        whole = np.random.default_rng(sigma).integers(0, sigma, size=100_000, dtype=np.int64)
+        rng = np.random.default_rng(sigma)
+        sizes = [1000, 777, 1, 50_000, 13]
+        parts, done = [], 0
+        while done < whole.size:
+            n = min(sizes[len(parts) % len(sizes)], whole.size - done)
+            parts.append(rng.integers(0, sigma, size=n, dtype=np.int64))
+            done += n
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("cyclic", [True, False])
+    def test_particular_across_chunk_boundary(self, cyclic):
+        rng = np.random.default_rng(52)
+        syms = rng.integers(0, 4, size=schemes._CHUNK + 5)
+        for sch in (
+            minimizer_scheme(4, 4, 9, rng.permutation(4**4)),
+            table_scheme(4, 4, rng.integers(0, 4, size=4**4)),
+        ):
+            expect = int(np.count_nonzero(single_draw_selected(sch, syms, cyclic)))
+            assert particular_density(sch, syms, cyclic=cyclic).selected == expect
+
+    def test_bytes_per_sample_symbol(self):
+        # the mask of selected positions is the only per-symbol array: about 1 B
+        sch = lexicographic_minimizer(2, 6, 12)
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                estimate_density(sch, sample_symbols=n, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        low, high = peak(2 * 10**6), peak(8 * 10**6)
+        assert (high - low) / (6 * 10**6) <= 2
 
 
 class TestDigitSlice:
@@ -493,6 +606,23 @@ class TestFiles:
         back = load_minimizer_order(p, 2, 4)
         assert np.array_equal(back.rank, sch.rank)
         assert back.kind == MINIMIZER
+
+    def test_mixed_lengths_rejected(self, tmp_path):
+        p = tmp_path / "order.txt"
+        p.write_text("00\n01\n1\n11\n")
+        with pytest.raises(ValueError, match=r"^k-mer '1' has wrong length, expected 2$"):
+            load_minimizer_order(str(p), 2, 3)
+        p.write_text("scheme sigma=2 w=2\n00 0\n01 1\n100 0\n11 1\n")
+        with pytest.raises(ValueError, match=r"^k-mer '100' has wrong length, expected 2$"):
+            load_scheme_table(str(p))
+
+    def test_acgt_order_file(self, tmp_path):
+        rng = np.random.default_rng(7)
+        sch = minimizer_scheme(4, 3, 5, rng.permutation(64))
+        p = tmp_path / "order.txt"
+        order = np.argsort(sch.rank, kind="stable")
+        p.write_text("".join(f" {kmer_decode(int(c), 4, 3).translate(str.maketrans('0123', 'ACGT'))}\n\n" for c in order))
+        assert np.array_equal(load_minimizer_order(str(p), 4, 5).rank, sch.rank)
 
     def test_minimizer_values_match_table_dump(self, tmp_path):
         # dumping a minimizer as a dense table keeps its behavior
