@@ -7,12 +7,9 @@ path in the upper half-plane.
 Run: python3 demos/decycling_growth.py
 """
 
-from uhspath import (
-    build_long_path,
-    build_mykkeltveit_set,
-    longest_remaining_path,
-    necklace_count,
-)
+from uhspath.core import necklace_count
+from uhspath.mykkeltveit import build_long_path, build_mykkeltveit_set
+from uhspath.paths import longest_remaining_path
 
 
 def main():

@@ -3,12 +3,12 @@
 Run: python3 demos/density_tour.py
 """
 
-from uhspath import (
+from uhspath.mykkeltveit import build_mykkeltveit_set
+from uhspath.paths import longest_remaining_path
+from uhspath.schemes import (
     build_compatible_minimizer,
-    build_mykkeltveit_set,
     expected_density,
     lexicographic_minimizer,
-    longest_remaining_path,
     particular_density,
 )
 

@@ -8,15 +8,15 @@ characteristic polynomial.
 Run: python3 demos/forbidden_runs.py
 """
 
-from uhspath import (
+from uhspath.forbidden import (
     bracket_holds,
     build_forbidden_set,
     dominant_root,
     eigenpair_residual,
     forbidden_d,
-    longest_remaining_path,
     survival_probability,
 )
+from uhspath.paths import longest_remaining_path
 
 
 def main():

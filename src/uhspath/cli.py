@@ -14,19 +14,17 @@ import os
 import sys
 from fractions import Fraction
 
-from . import contexts as contexts_mod
-from . import forbidden as forbidden_mod
-from . import mds as mds_mod
-from . import mykkeltveit as myk_mod
-from . import paths, schemes
 from .core import (
     BudgetError,
     DEFAULT_NODE_BUDGET,
     debruijn_sequence,
     necklace_count,
     necklaces,
+    render_symbols,
 )
-from .kmerset import KmerSet
+
+# Handlers import what they run: necklaces, debruijn-seq and mds-count load
+# neither numpy nor mpmath.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,30 +36,20 @@ def _rat(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator, "float": float(x)}
 
 
-def _density_json(res: schemes.DensityResult) -> dict:
-    out = {
-        "selected": res.selected,
-        "windows": res.windows,
-        "density": _rat(res.density),
-        "mode": res.mode,
-    }
-    if res.stderr is not None:
-        out["stderr"] = res.stderr
-    return out
-
-
 def _emit(obj: dict) -> None:
     print(json.dumps(obj))
 
 
-def _save_set(kset: KmerSet, path: str, binary: bool) -> None:
+def _save_set(kset, path: str, binary: bool) -> None:
     if binary:
         kset.save_binary(path)
     else:
         kset.save_text(path)
 
 
-def _load_set(path: str, budget: int) -> KmerSet:
+def _load_set(path: str, budget: int):
+    from .kmerset import KmerSet
+
     with open(path, "rb") as fh:
         magic = fh.read(4)
     if magic == b"UHS1":
@@ -69,11 +57,15 @@ def _load_set(path: str, budget: int) -> KmerSet:
     return KmerSet.load_text(path, budget=budget)
 
 
-def _resolve_set(spec: str, sigma: int, w: int, budget: int) -> KmerSet:
+def _resolve_set(spec: str, sigma: int, w: int, budget: int):
     if spec == "forbidden":
-        return forbidden_mod.build_forbidden_set(sigma, w, budget=budget)
+        from .forbidden import build_forbidden_set
+
+        return build_forbidden_set(sigma, w, budget=budget)
     if spec == "mykkeltveit":
-        return myk_mod.build_mykkeltveit_set(sigma, w, budget=budget)
+        from .mykkeltveit import build_mykkeltveit_set
+
+        return build_mykkeltveit_set(sigma, w, budget=budget)
     kset = _load_set(spec, budget)
     if (kset.sigma, kset.w) != (sigma, w):
         raise ValueError(
@@ -82,7 +74,9 @@ def _resolve_set(spec: str, sigma: int, w: int, budget: int) -> KmerSet:
     return kset
 
 
-def _load_scheme(args) -> schemes.SelectionScheme:
+def _load_scheme(args):
+    from . import schemes
+
     if getattr(args, "table", None):
         return schemes.load_scheme_table(args.table, budget=args.budget)
     if getattr(args, "order", None):
@@ -107,7 +101,7 @@ def _cmd_necklaces(args) -> None:
     if args.list:
         reps = []
         for word, period in necklaces(args.sigma, args.w):
-            reps.append({"rep": "".join(str(s) for s in word), "size": period})
+            reps.append({"rep": render_symbols(word, args.sigma), "size": period})
         out["classes"] = reps
     _emit(out)
 
@@ -126,7 +120,10 @@ def _cmd_debruijn_seq(args) -> None:
 
 
 def _cmd_mykkeltveit(args) -> None:
-    kset = myk_mod.build_mykkeltveit_set(args.sigma, args.w, budget=args.budget)
+    from . import paths
+    from .mykkeltveit import build_mykkeltveit_set
+
+    kset = build_mykkeltveit_set(args.sigma, args.w, budget=args.budget)
     if args.out:
         _save_set(kset, args.out, args.binary)
     report = paths.longest_remaining_path(kset, budget=args.budget)
@@ -143,7 +140,9 @@ def _cmd_mykkeltveit(args) -> None:
 
 
 def _cmd_forbidden(args) -> None:
-    kset = forbidden_mod.build_forbidden_set(args.sigma, args.w, budget=args.budget)
+    from . import forbidden, paths
+
+    kset = forbidden.build_forbidden_set(args.sigma, args.w, budget=args.budget)
     if args.out:
         _save_set(kset, args.out, args.binary)
     report = paths.longest_remaining_path(kset, budget=args.budget)
@@ -151,7 +150,7 @@ def _cmd_forbidden(args) -> None:
         {
             "sigma": args.sigma,
             "w": args.w,
-            "d": forbidden_mod.forbidden_d(args.sigma, args.w),
+            "d": forbidden.forbidden_d(args.sigma, args.w),
             "cardinality": kset.cardinality,
             "relative_size": _rat(kset.relative_size()),
             "longest_path": report.longest_vertices,
@@ -160,11 +159,13 @@ def _cmd_forbidden(args) -> None:
 
 
 def _cmd_contexts(args) -> None:
+    from . import contexts
+
     scheme = _load_scheme(args)
     if args.variant == "local":
-        cs = contexts_mod.build_context_set_local(scheme, budget=args.budget)
+        cs = contexts.build_context_set_local(scheme, budget=args.budget)
     else:
-        cs = contexts_mod.build_context_set_forward(scheme, budget=args.budget)
+        cs = contexts.build_context_set_forward(scheme, budget=args.budget)
     if args.out:
         _save_set(cs.kset, args.out, args.binary)
     _emit(
@@ -181,6 +182,8 @@ def _cmd_contexts(args) -> None:
 
 
 def _cmd_density(args) -> None:
+    from . import schemes
+
     scheme = _load_scheme(args)
     out = {"sigma": scheme.sigma, "w": scheme.w, "k": scheme.k, "kind": scheme.kind}
     if args.seq is not None:
@@ -191,13 +194,19 @@ def _cmd_density(args) -> None:
         res = schemes.expected_density(
             scheme, sample_symbols=args.sample, seed=args.seed, budget=args.budget
         )
-    out.update(_density_json(res))
+    out.update(
+        selected=res.selected, windows=res.windows, density=_rat(res.density), mode=res.mode
+    )
+    if res.stderr is not None:
+        out["stderr"] = res.stderr
     if scheme.guarantee is not None:
         out["uhs_guarantee"] = scheme.guarantee
     _emit(out)
 
 
 def _cmd_check_uhs(args) -> None:
+    from . import paths
+
     kset = _resolve_set(args.set, args.sigma, args.w, args.budget)
     report = paths.longest_remaining_path(kset, budget=args.budget)
     out = {
@@ -215,6 +224,8 @@ def _cmd_check_uhs(args) -> None:
 
 
 def _cmd_longest_path(args) -> None:
+    from . import paths
+
     kset = _resolve_set(args.set, args.sigma, args.w, args.budget)
     report = paths.longest_remaining_path(kset, budget=args.budget)
     out = {
@@ -229,7 +240,9 @@ def _cmd_longest_path(args) -> None:
 
 
 def _cmd_long_path(args) -> None:
-    lp = myk_mod.build_long_path(args.sigma, args.w, budget=args.budget)
+    from .mykkeltveit import build_long_path
+
+    lp = build_long_path(args.sigma, args.w, budget=args.budget)
     lines = "\n".join(str(x) for x in lp.vertices)
     if args.out:
         with open(args.out, "w") as fh:
@@ -255,8 +268,12 @@ def _cmd_long_path(args) -> None:
 
 
 def _cmd_mds_count(args) -> None:
-    census = mds_mod.enumerate_mds(args.sigma, args.w, emit_sets=bool(args.emit))
+    from .mds import enumerate_mds
+
+    census = enumerate_mds(args.sigma, args.w, emit_sets=bool(args.emit))
     if args.emit:
+        from .kmerset import KmerSet
+
         os.makedirs(args.emit, exist_ok=True)
         width = len(str(max(census.mds_count - 1, 1)))
         for i, codes in enumerate(census.sets):
@@ -274,23 +291,24 @@ def _cmd_mds_count(args) -> None:
 
 
 def _cmd_fsm(args) -> None:
-    mat = forbidden_mod.fsm_matrix(args.sigma, args.d)
+    from . import forbidden
+
     out = {
         "sigma": args.sigma,
         "d": args.d,
-        "matrix": [[_rat(v) for v in row] for row in mat.rows],
-        "bracket_holds": forbidden_mod.bracket_holds(args.sigma, args.d),
+        "matrix": [[_rat(v) for v in row] for row in forbidden.fsm_matrix(args.sigma, args.d)],
+        "bracket_holds": forbidden.bracket_holds(args.sigma, args.d),
     }
     if out["bracket_holds"]:
-        root = forbidden_mod.dominant_root(args.sigma, args.d)
+        root = forbidden.dominant_root(args.sigma, args.d)
         out["dominant_root"] = float(root)
-        out["eigenvector_residual"] = forbidden_mod.eigenpair_residual(
+        out["eigenvector_residual"] = forbidden.eigenpair_residual(
             args.sigma, args.d, root
         )
     if args.w is not None:
         out["w"] = args.w
         out["survival"] = _rat(
-            forbidden_mod.survival_probability(args.sigma, args.d, args.w)
+            forbidden.survival_probability(args.sigma, args.d, args.w)
         )
     _emit(out)
 

@@ -8,7 +8,6 @@ sigma**w.  The graph itself is never materialized.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -32,22 +31,6 @@ def check_budget(n: int, budget: int = DEFAULT_NODE_BUDGET, what: str = "operati
 def check_alphabet(sigma: int) -> None:
     if sigma < 2:
         raise ValueError(f"alphabet size must be >= 2, got {sigma}")
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    """Alphabet {0, ..., sigma-1}; symbols render as decimal digits, or ACGT when sigma=4."""
-
-    sigma: int
-
-    def __post_init__(self) -> None:
-        check_alphabet(self.sigma)
-
-    def parse(self, text: str) -> tuple[int, ...]:
-        return parse_symbols(text, self.sigma)
-
-    def render(self, symbols: Iterable[int], acgt: bool = False) -> str:
-        return render_symbols(symbols, self.sigma, acgt=acgt)
 
 
 def parse_symbols(text: str | Sequence[int], sigma: int) -> tuple[int, ...]:
@@ -205,59 +188,29 @@ def _fkm(sigma: int, n: int, lyndon: bool) -> Iterator[tuple[tuple[int, ...], in
 
     Yields (word, period): necklace representatives of length n when
     lyndon=False, Lyndon words of length dividing n when lyndon=True.
+    Steps through the prenecklaces a, p the length of a's longest Lyndon
+    prefix (Duval 1983): raise the last symbol below sigma - 1 and repeat
+    the prefix up to it.  a is a necklace exactly when p divides n.
     """
-    a = [0] * (n + 1)
-
-    def gen(t: int, p: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        if t > n:
-            if n % p == 0:
-                if lyndon:
-                    yield tuple(a[1 : p + 1]), p
-                else:
-                    yield tuple(a[1 : n + 1]), p
-        else:
-            a[t] = a[t - p]
-            yield from gen(t + 1, p)
-            for j in range(a[t - p] + 1, sigma):
-                a[t] = j
-                yield from gen(t + 1, t)
-
-    yield from gen(1, 1)
+    a = [0] * n
+    p = 1
+    top = sigma - 1
+    while True:
+        if n % p == 0:
+            yield (tuple(a[:p]) if lyndon else tuple(a)), p
+        i = n - 1
+        while i >= 0 and a[i] == top:
+            i -= 1
+        if i < 0:
+            return
+        a[i] += 1
+        p = i + 1
+        a = (a[:p] * (n // p + 1))[:n]
 
 
 def necklaces(sigma: int, w: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """All conjugacy class representatives as (symbols, class size), lexicographic."""
     return _fkm(sigma, w, lyndon=False)
-
-
-@dataclass(frozen=True)
-class NecklaceTable:
-    """Partition of all w-mers into conjugacy classes."""
-
-    sigma: int
-    w: int
-    reps: tuple[Kmer, ...]
-    sizes: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.reps)
-
-    def members(self, i: int) -> list[Kmer]:
-        return conjugacy_class(self.reps[i])
-
-
-def enumerate_classes(sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET) -> NecklaceTable:
-    """Enumerate every conjugacy class; the count matches necklace_count."""
-    check_budget(sigma**w, budget, "conjugacy class enumeration")
-    reps = []
-    sizes = []
-    for word, period in necklaces(sigma, w):
-        reps.append(kmer_encode(word, sigma))
-        sizes.append(period)
-    table = NecklaceTable(sigma, w, tuple(reps), tuple(sizes))
-    assert len(table) == necklace_count(sigma, w)
-    assert sum(sizes) == sigma**w
-    return table
 
 
 def debruijn_sequence(

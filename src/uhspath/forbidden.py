@@ -16,7 +16,6 @@ mu = 1/sigma.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -131,20 +130,9 @@ def remaining_path_witness(sigma: int, w: int) -> list[int]:
 # -- survival FSM ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FsmMatrix:
-    """Transition matrix of the zero-run chain, exact rational entries."""
-
-    sigma: int
-    d: int
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    def as_float(self) -> np.ndarray:
-        return np.array([[float(v) for v in row] for row in self.rows])
-
-
-def fsm_matrix(sigma: int, d: int) -> FsmMatrix:
-    """d x d matrix: first row all 1 - mu (run resets), subdiagonal mu (run grows)."""
+def fsm_matrix(sigma: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Rows of the zero-run chain's d x d transition matrix A_d, exact: first
+    row all 1 - mu (run resets), subdiagonal mu (run grows)."""
     check_alphabet(sigma)
     if d < 1:
         raise ValueError("need d >= 1")
@@ -157,11 +145,7 @@ def fsm_matrix(sigma: int, d: int) -> FsmMatrix:
         else:
             row[i - 1] = mu
         rows.append(tuple(row))
-    return FsmMatrix(sigma, d, tuple(rows))
-
-
-def _mat_vec(rows, v):
-    return tuple(sum(r * x for r, x in zip(row, v)) for row in rows)
+    return tuple(rows)
 
 
 def survival_probability(sigma: int, d: int, w: int) -> Fraction:
@@ -243,5 +227,5 @@ def eigenpair_residual(sigma: int, d: int, root: Fraction | None = None) -> floa
     """max_i |(A v)_i - lam v_i| for the closed-form eigenpair."""
     lam = dominant_root(sigma, d) if root is None else Fraction(root)
     v = dominant_eigenvector(sigma, d, lam)
-    Av = _mat_vec(fsm_matrix(sigma, d).rows, v)
+    Av = [sum(r * x for r, x in zip(row, v)) for row in fsm_matrix(sigma, d)]
     return max(abs(float(a - lam * x)) for a, x in zip(Av, v))

@@ -101,7 +101,13 @@ class KmerSet:
 
     @classmethod
     def from_kmers(cls, kmers: Iterable[Kmer], sigma: int, w: int) -> "KmerSet":
-        return cls.from_codes(sigma, w, (k.code for k in kmers))
+        def codes():
+            for k in kmers:
+                if (k.sigma, k.w) != (sigma, w):
+                    raise ValueError(f"k-mer {k!r} does not match sigma={sigma} w={w}")
+                yield k.code
+
+        return cls.from_codes(sigma, w, codes())
 
     @classmethod
     def from_texts(cls, sigma: int, w: int, texts: Iterable[str]) -> "KmerSet":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import enumerate_classes, necklace_count
+from .core import conjugacy_class, kmer_encode, necklace_count, necklaces
 
 MAX_W = 7  # product of class sizes beyond this is out of reach
 
@@ -58,11 +58,15 @@ def enumerate_mds(sigma: int, w: int, emit_sets: bool = False) -> MdsCensus:
             succ_mask[v] |= 1 << s
             pred_mask[s] |= 1 << v
 
-    table = enumerate_classes(sigma, w)
-    order = sorted(range(len(table)), key=lambda i: table.sizes[i])
-    classes = []  # per class: list of (survivor mask, chosen code)
-    for i in order:
-        members = [k.code for k in table.members(i)]
+    # one class per necklace, members in rotation order from the representative
+    members_of = [
+        [k.code for k in conjugacy_class(kmer_encode(word, sigma))]
+        for word, _ in necklaces(sigma, w)
+    ]
+    assert len(members_of) == necklace_count(sigma, w)
+    assert sum(map(len, members_of)) == n
+    classes = []  # per class, ascending size: list of (survivor mask, chosen code)
+    for members in sorted(members_of, key=len):
         bits = 0
         for c in members:
             bits |= 1 << c

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,11 +48,6 @@ class ComplexPoint:
         return complex(self.re, self.im)
 
 
-def weight(x: Kmer) -> int:
-    """Digit sum W(x), between 0 and (sigma-1) * w."""
-    return sum(x.symbols())
-
-
 def _raw_embedding(symbols, w: int) -> complex:
     return sum(
         x * cmath.exp(2j * math.pi * (i + 1) / w) for i, x in enumerate(symbols) if x
@@ -71,22 +66,6 @@ def im_sign(x: Kmer) -> int:
     """Certified sign of Im(P(x))."""
     syms = x.symbols()
     return exactsign.im_sign(syms, _raw_embedding(syms, x.w).imag, x.sigma)
-
-
-def weight_in_embedding(x: Kmer) -> complex:
-    """Q(x) = P(x) - W(x); rotations spin Q around (-W, 0) instead of the origin."""
-    return complex(embedding(x)) - weight(x)
-
-
-def rotation_identity_check(x: Kmer, a: int, eps: float = 1e-9) -> bool:
-    """|P(S_a(x)) - (r^-1 P(x) + (a - x_0))| <= eps."""
-    from .core import successor
-
-    r_inv = cmath.exp(-2j * math.pi / x.w)
-    lhs = complex(embedding(successor(x, a)))
-    x0 = x.code // x.sigma ** (x.w - 1)
-    rhs = r_inv * complex(embedding(x)) + (a - x0)
-    return abs(lhs - rhs) <= eps
 
 
 # -- the set -----------------------------------------------------------------
@@ -191,12 +170,14 @@ def build_mykkeltveit_set(
     return kset
 
 
-def _in_set(x: Kmer, pt: ComplexPoint) -> bool:
-    """The keep rule for x given its certified point pt = embedding(x).
+def in_mykkeltveit(x: Kmer) -> bool:
+    """Set membership from the certified signs of P(x) and P(R(x)), no bitmap.
 
-    Certifies P(R(x)) as well; the least rotation of x's class is computed
-    only when P(x) = 0.
+    The least rotation of x's class is computed only when P(x) = 0.  The
+    keep rule never holds where Im P(x) > 0, whatever the other signs, so a
+    certified Im P(x) > 0 alone places x outside the set.
     """
+    pt = embedding(x)
     rot = Kmer(rotation_code(x.code, x.sigma, x.w), x.sigma, x.w)
     if pt.im_sign == ZERO:
         re = exactsign.re_sign(x.symbols(), pt.re, x.sigma)
@@ -206,38 +187,7 @@ def _in_set(x: Kmer, pt: ComplexPoint) -> bool:
     return bool(_member(pt.im_sign, im_sign(rot), re, least))
 
 
-def in_mykkeltveit(x: Kmer) -> bool:
-    """Set membership from the certified signs of P(x) and P(R(x)), no bitmap."""
-    return _in_set(x, embedding(x))
-
-
 # -- long avoiding path ------------------------------------------------------
-
-
-@dataclass
-class RingState:
-    """Shift-register view of a w-mer: circular tape plus a pointer tag."""
-
-    sigma: int
-    tape: list[int]
-    pointer: int = 0
-
-    @property
-    def w(self) -> int:
-        return len(self.tape)
-
-    def code(self) -> int:
-        c = 0
-        for i in range(self.w):
-            c = c * self.sigma + self.tape[(self.pointer + i) % self.w]
-        return c
-
-    def rotate(self) -> None:
-        self.pointer = (self.pointer + 1) % self.w
-
-    def write_advance(self, a: int) -> None:
-        self.tape[self.pointer] = a
-        self.pointer = (self.pointer + 1) % self.w
 
 
 @dataclass(frozen=True)
@@ -247,27 +197,29 @@ class LongPath:
     vertices: list[Kmer]
     embeddings: list[ComplexPoint]
     quadruples: list[tuple[int, ...]]
-    rounds: list[int] = field(default_factory=list)  # start index per quadruple
 
 
-def _run_ring(sigma: int, w: int, zero_tags: list[int], quads: list[tuple[int, ...]]):
-    ring = RingState(sigma, [1] * w)
-    for t in zero_tags:
-        ring.tape[t] = 0
-    trace: list[int] = []
-    rounds: list[int] = []
-    ring.rotate()  # the initial vertex sits on the negative real axis, inside the set
-    trace.append(ring.code())
+def _run_ring(sigma: int, w: int, zero_tags: list[int], quads: list[tuple[int, ...]]) -> list[int]:
+    """Codes of the ring program's walk.  The ring is a circular tape read
+    from a pointer; a rotate moves the pointer on, so the code appends the
+    symbol that leaves, and a write of 0 stores 0 and moves on, so the code
+    appends 0.  The tape starts as ones with zeros at `zero_tags`."""
+    n = sigma**w
+    lead = n // sigma
+    code = sum(sigma ** (w - 1 - t) for t in range(w) if t not in zero_tags)
+    # the initial vertex sits on the negative real axis, inside the set
+    code = code * sigma % n + code // lead
+    pointer = 1
+    trace = [code]
     for quad in quads:
-        rounds.append(len(trace) - 1)
         for tag in quad:
-            steps = (tag - ring.pointer) % w or w
-            for _ in range(steps):
-                ring.rotate()
-                trace.append(ring.code())
-            ring.write_advance(0)
-            trace.append(ring.code())
-    return trace, rounds
+            for _ in range((tag - pointer) % w or w):
+                code = code * sigma % n + code // lead
+                trace.append(code)
+            code = code * sigma % n
+            trace.append(code)
+            pointer = (tag + 1) % w
+    return trace
 
 
 def _even_quadruples(w: int) -> list[tuple[int, ...]]:
@@ -310,8 +262,8 @@ def build_long_path(sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET) -> Lo
 
     Follows the ring program: start from all ones with designated zero tags,
     one pure rotation, then per quadruple rotate to each tag and write a
-    zero.  Every visited vertex is validated: edges legal, Im(P) > 0
-    certified, and not a member of the set.
+    zero.  Every visited vertex is validated: edges legal and Im(P) > 0
+    certified, which keeps it out of the set (see `in_mykkeltveit`).
     """
     if w % 2 == 0:
         if w < 16:
@@ -319,10 +271,10 @@ def build_long_path(sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET) -> Lo
         zero_tags, quads = [w - 1], _even_quadruples(w)
     else:
         zero_tags, quads = _odd_quadruples(w)
-    trace, rounds = _run_ring(sigma, w, zero_tags, quads)
+    trace = _run_ring(sigma, w, zero_tags, quads)
 
-    # Revisits, illegal edges and set members can only come from a bug
-    # (AssertionError); Im(P) <= 0 means the program does not work at this w.
+    # Revisits and illegal edges can only come from a bug (AssertionError);
+    # Im(P) <= 0 means the program does not work at this w.
     n = sigma**w
     if len(set(trace)) != len(trace):
         raise AssertionError("constructed walk revisits a vertex")
@@ -335,7 +287,5 @@ def build_long_path(sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET) -> Lo
         pt = embedding(x)
         if pt.im_sign != POS:
             raise ValueError(f"vertex at step {step} has Im(P) <= 0")
-        if _in_set(x, pt):
-            raise AssertionError(f"vertex at step {step} lies in the decycling set")
         embeddings.append(pt)
-    return LongPath(sigma, w, vertices, embeddings, quads, rounds)
+    return LongPath(sigma, w, vertices, embeddings, quads)

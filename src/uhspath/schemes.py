@@ -387,11 +387,19 @@ def load_scheme_table(path: str, budget: int = DEFAULT_NODE_BUDGET) -> Selection
         check_budget(sigma**w, budget, "scheme table")
         table = np.full(sigma**w, -1, dtype=np.int64)
         windows, picks = [], []
-        for line in fh:
-            if line.strip():
-                km, p = line.split()
-                windows.append(km)
+        for lineno, line in enumerate(fh, 2):
+            fields = line.split()
+            if not fields:
+                continue
+            try:
+                km, p = fields
                 picks.append(int(p))
+            except ValueError:
+                raise ValueError(
+                    f"bad line {lineno} in scheme file {path}: "
+                    "expected a window and an integer pick"
+                ) from None
+            windows.append(km)
     table[encode_lines(windows, sigma, w)] = picks
     if (table < 0).any():
         raise ValueError(f"scheme file {path} does not cover all windows")

@@ -214,15 +214,29 @@ class TestExitCodes:
             ("debruijn-seq --sigma 2 --n -2", "need n >= 1, got -2"),
             ("fsm --sigma 1 --d 2 --w 10", "alphabet size must be >= 2, got 1"),
             ("fsm --sigma 1 --d 2", "alphabet size must be >= 2, got 1"),
+            ("necklaces --sigma 11 --w 3 --list", "digit text form only supports sigma <= 10"),
         ],
         ids=["w0", "k-1", "sigma1", "forbidden_sigma1", "debruijn_sigma1", "debruijn_n0",
-             "debruijn_n-2", "fsm_sigma1", "fsm_sigma1_matrix_only"],
+             "debruijn_n-2", "fsm_sigma1", "fsm_sigma1_matrix_only", "necklaces_list_sigma11"],
     )
     def test_bad_shape(self, capsys, argv, message):
         assert run(argv.split()) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "line", ["01", "01 1 0", "01 x"], ids=["missing_pick", "extra_field", "non_integer_pick"]
+    )
+    def test_malformed_scheme_table(self, capsys, tmp_path, line):
+        table = tmp_path / "t.txt"
+        table.write_text(f"scheme sigma=2 w=2\n00 0\n\n{line}\n10 0\n11 1\n")
+        assert run(["density", "--sigma", "2", "--w", "2", "--table", str(table)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: bad line 4 in scheme file {table}: expected a window and an integer pick\n"
+        )
 
     def test_missing_file(self, capsys):
         assert run(["check-uhs", "--sigma", "2", "--w", "4", "--set", "/nope"]) == 1
@@ -248,8 +262,8 @@ class TestExitCodes:
         real_run_ring = mykkeltveit._run_ring
 
         def repeating(*args, **kwargs):
-            trace, rounds = real_run_ring(*args, **kwargs)
-            return trace + trace[-1:], rounds
+            trace = real_run_ring(*args, **kwargs)
+            return trace + trace[-1:]
 
         monkeypatch.setattr(mykkeltveit, "_run_ring", repeating)
         assert run(["long-path", "--sigma", "2", "--w", "16"]) == 3

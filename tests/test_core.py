@@ -4,21 +4,40 @@ import pytest
 from hypothesis import given, strategies as st
 
 from uhspath.core import (
-    Alphabet,
     BudgetError,
     Kmer,
+    _fkm,
     canonical_rotation_code,
+    check_alphabet,
     conjugacy_class,
     debruijn_sequence,
-    enumerate_classes,
     kmer_decode,
     kmer_encode,
     necklace_count,
     necklaces,
     parse_symbols,
     pure_rotation,
+    render_symbols,
     successor,
 )
+
+
+def recursive_fkm(sigma, n, lyndon):
+    """Oracle: the recursive FKM generator, a chain of n nested generators."""
+    a = [0] * (n + 1)
+
+    def gen(t, p):
+        if t > n:
+            if n % p == 0:
+                yield (tuple(a[1 : p + 1]) if lyndon else tuple(a[1 : n + 1])), p
+        else:
+            a[t] = a[t - p]
+            yield from gen(t + 1, p)
+            for j in range(a[t - p] + 1, sigma):
+                a[t] = j
+                yield from gen(t + 1, t)
+
+    return gen(1, 1)
 
 
 def brute_necklace_count(sigma, w):
@@ -48,10 +67,9 @@ class TestEncoding:
             Kmer(4, 2, 2)
 
     def test_alphabet(self):
-        a = Alphabet(4)
-        assert a.render(a.parse("GATTACA"), acgt=True) == "GATTACA"
+        assert render_symbols(parse_symbols("GATTACA", 4), 4, acgt=True) == "GATTACA"
         with pytest.raises(ValueError):
-            Alphabet(1)
+            check_alphabet(1)
 
     @given(st.integers(2, 6), st.lists(st.integers(0, 5), min_size=1, max_size=12))
     def test_roundtrip(self, sigma, syms):
@@ -100,10 +118,17 @@ class TestNecklaces:
             assert reps == {canonical_rotation_code(c, sigma, w) for c in range(sigma**w)}
 
     def test_enumerate_classes_partitions(self):
-        table = enumerate_classes(2, 6)
-        all_codes = sorted(k.code for i in range(len(table)) for k in table.members(i))
+        # the necklaces' conjugacy classes, as the MDS census builds them
+        classes = [conjugacy_class(kmer_encode(word, 2)) for word, _ in necklaces(2, 6)]
+        all_codes = sorted(k.code for members in classes for k in members)
         assert all_codes == list(range(64))
-        assert list(table.sizes) == [len(table.members(i)) for i in range(len(table))]
+        assert [size for _, size in necklaces(2, 6)] == [len(m) for m in classes]
+
+    @pytest.mark.parametrize("lyndon", [False, True])
+    @pytest.mark.parametrize("sigma", [2, 3, 4, 5])
+    def test_fkm_matches_recursive(self, sigma, lyndon):
+        for n in range(1, 9):
+            assert list(_fkm(sigma, n, lyndon)) == list(recursive_fkm(sigma, n, lyndon)), n
 
 
 class TestDeBruijnSequence:

@@ -23,6 +23,23 @@ from uhspath.exactsign import (
 )
 
 
+def assert_cli_skips_modules(argv, modules):
+    """Run the CLI on argv in a fresh interpreter: it must exit 0 without
+    having imported any of `modules`."""
+    import uhspath
+
+    src = os.path.dirname(os.path.dirname(uhspath.__file__))
+    code = (
+        "import sys; from uhspath.cli import run; "
+        f"assert run({argv.split()!r}) == 0; "
+        f"loaded = [m for m in {modules!r} if m in sys.modules]; "
+        "assert not loaded, loaded"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+
+
 def float_im(symbols):
     w = len(symbols)
     return sum(x * math.sin(2 * math.pi * (i + 1) / w) for i, x in enumerate(symbols))
@@ -113,17 +130,21 @@ class TestZeroMatrix:
                 assert np.array_equal(zero_rows(words * 2**62, part), zero_rows(words, part))
 
     def test_no_sympy_at_runtime(self):
-        import uhspath
+        assert_cli_skips_modules("mykkeltveit --sigma 3 --w 12", ["sympy"])
 
-        src = os.path.dirname(os.path.dirname(uhspath.__file__))
-        code = (
-            "import sys; from uhspath.cli import run; "
-            "assert run(['mykkeltveit', '--sigma', '3', '--w', '12']) == 0; "
-            "assert 'sympy' not in sys.modules"
-        )
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
-        assert proc.returncode == 0, proc.stderr.decode()
+
+class TestImportFootprint:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "necklaces --sigma 4 --w 6 --list",
+            "debruijn-seq --sigma 2 --n 8",
+            "mds-count --sigma 2 --w 4",
+        ],
+        ids=["necklaces", "debruijn-seq", "mds-count"],
+    )
+    def test_integer_subcommands_skip_numpy_and_mpmath(self, argv):
+        assert_cli_skips_modules(argv, ["numpy", "mpmath"])
 
 
 class TestZeroDecisions:

@@ -47,7 +47,7 @@ def max_zero_run(codes, sigma, w):
 
 def matvec_survival(sigma, d, w):
     """Oracle: w exact mat-vecs of the FSM matrix from the empty-run state, summed."""
-    rows = fsm_matrix(sigma, d).rows
+    rows = fsm_matrix(sigma, d)
     p = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(d))
     for _ in range(w):
         p = tuple(sum(r * x for r, x in zip(row, p)) for row in rows)
@@ -193,7 +193,7 @@ class TestCharPoly:
     @pytest.mark.parametrize("sigma", [2, 3])
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 12])
     def test_matches_numpy_det(self, sigma, d):
-        A = fsm_matrix(sigma, d).as_float()
+        A = np.array(fsm_matrix(sigma, d), dtype=float)
         rng = np.random.default_rng(d)
         for lam in list(rng.uniform(-1, 1, size=8)) + [1 / sigma, 0.0, 1.0]:
             det = np.linalg.det(A - lam * np.eye(d))

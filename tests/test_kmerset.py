@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -66,6 +67,22 @@ class TestBasics:
     def test_code_range_checked(self):
         with pytest.raises(ValueError):
             KmerSet.from_codes(2, 3, [8])
+
+    @pytest.mark.parametrize("text", ["01", "0110"])
+    def test_texts_of_another_w_rejected(self, text):
+        # once read as the code of a 3-mer: {001} and {110}
+        named = re.escape(f"k-mer Kmer(code={int(text, 2)}, sigma=2, w={len(text)})")
+        with pytest.raises(ValueError, match=named):
+            KmerSet.from_texts(2, 3, ["000", text])
+
+    def test_kmers_of_another_sigma_rejected(self):
+        with pytest.raises(ValueError, match="does not match sigma=2 w=3"):
+            KmerSet.from_kmers([kmer_encode("012", 3)], 2, 3)
+        assert KmerSet.from_kmers([kmer_encode("011", 2)], 2, 3) == KmerSet.from_codes(2, 3, [3])
+
+    def test_empty_text_rejected(self):
+        with pytest.raises(ValueError, match="cannot encode an empty string"):
+            KmerSet.from_texts(2, 3, [""])
 
 
 class TestSerialization:

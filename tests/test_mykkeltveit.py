@@ -25,11 +25,27 @@ from uhspath.mykkeltveit import (
     embedding,
     im_sign,
     in_mykkeltveit,
-    rotation_identity_check,
-    weight,
-    weight_in_embedding,
 )
 from uhspath.paths import is_decycling, longest_remaining_path
+
+
+def weight(x):
+    """Digit sum W(x), between 0 and (sigma-1) * w."""
+    return sum(x.symbols())
+
+
+def weight_in_embedding(x):
+    """Q(x) = P(x) - W(x); rotations spin Q around (-W, 0) instead of the origin."""
+    return complex(embedding(x)) - weight(x)
+
+
+def rotation_identity_check(x, a, eps=1e-9):
+    """|P(S_a(x)) - (r^-1 P(x) + (a - x_0))| <= eps."""
+    r_inv = cmath.exp(-2j * math.pi / x.w)
+    lhs = complex(embedding(successor(x, a)))
+    x0 = x.code // x.sigma ** (x.w - 1)
+    rhs = r_inv * complex(embedding(x)) + (a - x0)
+    return abs(lhs - rhs) <= eps
 
 
 def class_pick(rep_code, sigma, w):
@@ -144,6 +160,15 @@ class TestEmbedding:
             x = kmer_encode(rng.integers(0, sigma, size=w).tolist(), sigma)
             a = int(rng.integers(0, sigma))
             assert rotation_identity_check(x, a)
+
+
+class TestKeepRule:
+    def test_positive_im_never_kept(self):
+        # build_long_path relies on this: Im P(x) > 0 alone keeps x out of the set
+        for im_rot in (NEG, ZERO, POS):
+            for re in (NEG, ZERO, POS):
+                for least in (False, True):
+                    assert not _member(POS, im_rot, re, least), (im_rot, re, least)
 
 
 class TestSetConstruction:
