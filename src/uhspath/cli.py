@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 validation error, 2 budget exceeded, 3 internal
 invariant failure (an AssertionError, i.e. a bug rather than bad input).  Exact
-rationals are emitted as {"num", "den", "float"} objects.  All randomized
-paths honor --seed, so identical invocations produce identical bytes.
+rationals are emitted as {"num", "den", "float"} objects.  The one randomized
+path, density's sampled estimate, takes --seed, so identical invocations
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -321,7 +322,6 @@ def _add_common(p, w=True):
     if w:
         p.add_argument("--w", type=int, required=True)
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _add_scheme_opts(p):
@@ -369,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cyclic", action="store_true")
     p.add_argument("--estimate", action="store_true", help="skip the exact path")
     p.add_argument("--sample", type=int, default=10**7)
+    p.add_argument("--seed", type=int, default=0, help="seed of the sampled string")
     p.set_defaults(fn=_cmd_density)
 
     for name, fn in (("check-uhs", _cmd_check_uhs), ("longest-path", _cmd_longest_path)):

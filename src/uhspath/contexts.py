@@ -23,10 +23,9 @@ from .schemes import TABLE, SelectionScheme, digit_slice, is_forward, scheme_val
 
 @dataclass(frozen=True)
 class ContextSet:
-    """A KmerSet of charged contexts, tagged with the scheme it came from."""
+    """A KmerSet of charged contexts."""
 
     kset: KmerSet
-    source: str
 
     def relative_size(self) -> Fraction:
         return self.kset.relative_size()
@@ -55,7 +54,7 @@ def build_context_set_local(
     for i in range(scheme.w - 1):
         # window i picks i + f(window i), the last window (w - 1) + f(last window)
         member &= last != digit_slice(fv + (i - (scheme.w - 1)), sigma, i, W)
-    return ContextSet(KmerSet(sigma, W, member), repr(scheme))
+    return ContextSet(KmerSet(sigma, W, member))
 
 
 def build_context_set_forward(
@@ -75,5 +74,5 @@ def build_context_set_forward(
     check_budget(m, budget, "forward context set")
     fv = scheme_values(scheme, budget=budget).astype(np.int16, copy=False)
     member = digit_slice(fv + 1, sigma, 1, ws + 1) != digit_slice(fv, sigma, 0, ws + 1)
-    return ContextSet(KmerSet(sigma, ws + 1, member), repr(scheme))
+    return ContextSet(KmerSet(sigma, ws + 1, member))
 

@@ -23,9 +23,17 @@ class BudgetError(Exception):
     """An operation would exceed its configured memory budget."""
 
 
+def _count(n: int) -> str:
+    # Python refuses str() of ints with very many digits; name the power of two
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2^{n.bit_length() - 1}"
+
+
 def check_budget(n: int, budget: int = DEFAULT_NODE_BUDGET, what: str = "operation") -> None:
     if n > budget:
-        raise BudgetError(f"{what} needs {n} states, budget is {budget}")
+        raise BudgetError(f"{what} needs {_count(n)} states, budget is {_count(budget)}")
 
 
 def check_alphabet(sigma: int) -> None:

@@ -1,26 +1,26 @@
 """Certified signs of real/imaginary parts of root-of-unity sums.
 
 Quantities of the form sum_i x_i * zeta^(i+1), zeta = e^(2 pi i / w), are
-evaluated in doubles first.  A value safely away from zero keeps its float
-sign.  Borderline values get an exact zero test: an integer combination of
-powers of zeta vanishes iff the w-th cyclotomic polynomial Phi_w divides the
-corresponding integer polynomial, and reduction mod Phi_w is an integer
-linear map (Lam & Leung 2000), so the test is one product of the digit rows
-with a cached w x phi(w) integer matrix, for one word or for many.  Provably
-nonzero values have their sign pinned down with escalating mpmath precision.
+evaluated in doubles first, and `signs` certifies them for one word or for
+many.  A value outside the guard band keeps its float sign.  Borderline
+values get an exact zero test: an integer combination of powers of zeta
+vanishes iff the w-th cyclotomic polynomial Phi_w divides the corresponding
+integer polynomial, and reduction mod Phi_w is an integer linear map (Lam &
+Leung 2000), so the test is one product of the digit rows with a cached
+w x phi(w) integer matrix.  Provably nonzero values have their sign pinned
+down with escalating mpmath precision.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
 
 import mpmath as mp
 import numpy as np
 
 NEG, ZERO, POS = -1, 0, 1
 
-#: doubles closer to zero than this (scaled) are re-checked exactly
+#: doubles closer to zero than this, scaled by `guard`, are re-checked exactly
 FLOAT_GUARD = 2.0**-40
 
 #: sign of the conjugate term in each part's polynomial (0: no conjugate term)
@@ -101,45 +101,41 @@ def zero_rows(digits, part: str) -> np.ndarray:
     return ~(d @ A).any(axis=-1)
 
 
-def im_is_zero(symbols: Sequence[int]) -> bool:
-    """Exactly decide Im(sum x_i zeta^(i+1)) == 0."""
-    return bool(zero_rows(symbols, "im"))
+def guard(sigma: int, w: int) -> float:
+    """Half-width of the band of doubles whose sign is not trusted, for the
+    parts of a word of w digits below sigma."""
+    return FLOAT_GUARD * (sigma - 1) * w
 
 
-def re_is_zero(symbols: Sequence[int]) -> bool:
-    """Exactly decide Re(sum x_i zeta^(i+1)) == 0."""
-    return bool(zero_rows(symbols, "re"))
-
-
-def sum_is_zero(symbols: Sequence[int]) -> bool:
-    """Exactly decide sum x_i zeta^(i+1) == 0."""
-    return bool(zero_rows(symbols, "sum"))
-
-
-def _mp_part(symbols: Sequence[int], trig) -> mp.mpf:
-    w = len(symbols)
-    step = 2 * mp.pi / w
-    return mp.fsum(x * trig(step * (i + 1)) for i, x in enumerate(symbols) if x)
-
-
-def _certified(symbols: Sequence[int], approx: float, exact_zero, trig, scale: float) -> int:
-    if abs(approx) > FLOAT_GUARD * scale:
-        return POS if approx > 0 else NEG
-    if exact_zero(symbols):
-        return ZERO
+def _mp_sign(row: list[int], trig) -> int:
+    # escalating precision for a part proven nonzero
     for dps in (60, 120, 240, 480):
         with mp.workdps(dps):
-            v = _mp_part(symbols, trig)
+            step = 2 * mp.pi / len(row)
+            v = mp.fsum(x * trig(step * (i + 1)) for i, x in enumerate(row) if x)
             if abs(v) > mp.mpf(10) ** (10 - dps):
                 return POS if v > 0 else NEG
-    raise ArithmeticError(f"could not certify sign for {tuple(symbols)}")
+    raise ArithmeticError(f"could not certify sign for {tuple(row)}")
 
 
-def im_sign(symbols: Sequence[int], approx: float, sigma: int) -> int:
-    """Certified sign of Im(sum x_i zeta^(i+1)) given a double approximation."""
-    return _certified(symbols, approx, im_is_zero, mp.sin, (sigma - 1) * len(symbols))
+def signs(digits, approx, sigma: int, part: str):
+    """Certified NEG/ZERO/POS of the `part` ("im" or "re") of sum x_i zeta^(i+1).
 
-
-def re_sign(symbols: Sequence[int], approx: float, sigma: int) -> int:
-    """Certified sign of Re(sum x_i zeta^(i+1)) given a double approximation."""
-    return _certified(symbols, approx, re_is_zero, mp.cos, (sigma - 1) * len(symbols))
+    `digits` is one word (shape (w,)) with a float `approx`, giving an int,
+    or a stack (shape (m, w)) with an array `approx` of shape (m,), giving an
+    int8 array.  A double outside `guard` keeps its sign; all band rows go
+    through one `zero_rows` call, and only the nonzero ones through mpmath.
+    """
+    if not isinstance(approx, np.ndarray):
+        if abs(approx) > guard(sigma, len(digits)):
+            return POS if approx > 0 else NEG
+        return int(signs(np.asarray(digits)[None], np.array([approx]), sigma, part)[0])
+    d = np.asarray(digits, dtype=np.int64)
+    out = np.sign(approx).astype(np.int8)
+    band = np.flatnonzero(np.abs(approx) <= guard(sigma, d.shape[-1]))
+    zero = zero_rows(d[band], part)
+    out[band[zero]] = ZERO
+    trig = mp.sin if part == "im" else mp.cos
+    for i in band[~zero]:
+        out[i] = _mp_sign(d[i].tolist(), trig)
+    return out

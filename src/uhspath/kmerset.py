@@ -11,6 +11,7 @@ from .core import (
     ACGT,
     DEFAULT_NODE_BUDGET,
     Kmer,
+    check_alphabet,
     check_budget,
     kmer_encode,
     parse_symbols,
@@ -64,6 +65,9 @@ class KmerSet:
     __slots__ = ("sigma", "w", "mask", "_cardinality")
 
     def __init__(self, sigma: int, w: int, mask: np.ndarray):
+        check_alphabet(sigma)
+        if w < 1:
+            raise ValueError(f"w must be >= 1, got {w}")
         n = sigma**w
         if mask.shape != (n,) or mask.dtype != np.bool_:
             raise ValueError(f"mask must be a bool array of length sigma**w = {n}")

@@ -26,16 +26,13 @@ from .core import (
     DEFAULT_NODE_BUDGET,
     Kmer,
     canonical_rotation_code,
+    check_alphabet,
     check_budget,
     necklace_count,
     rotation_code,
 )
-from .exactsign import FLOAT_GUARD, NEG, POS, ZERO
+from .exactsign import NEG, POS, ZERO
 from .kmerset import KmerSet
-
-def _theta(sigma: int, w: int) -> float:
-    """Scaled guard band below which double signs are not trusted."""
-    return FLOAT_GUARD * (sigma - 1) * w
 
 
 @dataclass(frozen=True)
@@ -58,14 +55,7 @@ def embedding(x: Kmer) -> ComplexPoint:
     """P(x) = sum x_i r^(i+1), with a certified sign for the imaginary part."""
     syms = x.symbols()
     p = _raw_embedding(syms, x.w)
-    s = exactsign.im_sign(syms, p.imag, x.sigma)
-    return ComplexPoint(p.real, p.imag, s)
-
-
-def im_sign(x: Kmer) -> int:
-    """Certified sign of Im(P(x))."""
-    syms = x.symbols()
-    return exactsign.im_sign(syms, _raw_embedding(syms, x.w).imag, x.sigma)
+    return ComplexPoint(p.real, p.imag, exactsign.signs(syms, p.imag, x.sigma, "im"))
 
 
 # -- the set -----------------------------------------------------------------
@@ -83,18 +73,6 @@ def _half_tables(sigma: int, w: int, trig):
     hi = _digit_rows(np.arange(sigma**h), sigma, h) @ t[:h]
     lo = _digit_rows(np.arange(sigma ** (w - h)), sigma, w - h) @ t[h:]
     return hi, lo
-
-
-def _settle(sgn, codes, vals, rows, sigma, part):
-    """Certify sgn[codes], whose doubles `vals` lie in the guard band: exact
-    zeros by one matrix product over the digit rows, the rest by mpmath.
-    Returns the zero mask over `codes`."""
-    zero = exactsign.zero_rows(rows, part)
-    sgn[codes[zero]] = ZERO
-    part_sign = exactsign.im_sign if part == "im" else exactsign.re_sign
-    for c, v, row in zip(codes[~zero], vals[~zero], rows[~zero]):
-        sgn[c] = part_sign(row.tolist(), float(v), sigma)
-    return zero
 
 
 def _member(im, im_rot, re, least):
@@ -122,35 +100,35 @@ def build_mykkeltveit_set(
     else the unique member with Im(P(x)) < 0 and Im(P(R(x))) > 0.
 
     P is summed in doubles from two half-word tables; the codes in the guard
-    band are expanded to digit rows and settled exactly, together.
+    band are expanded to digit rows and certified by `exactsign.signs`.
     """
+    check_alphabet(sigma)
     if w < 2:
         raise ValueError("need w >= 2")
     n = sigma**w
     check_budget(n, budget, "decycling set construction")
-    th = _theta(sigma, w)
+    th = exactsign.guard(sigma, w)
 
     im_hi, im_lo = _half_tables(sigma, w, np.sin)
     im = (im_hi[:, None] + im_lo[None, :]).ravel()
     b = np.flatnonzero((-th <= im) & (im <= th))
-    im_b = im[b]
+    rows = _digit_rows(b, sigma, w)
+    im_b = exactsign.signs(rows, im[b], sigma, "im")
     im_sgn = np.sign(im, out=im).astype(np.int8)
     del im
-    rows = _digit_rows(b, sigma, w)
-    on_axis = _settle(im_sgn, b, im_b, rows, sigma, "im")
+    im_sgn[b] = im_b
 
     # Re's sign only matters where Im = 0
+    on_axis = im_b == ZERO
     z, rows = b[on_axis], rows[on_axis]
     re_hi, re_lo = _half_tables(sigma, w, np.cos)
     re = re_hi[z // re_lo.size] + re_lo[z % re_lo.size]
     re_sgn = np.zeros(n, dtype=np.int8)
-    re_sgn[z] = np.sign(re)
-    near = np.abs(re) <= th
-    origin_zero = _settle(re_sgn, z[near], re[near], rows[near], sigma, "re")
+    re_sgn[z] = exactsign.signs(rows, re, sigma, "re")
 
     # classes embedded at the origin (the all-zero word's among them) keep
     # their least rotation
-    c = origin = z[near][origin_zero]
+    c = origin = z[re_sgn[z] == ZERO]
     canon = origin.copy()
     for _ in range(w - 1):
         c = (c * sigma + c // (n // sigma)) % n
@@ -180,11 +158,11 @@ def in_mykkeltveit(x: Kmer) -> bool:
     pt = embedding(x)
     rot = Kmer(rotation_code(x.code, x.sigma, x.w), x.sigma, x.w)
     if pt.im_sign == ZERO:
-        re = exactsign.re_sign(x.symbols(), pt.re, x.sigma)
+        re = exactsign.signs(x.symbols(), pt.re, x.sigma, "re")
     else:  # the rule ignores Re off the real axis
         re = NEG if pt.re < 0 else POS
     least = re == ZERO and canonical_rotation_code(x.code, x.sigma, x.w) == x.code
-    return bool(_member(pt.im_sign, im_sign(rot), re, least))
+    return bool(_member(pt.im_sign, embedding(rot).im_sign, re, least))
 
 
 # -- long avoiding path ------------------------------------------------------
@@ -265,6 +243,7 @@ def build_long_path(sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET) -> Lo
     zero.  Every visited vertex is validated: edges legal and Im(P) > 0
     certified, which keeps it out of the set (see `in_mykkeltveit`).
     """
+    check_alphabet(sigma)
     if w % 2 == 0:
         if w < 16:
             raise ValueError("even construction needs w >= 16")

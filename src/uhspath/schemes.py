@@ -109,13 +109,12 @@ def build_compatible_minimizer(
     U: KmerSet,
     window_positions: int,
     budget: int = DEFAULT_NODE_BUDGET,
-    uhs_check_budget: int = 1 << 24,
 ) -> SelectionScheme:
     """Minimizer ranking members of U before all non-members, lexicographic within.
 
     The density-vs-size guarantee requires is_uhs(U, window_positions); that
-    check runs when the graph fits the check budget and its outcome is
-    recorded on the returned scheme (None when unverified).
+    check runs when the graph's sigma^w nodes fit `budget`, and its outcome
+    is recorded on the returned scheme (None when unverified).
     """
     if U.cardinality == 0:
         raise ValueError("compatible minimizer needs a nonempty set")
@@ -125,8 +124,8 @@ def build_compatible_minimizer(
     c = np.cumsum(U.mask, dtype=np.int64)  # members up to and including each code
     perm = np.where(U.mask, c - 1, c[-1] + np.arange(n, dtype=np.int64) - c)
     guarantee = None
-    if n <= uhs_check_budget:
-        guarantee = paths.is_uhs(U, window_positions, budget=uhs_check_budget)
+    if n <= budget:
+        guarantee = paths.is_uhs(U, window_positions, budget=budget)
     return SelectionScheme(
         U.sigma, window_positions, COMPATIBLE, k=U.w, rank=perm, guarantee=guarantee
     )
@@ -304,7 +303,6 @@ def particular_density(
 
 def expected_density(
     scheme: SelectionScheme,
-    exact_budget: int = DEFAULT_EXACT_BUDGET,
     sample_symbols: int = 10**7,
     seed: int = 0,
     budget: int = DEFAULT_NODE_BUDGET,
@@ -316,7 +314,7 @@ def expected_density(
     context theorem |C| / sigma^|context| is the density on the cyclic
     de Bruijn sequence of that order, and `selected` / `windows` are its
     counts.  Falls back to a seeded random-sequence estimate with a reported
-    standard error when sigma^|context| exceeds `exact_budget`; `budget`
+    standard error when sigma^|context| exceeds DEFAULT_EXACT_BUDGET; `budget`
     is passed to the context-set builder.
     """
     from .contexts import (
@@ -331,7 +329,7 @@ def expected_density(
     else:
         order, build = forward_context_symbols(scheme), build_context_set_forward
     windows = scheme.sigma**order
-    if windows <= exact_budget:
+    if windows <= DEFAULT_EXACT_BUDGET:
         selected = build(scheme, budget=budget).kset.cardinality
         return DensityResult(selected, windows, Fraction(selected, windows), EXPECTED_EXACT)
     return estimate_density(scheme, sample_symbols=sample_symbols, seed=seed)

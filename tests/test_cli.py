@@ -215,9 +215,13 @@ class TestExitCodes:
             ("fsm --sigma 1 --d 2 --w 10", "alphabet size must be >= 2, got 1"),
             ("fsm --sigma 1 --d 2", "alphabet size must be >= 2, got 1"),
             ("necklaces --sigma 11 --w 3 --list", "digit text form only supports sigma <= 10"),
+            ("mykkeltveit --sigma 0 --w 5", "alphabet size must be >= 2, got 0"),
+            ("long-path --sigma 0 --w 100", "alphabet size must be >= 2, got 0"),
+            ("long-path --sigma 1 --w 100", "alphabet size must be >= 2, got 1"),
         ],
         ids=["w0", "k-1", "sigma1", "forbidden_sigma1", "debruijn_sigma1", "debruijn_n0",
-             "debruijn_n-2", "fsm_sigma1", "fsm_sigma1_matrix_only", "necklaces_list_sigma11"],
+             "debruijn_n-2", "fsm_sigma1", "fsm_sigma1_matrix_only", "necklaces_list_sigma11",
+             "mykkeltveit_sigma0", "long_path_sigma0", "long_path_sigma1"],
     )
     def test_bad_shape(self, capsys, argv, message):
         assert run(argv.split()) == 1
@@ -237,6 +241,43 @@ class TestExitCodes:
         assert captured.err == (
             f"error: bad line 4 in scheme file {table}: expected a window and an integer pick\n"
         )
+
+    def test_set_file_alphabet(self, capsys, tmp_path):
+        f = tmp_path / "f.txt"
+        f.write_text("uhs sigma=0 w=3\n")
+        assert run(["check-uhs", "--sigma", "0", "--w", "3", "--set", str(f)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: alphabet size must be >= 2, got 0\n"
+
+    @pytest.mark.parametrize(
+        "argv,what",
+        [
+            ("mykkeltveit --sigma 2 --w 20000", "decycling set construction"),
+            ("contexts --sigma 2 --w 9000 --minimizer --k 5", "local context set"),
+            ("debruijn-seq --sigma 2 --n 20000", "de Bruijn sequence"),
+        ],
+        ids=["mykkeltveit", "contexts", "debruijn-seq"],
+    )
+    def test_budget_error_with_huge_count(self, capsys, argv, what):
+        # sigma^w has more decimal digits than Python will print
+        assert run(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {what} needs at least 2^")
+
+    def test_seed_belongs_to_density(self, capsys):
+        assert run(["mykkeltveit", "--sigma", "2", "--w", "6", "--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unrecognized arguments: --seed 1\n"
+        argv = ["density", "--sigma", "2", "--w", "6", "--minimizer", "--k", "3",
+                "--estimate", "--sample", "100000", "--seed"]
+        a = invoke_json(capsys, *argv, "11")
+        b = invoke_json(capsys, *argv, "12")
+        assert a["mode"] == b["mode"] == "EXPECTED_ESTIMATE"
+        assert a["selected"] != b["selected"]
 
     def test_missing_file(self, capsys):
         assert run(["check-uhs", "--sigma", "2", "--w", "4", "--set", "/nope"]) == 1

@@ -14,11 +14,7 @@ from uhspath.exactsign import (
     ZERO,
     _reduction_matrix,
     cyclotomic_coeffs,
-    im_is_zero,
-    im_sign,
-    re_is_zero,
-    re_sign,
-    sum_is_zero,
+    signs,
     zero_rows,
 )
 
@@ -54,6 +50,12 @@ def mp_im(symbols, dps=200):
     with mp.workdps(dps):
         w = len(symbols)
         return mp.fsum(x * mp.sin(2 * mp.pi * (i + 1) / w) for i, x in enumerate(symbols))
+
+
+def mp_re(symbols, dps=200):
+    with mp.workdps(dps):
+        w = len(symbols)
+        return mp.fsum(x * mp.cos(2 * mp.pi * (i + 1) / w) for i, x in enumerate(symbols))
 
 
 def reduce_mod_cyclotomic(coef, w):
@@ -119,7 +121,7 @@ class TestZeroMatrix:
     def test_scalar_and_bulk_agree(self):
         words = np.random.default_rng(3).integers(0, 3, size=(200, 12))
         bulk = zero_rows(words, "im")
-        assert [im_is_zero(row) for row in words.tolist()] == bulk.tolist()
+        assert [bool(zero_rows(row, "im")) for row in words.tolist()] == bulk.tolist()
 
     def test_wide_digits_use_python_ints(self):
         # digits large enough that an int64 product could overflow
@@ -150,26 +152,26 @@ class TestImportFootprint:
 class TestZeroDecisions:
     def test_examples(self):
         # "01": zeta^2 = 1 at w=2, real -> Im == 0
-        assert im_is_zero([0, 1])
+        assert zero_rows([0, 1], "im")
         # "1000" at w=4: value is zeta = i, purely imaginary
-        assert not im_is_zero([1, 0, 0, 0])
-        assert re_is_zero([1, 0, 0, 0])
+        assert not zero_rows([1, 0, 0, 0], "im")
+        assert zero_rows([1, 0, 0, 0], "re")
         # "0001" at w=4: value is zeta^4 = 1
-        assert im_is_zero([0, 0, 0, 1])
-        assert not re_is_zero([0, 0, 0, 1])
-        assert not sum_is_zero([0, 0, 0, 1])
+        assert zero_rows([0, 0, 0, 1], "im")
+        assert not zero_rows([0, 0, 0, 1], "re")
+        assert not zero_rows([0, 0, 0, 1], "sum")
 
     def test_constant_words_sum_to_zero(self):
         for w in (2, 3, 5, 8, 12):
-            assert sum_is_zero([1] * w)
-            assert im_is_zero([1] * w)
-            assert re_is_zero([1] * w)
+            assert zero_rows([1] * w, "sum")
+            assert zero_rows([1] * w, "im")
+            assert zero_rows([1] * w, "re")
 
     def test_period_two_words(self):
         # "1010...": sum of even powers of zeta over w/2 values -> 0 when w even
         for w in (4, 6, 10):
             word = [1, 0] * (w // 2)
-            assert sum_is_zero(word)
+            assert zero_rows(word, "sum")
 
     @pytest.mark.parametrize("w", [3, 4, 5, 6, 7, 8, 9, 12, 15, 16])
     def test_agrees_with_high_precision(self, w):
@@ -177,7 +179,7 @@ class TestZeroDecisions:
         for _ in range(60):
             word = rng.integers(0, 4, size=w).tolist()
             im = mp_im(word)
-            if im_is_zero(word):
+            if zero_rows(word, "im"):
                 assert abs(im) < mp.mpf(10) ** -150
             else:
                 assert abs(im) > mp.mpf(10) ** -150
@@ -190,17 +192,17 @@ class TestCertifiedSigns:
         for _ in range(50):
             word = rng.integers(0, 4, size=w).tolist()
             fi, fr = float_im(word), float_re(word)
-            si = im_sign(word, fi, 4)
-            sr = re_sign(word, fr, 4)
+            si = signs(word, fi, 4, "im")
+            sr = signs(word, fr, 4, "re")
             hi, hr = mp_im(word), mp_im([0] + word[:-1])  # placeholder for re
-            assert si == (0 if im_is_zero(word) else (1 if hi > 0 else -1))
+            assert si == (0 if zero_rows(word, "im") else (1 if hi > 0 else -1))
             if abs(fr) > 1e-9:
                 assert sr == (1 if fr > 0 else -1)
 
     def test_borderline_zero(self):
         word = [0, 1]  # exactly real
-        assert im_sign(word, 0.0, 2) == ZERO
-        assert re_sign(word, 1.0, 2) == POS
+        assert signs(word, 0.0, 2, "im") == ZERO
+        assert signs(word, 1.0, 2, "re") == POS
 
     def test_borderline_nonzero_near_float_zero(self):
         # w=12: zeta + zeta^5 + zeta^7 + zeta^11 = 0 exactly; perturb one term
@@ -208,17 +210,89 @@ class TestCertifiedSigns:
         base = [0] * w
         for e in (1, 5, 7, 11):
             base[e - 1] = 1
-        assert sum_is_zero(base)
-        assert im_is_zero(base)
+        assert zero_rows(base, "sum")
+        assert zero_rows(base, "im")
         # doubling one imaginary contribution breaks the cancellation
         tweak = list(base)
         tweak[0] = 2
         fi = float_im(tweak)
-        assert im_sign(tweak, fi, 2) == (POS if mp_im(tweak) > 0 else NEG)
+        assert signs(tweak, fi, 2, "im") == (POS if mp_im(tweak) > 0 else NEG)
 
     def test_tiny_float_handed_in_gets_corrected(self):
         # pass a dishonest approx of 0.0; certification must still resolve it
         word = [1, 0, 0, 0]  # Im = 1 at w=4
-        assert im_sign(word, 0.0, 2) == POS
+        assert signs(word, 0.0, 2, "im") == POS
         word = [0, 0, 1, 0]  # zeta^3 = -i
-        assert im_sign(word, 0.0, 2) == NEG
+        assert signs(word, 0.0, 2, "im") == NEG
+
+
+def cascade_stack(sigma, w=12):
+    """Rows for the sign cascade: exact zeros, the near-cancelling w = 12
+    tweak words, and random words handed a dishonest approx of 0.0."""
+    base = [0] * w
+    for e in (1, 5, 7, 11):
+        base[e - 1] = 1
+    rows = [[0] * w, [1] * w, [sigma - 1] * w, base]
+    for j in range(w):
+        tweak = list(base)
+        tweak[j] = min(tweak[j] + 1, sigma - 1)
+        rows.append(tweak)
+    honest = len(rows)
+    rows += np.random.default_rng(sigma).integers(0, sigma, size=(20, w)).tolist()
+    return np.array(rows), honest
+
+
+class TestOneCascade:
+    @pytest.mark.parametrize("part", ["im", "re"])
+    @pytest.mark.parametrize("sigma", [2, 3, 4])
+    def test_stack_equals_each_row(self, sigma, part):
+        rows, honest = cascade_stack(sigma)
+        approx = np.array([(float_im if part == "im" else float_re)(r) for r in rows.tolist()])
+        approx[honest:] = 0.0
+        stack = signs(rows, approx, sigma, part)
+        assert stack.dtype == np.int8 and stack.shape == (len(rows),)
+        each = [signs(r, float(a), sigma, part) for r, a in zip(rows.tolist(), approx)]
+        assert stack.tolist() == each
+        exact = mp_im if part == "im" else mp_re
+        for r, s in zip(rows.tolist(), each):
+            v = exact(r)
+            assert s == (ZERO if abs(v) < mp.mpf(10) ** -150 else (POS if v > 0 else NEG))
+        assert any(s != ZERO for s in each[honest:])  # the mpmath tier ran in the stack
+
+    @pytest.mark.parametrize("part", ["im", "re"])
+    def test_one_zero_test_per_call(self, monkeypatch, part):
+        from uhspath import exactsign
+
+        calls = []
+        real = exactsign.zero_rows
+
+        def counting(digits, p):
+            calls.append(np.shape(digits))
+            return real(digits, p)
+
+        monkeypatch.setattr(exactsign, "zero_rows", counting)
+        rows, _ = cascade_stack(3)
+        out = signs(rows, np.zeros(len(rows)), 3, part)
+        assert (out != ZERO).any() and (out == ZERO).any()
+        assert calls == [rows.shape]
+        calls.clear()
+        assert signs([1, 0, 0, 0], 0.0, 2, part) in (NEG, ZERO, POS)
+        assert calls == [(1, 4)]
+
+    def test_word_outside_band_builds_no_arrays(self, monkeypatch):
+        from uhspath import exactsign
+
+        import types
+
+        # numpy reduced to the one type the dispatch reads
+        monkeypatch.setattr(exactsign, "np", types.SimpleNamespace(ndarray=np.ndarray))
+        assert signs((1, 0, 0, 0), 1.0, 2, "im") == POS
+        assert signs((0, 0, 1, 0), -1.0, 2, "im") == NEG
+
+    def test_band_is_guard(self):
+        from uhspath.exactsign import FLOAT_GUARD, guard
+
+        assert guard(4, 12) == FLOAT_GUARD * 3 * 12
+        word = [1, 0, 0, 0]
+        assert signs(word, -0.9 * guard(2, 4), 2, "im") == POS  # in the band: certified
+        assert signs(word, -1.1 * guard(2, 4), 2, "im") == NEG  # outside: the double's sign

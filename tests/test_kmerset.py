@@ -127,6 +127,19 @@ class TestSerialization:
         with pytest.raises(ValueError):
             KmerSet.load_binary(str(p))
 
+    def test_bad_alphabet_or_width_in_header(self, tmp_path):
+        p = tmp_path / "x"
+        p.write_text("uhs sigma=0 w=3\n")
+        with pytest.raises(ValueError, match="alphabet size must be >= 2, got 0"):
+            KmerSet.load_text(str(p))
+        # binary header: magic, sigma as one byte, w as four little-endian bytes
+        p.write_bytes(b"UHS1\x01\x05\x00\x00\x00\x00")
+        with pytest.raises(ValueError, match="alphabet size must be >= 2, got 1"):
+            KmerSet.load_binary(str(p))
+        p.write_bytes(b"UHS1\x02\x00\x00\x00\x00\x00")
+        with pytest.raises(ValueError, match="w must be >= 1, got 0"):
+            KmerSet.load_binary(str(p))
+
 
 class TestVectorisedParse:
     """load_text encodes its lines in bulk; the per-line reader is the oracle."""

@@ -19,11 +19,9 @@ from uhspath import mykkeltveit
 from uhspath.mykkeltveit import (
     _member,
     _raw_embedding,
-    _theta,
     build_long_path,
     build_mykkeltveit_set,
     embedding,
-    im_sign,
     in_mykkeltveit,
 )
 from uhspath.paths import is_decycling, longest_remaining_path
@@ -57,9 +55,9 @@ def class_pick(rep_code, sigma, w):
         members.append(c)
         c = rotation_code(c, sigma, w)
     rep_syms = Kmer(members[0], sigma, w).symbols()
-    if exactsign.sum_is_zero(rep_syms):
+    if exactsign.zero_rows(rep_syms, "sum"):
         return min(members)
-    th = _theta(sigma, w)
+    th = exactsign.guard(sigma, w)
     ims = []
     for mc in members:
         syms = Kmer(mc, sigma, w).symbols()
@@ -67,9 +65,9 @@ def class_pick(rep_code, sigma, w):
         if abs(p.imag) > th:
             s = POS if p.imag > 0 else NEG
         else:
-            s = exactsign.im_sign(syms, p.imag, sigma)
+            s = exactsign.signs(syms, p.imag, sigma, "im")
         if s == ZERO:
-            rs = exactsign.re_sign(syms, p.real, sigma)
+            rs = exactsign.signs(syms, p.real, sigma, "re")
             if rs == NEG:
                 return mc
         ims.append(s)
@@ -97,17 +95,17 @@ def digit_loop_build(sigma, w):
         ang = 2 * math.pi * (i + 1) / w
         im += digit * math.sin(ang)
         re += digit * math.cos(ang)
-    th = _theta(sigma, w)
+    th = exactsign.guard(sigma, w)
 
-    def certify(sgn, vals, borderline, part_sign):
+    def certify(sgn, vals, borderline, part):
         for c in np.flatnonzero(borderline):
             syms = Kmer(int(c), sigma, w).symbols()
-            sgn[c] = part_sign(syms, float(vals[c]), sigma)
+            sgn[c] = exactsign.signs(syms, float(vals[c]), sigma, part)
 
     im_sgn = np.sign(im).astype(np.int8)
-    certify(im_sgn, im, np.abs(im) <= th, exactsign.im_sign)
+    certify(im_sgn, im, np.abs(im) <= th, "im")
     re_sgn = np.sign(re).astype(np.int8)
-    certify(re_sgn, re, (np.abs(re) <= th) & (im_sgn == 0), exactsign.re_sign)
+    certify(re_sgn, re, (np.abs(re) <= th) & (im_sgn == 0), "re")
     rot = (codes * sigma + codes // (n // sigma)) % n
     least = (im_sgn == ZERO) & (re_sgn == ZERO)
     c = origin = np.flatnonzero(least)
@@ -201,14 +199,14 @@ class TestSetConstruction:
 
         m = build_mykkeltveit_set(2, 9)
         for k in m.kmers():
-            s = im_sign(k)
+            s = embedding(k).im_sign
             if s == ZERO:
                 pt = embedding(k)
                 # on the negative real axis, or an origin class representative
                 assert pt.re < 1e-9
             else:
                 assert s == NEG
-                assert im_sign(pure_rotation(k)) == POS
+                assert embedding(pure_rotation(k)).im_sign == POS
 
     def test_complement_antisymmetry(self):
         # flipping 0<->1 negates the embedding at sigma=2 ... P(xbar) = S - P(x)
@@ -265,7 +263,7 @@ class TestOneWayCrossing:
             seen_nonpos = False
             x = Kmer(code, sigma, w)
             for _ in range(3 * w):
-                s = im_sign(x)
+                s = embedding(x).im_sign
                 if seen_nonpos:
                     assert s != POS
                 if s != POS:

@@ -565,7 +565,7 @@ class TestCompatibleMinimizer:
             mask = rng.random(sigma**k) < rng.random()
             if not mask.any():
                 continue
-            sch = build_compatible_minimizer(KmerSet(sigma, k, mask), 2, uhs_check_budget=0)
+            sch = build_compatible_minimizer(KmerSet(sigma, k, mask), 2, budget=0)
             assert np.array_equal(sch.rank, argsort_compatible_rank(mask))
 
 
