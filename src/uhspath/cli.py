@@ -18,6 +18,7 @@ from fractions import Fraction
 from .core import (
     BudgetError,
     DEFAULT_NODE_BUDGET,
+    check_budget,
     debruijn_sequence,
     necklace_count,
     necklaces,
@@ -48,16 +49,6 @@ def _save_set(kset, path: str, binary: bool) -> None:
         kset.save_text(path)
 
 
-def _load_set(path: str, budget: int):
-    from .kmerset import KmerSet
-
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-    if magic == b"UHS1":
-        return KmerSet.load_binary(path, budget=budget)
-    return KmerSet.load_text(path, budget=budget)
-
-
 def _resolve_set(spec: str, sigma: int, w: int, budget: int):
     if spec == "forbidden":
         from .forbidden import build_forbidden_set
@@ -67,27 +58,33 @@ def _resolve_set(spec: str, sigma: int, w: int, budget: int):
         from .mykkeltveit import build_mykkeltveit_set
 
         return build_mykkeltveit_set(sigma, w, budget=budget)
-    kset = _load_set(spec, budget)
+    from .kmerset import KmerSet
+
+    kset = KmerSet.load(spec, budget)
     if (kset.sigma, kset.w) != (sigma, w):
-        raise ValueError(
-            f"set file is sigma={kset.sigma} w={kset.w}, expected sigma={sigma} w={w}"
-        )
+        raise ValueError(f"set file is sigma={kset.sigma} w={kset.w}, expected sigma={sigma} w={w}")
     return kset
 
 
 def _load_scheme(args):
     from . import schemes
+    from .kmerset import KmerSet
 
-    if getattr(args, "table", None):
-        return schemes.load_scheme_table(args.table, budget=args.budget)
-    if getattr(args, "order", None):
-        return schemes.load_minimizer_order(args.order, args.sigma, args.w)
-    if getattr(args, "compatible", None):
-        U = _load_set(args.compatible, args.budget)
-        return schemes.build_compatible_minimizer(U, args.w, budget=args.budget)
-    if getattr(args, "minimizer", False):
-        return schemes.lexicographic_minimizer(args.sigma, args.k, args.w)
-    raise ValueError("no scheme given: use --minimizer, --order, --table or --compatible")
+    if args.minimizer:
+        return schemes.lexicographic_minimizer(args.sigma, 1 if args.k is None else args.k, args.w)
+    if args.table:
+        scheme = schemes.load_scheme_table(args.table, budget=args.budget)
+    elif args.order:
+        scheme = schemes.load_minimizer_order(args.order, args.sigma, args.w)
+    else:
+        U = KmerSet.load(args.compatible, args.budget)
+        scheme = schemes.build_compatible_minimizer(U, args.w, budget=args.budget)
+    # the flags name the scheme's shape, k only where --k is given
+    shape = "sigma={0.sigma} w={0.w}" + ("" if args.k is None else " k={0.k}")
+    got, want = shape.format(scheme), shape.format(args)
+    if got != want:
+        raise ValueError(f"scheme is {got}, expected {want}")
+    return scheme
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -100,6 +97,7 @@ def _cmd_necklaces(args) -> None:
         "necklace_count": necklace_count(args.sigma, args.w),
     }
     if args.list:
+        check_budget(out["necklace_count"], args.budget, "necklace list")
         reps = []
         for word, period in necklaces(args.sigma, args.w):
             reps.append({"rep": render_symbols(word, args.sigma), "size": period})
@@ -244,7 +242,7 @@ def _cmd_long_path(args) -> None:
     from .mykkeltveit import build_long_path
 
     lp = build_long_path(args.sigma, args.w, budget=args.budget)
-    lines = "\n".join(str(x) for x in lp.vertices)
+    lines = "\n".join(lp.vertices)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(lines + "\n")
@@ -317,19 +315,21 @@ def _cmd_fsm(args) -> None:
 # -- wiring ------------------------------------------------------------------
 
 
-def _add_common(p, w=True):
+def _add_common(p, w=True, budget=True):
     p.add_argument("--sigma", type=int, default=2)
     if w:
         p.add_argument("--w", type=int, required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
+    if budget:
+        p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
 
 
 def _add_scheme_opts(p):
-    p.add_argument("--minimizer", action="store_true", help="lexicographic k-mer order")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--order", help="minimizer order file (one k-mer per line)")
-    p.add_argument("--table", help="scheme table file")
-    p.add_argument("--compatible", help="set file; members rank before non-members")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--minimizer", action="store_true", help="lexicographic k-mer order")
+    source.add_argument("--order", help="minimizer order file (one k-mer per line)")
+    source.add_argument("--table", help="scheme table file")
+    source.add_argument("--compatible", help="set file; members rank before non-members")
+    p.add_argument("--k", type=int, help="k-mer length (default 1 for --minimizer)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,12 +387,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_long_path)
 
     p = sub.add_parser("mds-count")
-    _add_common(p)
+    _add_common(p, budget=False)
     p.add_argument("--emit", help="directory to write every set as a text file")
     p.set_defaults(fn=_cmd_mds_count)
 
     p = sub.add_parser("fsm")
-    _add_common(p, w=False)
+    _add_common(p, w=False, budget=False)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--w", type=int)
     p.set_defaults(fn=_cmd_fsm)

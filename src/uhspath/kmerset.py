@@ -180,6 +180,13 @@ class KmerSet:
             mask[encode_lines(fh.read().split("\n"), sigma, w)] = True
         return cls(sigma, w, mask)
 
+    @classmethod
+    def load(cls, path: str, budget: int = DEFAULT_NODE_BUDGET) -> "KmerSet":
+        """Read a set file in either format, told apart by the binary magic."""
+        with open(path, "rb") as fh:
+            binary = fh.read(len(_BINARY_MAGIC)) == _BINARY_MAGIC
+        return (cls.load_binary if binary else cls.load_text)(path, budget=budget)
+
     def save_binary(self, path: str) -> None:
         if self.sigma > 255:
             raise ValueError("binary format stores sigma as one byte")

@@ -29,6 +29,7 @@ from .core import (
     check_alphabet,
     check_budget,
     necklace_count,
+    render_symbols,
     rotation_code,
 )
 from .exactsign import NEG, POS, ZERO
@@ -131,7 +132,7 @@ def build_mykkeltveit_set(
     c = origin = z[re_sgn[z] == ZERO]
     canon = origin.copy()
     for _ in range(w - 1):
-        c = (c * sigma + c // (n // sigma)) % n
+        c = rotation_code(c, sigma, w)
         np.minimum(canon, c, out=canon)
     least = np.zeros(n, dtype=bool)
     least[origin] = canon == origin
@@ -172,32 +173,29 @@ def in_mykkeltveit(x: Kmer) -> bool:
 class LongPath:
     sigma: int
     w: int
-    vertices: list[Kmer]
+    vertices: list[str]
     embeddings: list[ComplexPoint]
     quadruples: list[tuple[int, ...]]
 
 
-def _run_ring(sigma: int, w: int, zero_tags: list[int], quads: list[tuple[int, ...]]) -> list[int]:
-    """Codes of the ring program's walk.  The ring is a circular tape read
-    from a pointer; a rotate moves the pointer on, so the code appends the
-    symbol that leaves, and a write of 0 stores 0 and moves on, so the code
-    appends 0.  The tape starts as ones with zeros at `zero_tags`."""
-    n = sigma**w
-    lead = n // sigma
-    code = sum(sigma ** (w - 1 - t) for t in range(w) if t not in zero_tags)
-    # the initial vertex sits on the negative real axis, inside the set
-    code = code * sigma % n + code // lead
+def _run_ring(w: int, zero_tags: list[int], quads: list[tuple[int, ...]]) -> list[int]:
+    """Symbols of the ring program's walk, whose w-windows are its vertices.
+    The ring is a circular tape, all ones but for zeros at `zero_tags`.  A
+    rotate appends the symbol under the pointer and moves it on; a write
+    stores 0 at the tag and appends 0.  The tape read at 0 sits on the
+    negative real axis, inside the set, so the walk starts one rotation on."""
+    tape = [0 if t in zero_tags else 1 for t in range(w)]
+    walk = tape[1:] + tape[:1]
     pointer = 1
-    trace = [code]
     for quad in quads:
         for tag in quad:
             for _ in range((tag - pointer) % w or w):
-                code = code * sigma % n + code // lead
-                trace.append(code)
-            code = code * sigma % n
-            trace.append(code)
+                walk.append(tape[pointer])
+                pointer = (pointer + 1) % w
+            tape[tag] = 0
+            walk.append(0)
             pointer = (tag + 1) % w
-    return trace
+    return walk
 
 
 def _even_quadruples(w: int) -> list[tuple[int, ...]]:
@@ -238,10 +236,10 @@ def _odd_quadruples(w: int) -> tuple[list[int], list[tuple[int, ...]]]:
 def build_long_path(sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET) -> LongPath:
     """Explicit path avoiding the decycling set, about w^2/8 vertices long.
 
-    Follows the ring program: start from all ones with designated zero tags,
-    one pure rotation, then per quadruple rotate to each tag and write a
-    zero.  Every visited vertex is validated: edges legal and Im(P) > 0
-    certified, which keeps it out of the set (see `in_mykkeltveit`).
+    Follows the ring program (`_run_ring`).  The vertices are the w-windows
+    of one symbol string, so every step is a de Bruijn edge, and one
+    `exactsign.signs` call certifies Im(P) > 0 for all of them, which keeps
+    them out of the set (see `in_mykkeltveit`).
     """
     check_alphabet(sigma)
     if w % 2 == 0:
@@ -250,21 +248,23 @@ def build_long_path(sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET) -> Lo
         zero_tags, quads = [w - 1], _even_quadruples(w)
     else:
         zero_tags, quads = _odd_quadruples(w)
-    trace = _run_ring(sigma, w, zero_tags, quads)
+    # a tag costs its write and the rotations from the pointer, one past the last tag
+    tags = [t for quad in quads for t in quad]
+    steps = sum(((t - p - 1) % w or w) + 1 for p, t in zip([0, *tags], tags))
+    check_budget(1 + steps, budget, "long path")
+    walk = _run_ring(w, zero_tags, quads)
 
-    # Revisits and illegal edges can only come from a bug (AssertionError);
-    # Im(P) <= 0 means the program does not work at this w.
-    n = sigma**w
-    if len(set(trace)) != len(trace):
+    # A revisit can only come from a bug (AssertionError); Im(P) <= 0 means
+    # the program does not work at this w.
+    text = render_symbols(walk, sigma)
+    vertices = [text[i : i + w] for i in range(len(walk) - w + 1)]
+    if len(set(vertices)) != len(vertices):
         raise AssertionError("constructed walk revisits a vertex")
-    vertices = [Kmer(c, sigma, w) for c in trace]
-    embeddings = []
-    for step, (u, v) in enumerate(zip(trace, trace[1:])):
-        if not (u * sigma) % n <= v < (u * sigma) % n + sigma:
-            raise AssertionError(f"illegal edge at step {step}")
-    for step, x in enumerate(vertices):
-        pt = embedding(x)
-        if pt.im_sign != POS:
-            raise ValueError(f"vertex at step {step} has Im(P) <= 0")
-        embeddings.append(pt)
+    ps = [_raw_embedding(walk[i : i + w], w) for i in range(len(vertices))]
+    rows = np.lib.stride_tricks.sliding_window_view(np.array(walk, dtype=np.int64), w)
+    im_signs = exactsign.signs(rows, np.array([p.imag for p in ps]), sigma, "im")
+    bad = np.flatnonzero(im_signs != POS)
+    if bad.size:
+        raise ValueError(f"vertex at step {bad[0]} has Im(P) <= 0")
+    embeddings = [ComplexPoint(p.real, p.imag, s) for p, s in zip(ps, im_signs.tolist())]
     return LongPath(sigma, w, vertices, embeddings, quads)

@@ -267,6 +267,75 @@ class TestExitCodes:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {what} needs at least 2^")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "necklaces --sigma 2 --w 8 --list",
+            "debruijn-seq --sigma 2 --n 4",
+            "mykkeltveit --sigma 2 --w 6",
+            "forbidden --sigma 2 --w 16",
+            "contexts --sigma 2 --w 3 --minimizer --k 1",
+            "density --sigma 2 --w 4 --minimizer --k 3",
+            "check-uhs --sigma 2 --w 6 --set mykkeltveit",
+            "longest-path --sigma 2 --w 16 --set forbidden",
+            "long-path --sigma 2 --w 101",
+        ],
+        ids=lambda argv: argv.split()[0],
+    )
+    def test_every_budget_is_read(self, capsys, argv):
+        assert run([*argv.split(), "--budget", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "budget is 1" in lines[0]
+
+    @pytest.mark.parametrize(
+        "argv", ["fsm --sigma 2 --d 3", "mds-count --sigma 2 --w 3"], ids=["fsm", "mds-count"]
+    )
+    def test_budget_only_where_read(self, capsys, argv):
+        assert run([*argv.split(), "--budget", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unrecognized arguments: --budget 5\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("density --sigma 3 --w 7 --table {t}", "scheme is sigma=2 w=2, expected sigma=3 w=7"),
+            ("density --sigma 2 --w 2 --table {t} --k 2",
+             "scheme is sigma=2 w=2 k=1, expected sigma=2 w=2 k=2"),
+            ("density --sigma 3 --w 7 --compatible {m}", "scheme is sigma=2 w=7, expected sigma=3 w=7"),
+            ("contexts --sigma 2 --w 7 --compatible {m} --k 5",
+             "scheme is sigma=2 w=7 k=6, expected sigma=2 w=7 k=5"),
+            ("density --sigma 2 --w 3 --order {o} --k 3",
+             "scheme is sigma=2 w=3 k=2, expected sigma=2 w=3 k=3"),
+            ("density --sigma 2 --w 2 --minimizer --k 2 --table {t}",
+             "argument --table: not allowed with argument --minimizer"),
+            ("contexts --sigma 2 --w 2 --order {o} --compatible {m}",
+             "argument --compatible: not allowed with argument --order"),
+            ("density --sigma 2 --w 2 --k 2",
+             "one of the arguments --minimizer --order --table --compatible is required"),
+        ],
+        ids=["table_shape", "table_k", "compatible_sigma", "compatible_k", "order_k",
+             "minimizer_and_table", "order_and_compatible", "no_source"],
+    )
+    def test_scheme_source_conflict(self, capsys, tmp_path, argv, message):
+        t, o, m = tmp_path / "t.txt", tmp_path / "o.txt", tmp_path / "m.txt"
+        t.write_text("scheme sigma=2 w=2\n00 0\n01 1\n10 0\n11 1\n")
+        o.write_text("00\n01\n10\n11\n")
+        KmerSet.from_texts(2, 6, ["000000", "010101"]).save_binary(str(m))
+        assert run(argv.format(t=t, o=o, m=m).split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_scheme_matching_flags(self, capsys, tmp_path):
+        t = tmp_path / "t.txt"
+        t.write_text("scheme sigma=2 w=2\n00 0\n01 1\n10 0\n11 1\n")
+        for k in ([], ["--k", "1"]):
+            obj = invoke_json(capsys, "density", "--sigma", "2", "--w", "2", "--table", str(t), *k)
+            assert (obj["sigma"], obj["w"], obj["k"], obj["kind"]) == (2, 2, 1, "TABLE")
+
     def test_seed_belongs_to_density(self, capsys):
         assert run(["mykkeltveit", "--sigma", "2", "--w", "6", "--seed", "1"]) == 1
         captured = capsys.readouterr()
@@ -302,9 +371,9 @@ class TestExitCodes:
 
         real_run_ring = mykkeltveit._run_ring
 
-        def repeating(*args, **kwargs):
-            trace = real_run_ring(*args, **kwargs)
-            return trace + trace[-1:]
+        def repeating(w, zero_tags, quads):
+            walk = real_run_ring(w, zero_tags, quads)
+            return walk + walk[-w:]  # ends on its own last window again
 
         monkeypatch.setattr(mykkeltveit, "_run_ring", repeating)
         assert run(["long-path", "--sigma", "2", "--w", "16"]) == 3

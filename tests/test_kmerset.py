@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uhspath.core import check_budget, kmer_decode, kmer_encode
+from uhspath.core import BudgetError, check_budget, kmer_decode, kmer_encode
 from uhspath.kmerset import KmerSet, encode_lines, hits
 
 
@@ -117,6 +117,25 @@ class TestSerialization:
         assert raw[4] == 2
         assert int.from_bytes(raw[5:9], "little") == 3
         assert raw[9] == 0b10000001  # bit i = membership of code i, LSB first
+
+    def test_load_tells_formats_apart(self, tmp_path, monkeypatch):
+        s = KmerSet.from_texts(2, 4, ["0110", "1111"])
+        t, b = str(tmp_path / "s.txt"), str(tmp_path / "s.bin")
+        s.save_text(t)
+        s.save_binary(b)
+        calls = []
+        for name in ("load_text", "load_binary"):
+            real = getattr(KmerSet, name).__func__
+
+            def counting(cls, path, budget, _real=real, _name=name):
+                calls.append(_name)
+                return _real(cls, path, budget=budget)
+
+            monkeypatch.setattr(KmerSet, name, classmethod(counting))
+        assert KmerSet.load(t) == s and KmerSet.load(b) == s
+        assert calls == ["load_text", "load_binary"]
+        with pytest.raises(BudgetError):
+            KmerSet.load(b, budget=15)
 
     def test_bad_files(self, tmp_path):
         p = tmp_path / "x"

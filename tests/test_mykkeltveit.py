@@ -6,6 +6,7 @@ import pytest
 
 from uhspath import exactsign
 from uhspath.core import (
+    BudgetError,
     Kmer,
     canonical_rotation_code,
     kmer_encode,
@@ -17,8 +18,11 @@ from uhspath.exactsign import NEG, POS, ZERO
 from uhspath.kmerset import KmerSet
 from uhspath import mykkeltveit
 from uhspath.mykkeltveit import (
+    _even_quadruples,
     _member,
+    _odd_quadruples,
     _raw_embedding,
+    _run_ring,
     build_long_path,
     build_mykkeltveit_set,
     embedding,
@@ -115,6 +119,30 @@ def digit_loop_build(sigma, w):
         np.minimum(canon, c, out=canon)
     least[origin] = canon == origin
     return _member(im_sgn, im_sgn[rot], re_sgn, least)
+
+
+def code_ring(sigma, w, zero_tags, quads):
+    """Oracle for the ring walk: the codes of its vertices, by code
+    arithmetic.  A rotate appends the symbol that leaves, a write appends 0."""
+    n = sigma**w
+    lead = n // sigma
+    code = sum(sigma ** (w - 1 - t) for t in range(w) if t not in zero_tags)
+    code = code * sigma % n + code // lead
+    pointer = 1
+    trace = [code]
+    for quad in quads:
+        for tag in quad:
+            for _ in range((tag - pointer) % w or w):
+                code = code * sigma % n + code // lead
+                trace.append(code)
+            code = code * sigma % n
+            trace.append(code)
+            pointer = (tag + 1) % w
+    return trace
+
+
+def ring_program(w):
+    return ([w - 1], _even_quadruples(w)) if w % 2 == 0 else _odd_quadruples(w)
 
 
 class TestEmbedding:
@@ -235,7 +263,8 @@ class TestAgainstClassWalk:
 
     @pytest.mark.parametrize("w", [40, 41])
     def test_long_path_vertices(self, w):
-        for x in build_long_path(2, w).vertices:
+        for v in build_long_path(2, w).vertices:
+            x = kmer_encode(v, 2)
             assert in_mykkeltveit(x) is class_walk_member(x) is False
 
 
@@ -291,7 +320,7 @@ class TestLongPath:
 
     def test_vertices_distinct_and_outside_set(self):
         lp = build_long_path(2, 16)
-        codes = [k.code for k in lp.vertices]
+        codes = [kmer_encode(v, 2).code for v in lp.vertices]
         assert len(set(codes)) == len(codes)
         m = build_mykkeltveit_set(2, 16)
         assert not any(m.contains_code(c) for c in codes)
@@ -299,21 +328,44 @@ class TestLongPath:
     def test_edges_follow_graph(self):
         lp = build_long_path(2, 24)
         n = 2**24
-        for a, b in zip(lp.vertices, lp.vertices[1:]):
-            assert b.code in ((a.code * 2) % n, (a.code * 2 + 1) % n)
+        codes = [kmer_encode(v, 2).code for v in lp.vertices]
+        for a, b in zip(codes, codes[1:]):
+            assert b in ((a * 2) % n, (a * 2 + 1) % n)
 
-    def test_one_embedding_per_vertex(self, monkeypatch):
+    @pytest.mark.parametrize("sigma", [2, 3])
+    @pytest.mark.parametrize("w", [16, 24, 25, 31, 40, 100, 101])
+    def test_walk_windows_equal_code_ring(self, sigma, w):
+        zero_tags, quads = ring_program(w)
+        walk = _run_ring(w, zero_tags, quads)
+        windows = [walk[i : i + w] for i in range(len(walk) - w + 1)]
+        codes = code_ring(sigma, w, zero_tags, quads)
+        assert [tuple(x) for x in windows] == [Kmer(c, sigma, w).symbols() for c in codes]
+        if sigma == 2 or w == 24:
+            assert build_long_path(sigma, w).vertices == [str(Kmer(c, sigma, w)) for c in codes]
+
+    def test_one_signs_call_no_embedding(self, monkeypatch):
         calls = []
-        real = mykkeltveit.embedding
+        real = exactsign.signs
 
-        def counting(x):
-            calls.append(x.code)
-            return real(x)
+        def counting(digits, approx, sigma, part):
+            calls.append((np.shape(digits), np.shape(approx), part))
+            return real(digits, approx, sigma, part)
 
-        monkeypatch.setattr(mykkeltveit, "embedding", counting)
+        monkeypatch.setattr(exactsign, "signs", counting)
+        monkeypatch.setattr(mykkeltveit, "embedding", lambda x: pytest.fail("embedding called"))
         lp = build_long_path(2, 100)
         assert len(lp.vertices) == 1313
-        assert sorted(calls) == sorted(x.code for x in lp.vertices)
+        assert calls == [((1313, 100), (1313,), "im")]
+        assert all(pt.im_sign == POS for pt in lp.embeddings)
+
+    def test_budget_checked_before_walk(self, monkeypatch):
+        monkeypatch.setattr(mykkeltveit, "_run_ring", lambda *a: pytest.fail("walk built"))
+        with pytest.raises(BudgetError, match="long path needs 313 states, budget is 312"):
+            build_long_path(2, 101, budget=312)
+
+    def test_budget_counts_every_vertex(self):
+        assert len(build_long_path(2, 101, budget=313).vertices) == 313
+        assert len(build_long_path(2, 100, budget=1313).vertices) == 1313
 
     def test_small_w_rejected(self):
         with pytest.raises(ValueError):
