@@ -25,8 +25,8 @@ from .core import (
     render_symbols,
 )
 
-# Handlers import what they run: necklaces, debruijn-seq and mds-count load
-# neither numpy nor mpmath.
+# Handlers import what they run: necklaces, debruijn-seq, mds-count and fsm
+# load neither numpy nor mpmath.
 
 
 class _Parser(argparse.ArgumentParser):

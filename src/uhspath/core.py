@@ -2,8 +2,8 @@
 
 w-mers are packed as integers in base sigma with the first symbol as the
 most significant digit, so walking an edge of the de Bruijn graph is a
-single multiply-add: successor(x, a) has code (x.code * sigma + a) mod
-sigma**w.  The graph itself is never materialized.
+single multiply-add: the edge from x that appends symbol a ends at code
+(x.code * sigma + a) mod sigma**w.  The graph itself is never materialized.
 """
 
 from __future__ import annotations
@@ -14,6 +14,9 @@ from typing import Iterable, Iterator, Sequence
 
 ACGT = "ACGT"
 _ACGT_VALUES = {c: i for i, c in enumerate(ACGT)}
+# byte tables from symbol values to their text
+_DIGIT_BYTES = bytes.maketrans(bytes(range(10)), b"0123456789")
+_ACGT_BYTES = bytes.maketrans(bytes(range(4)), ACGT.encode())
 
 #: Default cap on the number of graph nodes an operation may touch.
 DEFAULT_NODE_BUDGET = 1 << 28
@@ -64,13 +67,16 @@ def parse_symbols(text: str | Sequence[int], sigma: int) -> tuple[int, ...]:
 
 
 def render_symbols(symbols: Iterable[int], sigma: int, acgt: bool = False) -> str:
+    """Text of a symbol sequence (ints, not an array): digits, or ACGT when asked."""
     if acgt:
         if sigma != 4:
             raise ValueError("ACGT rendering requires sigma=4")
-        return "".join(ACGT[s] for s in symbols)
-    if sigma > 10:
-        raise ValueError("digit text form only supports sigma <= 10")
-    return "".join(str(s) for s in symbols)
+        table = _ACGT_BYTES
+    else:
+        if sigma > 10:
+            raise ValueError("digit text form only supports sigma <= 10")
+        table = _DIGIT_BYTES
+    return bytes(symbols).translate(table).decode()
 
 
 @dataclass(frozen=True)
@@ -119,22 +125,8 @@ def kmer_decode(code: int, sigma: int, w: int) -> str:
     return Kmer(code, sigma, w).text()
 
 
-def successor(x: Kmer, a: int) -> Kmer:
-    """Out-neighbor of x in the de Bruijn graph: drop the first symbol, append a."""
-    if not 0 <= a < x.sigma:
-        raise ValueError(f"symbol {a} out of range for sigma={x.sigma}")
-    n = x.sigma**x.w
-    return Kmer((x.code * x.sigma + a) % n, x.sigma, x.w)
-
-
-def pure_rotation(x: Kmer) -> Kmer:
-    """Cyclic left rotation: the successor that stays inside x's conjugacy class."""
-    first = x.code // x.sigma ** (x.w - 1)
-    return successor(x, first)
-
-
 def rotation_code(code: int, sigma: int, w: int) -> int:
-    """pure_rotation on raw codes, for hot loops."""
+    """Cyclic left rotation of a code: the successor inside its conjugacy class."""
     n = sigma**w
     return (code * sigma + code // (n // sigma)) % n
 

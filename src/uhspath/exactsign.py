@@ -8,14 +8,13 @@ vanishes iff the w-th cyclotomic polynomial Phi_w divides the corresponding
 integer polynomial, and reduction mod Phi_w is an integer linear map (Lam &
 Leung 2000), so the test is one product of the digit rows with a cached
 w x phi(w) integer matrix.  Provably nonzero values have their sign pinned
-down with escalating mpmath precision.
+down with escalating mpmath precision; mpmath is imported only then.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 NEG, ZERO, POS = -1, 0, 1
@@ -23,8 +22,8 @@ NEG, ZERO, POS = -1, 0, 1
 #: doubles closer to zero than this, scaled by `guard`, are re-checked exactly
 FLOAT_GUARD = 2.0**-40
 
-#: sign of the conjugate term in each part's polynomial (0: no conjugate term)
-_CONJ = {"im": -1, "re": 1, "sum": 0}
+#: sign of the conjugate term in each part's polynomial
+_CONJ = {"im": -1, "re": 1}
 
 
 def _divide_monic(num: list[int], den: tuple[int, ...]) -> list[int]:
@@ -73,10 +72,10 @@ def _reduction_matrix(w: int, part: str, top: int) -> np.ndarray:
     """w x phi(w) integer matrix mapping a digit row to a remainder mod Phi_w.
 
     Row i is the remainder of digit i's term in the Im ('im': z^(i+1) -
-    z^-(i+1)), Re ('re': z^(i+1) + z^-(i+1)) or plain-sum ('sum': z^(i+1))
-    polynomial, exponents mod w, so `digits @ A` is the remainder of a whole
-    row and the row's part is zero iff it is.  int64 when rows of digits up
-    to `top` cannot overflow it, else Python ints (dtype=object).
+    z^-(i+1)) or Re ('re': z^(i+1) + z^-(i+1)) polynomial, exponents mod w,
+    so `digits @ A` is the remainder of a whole row and the row's part is
+    zero iff it is.  int64 when rows of digits up to `top` cannot overflow
+    it, else Python ints (dtype=object).
     """
     powers = _power_remainders(w)
     conj = _CONJ[part]
@@ -107,8 +106,11 @@ def guard(sigma: int, w: int) -> float:
     return FLOAT_GUARD * (sigma - 1) * w
 
 
-def _mp_sign(row: list[int], trig) -> int:
+def _mp_sign(row: list[int], part: str) -> int:
     # escalating precision for a part proven nonzero
+    import mpmath as mp
+
+    trig = mp.sin if part == "im" else mp.cos
     for dps in (60, 120, 240, 480):
         with mp.workdps(dps):
             step = 2 * mp.pi / len(row)
@@ -135,7 +137,6 @@ def signs(digits, approx, sigma: int, part: str):
     band = np.flatnonzero(np.abs(approx) <= guard(sigma, d.shape[-1]))
     zero = zero_rows(d[band], part)
     out[band[zero]] = ZERO
-    trig = mp.sin if part == "im" else mp.cos
     for i in band[~zero]:
-        out[i] = _mp_sign(d[i].tolist(), trig)
+        out[i] = _mp_sign(d[i].tolist(), part)
     return out

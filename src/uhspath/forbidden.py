@@ -17,11 +17,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import DEFAULT_NODE_BUDGET, check_alphabet, check_budget
-from .kmerset import KmerSet
+
+# The set builders import numpy and KmerSet themselves, so the survival FSM
+# (the fsm subcommand) runs without numpy.
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .kmerset import KmerSet
 
 
 def forbidden_d(sigma: int, w: int) -> int:
@@ -48,6 +53,8 @@ def min_w_for_construction(sigma: int) -> int:
 
 def _zero_runs(sigma: int, length: int):
     """(leading zeros, trailing zeros, longest zero run) of every length-symbol code."""
+    import numpy as np
+
     codes = np.arange(sigma**length)
     lead = np.zeros(codes.size, dtype=np.int64)
     run = np.zeros(codes.size, dtype=np.int64)
@@ -76,6 +83,8 @@ def _run_free(sigma: int, w: int, d: int) -> np.ndarray:
 
 def build_forbidden_set(sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET) -> KmerSet:
     """w-mers starting with 0^d, plus w-mers with no 0^d run (disjoint union)."""
+    from .kmerset import KmerSet
+
     d = forbidden_d(sigma, w)
     if d < 1:
         raise ValueError(
@@ -86,24 +95,6 @@ def build_forbidden_set(sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET) -
     mask = _run_free(sigma, w, d)
     mask[: sigma ** (w - d)] = True  # first d symbols all zero
     return KmerSet(sigma, w, mask)
-
-
-def forbidden_cardinality(sigma: int, w: int) -> int:
-    """|F| without materializing it: sigma^(w-d) + (run-avoiding count)."""
-    d = forbidden_d(sigma, w)
-    if d < 1:
-        raise ValueError("construction needs d >= 1")
-    avoiders = survival_probability(sigma, d, w) * sigma**w
-    assert avoiders.denominator == 1
-    return sigma ** (w - d) + int(avoiders)
-
-
-def remaining_path_bound(sigma: int, w: int) -> int:
-    """Exact longest remaining path, in vertices: w - d."""
-    d = forbidden_d(sigma, w)
-    if d < 1:
-        raise ValueError("construction needs d >= 1")
-    return w - d
 
 
 def remaining_path_witness(sigma: int, w: int) -> list[int]:
@@ -166,18 +157,9 @@ def survival_probability(sigma: int, d: int, w: int) -> Fraction:
     return Fraction(sum(counts), sigma**w)
 
 
-def char_poly_eval(sigma: int, d: int, lam: Fraction) -> Fraction:
-    """det(A_d - lam I), in closed form."""
-    mu = Fraction(1, sigma)
-    lam = Fraction(lam)
-    if lam == mu:
-        return (-mu) ** (d - 1) * ((1 - mu) * d - mu)
-    num = lam ** (d + 1) - lam**d - mu ** (d + 1) + mu**d
-    return (-1) ** d * num / (lam - mu)
-
-
 def _g(mu: Fraction, d: int, lam: Fraction) -> Fraction:
-    # same roots as the characteristic polynomial away from lam = mu
+    # the characteristic polynomial, times (lam - mu):
+    # det(A_d - lam I) = (-1)^d g(lam) / (lam - mu) for lam != mu
     return lam ** (d + 1) - lam**d - mu ** (d + 1) + mu**d
 
 

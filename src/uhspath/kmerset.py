@@ -14,7 +14,6 @@ from .core import (
     check_alphabet,
     check_budget,
     kmer_encode,
-    parse_symbols,
 )
 
 _BINARY_MAGIC = b"UHS1"
@@ -212,21 +211,3 @@ class KmerSet:
                 raise ValueError(f"truncated set file {path}")
             bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
         return cls(sigma, w, bits[:n].astype(bool))
-
-
-def hits(kset: KmerSet, s: str | list[int]) -> bool:
-    """True iff some w-window of s is a member of the set."""
-    syms = parse_symbols(s, kset.sigma)
-    if len(syms) < kset.w:
-        raise ValueError(f"string of length {len(syms)} is shorter than w={kset.w}")
-    n = kset.n
-    code = 0
-    for v in syms[: kset.w]:
-        code = code * kset.sigma + v
-    if kset.mask[code]:
-        return True
-    for v in syms[kset.w :]:
-        code = (code * kset.sigma + v) % n
-        if kset.mask[code]:
-            return True
-    return False

@@ -24,8 +24,6 @@ import numpy as np
 from . import exactsign
 from .core import (
     DEFAULT_NODE_BUDGET,
-    Kmer,
-    canonical_rotation_code,
     check_alphabet,
     check_budget,
     necklace_count,
@@ -47,16 +45,10 @@ class ComplexPoint:
 
 
 def _raw_embedding(symbols, w: int) -> complex:
+    """P of a symbol sequence, in doubles."""
     return sum(
         x * cmath.exp(2j * math.pi * (i + 1) / w) for i, x in enumerate(symbols) if x
     )
-
-
-def embedding(x: Kmer) -> ComplexPoint:
-    """P(x) = sum x_i r^(i+1), with a certified sign for the imaginary part."""
-    syms = x.symbols()
-    p = _raw_embedding(syms, x.w)
-    return ComplexPoint(p.real, p.imag, exactsign.signs(syms, p.imag, x.sigma, "im"))
 
 
 # -- the set -----------------------------------------------------------------
@@ -149,23 +141,6 @@ def build_mykkeltveit_set(
     return kset
 
 
-def in_mykkeltveit(x: Kmer) -> bool:
-    """Set membership from the certified signs of P(x) and P(R(x)), no bitmap.
-
-    The least rotation of x's class is computed only when P(x) = 0.  The
-    keep rule never holds where Im P(x) > 0, whatever the other signs, so a
-    certified Im P(x) > 0 alone places x outside the set.
-    """
-    pt = embedding(x)
-    rot = Kmer(rotation_code(x.code, x.sigma, x.w), x.sigma, x.w)
-    if pt.im_sign == ZERO:
-        re = exactsign.signs(x.symbols(), pt.re, x.sigma, "re")
-    else:  # the rule ignores Re off the real axis
-        re = NEG if pt.re < 0 else POS
-    least = re == ZERO and canonical_rotation_code(x.code, x.sigma, x.w) == x.code
-    return bool(_member(pt.im_sign, embedding(rot).im_sign, re, least))
-
-
 # -- long avoiding path ------------------------------------------------------
 
 
@@ -239,7 +214,7 @@ def build_long_path(sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET) -> Lo
     Follows the ring program (`_run_ring`).  The vertices are the w-windows
     of one symbol string, so every step is a de Bruijn edge, and one
     `exactsign.signs` call certifies Im(P) > 0 for all of them, which keeps
-    them out of the set (see `in_mykkeltveit`).
+    them out of the set (the keep rule `_member` never holds there).
     """
     check_alphabet(sigma)
     if w % 2 == 0:

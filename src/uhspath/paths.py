@@ -173,11 +173,6 @@ def is_uhs(kset: KmerSet, l: int, budget: int = DEFAULT_NODE_BUDGET) -> bool:
     return report.kind == ACYCLIC and report.longest_vertices < l
 
 
-def string_length_for_walk(l: int, w: int) -> int:
-    """Symbols covered by a walk of l vertices: L = l + w - 1."""
-    return l + w - 1
-
-
 def verify_witness(kset: KmerSet, report: PathReport) -> bool:
     """Re-verify a PathReport witness: edges valid, vertices outside the set."""
     sigma, w = kset.sigma, kset.w

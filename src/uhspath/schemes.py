@@ -2,8 +2,8 @@
 
 A scheme picks one position in every window of a string.  Window length is
 always `w` positions; for minimizer kinds a position holds a k-mer, so a
-window spans w + k - 1 symbols.  `select` is the scalar definition on one
-window; particular and sampled density both count the positions marked in
+window spans w + k - 1 symbols; a minimizer picks its leftmost minimum-rank
+k-mer.  Particular and sampled density both count the positions marked in
 the bitmap of one streaming kernel, `_selected`, which reads the string
 piece by piece (the seeded sample is drawn piece by piece too), takes each
 window's offset from the table or its leftmost minimum rank
@@ -132,32 +132,6 @@ def build_compatible_minimizer(
 
 
 # -- evaluation ------------------------------------------------------------
-
-
-def select(scheme: SelectionScheme, window: str | Sequence[int]) -> int:
-    """Selected position for one window; minimizers pick the leftmost minimum k-mer."""
-    syms = parse_symbols(window, scheme.sigma)
-    if len(syms) != scheme.window_symbols:
-        raise ValueError(
-            f"window must have {scheme.window_symbols} symbols, got {len(syms)}"
-        )
-    sigma = scheme.sigma
-    if scheme.kind == TABLE:
-        code = 0
-        for v in syms:
-            code = code * sigma + v
-        return int(scheme.table[code])
-    kk = sigma**scheme.k
-    code = 0
-    for v in syms[: scheme.k]:
-        code = code * sigma + v
-    best_rank, best_pos = int(scheme.rank[code]), 0
-    for i, v in enumerate(syms[scheme.k :], start=1):
-        code = (code * sigma + v) % kk
-        r = int(scheme.rank[code])
-        if r < best_rank:
-            best_rank, best_pos = r, i
-    return best_pos
 
 
 def digit_slice(values: np.ndarray, sigma: int, lead: int, total: int) -> np.ndarray:
@@ -364,17 +338,6 @@ def estimate_density(
 # -- file formats ------------------------------------------------------------
 
 
-def save_scheme_table(scheme: SelectionScheme, path: str, budget: int = DEFAULT_NODE_BUDGET) -> None:
-    from .core import Kmer
-
-    fv = scheme_values(scheme, budget=budget)
-    ws = scheme.window_symbols
-    with open(path, "w") as fh:
-        fh.write(f"scheme sigma={scheme.sigma} w={ws}\n")
-        for code, p in enumerate(fv):
-            fh.write(f"{Kmer(code, scheme.sigma, ws).text()} {int(p)}\n")
-
-
 def load_scheme_table(path: str, budget: int = DEFAULT_NODE_BUDGET) -> SelectionScheme:
     with open(path) as fh:
         header = fh.readline().split()
@@ -402,18 +365,6 @@ def load_scheme_table(path: str, budget: int = DEFAULT_NODE_BUDGET) -> Selection
     if (table < 0).any():
         raise ValueError(f"scheme file {path} does not cover all windows")
     return table_scheme(sigma, w, table)
-
-
-def save_minimizer_order(scheme: SelectionScheme, path: str) -> None:
-    from .core import Kmer
-
-    if scheme.rank is None:
-        raise ValueError("scheme has no k-mer order")
-    order = np.argsort(scheme.rank, kind="stable")
-    with open(path, "w") as fh:
-        for code in order:
-            fh.write(Kmer(int(code), scheme.sigma, scheme.k).text())
-            fh.write("\n")
 
 
 def load_minimizer_order(path: str, sigma: int, w: int) -> SelectionScheme:

@@ -1,4 +1,13 @@
 import pytest
+from hypothesis import settings
+
+# Every @given test runs the same examples on every run: examples derive from
+# the test itself, nothing is replayed from a database, and slow examples are
+# not failures.
+settings.register_profile(
+    "uhspath", derandomize=True, database=None, deadline=None, max_examples=50
+)
+settings.load_profile("uhspath")
 
 # filled in by the acceptance tests; shown after the run so capture can't eat it
 acceptance_lines = []

@@ -1,0 +1,513 @@
+"""Reference implementations that the tests compare the library's kernels with.
+
+Each kernel has one oracle here: a slow, direct reading of its definition.
+
+- peel (`paths.longest_remaining_path`, `path_labels`): `dfs_longest`;
+- selection (`schemes._selected`, `scheme_values`, `is_forward`, the
+  densities): `select` on every window, through `picks` and `estimate`;
+- context sets: `charged_contexts`, the charged windows of a cyclic de Bruijn
+  sequence;
+- the compatible minimizer's rank: `compatible_rank`;
+- the forbidden-run set and its survival count: `zero_runs`;
+- the Mykkeltveit set: `class_pick`, one conjugacy class at a time;
+- the long path's ring walk: `code_ring`;
+- the bulk set-file parser: `per_line_load_text`;
+- FKM necklace generation: `recursive_fkm`; the necklace count: `orbit_count`;
+- the mpmath sign tier: `mp_im` and `mp_re`; the cyclotomic zero test:
+  `reduce_mod_cyclotomic` of a `part_polynomial`.
+
+Two kernels keep a second oracle for sizes the first cannot reach in test
+time: `digit_loop_build` (the Mykkeltveit mask up to sigma = 2, w = 20) and
+`matvec_survival` (survival at w = 2000).  `successor`, `pure_rotation`,
+`embedding` and `hits` are the per-word definitions the oracles and tests
+build on.  The Hypothesis strategies at the end draw the properties' inputs.
+"""
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+
+import mpmath as mp
+import numpy as np
+from hypothesis import strategies as st
+
+from uhspath import exactsign
+from uhspath.core import (
+    Kmer,
+    canonical_rotation_code,
+    check_budget,
+    debruijn_sequence,
+    kmer_encode,
+    parse_symbols,
+    rotation_code,
+)
+from uhspath.exactsign import NEG, POS, ZERO, cyclotomic_coeffs
+from uhspath.forbidden import fsm_matrix
+from uhspath.kmerset import KmerSet
+from uhspath.mykkeltveit import ComplexPoint, _member, _raw_embedding, build_mykkeltveit_set
+from uhspath.paths import ACYCLIC, CYCLIC
+from uhspath.schemes import (
+    EXPECTED_ESTIMATE,
+    TABLE,
+    DensityResult,
+    _BATCHES,
+    build_compatible_minimizer,
+    lexicographic_minimizer,
+    minimizer_scheme,
+    scheme_values,
+    table_scheme,
+)
+
+# -- per-word definitions ------------------------------------------------------
+
+
+def successor(x, a):
+    """Out-neighbor of x in the de Bruijn graph: drop the first symbol, append a."""
+    if not 0 <= a < x.sigma:
+        raise ValueError(f"symbol {a} out of range for sigma={x.sigma}")
+    return Kmer((x.code * x.sigma + a) % x.sigma**x.w, x.sigma, x.w)
+
+
+def pure_rotation(x):
+    """Cyclic left rotation: the successor that stays inside x's conjugacy class."""
+    return successor(x, x.code // x.sigma ** (x.w - 1))
+
+
+def embedding(x):
+    """P(x) = sum x_i r^(i+1), with a certified sign for the imaginary part."""
+    syms = x.symbols()
+    p = _raw_embedding(syms, x.w)
+    return ComplexPoint(p.real, p.imag, exactsign.signs(syms, p.imag, x.sigma, "im"))
+
+
+def hits(kset, s):
+    """True iff some w-window of s is a member of the set."""
+    syms = parse_symbols(s, kset.sigma)
+    if len(syms) < kset.w:
+        raise ValueError(f"string of length {len(syms)} is shorter than w={kset.w}")
+    return any(
+        kset.contains_code(kmer_encode(syms[i : i + kset.w], kset.sigma).code)
+        for i in range(len(syms) - kset.w + 1)
+    )
+
+
+# -- peel ----------------------------------------------------------------------
+
+
+def dfs_longest(kset):
+    """(kind, labels, witness codes) of the graph left after removing the set.
+
+    An iterative depth-first search colours nodes: reaching a node still on
+    the stack closes a cycle (CYCLIC, no labels, no witness).  Otherwise
+    labels[v] is the number of vertices on the longest path from v, set
+    when v leaves the stack (0 for members), and the witness follows the
+    production tie-break: the least code with the largest label, then the
+    least successor symbol whose label is one less.
+    """
+    sigma, n = kset.sigma, kset.n
+    member = kset.mask.tolist()
+    state = [0] * n  # 0 unseen, 1 on the stack, 2 done
+    labels = [0] * n
+    for root in range(n):
+        if member[root] or state[root]:
+            continue
+        state[root] = 1
+        stack = [(root, 0)]  # node, next symbol to try
+        while stack:
+            v, a = stack[-1]
+            if a < sigma:
+                stack[-1] = (v, a + 1)
+                u = (v * sigma + a) % n
+                if member[u] or state[u] == 2:
+                    continue
+                if state[u] == 1:
+                    return CYCLIC, None, []
+                state[u] = 1
+                stack.append((u, 0))
+            else:
+                stack.pop()
+                state[v] = 2
+                labels[v] = 1 + max(labels[(v * sigma + b) % n] for b in range(sigma))
+    longest = max(labels, default=0)
+    if longest == 0:
+        return ACYCLIC, labels, []
+    v = labels.index(longest)
+    path = [v]
+    while labels[v] > 1:
+        v = next(u for u in range((v * sigma) % n, (v * sigma) % n + sigma) if labels[u] == labels[v] - 1)
+        path.append(v)
+    return ACYCLIC, labels, path
+
+
+# -- selection -----------------------------------------------------------------
+
+
+def select(scheme, window):
+    """Selected position for one window; minimizers pick the leftmost minimum k-mer."""
+    syms = parse_symbols(window, scheme.sigma)
+    if len(syms) != scheme.window_symbols:
+        raise ValueError(f"window must have {scheme.window_symbols} symbols, got {len(syms)}")
+    sigma = scheme.sigma
+    if scheme.kind == TABLE:
+        code = 0
+        for v in syms:
+            code = code * sigma + v
+        return int(scheme.table[code])
+    kk = sigma**scheme.k
+    code = 0
+    for v in syms[: scheme.k]:
+        code = code * sigma + v
+    best_rank, best_pos = int(scheme.rank[code]), 0
+    for i, v in enumerate(syms[scheme.k :], start=1):
+        code = (code * sigma + v) % kk
+        r = int(scheme.rank[code])
+        if r < best_rank:
+            best_rank, best_pos = r, i
+    return best_pos
+
+
+def picks(scheme, syms, cyclic):
+    """Position picked by each window of syms: rolls a window along the
+    string and asks `select`; cyclic strings wrap windows and positions."""
+    syms = [int(s) for s in syms]
+    ws, length = scheme.window_symbols, len(syms)
+    if cyclic:
+        work, count = syms + syms[: ws - 1], length
+    else:
+        work, count = syms, length - ws + 1
+    out = [i + select(scheme, work[i : i + ws]) for i in range(count)]
+    return [p % length for p in out] if cyclic else out
+
+
+def selected_mask(scheme, syms, cyclic):
+    seen = np.zeros(len(syms), dtype=bool)
+    seen[picks(scheme, syms, cyclic)] = True
+    return seen
+
+
+def estimate(scheme, sample_symbols, seed):
+    """The sampled density from one draw of the whole sample, counted with `select`."""
+    s = np.random.default_rng(seed).integers(0, scheme.sigma, size=sample_symbols, dtype=np.int64)
+    seen = selected_mask(scheme, s.tolist(), cyclic=False)
+    count = int(np.count_nonzero(seen))
+    span = scheme.window_symbols if scheme.kind == TABLE else scheme.k
+    denom = sample_symbols - span + 1
+    batches = [b.mean() for b in np.array_split(seen, _BATCHES)]
+    stderr = float(np.std(batches, ddof=1) / np.sqrt(_BATCHES))
+    return DensityResult(count, denom, Fraction(count, denom), EXPECTED_ESTIMATE, stderr)
+
+
+def charged_contexts(scheme, order):
+    """(mask over the order-symbol contexts, charged count) on the cyclic de
+    Bruijn sequence of that order.
+
+    Every context occurs once in the sequence, as the windows ending at some
+    window i.  The context is a member iff window i is charged: its pick is
+    none of the picks of the windows before it in the context.  The charged
+    count is the number of distinct picks.
+    """
+    sigma = scheme.sigma
+    seq = parse_symbols(debruijn_sequence(sigma, order, cyclic=True), sigma)
+    n = len(seq)
+    p = picks(scheme, seq, cyclic=True)
+    back = order - scheme.window_symbols  # windows before the last one
+    mask = np.zeros(n, dtype=bool)
+    for i in range(n):
+        start = i - back
+        code = kmer_encode([seq[(start + t) % n] for t in range(order)], sigma).code
+        mask[code] = p[i] not in {p[(i - j) % n] for j in range(1, back + 1)}
+    return mask, len(set(p))
+
+
+def compatible_rank(mask):
+    """Rank of each k-mer: members of the set first, lexicographic within."""
+    order = sorted(range(mask.size), key=lambda c: (not mask[c], c))
+    rank = np.empty(mask.size, dtype=np.int64)
+    rank[order] = np.arange(mask.size)
+    return rank
+
+
+# -- forbidden-run set -----------------------------------------------------------
+
+
+def zero_runs(sigma, w):
+    """(leading zero run, longest zero run) of every w-mer code, one digit pass per symbol.
+
+    The forbidden set for d is `(lead >= d) | (longest < d)`, and the survival
+    count of the zero-run chain is `(longest < d).sum()`.
+    """
+    codes = np.arange(sigma**w, dtype=np.int64)
+    run = np.zeros(codes.size, dtype=np.int8)
+    lead = np.zeros(codes.size, dtype=np.int8)
+    longest = np.zeros(codes.size, dtype=np.int8)
+    for i in range(w):
+        run = np.where((codes // sigma ** (w - 1 - i)) % sigma == 0, run + 1, 0).astype(np.int8)
+        lead += run == i + 1
+        np.maximum(longest, run, out=longest)
+    return lead, longest
+
+
+def matvec_survival(sigma, d, w):
+    """Second survival oracle: w exact mat-vecs of the FSM matrix from the
+    empty-run state, summed; it reaches the w = 2000 of the fsm benchmark."""
+    rows = fsm_matrix(sigma, d)
+    p = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(d))
+    for _ in range(w):
+        p = tuple(sum(r * x for r, x in zip(row, p)) for row in rows)
+    return sum(p, Fraction(0))
+
+
+# -- Mykkeltveit set -------------------------------------------------------------
+
+
+def class_pick(rep_code, sigma, w):
+    """The member of rep's conjugacy class the set keeps, found by walking
+    the whole class (about w embeddings per class)."""
+    members = [rep_code]
+    c = rotation_code(rep_code, sigma, w)
+    while c != rep_code:
+        members.append(c)
+        c = rotation_code(c, sigma, w)
+    rep_syms = Kmer(members[0], sigma, w).symbols()
+    if exactsign.zero_rows(rep_syms, "im") and exactsign.zero_rows(rep_syms, "re"):
+        return min(members)
+    th = exactsign.guard(sigma, w)
+    ims = []
+    for mc in members:
+        syms = Kmer(mc, sigma, w).symbols()
+        p = _raw_embedding(syms, w)
+        if abs(p.imag) > th:
+            s = POS if p.imag > 0 else NEG
+        else:
+            s = exactsign.signs(syms, p.imag, sigma, "im")
+        if s == ZERO:
+            rs = exactsign.signs(syms, p.real, sigma, "re")
+            if rs == NEG:
+                return mc
+        ims.append(s)
+    k = len(members)
+    kept = [members[j] for j in range(k) if ims[j] == NEG and ims[(j + 1) % k] == POS]
+    assert len(kept) == 1, f"class of {rep_code} keeps {len(kept)} members"
+    return kept[0]
+
+
+def class_walk_mask(sigma, w):
+    """The Mykkeltveit mask from `class_pick` on every conjugacy class."""
+    mask = np.zeros(sigma**w, dtype=bool)
+    for code in range(sigma**w):
+        if canonical_rotation_code(code, sigma, w) == code:
+            mask[class_pick(code, sigma, w)] = True
+    return mask
+
+
+def digit_loop_build(sigma, w):
+    """Second Mykkeltveit oracle: the mask from w int64 digit passes over all
+    codes, each borderline sign certified one code at a time; it reaches
+    sizes (sigma = 2, w = 20) where the class walk is too slow."""
+    n = sigma**w
+    codes = np.arange(n, dtype=np.int64)
+    im = np.zeros(n)
+    re = np.zeros(n)
+    for i in range(w):
+        digit = (codes // sigma ** (w - 1 - i)) % sigma
+        ang = 2 * math.pi * (i + 1) / w
+        im += digit * math.sin(ang)
+        re += digit * math.cos(ang)
+    th = exactsign.guard(sigma, w)
+
+    def certify(sgn, vals, borderline, part):
+        for c in np.flatnonzero(borderline):
+            syms = Kmer(int(c), sigma, w).symbols()
+            sgn[c] = exactsign.signs(syms, float(vals[c]), sigma, part)
+
+    im_sgn = np.sign(im).astype(np.int8)
+    certify(im_sgn, im, np.abs(im) <= th, "im")
+    re_sgn = np.sign(re).astype(np.int8)
+    certify(re_sgn, re, (np.abs(re) <= th) & (im_sgn == 0), "re")
+    rot = (codes * sigma + codes // (n // sigma)) % n
+    least = (im_sgn == ZERO) & (re_sgn == ZERO)
+    c = origin = np.flatnonzero(least)
+    canon = origin.copy()
+    for _ in range(w - 1):
+        c = (c * sigma + c // (n // sigma)) % n
+        np.minimum(canon, c, out=canon)
+    least[origin] = canon == origin
+    return _member(im_sgn, im_sgn[rot], re_sgn, least)
+
+
+def code_ring(sigma, w, zero_tags, quads):
+    """The ring walk's vertex codes, by code arithmetic.  A rotate appends
+    the symbol that leaves, a write appends 0."""
+    n = sigma**w
+    lead = n // sigma
+    code = sum(sigma ** (w - 1 - t) for t in range(w) if t not in zero_tags)
+    code = code * sigma % n + code // lead
+    pointer = 1
+    trace = [code]
+    for quad in quads:
+        for tag in quad:
+            for _ in range((tag - pointer) % w or w):
+                code = code * sigma % n + code // lead
+                trace.append(code)
+            code = code * sigma % n
+            trace.append(code)
+            pointer = (tag + 1) % w
+    return trace
+
+
+# -- set files, necklaces, signs ---------------------------------------------------
+
+
+def per_line_load_text(path, budget=1 << 28):
+    """The set file read one line at a time with kmer_encode."""
+    with open(path) as fh:
+        header = fh.readline().split()
+        if len(header) != 3 or header[0] != "uhs":
+            raise ValueError(f"bad set file header in {path}")
+        sigma = int(header[1].removeprefix("sigma="))
+        w = int(header[2].removeprefix("w="))
+        check_budget(sigma**w, budget, "KmerSet")
+        mask = np.zeros(sigma**w, dtype=bool)
+        for line in fh:
+            line = line.strip()
+            if line:
+                k = kmer_encode(line, sigma)
+                if k.w != w:
+                    raise ValueError(f"k-mer {line!r} has wrong length, expected {w}")
+                mask[k.code] = True
+    return KmerSet(sigma, w, mask)
+
+
+def orbit_count(sigma, w):
+    """Number of conjugacy classes, by the least rotation of every code."""
+    return len({canonical_rotation_code(code, sigma, w) for code in range(sigma**w)})
+
+
+def recursive_fkm(sigma, n, lyndon):
+    """The recursive FKM generator, a chain of n nested generators."""
+    a = [0] * (n + 1)
+
+    def gen(t, p):
+        if t > n:
+            if n % p == 0:
+                yield (tuple(a[1 : p + 1]) if lyndon else tuple(a[1 : n + 1])), p
+        else:
+            a[t] = a[t - p]
+            yield from gen(t + 1, p)
+            for j in range(a[t - p] + 1, sigma):
+                a[t] = j
+                yield from gen(t + 1, t)
+
+    return gen(1, 1)
+
+
+def mp_im(symbols, dps=200):
+    with mp.workdps(dps):
+        w = len(symbols)
+        return mp.fsum(x * mp.sin(2 * mp.pi * (i + 1) / w) for i, x in enumerate(symbols))
+
+
+def mp_re(symbols, dps=200):
+    with mp.workdps(dps):
+        w = len(symbols)
+        return mp.fsum(x * mp.cos(2 * mp.pi * (i + 1) / w) for i, x in enumerate(symbols))
+
+
+def part_polynomial(symbols, part):
+    """sum x_i (z^(i+1) + c z^-(i+1)), exponents mod w; c = -1 (im) or +1 (re)."""
+    w = len(symbols)
+    coef = [0] * w
+    for i, x in enumerate(symbols):
+        coef[(i + 1) % w] += x
+        coef[(w - i - 1) % w] += (-1 if part == "im" else 1) * x
+    return coef
+
+
+def reduce_mod_cyclotomic(coef, w):
+    """True iff the integer polynomial (ascending coef) is divisible by
+    Phi_w, by long division."""
+    phi = cyclotomic_coeffs(w)
+    deg = len(phi) - 1
+    rem = list(coef)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c = rem[i]
+        if c:
+            for j, p in enumerate(phi):
+                rem[i - deg + j] -= c * p
+    return all(v == 0 for v in rem[:deg])
+
+
+# -- Hypothesis strategies ---------------------------------------------------------
+
+
+def widths(sigma, max_nodes, low=1):
+    """Every w >= low with sigma^w <= max_nodes."""
+    high = low
+    while sigma ** (high + 1) <= max_nodes:
+        high += 1
+    return st.integers(low, high)
+
+
+@lru_cache(maxsize=None)
+def _mykkeltveit_mask(sigma, w):
+    return build_mykkeltveit_set(sigma, w).mask
+
+
+def _bits(draw, n):
+    """n random bits: drawn one by one for small n, else from a drawn seed and density."""
+    if n <= 64:
+        return np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    density = draw(st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n) < density
+
+
+@st.composite
+def kmer_sets(draw, sigma, max_nodes=1 << 12):
+    """A random set, or a random superset of the Mykkeltveit set, which is
+    decycling and so gives ACYCLIC graphs with long paths."""
+    w = draw(widths(sigma, max_nodes))
+    mask = _bits(draw, sigma**w)
+    if w >= 2 and draw(st.booleans()):
+        mask = _mykkeltveit_mask(sigma, w) | (mask & _bits(draw, sigma**w))
+    return KmerSet(sigma, w, mask)
+
+
+def _permutation(draw, n):
+    return np.array(draw(st.permutations(range(n))), dtype=np.int64)
+
+
+@st.composite
+def selection_schemes(draw, sigma, span=None, max_codes=None):
+    """Tables (mostly not forward), forward tables, lexicographic, random-order
+    and compatible minimizers, and w = 1 schemes.
+
+    With `span` and `max_codes`, sigma ** span(k, w) <= max_codes: the check
+    that draws the scheme enumerates span(k, w) symbols.
+    """
+
+    def fits(k, w):
+        return max_codes is None or sigma ** span(k, w) <= max_codes
+
+    kind = draw(st.sampled_from(["table", "forward_table", "lexicographic", "order", "compatible"]))
+    if kind == "table":
+        w = draw(st.sampled_from([w for w in range(1, 7) if sigma**w <= 64 and fits(1, w)]))
+        table = draw(st.lists(st.integers(0, w - 1), min_size=sigma**w, max_size=sigma**w))
+        return table_scheme(sigma, w, table)
+    k = draw(st.sampled_from([k for k in range(1, 4) if sigma**k <= 64 and fits(k, 1)]))
+    w = draw(st.sampled_from([w for w in range(1, 6) if fits(k, w)]))
+    if kind == "lexicographic":
+        return lexicographic_minimizer(sigma, k, w)
+    if kind == "compatible":
+        U = _bits(draw, sigma**k)
+        if not U.any():
+            U[draw(st.integers(0, sigma**k - 1))] = True
+        return build_compatible_minimizer(KmerSet(sigma, k, U), w)
+    mini = minimizer_scheme(sigma, k, w, _permutation(draw, sigma**k))
+    ws = mini.window_symbols
+    if kind == "forward_table" and sigma**ws <= 1 << 8 and fits(1, ws):
+        return table_scheme(sigma, ws, scheme_values(mini))
+    return mini
+
+
+def symbol_lists(sigma, min_size, max_extra=40):
+    return st.lists(st.integers(0, sigma - 1), min_size=min_size, max_size=min_size + max_extra)

@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from oracles import charged_contexts, select, selection_schemes
 from uhspath.contexts import (
     build_context_set_forward,
     build_context_set_local,
     forward_context_symbols,
     local_context_symbols,
 )
-from uhspath.core import parse_symbols
 from uhspath.paths import is_uhs, longest_remaining_path
 from uhspath.schemes import (
     TABLE,
@@ -19,50 +20,8 @@ from uhspath.schemes import (
     lexicographic_minimizer,
     minimizer_scheme,
     scheme_values,
-    select,
     table_scheme,
 )
-from test_schemes import oracle_schemes
-
-
-def brute_local_contexts(scheme):
-    """Direct predicate: the last window picks a fresh position."""
-    sigma, w = scheme.sigma, scheme.w
-    W = local_context_symbols(scheme)
-    ws = scheme.window_symbols
-    members = []
-    for code in range(sigma**W):
-        syms = [(code // sigma ** (W - 1 - i)) % sigma for i in range(W)]
-        last = (w - 1) + select(scheme, syms[w - 1 : w - 1 + ws])
-        if all(last != i + select(scheme, syms[i : i + ws]) for i in range(w - 1)):
-            members.append(code)
-    return set(members)
-
-
-def code_array_local(scheme):
-    """Oracle: local contexts, slicing window codes out of an array of all context codes."""
-    sigma = scheme.sigma
-    ws = scheme.window_symbols
-    W = local_context_symbols(scheme)
-    m = sigma**W
-    fv = scheme_values(scheme)
-    codes = np.arange(m, dtype=np.int64)
-    win = (codes // sigma ** (W - (scheme.w - 1) - ws)) % sigma**ws
-    last_pick = (scheme.w - 1) + fv[win]
-    member = np.ones(m, dtype=bool)
-    for i in range(scheme.w - 1):
-        win = (codes // sigma ** (W - i - ws)) % sigma**ws
-        member &= last_pick != i + fv[win]
-    return member
-
-
-def code_array_forward(scheme):
-    """Oracle: forward contexts over an array of all (window_symbols+1)-symbol codes."""
-    sigma = scheme.sigma
-    ws = scheme.window_symbols
-    fv = scheme_values(scheme)
-    codes = np.arange(sigma ** (ws + 1), dtype=np.int64)
-    return fv[codes % sigma**ws] + 1 != fv[codes // sigma]
 
 
 def traced_bytes_per_code(build, scheme, order):
@@ -76,21 +35,22 @@ def traced_bytes_per_code(build, scheme, order):
     return peak / scheme.sigma**order
 
 
-class TestCodeArrayOracles:
+class TestAgainstCharged:
     @pytest.mark.parametrize("sigma", [2, 3, 4])
-    def test_masks_equal(self, sigma):
-        rng = np.random.default_rng(50 + sigma)
-        kinds = set()
-        for sch in oracle_schemes(rng, sigma):
-            if sigma ** local_context_symbols(sch) <= 1 << 16:
-                local = build_context_set_local(sch).kset.mask
-                assert np.array_equal(local, code_array_local(sch))
-                kinds.add((sch.kind, "local"))
-            if sch.kind != TABLE or is_forward(sch):
-                forward = build_context_set_forward(sch).kset.mask
-                assert np.array_equal(forward, code_array_forward(sch))
-                kinds.add((sch.kind, "forward"))
-        assert len(kinds) == 6
+    @given(data=st.data())
+    def test_masks_equal(self, sigma, data):
+        # each context set, and its size, against the charged windows of the
+        # cyclic de Bruijn sequence of its order
+        sch = data.draw(selection_schemes(sigma, lambda k, w: 2 * w + k - 2, 1 << 10))
+        cs = build_context_set_local(sch)
+        mask, charged = charged_contexts(sch, local_context_symbols(sch))
+        assert cs.kset.mask.tolist() == mask.tolist()
+        assert cs.kset.cardinality == charged
+        if sch.kind != TABLE or is_forward(sch):
+            cs = build_context_set_forward(sch)
+            mask, charged = charged_contexts(sch, forward_context_symbols(sch))
+            assert cs.kset.mask.tolist() == mask.tolist()
+            assert cs.kset.cardinality == charged
 
 
 class TestBytesPerCode:
@@ -129,8 +89,8 @@ class TestLocal:
         rng = np.random.default_rng(w)
         for _ in range(20):
             sch = table_scheme(2, w, rng.integers(0, w, size=2**w))
-            cs = build_context_set_local(sch)
-            assert set(cs.kset.codes().tolist()) == brute_local_contexts(sch)
+            mask, _ = charged_contexts(sch, local_context_symbols(sch))
+            assert np.array_equal(build_context_set_local(sch).kset.mask, mask)
 
     def test_relative_size_is_expected_density(self):
         rng = np.random.default_rng(42)

@@ -1,9 +1,10 @@
-import math
 
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import orbit_count, pure_rotation, recursive_fkm, successor
 from uhspath.core import (
+    ACGT,
     BudgetError,
     Kmer,
     _fkm,
@@ -16,36 +17,8 @@ from uhspath.core import (
     necklace_count,
     necklaces,
     parse_symbols,
-    pure_rotation,
     render_symbols,
-    successor,
 )
-
-
-def recursive_fkm(sigma, n, lyndon):
-    """Oracle: the recursive FKM generator, a chain of n nested generators."""
-    a = [0] * (n + 1)
-
-    def gen(t, p):
-        if t > n:
-            if n % p == 0:
-                yield (tuple(a[1 : p + 1]) if lyndon else tuple(a[1 : n + 1])), p
-        else:
-            a[t] = a[t - p]
-            yield from gen(t + 1, p)
-            for j in range(a[t - p] + 1, sigma):
-                a[t] = j
-                yield from gen(t + 1, t)
-
-    return gen(1, 1)
-
-
-def brute_necklace_count(sigma, w):
-    """Independent oracle: count rotation orbits by canonicalizing every code."""
-    seen = set()
-    for code in range(sigma**w):
-        seen.add(canonical_rotation_code(code, sigma, w))
-    return len(seen)
 
 
 class TestEncoding:
@@ -70,6 +43,21 @@ class TestEncoding:
         assert render_symbols(parse_symbols("GATTACA", 4), 4, acgt=True) == "GATTACA"
         with pytest.raises(ValueError):
             check_alphabet(1)
+
+    @given(st.data())
+    def test_render_equals_str_join(self, data):
+        # the byte table against one str() per digit, and ACGT by index
+        syms = data.draw(st.lists(st.integers(0, 9), max_size=40))
+        sigma = data.draw(st.integers(max(2, max(syms, default=0) + 1), 10))
+        assert render_symbols(syms, sigma) == "".join(str(s) for s in syms)
+        acgt = [s % 4 for s in syms]
+        assert render_symbols(acgt, 4, acgt=True) == "".join(ACGT[s] for s in acgt)
+
+    def test_render_rejects_alphabets(self):
+        with pytest.raises(ValueError, match="digit text form only supports sigma <= 10"):
+            render_symbols([1, 0], 11)
+        with pytest.raises(ValueError, match="ACGT rendering requires sigma=4"):
+            render_symbols([1, 0], 2, acgt=True)
 
     @given(st.integers(2, 6), st.lists(st.integers(0, 5), min_size=1, max_size=12))
     def test_roundtrip(self, sigma, syms):
@@ -110,7 +98,7 @@ class TestNecklaces:
 
     @pytest.mark.parametrize("sigma,w", [(2, w) for w in range(1, 11)] + [(3, 5), (4, 4)])
     def test_formula_matches_brute_orbits(self, sigma, w):
-        assert necklace_count(sigma, w) == brute_necklace_count(sigma, w)
+        assert necklace_count(sigma, w) == orbit_count(sigma, w)
 
     def test_fkm_matches_canonical_reps(self):
         for sigma, w in [(2, 6), (3, 4)]:

@@ -8,6 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from oracles import mp_im, mp_re, part_polynomial, reduce_mod_cyclotomic
 from uhspath.exactsign import (
     NEG,
     POS,
@@ -22,15 +23,20 @@ from uhspath.exactsign import (
 def assert_cli_skips_modules(argv, modules):
     """Run the CLI on argv in a fresh interpreter: it must exit 0 without
     having imported any of `modules`."""
-    import uhspath
-
-    src = os.path.dirname(os.path.dirname(uhspath.__file__))
     code = (
         "import sys; from uhspath.cli import run; "
         f"assert run({argv.split()!r}) == 0; "
         f"loaded = [m for m in {modules!r} if m in sys.modules]; "
         "assert not loaded, loaded"
     )
+    run_python(code)
+
+
+def run_python(code):
+    """Run `code` in a fresh interpreter with the package on its path; it must exit 0."""
+    import uhspath
+
+    src = os.path.dirname(os.path.dirname(uhspath.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
@@ -44,44 +50,6 @@ def float_im(symbols):
 def float_re(symbols):
     w = len(symbols)
     return sum(x * math.cos(2 * math.pi * (i + 1) / w) for i, x in enumerate(symbols))
-
-
-def mp_im(symbols, dps=200):
-    with mp.workdps(dps):
-        w = len(symbols)
-        return mp.fsum(x * mp.sin(2 * mp.pi * (i + 1) / w) for i, x in enumerate(symbols))
-
-
-def mp_re(symbols, dps=200):
-    with mp.workdps(dps):
-        w = len(symbols)
-        return mp.fsum(x * mp.cos(2 * mp.pi * (i + 1) / w) for i, x in enumerate(symbols))
-
-
-def reduce_mod_cyclotomic(coef, w):
-    """Oracle: True iff the integer polynomial (ascending coef) is divisible
-    by Phi_w, by long division."""
-    phi = cyclotomic_coeffs(w)
-    deg = len(phi) - 1
-    rem = list(coef)
-    for i in range(len(rem) - 1, deg - 1, -1):
-        c = rem[i]
-        if c:
-            for j, p in enumerate(phi):
-                rem[i - deg + j] -= c * p
-    return all(v == 0 for v in rem[:deg])
-
-
-def part_polynomial(symbols, part):
-    """sum x_i (z^(i+1) + c z^-(i+1)), exponents mod w; c = -1 (im), +1 (re),
-    or no conjugate term (sum)."""
-    w = len(symbols)
-    coef = [0] * w
-    for i, x in enumerate(symbols):
-        coef[(i + 1) % w] += x
-        if part != "sum":
-            coef[(w - i - 1) % w] += (-1 if part == "im" else 1) * x
-    return coef
 
 
 class TestCyclotomic:
@@ -111,7 +79,7 @@ class TestZeroMatrix:
     def test_every_code_matches_division(self, sigma, wmax):
         for w in range(1, wmax + 1):
             words = np.array(list(itertools.product(range(sigma), repeat=w)))
-            for part in ("im", "re", "sum"):
+            for part in ("im", "re"):
                 expect = [
                     reduce_mod_cyclotomic(part_polynomial(row, part), w)
                     for row in words.tolist()
@@ -127,7 +95,7 @@ class TestZeroMatrix:
         # digits large enough that an int64 product could overflow
         for w in (6, 12, 15):
             words = np.random.default_rng(w).integers(0, 2, size=(100, w))
-            for part in ("im", "re", "sum"):
+            for part in ("im", "re"):
                 assert _reduction_matrix(w, part, 2**62).dtype == object
                 assert np.array_equal(zero_rows(words * 2**62, part), zero_rows(words, part))
 
@@ -142,11 +110,31 @@ class TestImportFootprint:
             "necklaces --sigma 4 --w 6 --list",
             "debruijn-seq --sigma 2 --n 8",
             "mds-count --sigma 2 --w 4",
+            "fsm --sigma 2 --d 6 --w 20",
         ],
-        ids=["necklaces", "debruijn-seq", "mds-count"],
+        ids=["necklaces", "debruijn-seq", "mds-count", "fsm"],
     )
     def test_integer_subcommands_skip_numpy_and_mpmath(self, argv):
         assert_cli_skips_modules(argv, ["numpy", "mpmath"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["mykkeltveit --sigma 2 --w 12", "long-path --sigma 2 --w 100"],
+        ids=["mykkeltveit", "long-path"],
+    )
+    def test_no_mpmath_without_escalation(self, argv):
+        # every band sign here is an exact zero, or no code is in the band
+        assert_cli_skips_modules(argv, ["mpmath"])
+
+    def test_escalation_loads_mpmath(self):
+        # a word near zero but not zero reaches the mpmath tier
+        code = (
+            "import sys, numpy as np; from uhspath.exactsign import signs; "
+            "assert 'mpmath' not in sys.modules; "
+            "assert signs(np.array([[2, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0]]), np.zeros(1), 3, 'im')[0] != 0; "
+            "assert 'mpmath' in sys.modules"
+        )
+        run_python(code)
 
 
 class TestZeroDecisions:
@@ -159,11 +147,9 @@ class TestZeroDecisions:
         # "0001" at w=4: value is zeta^4 = 1
         assert zero_rows([0, 0, 0, 1], "im")
         assert not zero_rows([0, 0, 0, 1], "re")
-        assert not zero_rows([0, 0, 0, 1], "sum")
 
     def test_constant_words_sum_to_zero(self):
         for w in (2, 3, 5, 8, 12):
-            assert zero_rows([1] * w, "sum")
             assert zero_rows([1] * w, "im")
             assert zero_rows([1] * w, "re")
 
@@ -171,7 +157,7 @@ class TestZeroDecisions:
         # "1010...": sum of even powers of zeta over w/2 values -> 0 when w even
         for w in (4, 6, 10):
             word = [1, 0] * (w // 2)
-            assert zero_rows(word, "sum")
+            assert zero_rows(word, "im") and zero_rows(word, "re")
 
     @pytest.mark.parametrize("w", [3, 4, 5, 6, 7, 8, 9, 12, 15, 16])
     def test_agrees_with_high_precision(self, w):
@@ -210,7 +196,7 @@ class TestCertifiedSigns:
         base = [0] * w
         for e in (1, 5, 7, 11):
             base[e - 1] = 1
-        assert zero_rows(base, "sum")
+        assert zero_rows(base, "re")
         assert zero_rows(base, "im")
         # doubling one imaginary contribution breaks the cancellation
         tweak = list(base)

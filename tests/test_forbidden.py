@@ -3,63 +3,30 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from uhspath.core import kmer_decode
+from oracles import dfs_longest, matvec_survival, widths, zero_runs
 from uhspath.forbidden import (
+    _g,
     _run_free,
     bracket_holds,
     build_forbidden_set,
-    char_poly_eval,
     dominant_eigenvector,
     dominant_root,
     eigenpair_residual,
-    forbidden_cardinality,
     forbidden_d,
     fsm_matrix,
     min_w_for_construction,
-    remaining_path_bound,
     remaining_path_witness,
     survival_probability,
 )
-from uhspath.paths import longest_remaining_path, verify_witness
+from uhspath.paths import ACYCLIC, longest_remaining_path, verify_witness
 
 
-def brute_avoiders(sigma, d, w):
-    """Count length-w strings with no run of d zeros, by direct scan."""
-    count = 0
-    for code in range(sigma**w):
-        s = kmer_decode(code, sigma, w)
-        if "0" * d not in s:
-            count += 1
-    return count
-
-
-def max_zero_run(codes, sigma, w):
-    """Oracle: longest zero run of each code, one digit pass per symbol."""
-    run = np.zeros(codes.size, dtype=np.int8)
-    best = np.zeros(codes.size, dtype=np.int8)
-    for i in range(w):
-        digit = (codes // sigma ** (w - 1 - i)) % sigma
-        run = np.where(digit == 0, run + 1, 0).astype(np.int8)
-        np.maximum(best, run, out=best)
-    return best
-
-
-def matvec_survival(sigma, d, w):
-    """Oracle: w exact mat-vecs of the FSM matrix from the empty-run state, summed."""
-    rows = fsm_matrix(sigma, d)
-    p = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(d))
-    for _ in range(w):
-        p = tuple(sum(r * x for r, x in zip(row, p)) for row in rows)
-    return sum(p, Fraction(0))
-
-
-def recurrence_avoiders(sigma, d, w):
-    """a(n) = (sigma-1) * sum_{j=1..d} a(n-j), a(n) = sigma^n for n < d."""
-    a = [sigma**n for n in range(d)]
-    for n in range(d, w + 1):
-        a.append((sigma - 1) * sum(a[n - j] for j in range(1, d + 1)))
-    return a[w]
+def char_poly(sigma, d, lam):
+    """det(A_d - lam I) from _g, for lam != mu."""
+    mu = Fraction(1, sigma)
+    return (-1) ** d * _g(mu, d, lam) / (lam - mu)
 
 
 class TestParameterD:
@@ -82,36 +49,50 @@ class TestParameterD:
 
 
 class TestSetConstruction:
+    @given(data=st.data())
+    def test_against_zero_run_scan(self, data):
+        # the set, its survival count and L = w - d against one zero-run scan
+        sigma = data.draw(st.integers(2, 4))
+        w = data.draw(widths(sigma, 1 << 12, low=2))
+        d = data.draw(st.integers(1, w))
+        lead, longest = zero_runs(sigma, w)
+        assert survival_probability(sigma, d, w) * sigma**w == np.count_nonzero(longest < d)
+        assert np.array_equal(_run_free(sigma, w, d), longest < d)
+        d = forbidden_d(sigma, w)
+        if d >= 1:
+            F = build_forbidden_set(sigma, w)
+            assert np.array_equal(F.mask, (lead >= d) | (longest < d))
+            kind, labels, _ = dfs_longest(F)
+            assert (kind, max(labels)) == (ACYCLIC, w - d)
+
     def test_cardinality_matches_bitmap(self):
         for sigma, w in [(2, 9), (2, 12), (2, 16)]:
+            d = forbidden_d(sigma, w)
+            _, longest = zero_runs(sigma, w)
             F = build_forbidden_set(sigma, w)
-            assert F.cardinality == forbidden_cardinality(sigma, w)
+            assert F.cardinality == sigma ** (w - d) + np.count_nonzero(longest < d)
 
     def test_parts_disjoint_and_cover(self):
         sigma, w = 2, 12
         d = forbidden_d(sigma, w)
-        F = build_forbidden_set(sigma, w)
-        for code in range(2**w):
-            s = kmer_decode(code, sigma, w)
-            prefix = s.startswith("0" * d)
-            avoid = "0" * d not in s
-            assert not (prefix and avoid)
-            assert F.contains_code(code) == (prefix or avoid)
+        lead, longest = zero_runs(sigma, w)
+        prefix, avoid = lead >= d, longest < d
+        assert not (prefix & avoid).any()
+        assert np.array_equal(build_forbidden_set(sigma, w).mask, prefix | avoid)
 
     def test_equals_digit_loop(self):
         sigma = 2
         for w in range(min_w_for_construction(sigma), 23):
             d = forbidden_d(sigma, w)
-            expect = max_zero_run(np.arange(sigma**w), sigma, w) < d
-            expect[: sigma ** (w - d)] = True
-            assert np.array_equal(build_forbidden_set(sigma, w).mask, expect), w
+            lead, longest = zero_runs(sigma, w)
+            assert np.array_equal(build_forbidden_set(sigma, w).mask, (lead >= d) | (longest < d)), w
 
     @pytest.mark.parametrize("sigma", [3, 4])
     def test_half_tables_give_longest_run(self, sigma):
         for w in range(1, 10):
-            best = max_zero_run(np.arange(sigma**w), sigma, w)
+            _, longest = zero_runs(sigma, w)
             for d in range(1, w + 2):
-                assert np.array_equal(_run_free(sigma, w, d), best < d), (w, d)
+                assert np.array_equal(_run_free(sigma, w, d), longest < d), (w, d)
 
     def test_d_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -125,7 +106,7 @@ class TestRemainingPath:
         d = forbidden_d(2, w)
         report = longest_remaining_path(F)
         assert report.kind == "ACYCLIC"
-        assert report.longest_vertices == w - d == remaining_path_bound(2, w)
+        assert report.longest_vertices == w - d
         assert verify_witness(F, report)
         # the closed-form witness string also achieves the bound
         codes = remaining_path_witness(2, w)
@@ -143,18 +124,21 @@ class TestSurvival:
         wmax = 14 if sigma == 2 else 7
         assert survival_probability(sigma, d, 0) == 1
         for w in range(1, wmax):
-            expect = brute_avoiders(sigma, d, w)
-            got = survival_probability(sigma, d, w) * sigma**w
-            assert got == expect
+            _, longest = zero_runs(sigma, w)
+            assert survival_probability(sigma, d, w) * sigma**w == np.count_nonzero(longest < d)
 
     @pytest.mark.parametrize("sigma", [2, 4])
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_matches_recurrence_to_w20(self, sigma, d):
-        # the recurrence is validated against enumeration for small w above
+        # the counts a(w) obey a(w) = sigma^w for w < d, else
+        # a(w) = (sigma - 1) * (a(w-1) + ... + a(w-d)): a string without a
+        # 0^d run ends in a nonzero symbol after j - 1 zeros, 1 <= j <= d
+        a = []
         for w in range(0, 21):
             got = survival_probability(sigma, d, w) * sigma**w
             assert got.denominator == 1
-            assert int(got) == recurrence_avoiders(sigma, d, w)
+            a.append(int(got))
+            assert a[w] == (sigma**w if w < d else (sigma - 1) * sum(a[w - d : w]))
 
     def test_known_values(self):
         assert survival_probability(2, 2, 4) == Fraction(8, 16)
@@ -193,18 +177,21 @@ class TestCharPoly:
     @pytest.mark.parametrize("sigma", [2, 3])
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 12])
     def test_matches_numpy_det(self, sigma, d):
+        # (-1)^d g(lam) / (lam - mu) = det(A_d - lam I)
         A = np.array(fsm_matrix(sigma, d), dtype=float)
         rng = np.random.default_rng(d)
-        for lam in list(rng.uniform(-1, 1, size=8)) + [1 / sigma, 0.0, 1.0]:
+        for lam in list(rng.uniform(-1, 1, size=8)) + [0.0, 1.0]:
             det = np.linalg.det(A - lam * np.eye(d))
-            assert abs(float(char_poly_eval(sigma, d, Fraction(lam))) - det) < 1e-9
+            assert abs(float(char_poly(sigma, d, Fraction(lam))) - det) < 1e-9
 
     def test_exact_value(self):
-        assert char_poly_eval(2, 2, Fraction(1, 2)) == Fraction(-1, 4)
+        # sigma = 2, d = 2: A_2 - I = [[-1/2, 1/2], [1/2, -1]] has det 1/4
+        assert _g(Fraction(1, 2), 2, Fraction(1)) == Fraction(1, 8)
+        assert char_poly(2, 2, Fraction(1)) == Fraction(1, 4)
 
     def test_root_annihilates(self):
         lam = dominant_root(2, 3)
-        assert abs(float(char_poly_eval(2, 3, lam))) < 1e-11
+        assert abs(float(char_poly(2, 3, lam))) < 1e-11
 
 
 class TestDominantRoot:

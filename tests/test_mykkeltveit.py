@@ -3,32 +3,39 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from uhspath import exactsign
+from oracles import (
+    class_pick,
+    class_walk_mask,
+    code_ring,
+    digit_loop_build,
+    embedding,
+    pure_rotation,
+    successor,
+    widths,
+)
+from uhspath import exactsign, mykkeltveit
 from uhspath.core import (
     BudgetError,
     Kmer,
     canonical_rotation_code,
     kmer_encode,
     necklace_count,
-    rotation_code,
-    successor,
 )
 from uhspath.exactsign import NEG, POS, ZERO
-from uhspath.kmerset import KmerSet
-from uhspath import mykkeltveit
 from uhspath.mykkeltveit import (
     _even_quadruples,
     _member,
     _odd_quadruples,
-    _raw_embedding,
     _run_ring,
     build_long_path,
     build_mykkeltveit_set,
-    embedding,
-    in_mykkeltveit,
 )
 from uhspath.paths import is_decycling, longest_remaining_path
+
+# the widths up to which the class walk checks every code, per sigma
+CLASS_WALK_WMAX = {2: 14, 3: 8, 4: 7, 5: 4, 6: 4}
 
 
 def weight(x):
@@ -50,95 +57,9 @@ def rotation_identity_check(x, a, eps=1e-9):
     return abs(lhs - rhs) <= eps
 
 
-def class_pick(rep_code, sigma, w):
-    """Oracle: the member of rep's conjugacy class the set keeps, found by
-    walking the whole class (about w embeddings per class)."""
-    members = [rep_code]
-    c = rotation_code(rep_code, sigma, w)
-    while c != rep_code:
-        members.append(c)
-        c = rotation_code(c, sigma, w)
-    rep_syms = Kmer(members[0], sigma, w).symbols()
-    if exactsign.zero_rows(rep_syms, "sum"):
-        return min(members)
-    th = exactsign.guard(sigma, w)
-    ims = []
-    for mc in members:
-        syms = Kmer(mc, sigma, w).symbols()
-        p = _raw_embedding(syms, w)
-        if abs(p.imag) > th:
-            s = POS if p.imag > 0 else NEG
-        else:
-            s = exactsign.signs(syms, p.imag, sigma, "im")
-        if s == ZERO:
-            rs = exactsign.signs(syms, p.real, sigma, "re")
-            if rs == NEG:
-                return mc
-        ims.append(s)
-    k = len(members)
-    picks = [members[j] for j in range(k) if ims[j] == NEG and ims[(j + 1) % k] == POS]
-    assert len(picks) == 1, f"class of {rep_code} keeps {len(picks)} members"
-    return picks[0]
-
-
 def class_walk_member(x):
-    """Oracle for in_mykkeltveit: decided from x's conjugacy class alone."""
-    rep = canonical_rotation_code(x.code, x.sigma, x.w)
-    return class_pick(rep, x.sigma, x.w) == x.code
-
-
-def digit_loop_build(sigma, w):
-    """Oracle: the Mykkeltveit mask from w int64 digit passes over all codes,
-    each borderline sign certified one code at a time."""
-    n = sigma**w
-    codes = np.arange(n, dtype=np.int64)
-    im = np.zeros(n)
-    re = np.zeros(n)
-    for i in range(w):
-        digit = (codes // sigma ** (w - 1 - i)) % sigma
-        ang = 2 * math.pi * (i + 1) / w
-        im += digit * math.sin(ang)
-        re += digit * math.cos(ang)
-    th = exactsign.guard(sigma, w)
-
-    def certify(sgn, vals, borderline, part):
-        for c in np.flatnonzero(borderline):
-            syms = Kmer(int(c), sigma, w).symbols()
-            sgn[c] = exactsign.signs(syms, float(vals[c]), sigma, part)
-
-    im_sgn = np.sign(im).astype(np.int8)
-    certify(im_sgn, im, np.abs(im) <= th, "im")
-    re_sgn = np.sign(re).astype(np.int8)
-    certify(re_sgn, re, (np.abs(re) <= th) & (im_sgn == 0), "re")
-    rot = (codes * sigma + codes // (n // sigma)) % n
-    least = (im_sgn == ZERO) & (re_sgn == ZERO)
-    c = origin = np.flatnonzero(least)
-    canon = origin.copy()
-    for _ in range(w - 1):
-        c = (c * sigma + c // (n // sigma)) % n
-        np.minimum(canon, c, out=canon)
-    least[origin] = canon == origin
-    return _member(im_sgn, im_sgn[rot], re_sgn, least)
-
-
-def code_ring(sigma, w, zero_tags, quads):
-    """Oracle for the ring walk: the codes of its vertices, by code
-    arithmetic.  A rotate appends the symbol that leaves, a write appends 0."""
-    n = sigma**w
-    lead = n // sigma
-    code = sum(sigma ** (w - 1 - t) for t in range(w) if t not in zero_tags)
-    code = code * sigma % n + code // lead
-    pointer = 1
-    trace = [code]
-    for quad in quads:
-        for tag in quad:
-            for _ in range((tag - pointer) % w or w):
-                code = code * sigma % n + code // lead
-                trace.append(code)
-            code = code * sigma % n
-            trace.append(code)
-            pointer = (tag + 1) % w
-    return trace
+    """Membership decided from x's conjugacy class alone."""
+    return class_pick(canonical_rotation_code(x.code, x.sigma, x.w), x.sigma, x.w) == x.code
 
 
 def ring_program(w):
@@ -207,11 +128,8 @@ class TestSetConstruction:
         for w in range(2, wmax + 1):
             m = build_mykkeltveit_set(sigma, w)
             assert m.cardinality == necklace_count(sigma, w)
-            # per-class membership agrees with the bitmap
-            if sigma**w <= 1 << 10:
-                for code in range(sigma**w):
-                    k = Kmer(code, sigma, w)
-                    assert in_mykkeltveit(k) == m.contains_code(code)
+            classes = {canonical_rotation_code(int(c), sigma, w) for c in m.codes()}
+            assert len(classes) == m.cardinality
 
     @pytest.mark.parametrize("sigma,wmax", [(2, 12), (4, 6)])
     def test_decycling(self, sigma, wmax):
@@ -223,8 +141,6 @@ class TestSetConstruction:
         assert m.cardinality == necklace_count(2, 20) == 52488
 
     def test_members_sit_just_below_axis(self):
-        from uhspath.core import pure_rotation
-
         m = build_mykkeltveit_set(2, 9)
         for k in m.kmers():
             s = embedding(k).im_sign
@@ -249,31 +165,31 @@ class TestSetConstruction:
 
 
 class TestAgainstClassWalk:
-    @pytest.mark.parametrize(
-        "sigma,wmax", [(2, 14), (3, 8), (4, 7), (5, 4), (6, 4)]
-    )
+    @pytest.mark.parametrize("sigma,wmax", CLASS_WALK_WMAX.items())
     def test_every_code(self, sigma, wmax):
         for w in range(2, wmax + 1):
-            m = build_mykkeltveit_set(sigma, w)
-            reps = {canonical_rotation_code(c, sigma, w) for c in range(sigma**w)}
-            picks = {class_pick(rep, sigma, w) for rep in reps}
-            assert picks == set(m.codes().tolist())
-            for code in range(sigma**w):
-                assert in_mykkeltveit(Kmer(code, sigma, w)) == (code in picks)
+            assert np.array_equal(build_mykkeltveit_set(sigma, w).mask, class_walk_mask(sigma, w)), w
+
+    @given(data=st.data())
+    def test_any_alphabet(self, data):
+        # the bulk mask against the class walk, for alphabets up to ten symbols
+        sigma = data.draw(st.integers(2, 10))
+        w = data.draw(widths(sigma, 1 << 12, low=2))
+        assert np.array_equal(build_mykkeltveit_set(sigma, w).mask, class_walk_mask(sigma, w))
 
     @pytest.mark.parametrize("w", [40, 41])
     def test_long_path_vertices(self, w):
         for v in build_long_path(2, w).vertices:
-            x = kmer_encode(v, 2)
-            assert in_mykkeltveit(x) is class_walk_member(x) is False
+            assert class_walk_member(kmer_encode(v, 2)) is False
 
 
 class TestAgainstDigitLoop:
+    # the second oracle, for the widths past the class walk's
     @pytest.mark.parametrize(
         "sigma,wmax", [(2, 20), (3, 12), (4, 9), (5, 7), (6, 6)]
     )
     def test_masks_equal(self, sigma, wmax):
-        for w in range(2, wmax + 1):
+        for w in range(CLASS_WALK_WMAX[sigma] + 1, wmax + 1):
             m = build_mykkeltveit_set(sigma, w)
             assert np.array_equal(m.mask, digit_loop_build(sigma, w)), (sigma, w)
 
@@ -352,7 +268,6 @@ class TestLongPath:
             return real(digits, approx, sigma, part)
 
         monkeypatch.setattr(exactsign, "signs", counting)
-        monkeypatch.setattr(mykkeltveit, "embedding", lambda x: pytest.fail("embedding called"))
         lp = build_long_path(2, 100)
         assert len(lp.vertices) == 1313
         assert calls == [((1313, 100), (1313,), "im")]

@@ -1,11 +1,21 @@
 import tracemalloc
-from collections import deque
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from oracles import (
+    compatible_rank,
+    estimate,
+    picks,
+    select,
+    selected_mask,
+    selection_schemes,
+    symbol_lists,
+)
 from uhspath import schemes
 from uhspath.core import debruijn_sequence, kmer_decode, parse_symbols
 from uhspath.forbidden import build_forbidden_set
@@ -27,184 +37,31 @@ from uhspath.schemes import (
     load_scheme_table,
     minimizer_scheme,
     particular_density,
-    save_minimizer_order,
-    save_scheme_table,
     scheme_values,
-    select,
     table_scheme,
     _leftmost_min,
     _selected_positions,
+    _string_selected,
 )
 
 WORKED_SEQ = "CACTGCTGTACCTCTTCT"
 
 
-def rolling_positions(scheme, syms, cyclic):
-    """Oracle: walk the string once with a rolling code (tables) or a monotonic deque."""
-    sigma = scheme.sigma
+def save_scheme_table(scheme, path):
+    """Write a scheme as a table file: a header, then each window and its pick."""
+    fv = scheme_values(scheme)
     ws = scheme.window_symbols
-    length = len(syms)
-    if cyclic:
-        work = list(syms) + list(syms[: ws - 1])
-        nwin = length
-    else:
-        work = list(syms)
-        nwin = length - ws + 1
-    selected = set()
-    if scheme.kind == "TABLE":
-        m = sigma**ws
-        code = 0
-        for v in work[:ws]:
-            code = code * sigma + v
-        selected.add(int(scheme.table[code]))
-        for i in range(1, nwin):
-            code = (code * sigma + work[ws + i - 1]) % m
-            p = i + int(scheme.table[code])
-            selected.add(p % length if cyclic else p)
-        return selected
-    # minimizer kinds: rolling k-mer ranks with a monotonic deque
-    kk = sigma**scheme.k
-    rank = scheme.rank
-    code = 0
-    for v in work[: scheme.k - 1]:
-        code = code * sigma + v
-    dq = deque()  # (rank, k-mer position), increasing rank
-    npos = len(work) - scheme.k + 1
-    for j in range(npos):
-        code = (code * sigma + work[j + scheme.k - 1]) % kk
-        r = int(rank[code])
-        while dq and dq[-1][0] > r:
-            dq.pop()
-        dq.append((r, j))
-        i = j - scheme.w + 1  # window index whose last k-mer position is j
-        if i >= 0:
-            while dq[0][1] < i:
-                dq.popleft()
-            p = dq[0][1]
-            selected.add(p % length if cyclic else p)
-    return selected
+    with open(path, "w") as fh:
+        fh.write(f"scheme sigma={scheme.sigma} w={ws}\n")
+        for code, p in enumerate(fv):
+            fh.write(f"{kmer_decode(code, scheme.sigma, ws)} {int(p)}\n")
 
 
-def single_draw_selected(scheme, syms, cyclic):
-    """Oracle: the whole string in memory, windows in chunks, argmin for minimizer kinds."""
-    chunk = 1 << 18
-    sigma, ws = scheme.sigma, scheme.window_symbols
-    syms = np.asarray(syms, dtype=np.int64)
-    length = syms.size
-    if cyclic:
-        syms = np.concatenate([syms, syms[: ws - 1]])
-    span = ws if scheme.kind == TABLE else scheme.k
-    seen = np.zeros(length, dtype=bool)
-    nwin = syms.size - ws + 1
-    for start in range(0, nwin, chunk):
-        n = min(chunk, nwin - start)
-        ncodes = n + ws - span
-        codes = np.zeros(ncodes, dtype=np.int64)
-        for j in range(span):
-            codes *= sigma
-            codes += syms[start + j : start + j + ncodes]
-        if scheme.kind == TABLE:
-            off = scheme.table[codes]
-        else:
-            off = sliding_window_view(scheme.rank[codes], scheme.w).argmin(axis=1)
-        pos = start + np.arange(n) + off
-        seen[pos % length if cyclic else pos] = True
-    return seen
-
-
-def single_draw_estimate(scheme, sample_symbols, seed):
-    """Oracle: one draw of the whole sample, then the selection mask and its batch means."""
-    s = np.random.default_rng(seed).integers(0, scheme.sigma, size=sample_symbols, dtype=np.int64)
-    seen = single_draw_selected(scheme, s, cyclic=False)
-    count = int(np.count_nonzero(seen))
-    span = scheme.window_symbols if scheme.kind == TABLE else scheme.k
-    denom = sample_symbols - span + 1
-    batches = [b.mean() for b in np.array_split(seen, schemes._BATCHES)]
-    stderr = float(np.std(batches, ddof=1) / np.sqrt(schemes._BATCHES))
-    return schemes.DensityResult(count, denom, Fraction(count, denom), EXPECTED_ESTIMATE, stderr)
-
-
-def random_schemes(rng, sigma):
-    """Random tables (mostly not forward), random-order and compatible minimizers."""
-    out = []
-    for _ in range(6):
-        w = int(rng.integers(1, 5 if sigma == 2 else 4))
-        out.append(table_scheme(sigma, w, rng.integers(0, w, size=sigma**w)))
-    for _ in range(6):
-        k, w = int(rng.integers(1, 4)), int(rng.integers(1, 6))
-        out.append(minimizer_scheme(sigma, k, w, rng.permutation(sigma**k)))
-    for _ in range(3):
-        k, w = int(rng.integers(1, 4)), int(rng.integers(1, 6))
-        U = KmerSet(sigma, k, rng.random(sigma**k) < 0.3)
-        if U.cardinality:
-            out.append(build_compatible_minimizer(U, w))
-    return out
-
-
-def oracle_schemes(rng, sigma):
-    """random_schemes plus forward tables, lexicographic minimizers and w = 1 (k = window_symbols)."""
-    out = random_schemes(rng, sigma)
-    for k in (1, 2, 3):
-        out.append(lexicographic_minimizer(sigma, k, int(rng.integers(1, 5))))
-        out.append(minimizer_scheme(sigma, k, 1, rng.permutation(sigma**k)))
-    out.append(table_scheme(sigma, 1, [0] * sigma))
-    for mini in [s for s in out if s.kind == MINIMIZER][:3]:  # as tables: forward
-        out.append(table_scheme(sigma, mini.window_symbols, scheme_values(mini)))
-    return out
-
-
-def code_array_scheme_values(scheme):
-    """Oracle: f over every window code, slicing k-mer codes out of an array of codes."""
-    sigma = scheme.sigma
-    ws = scheme.window_symbols
-    m = sigma**ws
-    if scheme.kind == TABLE:
-        return scheme.table
-    codes = np.arange(m, dtype=np.int64)
-    kk = sigma**scheme.k
-    best = None
-    pos = np.zeros(m, dtype=np.int32)
-    for i in range(scheme.w):
-        kcode = (codes // sigma ** (ws - i - scheme.k)) % kk
-        r = scheme.rank[kcode]
-        if best is None:
-            best = r.copy()
-        else:
-            upd = r < best
-            best[upd] = r[upd]
-            pos[upd] = i
-    return pos
-
-
-def code_array_is_forward(scheme):
-    """Oracle: forwardness over an array of all (window_symbols+1)-symbol codes."""
-    sigma = scheme.sigma
-    ws = scheme.window_symbols
-    fv = code_array_scheme_values(scheme)
-    c = np.arange(sigma ** (ws + 1), dtype=np.int64)
-    return bool(np.all(fv[c % sigma**ws] >= fv[c // sigma] - 1))
-
-
-def argsort_compatible_rank(mask):
-    """Oracle: members first, lexicographic within, by a stable argsort of doubled keys."""
-    n = mask.size
-    rank = np.where(mask, 0, n).astype(np.int64) + np.arange(n, dtype=np.int64)
-    order = np.argsort(rank, kind="stable")
-    perm = np.empty(n, dtype=np.int64)
-    perm[order] = np.arange(n)
-    return perm
-
-
-def straight_line_density(scheme, s):
-    """Independent reimplementation: evaluate select() on every window."""
-    syms = parse_symbols(s, scheme.sigma)
-    ws = scheme.window_symbols
-    doubled = syms + syms[: ws - 1]
-    picked = set()
-    for i in range(len(syms)):
-        w = doubled[i : i + ws]
-        picked.add((i + select(scheme, list(w))) % len(syms))
-    return Fraction(len(picked), len(syms))
+def save_minimizer_order(scheme, path):
+    """Write a minimizer's k-mers in rank order, one per line."""
+    with open(path, "w") as fh:
+        for code in np.argsort(scheme.rank, kind="stable"):
+            fh.write(kmer_decode(int(code), scheme.sigma, scheme.k) + "\n")
 
 
 class TestSelect:
@@ -249,39 +106,39 @@ class TestParticularDensity:
         with pytest.raises(ValueError):
             particular_density(lexicographic_minimizer(2, 3, 4), "00100")
 
-    def test_matches_straight_line_reimplementation(self):
-        rng = np.random.default_rng(0)
-        for _ in range(25):
-            sigma = int(rng.integers(2, 4))
-            w = int(rng.integers(2, 5))
-            if rng.random() < 0.5:
-                sch = table_scheme(sigma, w, rng.integers(0, w, size=sigma**w))
-            else:
-                k = int(rng.integers(1, 4))
-                order = rng.permutation(sigma**k)
-                sch = minimizer_scheme(sigma, k, w, order)
-            s = "".join(str(x) for x in rng.integers(0, sigma, size=20))
-            assert particular_density(sch, s, cyclic=True).density == straight_line_density(sch, s)
+    @given(data=st.data())
+    def test_matches_straight_line_reimplementation(self, data):
+        sigma = data.draw(st.integers(2, 3))
+        sch = data.draw(selection_schemes(sigma))
+        s = data.draw(symbol_lists(sigma, sch.window_symbols, max_extra=20))
+        res = particular_density(sch, s, cyclic=True)
+        assert res.density == Fraction(len(set(picks(sch, s, cyclic=True))), len(s))
 
 
 class TestSelectionKernel:
     @pytest.mark.parametrize("chunk", [None, 1, 7])
-    def test_equals_rolling_oracle(self, monkeypatch, chunk):
-        # chunks of 1 and 7 windows put seams everywhere
-        if chunk is not None:
-            monkeypatch.setattr(schemes, "_CHUNK", chunk)
-        rng = np.random.default_rng(20)
-        for sigma in (2, 3, 4):
-            for sch in random_schemes(rng, sigma):
-                for cyclic in (False, True):
-                    n = sch.window_symbols + int(rng.integers(0, 40))
-                    syms = rng.integers(0, sigma, size=n).tolist()
-                    assert _selected_positions(sch, syms, cyclic) == rolling_positions(sch, syms, cyclic)
+    @given(data=st.data())
+    def test_equals_rolling_oracle(self, chunk, data):
+        # the kernel's mask against select on every window; pieces of 1 and 7
+        # symbols put seams everywhere
+        sigma = data.draw(st.integers(2, 4))
+        sch = data.draw(selection_schemes(sigma))
+        cyclic = data.draw(st.booleans())
+        syms = data.draw(symbol_lists(sigma, sch.window_symbols))
+        with mock.patch.object(schemes, "_CHUNK", chunk or schemes._CHUNK):
+            got = _string_selected(sch, syms, cyclic)
+        assert got.tolist() == selected_mask(sch, syms, cyclic).tolist()
 
     def test_non_forward_tables_covered(self):
-        rng = np.random.default_rng(20)
-        tables = [s for sigma in (2, 3, 4) for s in random_schemes(rng, sigma) if s.kind == "TABLE"]
-        assert sum(not is_forward(s) for s in tables) >= 5
+        # the examples the kernel property draws reach tables that are not forward
+        drawn = []
+
+        @given(st.integers(2, 4).flatmap(selection_schemes))
+        def record(sch):
+            drawn.append(sch.kind == TABLE and not is_forward(sch))
+
+        record()
+        assert sum(drawn) >= 5
 
     @pytest.mark.parametrize("chunk", [None, 7])
     def test_estimate_selected_equals_oracle(self, monkeypatch, chunk):
@@ -293,11 +150,7 @@ class TestSelectionKernel:
             minimizer_scheme(4, 3, 5, rng.permutation(64)),
         ]
         for seed, sch in enumerate(cases):
-            res = estimate_density(sch, sample_symbols=4000, seed=seed)
-            draw = np.random.default_rng(seed).integers(0, sch.sigma, size=4000, dtype=np.int64)
-            picked = rolling_positions(sch, draw.tolist(), False)
-            assert res.selected == len(picked)
-            assert res.windows == 4000 - (sch.window_symbols if sch.kind == "TABLE" else sch.k) + 1
+            assert estimate_density(sch, sample_symbols=4000, seed=seed) == estimate(sch, 4000, seed)
 
 
 class TestLeftmostMin:
@@ -317,19 +170,20 @@ class TestStreamingDraw:
     """The sample is drawn and consumed piece by piece; one whole draw is the oracle."""
 
     @pytest.mark.parametrize("sigma", [2, 3, 4])
-    def test_estimate_equals_single_draw(self, sigma):
+    def test_estimate_equals_single_draw(self, monkeypatch, sigma):
+        # pieces of 16 symbols, half the minimizer's window
+        chunk = 16
+        monkeypatch.setattr(schemes, "_CHUNK", chunk)
         rng = np.random.default_rng(50 + sigma)
-        chunk = schemes._CHUNK
         cases = [
             minimizer_scheme(sigma, 3, 30, rng.permutation(sigma**3)),  # a window of 32 symbols
             table_scheme(sigma, 3, rng.integers(0, 3, size=sigma**3)),
         ]
         for sch in cases:
             ws = sch.window_symbols
-            for size in (max(ws, schemes._BATCHES), chunk - 1, chunk + ws, 3 * chunk + 7):
+            for size in (max(ws, schemes._BATCHES), 5 * chunk - 1, 5 * chunk + ws, 9 * chunk + 7):
                 seed = int(rng.integers(1 << 31))
-                got = estimate_density(sch, sample_symbols=size, seed=seed)
-                assert got == single_draw_estimate(sch, size, seed)
+                assert estimate_density(sch, sample_symbols=size, seed=seed) == estimate(sch, size, seed)
 
     @pytest.mark.parametrize("sigma", [2, 5, 7])
     def test_chunked_draw_replays_one_draw(self, sigma):
@@ -345,14 +199,15 @@ class TestStreamingDraw:
         assert np.array_equal(np.concatenate(parts), whole)
 
     @pytest.mark.parametrize("cyclic", [True, False])
-    def test_particular_across_chunk_boundary(self, cyclic):
+    def test_particular_across_chunk_boundary(self, monkeypatch, cyclic):
+        monkeypatch.setattr(schemes, "_CHUNK", 64)
         rng = np.random.default_rng(52)
-        syms = rng.integers(0, 4, size=schemes._CHUNK + 5)
+        syms = rng.integers(0, 4, size=64 + 5).tolist()
         for sch in (
             minimizer_scheme(4, 4, 9, rng.permutation(4**4)),
             table_scheme(4, 4, rng.integers(0, 4, size=4**4)),
         ):
-            expect = int(np.count_nonzero(single_draw_selected(sch, syms, cyclic)))
+            expect = int(np.count_nonzero(selected_mask(sch, syms, cyclic)))
             assert particular_density(sch, syms, cyclic=cyclic).selected == expect
 
     def test_bytes_per_sample_symbol(self):
@@ -386,21 +241,25 @@ class TestDigitSlice:
                     assert np.array_equal(got, want)
 
 
-class TestCodeArrayOracles:
+def window_texts(sigma, symbols):
+    return (kmer_decode(c, sigma, symbols) for c in range(sigma**symbols))
+
+
+class TestAgainstSelect:
     @pytest.mark.parametrize("sigma", [2, 3, 4])
-    def test_scheme_values(self, sigma):
-        rng = np.random.default_rng(30 + sigma)
-        for sch in oracle_schemes(rng, sigma):
-            assert np.array_equal(scheme_values(sch), code_array_scheme_values(sch))
+    @given(data=st.data())
+    def test_scheme_values(self, sigma, data):
+        sch = data.draw(selection_schemes(sigma, lambda k, w: k + w - 1, 1 << 10))
+        expect = [select(sch, t) for t in window_texts(sigma, sch.window_symbols)]
+        assert scheme_values(sch).tolist() == expect
 
     @pytest.mark.parametrize("sigma", [2, 3, 4])
-    def test_is_forward(self, sigma):
-        rng = np.random.default_rng(40 + sigma)
-        verdicts = []
-        for sch in oracle_schemes(rng, sigma):
-            verdicts.append(is_forward(sch))
-            assert verdicts[-1] == code_array_is_forward(sch)
-        assert True in verdicts and False in verdicts
+    @given(data=st.data())
+    def test_is_forward(self, sigma, data):
+        # forward: in every two consecutive windows the pick never moves back
+        sch = data.draw(selection_schemes(sigma, lambda k, w: k + w, 1 << 10))
+        texts = window_texts(sigma, sch.window_symbols + 1)
+        assert is_forward(sch) == all(1 + select(sch, t[1:]) >= select(sch, t[:-1]) for t in texts)
 
 
 class TestIsForward:
@@ -484,13 +343,7 @@ class TestExpectedDensity:
 
     def test_estimate_matches_python_scan(self):
         sch = lexicographic_minimizer(2, 2, 3)
-        res = estimate_density(sch, sample_symbols=3000, seed=13)
-        rng = np.random.default_rng(13)
-        s = rng.integers(0, 2, size=3000, dtype=np.int64)
-        picked = set()
-        for i in range(3000 - sch.window_symbols + 1):
-            picked.add(i + select(sch, list(s[i : i + sch.window_symbols])))
-        assert res.selected == len(picked)
+        assert estimate_density(sch, sample_symbols=3000, seed=13) == estimate(sch, 3000, 13)
 
 
 def compatible_forbidden_12():
@@ -558,15 +411,13 @@ class TestCompatibleMinimizer:
         with pytest.raises(ValueError):
             build_compatible_minimizer(KmerSet.empty(2, 2), 3)
 
-    def test_rank_equals_argsort_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(250):
-            sigma, k = int(rng.integers(2, 5)), int(rng.integers(1, 4))
-            mask = rng.random(sigma**k) < rng.random()
-            if not mask.any():
-                continue
-            sch = build_compatible_minimizer(KmerSet(sigma, k, mask), 2, budget=0)
-            assert np.array_equal(sch.rank, argsort_compatible_rank(mask))
+    @given(data=st.data())
+    def test_rank_equals_argsort_oracle(self, data):
+        sigma, k = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 3))
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=sigma**k, max_size=sigma**k)))
+        assume(mask.any())
+        sch = build_compatible_minimizer(KmerSet(sigma, k, mask), 2, budget=0)
+        assert np.array_equal(sch.rank, compatible_rank(mask))
 
 
 class TestSchemeValidation:
