@@ -20,6 +20,7 @@ from .core import (
     DEFAULT_NODE_BUDGET,
     check_budget,
     debruijn_sequence,
+    kmer_decode,
     necklace_count,
     necklaces,
     render_symbols,
@@ -232,8 +233,8 @@ def _cmd_longest_path(args) -> None:
         "w": args.w,
         "kind": report.kind,
         "longest_vertices": report.longest_vertices,
-        "witness": [str(x) for x in report.witness],
-        "cycle_witness": [str(x) for x in report.cycle_witness],
+        "witness": [kmer_decode(c, args.sigma, args.w) for c in report.witness],
+        "cycle_witness": [kmer_decode(c, args.sigma, args.w) for c in report.cycle_witness],
     }
     _emit(out)
 
@@ -251,8 +252,8 @@ def _cmd_long_path(args) -> None:
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("step,re,im\n")
-            for i, pt in enumerate(lp.embeddings):
-                fh.write(f"{i},{pt.re!r},{pt.im!r}\n")
+            for i, p in enumerate(lp.embeddings):
+                fh.write(f"{i},{p.real!r},{p.imag!r}\n")
     _emit(
         {
             "sigma": args.sigma,
@@ -261,7 +262,7 @@ def _cmd_long_path(args) -> None:
             "quadruples": len(lp.quadruples),
             "validated": True,  # build_long_path raises on any failed check
             "all_im_positive": True,
-            "min_im": min(pt.im for pt in lp.embeddings),
+            "min_im": min(p.imag for p in lp.embeddings),
         }
     )
 

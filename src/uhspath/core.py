@@ -14,9 +14,8 @@ from typing import Iterable, Iterator, Sequence
 
 ACGT = "ACGT"
 _ACGT_VALUES = {c: i for i, c in enumerate(ACGT)}
-# byte tables from symbol values to their text
+# byte table from symbol values to their digits
 _DIGIT_BYTES = bytes.maketrans(bytes(range(10)), b"0123456789")
-_ACGT_BYTES = bytes.maketrans(bytes(range(4)), ACGT.encode())
 
 #: Default cap on the number of graph nodes an operation may touch.
 DEFAULT_NODE_BUDGET = 1 << 28
@@ -66,17 +65,11 @@ def parse_symbols(text: str | Sequence[int], sigma: int) -> tuple[int, ...]:
     return syms
 
 
-def render_symbols(symbols: Iterable[int], sigma: int, acgt: bool = False) -> str:
-    """Text of a symbol sequence (ints, not an array): digits, or ACGT when asked."""
-    if acgt:
-        if sigma != 4:
-            raise ValueError("ACGT rendering requires sigma=4")
-        table = _ACGT_BYTES
-    else:
-        if sigma > 10:
-            raise ValueError("digit text form only supports sigma <= 10")
-        table = _DIGIT_BYTES
-    return bytes(symbols).translate(table).decode()
+def render_symbols(symbols: Iterable[int], sigma: int) -> str:
+    """Digit text of a symbol sequence (ints, not an array); ACGT is input only."""
+    if sigma > 10:
+        raise ValueError("digit text form only supports sigma <= 10")
+    return bytes(symbols).translate(_DIGIT_BYTES).decode()
 
 
 @dataclass(frozen=True)
@@ -90,8 +83,7 @@ class Kmer:
     def __post_init__(self) -> None:
         if self.w < 1:
             raise ValueError(f"w must be >= 1, got {self.w}")
-        if self.sigma < 2:
-            raise ValueError(f"sigma must be >= 2, got {self.sigma}")
+        check_alphabet(self.sigma)
         if not 0 <= self.code < self.sigma**self.w:
             raise ValueError(f"code {self.code} out of range for sigma={self.sigma}, w={self.w}")
 
@@ -103,8 +95,8 @@ class Kmer:
             out.append(r)
         return tuple(reversed(out))
 
-    def text(self, acgt: bool = False) -> str:
-        return render_symbols(self.symbols(), self.sigma, acgt=acgt)
+    def text(self) -> str:
+        return render_symbols(self.symbols(), self.sigma)
 
     def __str__(self) -> str:
         return self.text()

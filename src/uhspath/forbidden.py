@@ -157,6 +157,10 @@ def survival_probability(sigma: int, d: int, w: int) -> Fraction:
     return Fraction(sum(counts), sigma**w)
 
 
+#: Width at which `dominant_root` stops bisecting.
+ROOT_TOL = Fraction(1, 10**12)
+
+
 def _g(mu: Fraction, d: int, lam: Fraction) -> Fraction:
     # the characteristic polynomial, times (lam - mu):
     # det(A_d - lam I) = (-1)^d g(lam) / (lam - mu) for lam != mu
@@ -170,8 +174,8 @@ def bracket_holds(sigma: int, d: int) -> bool:
     return _g(mu, d, lo) * _g(mu, d, hi) < 0
 
 
-def dominant_root(sigma: int, d: int, tol: Fraction = Fraction(1, 10**12)) -> Fraction:
-    """Dominant eigenvalue of A_d by exact bisection on its bracket.
+def dominant_root(sigma: int, d: int) -> Fraction:
+    """Dominant eigenvalue of A_d by exact bisection on its bracket, to ROOT_TOL.
 
     Raises when the bracket carries no sign change (it fails for sigma=2,
     d=1, where the polynomial has a double root at 1/2).
@@ -185,7 +189,7 @@ def dominant_root(sigma: int, d: int, tol: Fraction = Fraction(1, 10**12)) -> Fr
         return hi
     if (glo < 0) == (ghi < 0):
         raise ValueError(f"no sign change on the bracket for sigma={sigma}, d={d}")
-    while hi - lo > tol:
+    while hi - lo > ROOT_TOL:
         mid = (lo + hi) / 2
         gm = _g(mu, d, mid)
         if gm == 0:
@@ -197,17 +201,15 @@ def dominant_root(sigma: int, d: int, tol: Fraction = Fraction(1, 10**12)) -> Fr
     return (lo + hi) / 2
 
 
-def dominant_eigenvector(sigma: int, d: int, root: Fraction | None = None) -> tuple[Fraction, ...]:
+def dominant_eigenvector(sigma: int, d: int, root: Fraction) -> tuple[Fraction, ...]:
     """Right eigenvector (1, s, ..., s^(d-1)) with s = mu / root."""
-    mu = Fraction(1, sigma)
-    lam = dominant_root(sigma, d) if root is None else Fraction(root)
-    s = mu / lam
+    s = Fraction(1, sigma) / Fraction(root)
     return tuple(s**i for i in range(d))
 
 
-def eigenpair_residual(sigma: int, d: int, root: Fraction | None = None) -> float:
-    """max_i |(A v)_i - lam v_i| for the closed-form eigenpair."""
-    lam = dominant_root(sigma, d) if root is None else Fraction(root)
+def eigenpair_residual(sigma: int, d: int, root: Fraction) -> float:
+    """max_i |(A v)_i - root v_i| for the closed-form eigenpair."""
+    lam = Fraction(root)
     v = dominant_eigenvector(sigma, d, lam)
     Av = [sum(r * x for r, x in zip(row, v)) for row in fsm_matrix(sigma, d)]
     return max(abs(float(a - lam * x)) for a, x in zip(Av, v))

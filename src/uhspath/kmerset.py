@@ -3,18 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
-from .core import (
-    ACGT,
-    DEFAULT_NODE_BUDGET,
-    Kmer,
-    check_alphabet,
-    check_budget,
-    kmer_encode,
-)
+from .core import ACGT, DEFAULT_NODE_BUDGET, check_alphabet, check_budget, kmer_encode
 
 _BINARY_MAGIC = b"UHS1"
 
@@ -58,6 +51,22 @@ def encode_lines(lines: Iterable[str], sigma: int, w: int) -> np.ndarray:
     return codes
 
 
+def read_header(line: str, kind: str, error: str) -> tuple[int, int]:
+    """(sigma, w) of a text header `kind sigma=S w=W`, both checked;
+    ValueError(error) when the line has another form."""
+    fields = line.split()
+    if len(fields) != 3 or fields[0] != kind:
+        raise ValueError(error)
+    try:
+        sigma, w = int(fields[1].removeprefix("sigma=")), int(fields[2].removeprefix("w="))
+    except ValueError:
+        raise ValueError(error) from None
+    check_alphabet(sigma)
+    if w < 1:
+        raise ValueError(f"w must be >= 1, got {w}")
+    return sigma, w
+
+
 class KmerSet:
     """Immutable membership bitmap over all sigma^w w-mer codes."""
 
@@ -80,16 +89,6 @@ class KmerSet:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def empty(cls, sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET) -> "KmerSet":
-        check_budget(sigma**w, budget, "KmerSet")
-        return cls(sigma, w, np.zeros(sigma**w, dtype=bool))
-
-    @classmethod
-    def full(cls, sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET) -> "KmerSet":
-        check_budget(sigma**w, budget, "KmerSet")
-        return cls(sigma, w, np.ones(sigma**w, dtype=bool))
-
-    @classmethod
     def from_codes(
         cls, sigma: int, w: int, codes: Iterable[int], budget: int = DEFAULT_NODE_BUDGET
     ) -> "KmerSet":
@@ -101,20 +100,6 @@ class KmerSet:
                 raise ValueError("code out of range")
             mask[idx] = True
         return cls(sigma, w, mask)
-
-    @classmethod
-    def from_kmers(cls, kmers: Iterable[Kmer], sigma: int, w: int) -> "KmerSet":
-        def codes():
-            for k in kmers:
-                if (k.sigma, k.w) != (sigma, w):
-                    raise ValueError(f"k-mer {k!r} does not match sigma={sigma} w={w}")
-                yield k.code
-
-        return cls.from_codes(sigma, w, codes())
-
-    @classmethod
-    def from_texts(cls, sigma: int, w: int, texts: Iterable[str]) -> "KmerSet":
-        return cls.from_kmers((kmer_encode(t, sigma) for t in texts), sigma, w)
 
     # -- queries ----------------------------------------------------------
 
@@ -133,17 +118,8 @@ class KmerSet:
     def contains_code(self, code: int) -> bool:
         return bool(self.mask[code])
 
-    def __contains__(self, x: Kmer) -> bool:
-        if (x.sigma, x.w) != (self.sigma, self.w):
-            raise ValueError("kmer context does not match set")
-        return bool(self.mask[x.code])
-
     def codes(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
-
-    def kmers(self) -> Iterator[Kmer]:
-        for c in self.codes():
-            yield Kmer(int(c), self.sigma, self.w)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KmerSet):
@@ -160,20 +136,24 @@ class KmerSet:
     # -- serialization ----------------------------------------------------
 
     def save_text(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"uhs sigma={self.sigma} w={self.w}\n")
-            for c in self.codes():
-                fh.write(Kmer(int(c), self.sigma, self.w).text())
-                fh.write("\n")
+        """One digit line per member, in code order, rendered into one byte buffer
+        a digit column at a time; nothing is written for sigma > 10."""
+        if self.sigma > 10:
+            raise ValueError("digit text form only supports sigma <= 10")
+        rest = self.codes()
+        lines = np.empty((rest.size, self.w + 1), dtype=np.uint8)
+        lines[:, self.w] = ord("\n")
+        for j in range(self.w - 1, -1, -1):
+            lines[:, j] = rest % self.sigma + ord("0")
+            rest //= self.sigma
+        with open(path, "wb") as fh:
+            fh.write(f"uhs sigma={self.sigma} w={self.w}\n".encode())
+            fh.write(lines.tobytes())
 
     @classmethod
     def load_text(cls, path: str, budget: int = DEFAULT_NODE_BUDGET) -> "KmerSet":
         with open(path) as fh:
-            header = fh.readline().split()
-            if len(header) != 3 or header[0] != "uhs":
-                raise ValueError(f"bad set file header in {path}")
-            sigma = int(header[1].removeprefix("sigma="))
-            w = int(header[2].removeprefix("w="))
+            sigma, w = read_header(fh.readline(), "uhs", f"bad set file header in {path}")
             check_budget(sigma**w, budget, "KmerSet")
             mask = np.zeros(sigma**w, dtype=bool)
             mask[encode_lines(fh.read().split("\n"), sigma, w)] = True
@@ -199,11 +179,13 @@ class KmerSet:
     @classmethod
     def load_binary(cls, path: str, budget: int = DEFAULT_NODE_BUDGET) -> "KmerSet":
         with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _BINARY_MAGIC:
+            header = fh.read(9)  # magic, sigma as one byte, w as four little-endian bytes
+            if header[:4] != _BINARY_MAGIC:
                 raise ValueError(f"bad magic bytes in {path}")
-            sigma = fh.read(1)[0]
-            w = int.from_bytes(fh.read(4), "little")
+            if len(header) != 9:
+                raise ValueError(f"truncated set file {path}")
+            sigma = header[4]
+            w = int.from_bytes(header[5:], "little")
             n = sigma**w
             check_budget(n, budget, "KmerSet")
             raw = fh.read((n + 7) // 8)

@@ -34,16 +34,6 @@ from .exactsign import NEG, POS, ZERO
 from .kmerset import KmerSet
 
 
-@dataclass(frozen=True)
-class ComplexPoint:
-    re: float
-    im: float
-    im_sign: int  # NEG/ZERO/POS, certified
-
-    def __complex__(self) -> complex:
-        return complex(self.re, self.im)
-
-
 def _raw_embedding(symbols, w: int) -> complex:
     """P of a symbol sequence, in doubles."""
     return sum(
@@ -146,10 +136,11 @@ def build_mykkeltveit_set(
 
 @dataclass(frozen=True)
 class LongPath:
-    sigma: int
-    w: int
+    """The ring program's walk: its vertices as digit text, P of each vertex
+    (every Im certified > 0 by the build), and the quadruples it ran."""
+
     vertices: list[str]
-    embeddings: list[ComplexPoint]
+    embeddings: list[complex]
     quadruples: list[tuple[int, ...]]
 
 
@@ -241,5 +232,4 @@ def build_long_path(sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET) -> Lo
     bad = np.flatnonzero(im_signs != POS)
     if bad.size:
         raise ValueError(f"vertex at step {bad[0]} has Im(P) <= 0")
-    embeddings = [ComplexPoint(p.real, p.imag, s) for p, s in zip(ps, im_signs.tolist())]
-    return LongPath(sigma, w, vertices, embeddings, quads)
+    return LongPath(vertices, ps, quads)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_NODE_BUDGET, Kmer, check_budget
+from .core import DEFAULT_NODE_BUDGET, check_budget
 from .kmerset import KmerSet
 
 ACYCLIC = "ACYCLIC"
@@ -31,12 +31,16 @@ CYCLIC = "CYCLIC"
 
 @dataclass(frozen=True)
 class PathReport:
-    """Result of longest-remaining-path analysis after removing a set."""
+    """Result of longest-remaining-path analysis after removing a set.
+
+    The witnesses are lists of w-mer codes: the longest path (ACYCLIC), or
+    one cycle (CYCLIC).
+    """
 
     kind: str
     longest_vertices: int = 0
-    witness: list[Kmer] = field(default_factory=list)
-    cycle_witness: list[Kmer] = field(default_factory=list)
+    witness: list[int] = field(default_factory=list)
+    cycle_witness: list[int] = field(default_factory=list)
 
 
 def _reverse_peel(survives: np.ndarray, sigma: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -136,14 +140,12 @@ def longest_remaining_path(kset: KmerSet, budget: int = DEFAULT_NODE_BUDGET) -> 
     optimal continuations.  Returns a CYCLIC report with a witness cycle
     when the complement subgraph is not acyclic.
     """
-    sigma, w = kset.sigma, kset.w
-    n = kset.n
+    sigma, n = kset.sigma, kset.n
     check_budget(n, budget, "longest remaining path")
     label, pending = _reverse_peel(~kset.mask, sigma, n)
 
     if pending.any():
-        cyc = _cycle_witness(pending, sigma, n)
-        return PathReport(CYCLIC, cycle_witness=[Kmer(c, sigma, w) for c in cyc])
+        return PathReport(CYCLIC, cycle_witness=_cycle_witness(pending, sigma, n))
 
     v = int(np.argmax(label))
     longest = int(label[v])
@@ -154,9 +156,7 @@ def longest_remaining_path(kset: KmerSet, budget: int = DEFAULT_NODE_BUDGET) -> 
         base = (v * sigma) % n
         v = next(u for u in range(base, base + sigma) if label[u] == k)
         path.append(v)
-    return PathReport(
-        ACYCLIC, longest_vertices=longest, witness=[Kmer(c, sigma, w) for c in path]
-    )
+    return PathReport(ACYCLIC, longest_vertices=longest, witness=path)
 
 
 def is_decycling(kset: KmerSet, budget: int = DEFAULT_NODE_BUDGET) -> bool:
@@ -174,21 +174,21 @@ def is_uhs(kset: KmerSet, l: int, budget: int = DEFAULT_NODE_BUDGET) -> bool:
 
 
 def verify_witness(kset: KmerSet, report: PathReport) -> bool:
-    """Re-verify a PathReport witness: edges valid, vertices outside the set."""
-    sigma, w = kset.sigma, kset.w
-    n = kset.n
+    """Re-verify a PathReport's witness codes: each in range and outside the set,
+    each step a de Bruijn edge (v // sigma == u % sigma^(w-1)), the path as long
+    as reported and the cycle closed."""
+    sigma, n = kset.sigma, kset.n
 
-    def edge(u: Kmer, v: Kmer) -> bool:
-        return (u.code * sigma) % n <= v.code < (u.code * sigma) % n + sigma
+    def outside(codes: list[int]) -> bool:
+        return all(0 <= c < n for c in codes) and not kset.mask[codes].any()
+
+    def edges(pairs) -> bool:
+        return all(v // sigma == u % (n // sigma) for u, v in pairs)
 
     if report.kind == ACYCLIC:
         path = report.witness
         if len(path) != report.longest_vertices:
             return False
-        if any(x in kset for x in path):
-            return False
-        return all(edge(u, v) for u, v in zip(path, path[1:]))
+        return outside(path) and edges(zip(path, path[1:]))
     cyc = report.cycle_witness
-    if not cyc or any(x in kset for x in cyc):
-        return False
-    return all(edge(u, v) for u, v in zip(cyc, cyc[1:] + cyc[:1]))
+    return bool(cyc) and outside(cyc) and edges(zip(cyc, cyc[1:] + cyc[:1]))

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import DEFAULT_NODE_BUDGET, check_alphabet, check_budget, parse_symbols
-from .kmerset import KmerSet, encode_lines
+from .kmerset import KmerSet, encode_lines, read_header
 from . import paths
 
 TABLE = "TABLE"
@@ -340,11 +340,7 @@ def estimate_density(
 
 def load_scheme_table(path: str, budget: int = DEFAULT_NODE_BUDGET) -> SelectionScheme:
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != "scheme":
-            raise ValueError(f"bad scheme file header in {path}")
-        sigma = int(header[1].removeprefix("sigma="))
-        w = int(header[2].removeprefix("w="))
+        sigma, w = read_header(fh.readline(), "scheme", f"bad scheme file header in {path}")
         check_budget(sigma**w, budget, "scheme table")
         table = np.full(sigma**w, -1, dtype=np.int64)
         windows, picks = [], []

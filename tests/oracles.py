@@ -24,6 +24,7 @@ build on.  The Hypothesis strategies at the end draw the properties' inputs.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -43,8 +44,8 @@ from uhspath.core import (
 )
 from uhspath.exactsign import NEG, POS, ZERO, cyclotomic_coeffs
 from uhspath.forbidden import fsm_matrix
-from uhspath.kmerset import KmerSet
-from uhspath.mykkeltveit import ComplexPoint, _member, _raw_embedding, build_mykkeltveit_set
+from uhspath.kmerset import KmerSet, read_header
+from uhspath.mykkeltveit import _member, _raw_embedding, build_mykkeltveit_set
 from uhspath.paths import ACYCLIC, CYCLIC
 from uhspath.schemes import (
     EXPECTED_ESTIMATE,
@@ -71,6 +72,16 @@ def successor(x, a):
 def pure_rotation(x):
     """Cyclic left rotation: the successor that stays inside x's conjugacy class."""
     return successor(x, x.code // x.sigma ** (x.w - 1))
+
+
+@dataclass(frozen=True)
+class ComplexPoint:
+    re: float
+    im: float
+    im_sign: int  # NEG/ZERO/POS, certified
+
+    def __complex__(self):
+        return complex(self.re, self.im)
 
 
 def embedding(x):
@@ -359,13 +370,10 @@ def code_ring(sigma, w, zero_tags, quads):
 
 
 def per_line_load_text(path, budget=1 << 28):
-    """The set file read one line at a time with kmer_encode."""
+    """The set file read one line at a time with kmer_encode, after the
+    library's own header check."""
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != "uhs":
-            raise ValueError(f"bad set file header in {path}")
-        sigma = int(header[1].removeprefix("sigma="))
-        w = int(header[2].removeprefix("w="))
+        sigma, w = read_header(fh.readline(), "uhs", f"bad set file header in {path}")
         check_budget(sigma**w, budget, "KmerSet")
         mask = np.zeros(sigma**w, dtype=bool)
         for line in fh:

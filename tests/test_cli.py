@@ -242,6 +242,41 @@ class TestExitCodes:
             f"error: bad line 4 in scheme file {table}: expected a window and an integer pick\n"
         )
 
+    @pytest.mark.parametrize(
+        "name,content,argv,message",
+        [
+            ("t1.bin", b"UHS1", "check-uhs --sigma 2 --w 3 --set {f}", "truncated set file {f}"),
+            ("s.txt", b"uhs sigma=x w=3\n000\n", "check-uhs --sigma 2 --w 3 --set {f}",
+             "bad set file header in {f}"),
+            ("t.txt", b"scheme sigma=2 w=x\n00 0\n", "density --sigma 2 --w 2 --table {f}",
+             "bad scheme file header in {f}"),
+            ("t.txt", b"scheme sigma=2 w=-1\n0 0\n", "density --sigma 2 --w -1 --table {f}",
+             "w must be >= 1, got -1"),
+        ],
+        ids=["binary_truncated", "set_sigma_not_integer", "scheme_w_not_integer",
+             "scheme_w_negative"],
+    )
+    def test_malformed_header(self, capsys, tmp_path, name, content, argv, message):
+        f = tmp_path / name
+        f.write_bytes(content)
+        assert run(argv.format(f=f).split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message.format(f=f)}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["mykkeltveit --sigma 11 --w 2", "contexts --sigma 11 --w 1 --minimizer --k 1"],
+        ids=["mykkeltveit", "contexts"],
+    )
+    def test_failed_text_save_leaves_no_file(self, capsys, tmp_path, argv):
+        out = tmp_path / "s.txt"
+        assert run(argv.split() + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: digit text form only supports sigma <= 10\n"
+        assert not out.exists()
+
     def test_set_file_alphabet(self, capsys, tmp_path):
         f = tmp_path / "f.txt"
         f.write_text("uhs sigma=0 w=3\n")
@@ -323,7 +358,7 @@ class TestExitCodes:
         t, o, m = tmp_path / "t.txt", tmp_path / "o.txt", tmp_path / "m.txt"
         t.write_text("scheme sigma=2 w=2\n00 0\n01 1\n10 0\n11 1\n")
         o.write_text("00\n01\n10\n11\n")
-        KmerSet.from_texts(2, 6, ["000000", "010101"]).save_binary(str(m))
+        KmerSet.from_codes(2, 6, [0b000000, 0b010101]).save_binary(str(m))
         assert run(argv.format(t=t, o=o, m=m).split()) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

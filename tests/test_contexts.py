@@ -12,6 +12,7 @@ from uhspath.contexts import (
     forward_context_symbols,
     local_context_symbols,
 )
+from uhspath.core import kmer_decode
 from uhspath.paths import is_uhs, longest_remaining_path
 from uhspath.schemes import (
     TABLE,
@@ -80,7 +81,7 @@ class TestLocal:
 
     def test_one_mer_minimizer_example(self):
         cs = build_context_set_local(lexicographic_minimizer(2, 1, 2))
-        texts = {k.text() for k in cs.kset.kmers()}
+        texts = {kmer_decode(int(c), 2, 3) for c in cs.kset.codes()}
         assert texts == {"000", "001", "010", "011", "110", "111"}
         assert cs.relative_size() == Fraction(3, 4)
 

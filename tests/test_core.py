@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from oracles import orbit_count, pure_rotation, recursive_fkm, successor
 from uhspath.core import (
-    ACGT,
     BudgetError,
     Kmer,
     _fkm,
@@ -25,7 +24,9 @@ class TestEncoding:
     def test_encode_decode_examples(self):
         assert kmer_encode("ACGT", 4).code == 0 * 64 + 1 * 16 + 2 * 4 + 3
         assert kmer_decode(27, 4, 4) == "0123"
-        assert kmer_encode("0123", 4).text(acgt=True) == "ACGT"
+        assert kmer_encode("ACGT", 4).text() == "0123"  # ACGT is read, digits are written
+        with pytest.raises(ValueError, match="cannot encode an empty string"):
+            kmer_encode("", 2)
 
     def test_acgt_parsing(self):
         assert parse_symbols("ACGT", 4) == (0, 1, 2, 3)
@@ -38,26 +39,24 @@ class TestEncoding:
             parse_symbols("012", 2)
         with pytest.raises(ValueError):
             Kmer(4, 2, 2)
+        with pytest.raises(ValueError, match="alphabet size must be >= 2, got 1"):
+            Kmer(0, 1, 2)
 
     def test_alphabet(self):
-        assert render_symbols(parse_symbols("GATTACA", 4), 4, acgt=True) == "GATTACA"
+        assert render_symbols(parse_symbols("GATTACA", 4), 4) == "2033010"
         with pytest.raises(ValueError):
             check_alphabet(1)
 
     @given(st.data())
     def test_render_equals_str_join(self, data):
-        # the byte table against one str() per digit, and ACGT by index
+        # the byte table against one str() per digit
         syms = data.draw(st.lists(st.integers(0, 9), max_size=40))
         sigma = data.draw(st.integers(max(2, max(syms, default=0) + 1), 10))
         assert render_symbols(syms, sigma) == "".join(str(s) for s in syms)
-        acgt = [s % 4 for s in syms]
-        assert render_symbols(acgt, 4, acgt=True) == "".join(ACGT[s] for s in acgt)
 
     def test_render_rejects_alphabets(self):
         with pytest.raises(ValueError, match="digit text form only supports sigma <= 10"):
             render_symbols([1, 0], 11)
-        with pytest.raises(ValueError, match="ACGT rendering requires sigma=4"):
-            render_symbols([1, 0], 2, acgt=True)
 
     @given(st.integers(2, 6), st.lists(st.integers(0, 5), min_size=1, max_size=12))
     def test_roundtrip(self, sigma, syms):

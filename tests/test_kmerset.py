@@ -1,11 +1,10 @@
-import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import hits, per_line_load_text
+from oracles import hits, kmer_sets, per_line_load_text
 from uhspath.core import BudgetError, kmer_decode, kmer_encode
 from uhspath.kmerset import KmerSet, encode_lines
 
@@ -25,23 +24,23 @@ def outcome(load, path):
 class TestBasics:
     def test_constructors_agree(self):
         a = KmerSet.from_codes(2, 3, [0, 5, 7])
-        b = KmerSet.from_texts(2, 3, ["000", "101", "111"])
-        assert a == b and a.cardinality == 3
+        b = KmerSet.from_codes(2, 3, encode_lines(["000", "101", "111"], 2, 3))
+        c = KmerSet(2, 3, np.isin(np.arange(8), [0, 5, 7]))
+        assert a == b == c and a.cardinality == 3
 
     def test_relative_size(self):
-        s = KmerSet.from_texts(2, 2, ["00", "10", "11"])
+        s = KmerSet.from_codes(2, 2, encode_lines(["00", "10", "11"], 2, 2))
         assert s.relative_size() == Fraction(3, 4)
-        assert KmerSet.empty(2, 5).relative_size() == 0
+        assert KmerSet(2, 5, np.zeros(32, dtype=bool)).relative_size() == 0
 
     def test_contains(self):
-        s = KmerSet.from_texts(2, 2, ["10"])
-        assert kmer_encode("10", 2) in s
-        assert kmer_encode("01", 2) not in s
-        with pytest.raises(ValueError):
-            kmer_encode("101", 2) in s
+        s = KmerSet.from_codes(2, 2, encode_lines(["10"], 2, 2))
+        assert s.contains_code(kmer_encode("10", 2).code)
+        assert not s.contains_code(kmer_encode("01", 2).code)
+        assert s.codes().tolist() == [2]
 
     def test_immutability(self):
-        s = KmerSet.empty(2, 3)
+        s = KmerSet(2, 3, np.zeros(8, dtype=bool))
         with pytest.raises(ValueError):
             s.mask[0] = True
 
@@ -51,19 +50,9 @@ class TestBasics:
 
     @pytest.mark.parametrize("text", ["01", "0110"])
     def test_texts_of_another_w_rejected(self, text):
-        # once read as the code of a 3-mer: {001} and {110}
-        named = re.escape(f"k-mer Kmer(code={int(text, 2)}, sigma=2, w={len(text)})")
-        with pytest.raises(ValueError, match=named):
-            KmerSet.from_texts(2, 3, ["000", text])
-
-    def test_kmers_of_another_sigma_rejected(self):
-        with pytest.raises(ValueError, match="does not match sigma=2 w=3"):
-            KmerSet.from_kmers([kmer_encode("012", 3)], 2, 3)
-        assert KmerSet.from_kmers([kmer_encode("011", 2)], 2, 3) == KmerSet.from_codes(2, 3, [3])
-
-    def test_empty_text_rejected(self):
-        with pytest.raises(ValueError, match="cannot encode an empty string"):
-            KmerSet.from_texts(2, 3, [""])
+        # never read as the code of some 3-mer ({001} or {110})
+        with pytest.raises(ValueError, match=f"^k-mer '{text}' has wrong length, expected 3$"):
+            encode_lines(["000", text], 2, 3)
 
 
 class TestSerialization:
@@ -81,12 +70,35 @@ class TestSerialization:
             assert KmerSet.load_binary(b) == s
 
     def test_text_header(self, tmp_path):
-        s = KmerSet.from_texts(2, 3, ["010"])
+        s = KmerSet.from_codes(2, 3, [0b010])
         p = tmp_path / "s.txt"
         s.save_text(str(p))
         lines = p.read_text().splitlines()
         assert lines[0] == "uhs sigma=2 w=3"
         assert lines[1:] == ["010"]
+
+    @given(data=st.data())
+    def test_text_bytes_are_decoded_members(self, data):
+        # the bulk writer against one kmer_decode per member
+        import tempfile, os
+
+        sigma = data.draw(st.integers(2, 10))
+        s = data.draw(kmer_sets(sigma, max_nodes=1 << 10))
+        expect = f"uhs sigma={sigma} w={s.w}\n" + "".join(
+            kmer_decode(int(c), sigma, s.w) + "\n" for c in s.codes()
+        )
+        with tempfile.TemporaryDirectory() as d:
+            t = os.path.join(d, "s.txt")
+            s.save_text(t)
+            with open(t, "rb") as fh:
+                assert fh.read() == expect.encode()
+
+    def test_text_save_beyond_ten_symbols_writes_nothing(self, tmp_path):
+        p = tmp_path / "s.txt"
+        for mask in (np.zeros(11, dtype=bool), np.ones(11, dtype=bool)):
+            with pytest.raises(ValueError, match="digit text form only supports sigma <= 10"):
+                KmerSet(11, 1, mask).save_text(str(p))
+            assert not p.exists()
 
     def test_binary_layout(self, tmp_path):
         s = KmerSet.from_codes(2, 3, [0, 7])
@@ -99,7 +111,7 @@ class TestSerialization:
         assert raw[9] == 0b10000001  # bit i = membership of code i, LSB first
 
     def test_load_tells_formats_apart(self, tmp_path, monkeypatch):
-        s = KmerSet.from_texts(2, 4, ["0110", "1111"])
+        s = KmerSet.from_codes(2, 4, [0b0110, 0b1111])
         t, b = str(tmp_path / "s.txt"), str(tmp_path / "s.bin")
         s.save_text(t)
         s.save_binary(b)
@@ -125,12 +137,27 @@ class TestSerialization:
         p.write_bytes(b"XXXX\x02\x03\x00\x00\x00")
         with pytest.raises(ValueError):
             KmerSet.load_binary(str(p))
+        for header in ("uhs sigma=x w=3", "uhs sigma=2 w=", "uhs w=3 sigma=2"):
+            p.write_text(header + "\n000\n")
+            with pytest.raises(ValueError, match=f"^bad set file header in {p}$"):
+                KmerSet.load_text(str(p))
+        for raw in (b"UHS1", b"UHS1\x02\x03\x00"):  # shorter than the 9-byte header
+            p.write_bytes(raw)
+            with pytest.raises(ValueError, match=f"^truncated set file {p}$"):
+                KmerSet.load_binary(str(p))
 
     def test_bad_alphabet_or_width_in_header(self, tmp_path):
         p = tmp_path / "x"
         p.write_text("uhs sigma=0 w=3\n")
         with pytest.raises(ValueError, match="alphabet size must be >= 2, got 0"):
             KmerSet.load_text(str(p))
+        p.write_text("uhs sigma=-2 w=3\n")
+        with pytest.raises(ValueError, match="alphabet size must be >= 2, got -2"):
+            KmerSet.load_text(str(p))
+        for w in (0, -1):  # sigma**-1 is no array length
+            p.write_text(f"uhs sigma=2 w={w}\n0\n")
+            with pytest.raises(ValueError, match=f"^w must be >= 1, got {w}$"):
+                KmerSet.load_text(str(p))
         # binary header: magic, sigma as one byte, w as four little-endian bytes
         p.write_bytes(b"UHS1\x01\x05\x00\x00\x00\x00")
         with pytest.raises(ValueError, match="alphabet size must be >= 2, got 1"):
@@ -151,8 +178,10 @@ class TestVectorisedParse:
             w = int(rng.integers(1, 7))
             s = random_set(rng, sigma, w, p=float(rng.random()))
             lines = []
-            for km in s.kmers():
-                text = km.text(acgt=sigma == 4 and bool(rng.random() < 0.5))
+            for c in s.codes():
+                text = kmer_decode(int(c), sigma, w)
+                if sigma == 4 and rng.random() < 0.5:
+                    text = "".join("ACGT"[int(d)] for d in text)
                 lines.append(rng.choice(pads) + text + rng.choice(pads))
                 if rng.random() < 0.2:
                     lines.append(rng.choice(pads))  # blank line
@@ -211,7 +240,7 @@ class TestHits:
     def test_hits_matches_substring_scan(self):
         rng = np.random.default_rng(1)
         s = random_set(rng, 2, 3)
-        texts = {k.text() for k in s.kmers()}
+        texts = {kmer_decode(int(c), 2, 3) for c in s.codes()}
         for _ in range(200):
             string = "".join(rng.choice(["0", "1"], size=rng.integers(3, 20)))
             expect = any(string[i : i + 3] in texts for i in range(len(string) - 2))
@@ -219,4 +248,4 @@ class TestHits:
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            hits(KmerSet.empty(2, 4), "011")
+            hits(KmerSet(2, 4, np.zeros(16, dtype=bool)), "011")

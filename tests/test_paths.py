@@ -10,6 +10,7 @@ from uhspath.mykkeltveit import build_mykkeltveit_set
 from uhspath.paths import (
     ACYCLIC,
     CYCLIC,
+    PathReport,
     is_decycling,
     is_uhs,
     longest_remaining_path,
@@ -20,7 +21,7 @@ from uhspath.paths import (
 
 
 def _summary(report):
-    return report.kind, report.longest_vertices, [k.code for k in report.witness]
+    return report.kind, report.longest_vertices, report.witness
 
 
 class TestAgainstBruteForce:
@@ -53,15 +54,15 @@ class TestAgainstBruteForce:
         assert summary == (ACYCLIC, max(labels), witness)
 
     def test_full_and_empty(self):
-        assert longest_remaining_path(KmerSet.full(2, 4)).longest_vertices == 0
-        assert longest_remaining_path(KmerSet.empty(2, 4)).kind == CYCLIC
+        assert longest_remaining_path(KmerSet(2, 4, np.ones(16, dtype=bool))).longest_vertices == 0
+        assert longest_remaining_path(KmerSet(2, 4, np.zeros(16, dtype=bool))).kind == CYCLIC
 
     def test_self_loop_detected(self):
         # 0^w survives => self loop
         kset = KmerSet(2, 3, ~KmerSet.from_codes(2, 3, [0]).mask)
         report = longest_remaining_path(kset)
         assert report.kind == CYCLIC
-        assert [k.code for k in report.cycle_witness] == [0]
+        assert report.cycle_witness == [0]
 
 
 class TestDeterminism:
@@ -71,15 +72,15 @@ class TestDeterminism:
             kset = KmerSet(2, 4, rng.random(16) < 0.6)
             r1 = longest_remaining_path(kset)
             r2 = longest_remaining_path(kset)
-            assert [k.code for k in r1.witness] == [k.code for k in r2.witness]
-            assert [k.code for k in r1.cycle_witness] == [k.code for k in r2.cycle_witness]
+            assert r1.witness == r2.witness
+            assert r1.cycle_witness == r2.cycle_witness
 
     @given(kmer_sets(2, max_nodes=8))
     def test_witness_starts_at_least_optimal_code(self, kset):
         report = longest_remaining_path(kset)
         kind, labels, _ = dfs_longest(kset)
         assume(kind == ACYCLIC and report.longest_vertices > 0)
-        assert report.witness[0].code == labels.index(report.longest_vertices)
+        assert report.witness[0] == labels.index(report.longest_vertices)
 
 
 class TestMonotonicity:
@@ -116,12 +117,12 @@ class TestUhsSemantics:
                 assert hits(kset, s)
 
     def test_is_decycling(self):
-        assert is_decycling(KmerSet.from_texts(2, 2, ["00", "10", "11"]))
-        assert not is_decycling(KmerSet.from_texts(2, 2, ["00"]))
+        assert is_decycling(KmerSet.from_codes(2, 2, [0b00, 0b10, 0b11]))
+        assert not is_decycling(KmerSet.from_codes(2, 2, [0b00]))
 
     def test_budget(self):
         with pytest.raises(BudgetError):
-            longest_remaining_path(KmerSet.empty(2, 10), budget=100)
+            longest_remaining_path(KmerSet(2, 10, np.zeros(1024, dtype=bool)), budget=100)
 
 
 class TestLabelCertificate:
@@ -161,14 +162,37 @@ class TestLabelCertificate:
     def test_rejects_swapped_adjacent_labels(self):
         kset = build_mykkeltveit_set(2, 12)
         labels = path_labels(kset)
-        u, v = (k.code for k in longest_remaining_path(kset).witness[:2])
+        u, v = longest_remaining_path(kset).witness[:2]
         labels[u], labels[v] = labels[v], labels[u]
         assert verify_labels(kset, labels) is None
 
     def test_rejects_wrong_shape(self):
-        kset = KmerSet.empty(2, 3)
+        kset = KmerSet(2, 3, np.zeros(8, dtype=bool))
         with pytest.raises(ValueError):
             verify_labels(kset, np.zeros(7, dtype=np.int32))
+
+
+class TestWitnessCheck:
+    def test_rejects_corrupted_codes(self):
+        kset = build_mykkeltveit_set(2, 8)
+        report = longest_remaining_path(kset)
+        path = report.witness
+        member = int(kset.codes()[0])
+        for bad in (
+            path[:-1],  # shorter than reported
+            [member] + path[1:],  # a member of the set
+            path[:1] + path[:1] + path[2:],  # a repeated vertex is no edge here
+            [path[0] + 256] + path[1:],  # out of range
+        ):
+            assert not verify_witness(kset, PathReport(ACYCLIC, len(path), witness=bad))
+        assert verify_witness(kset, PathReport(ACYCLIC, len(path), witness=list(path)))
+
+    def test_rejects_open_cycle(self):
+        kset = KmerSet.from_codes(2, 3, [0b000, 0b111])
+        report = longest_remaining_path(kset)
+        assert report.kind == CYCLIC and verify_witness(kset, report)
+        assert not verify_witness(kset, PathReport(CYCLIC, cycle_witness=report.cycle_witness[:-1]))
+        assert not verify_witness(kset, PathReport(CYCLIC))
 
 
 class TestCycleWitness:
@@ -179,7 +203,7 @@ class TestCycleWitness:
         report = longest_remaining_path(kset)
         assume(report.kind == CYCLIC)
         assert verify_witness(kset, report)
-        codes = [k.code for k in report.cycle_witness]
+        codes = report.cycle_witness
         assert len(set(codes)) == len(codes)
-        assert [k.code for k in longest_remaining_path(kset).cycle_witness] == codes
+        assert longest_remaining_path(kset).cycle_witness == codes
         assert not is_decycling(kset)

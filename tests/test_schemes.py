@@ -383,14 +383,14 @@ class TestEstimateErrorBars:
 
 class TestCompatibleMinimizer:
     def test_members_rank_first(self):
-        U = KmerSet.from_texts(2, 2, ["00"])
+        U = KmerSet.from_codes(2, 2, [0b00])
         sch = build_compatible_minimizer(U, 3)
         assert sch.kind == "COMPATIBLE"
         assert select(sch, "1001") == 1  # leftmost 00
         assert select(sch, "0100") == 2
 
     def test_full_set_degenerates_to_lexicographic(self):
-        U = KmerSet.full(2, 2)
+        U = KmerSet(2, 2, np.ones(4, dtype=bool))
         sch = build_compatible_minimizer(U, 3)
         lex = lexicographic_minimizer(2, 2, 3)
         assert np.array_equal(scheme_values(sch), scheme_values(lex))
@@ -409,7 +409,7 @@ class TestCompatibleMinimizer:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            build_compatible_minimizer(KmerSet.empty(2, 2), 3)
+            build_compatible_minimizer(KmerSet(2, 2, np.zeros(4, dtype=bool)), 3)
 
     @given(data=st.data())
     def test_rank_equals_argsort_oracle(self, data):
