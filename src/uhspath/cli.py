@@ -19,6 +19,7 @@ from .core import (
     BudgetError,
     DEFAULT_NODE_BUDGET,
     check_budget,
+    check_digit_text,
     debruijn_sequence,
     kmer_decode,
     necklace_count,
@@ -226,6 +227,7 @@ def _cmd_check_uhs(args) -> None:
 def _cmd_longest_path(args) -> None:
     from . import paths
 
+    check_digit_text(args.sigma)  # the witnesses print as digit text
     kset = _resolve_set(args.set, args.sigma, args.w, args.budget)
     report = paths.longest_remaining_path(kset, budget=args.budget)
     out = {

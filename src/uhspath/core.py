@@ -43,6 +43,11 @@ def check_alphabet(sigma: int) -> None:
         raise ValueError(f"alphabet size must be >= 2, got {sigma}")
 
 
+def check_digit_text(sigma: int) -> None:
+    if sigma > 10:
+        raise ValueError("digit text form only supports sigma <= 10")
+
+
 def parse_symbols(text: str | Sequence[int], sigma: int) -> tuple[int, ...]:
     """Turn a digit string (or an ACGT string when sigma=4) into symbol values."""
     if not isinstance(text, str):
@@ -53,8 +58,7 @@ def parse_symbols(text: str | Sequence[int], sigma: int) -> tuple[int, ...]:
         except KeyError as e:
             raise ValueError(f"invalid ACGT symbol {e.args[0]!r}") from None
     else:
-        if sigma > 10:
-            raise ValueError("digit text form only supports sigma <= 10")
+        check_digit_text(sigma)
         try:
             syms = tuple(int(c) for c in text)
         except ValueError:
@@ -67,8 +71,7 @@ def parse_symbols(text: str | Sequence[int], sigma: int) -> tuple[int, ...]:
 
 def render_symbols(symbols: Iterable[int], sigma: int) -> str:
     """Digit text of a symbol sequence (ints, not an array); ACGT is input only."""
-    if sigma > 10:
-        raise ValueError("digit text form only supports sigma <= 10")
+    check_digit_text(sigma)
     return bytes(symbols).translate(_DIGIT_BYTES).decode()
 
 

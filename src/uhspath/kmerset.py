@@ -7,7 +7,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import ACGT, DEFAULT_NODE_BUDGET, check_alphabet, check_budget, kmer_encode
+from .core import (
+    ACGT,
+    DEFAULT_NODE_BUDGET,
+    check_alphabet,
+    check_budget,
+    check_digit_text,
+    kmer_encode,
+)
 
 _BINARY_MAGIC = b"UHS1"
 
@@ -138,8 +145,7 @@ class KmerSet:
     def save_text(self, path: str) -> None:
         """One digit line per member, in code order, rendered into one byte buffer
         a digit column at a time; nothing is written for sigma > 10."""
-        if self.sigma > 10:
-            raise ValueError("digit text form only supports sigma <= 10")
+        check_digit_text(self.sigma)
         rest = self.codes()
         lines = np.empty((rest.size, self.w + 1), dtype=np.uint8)
         lines[:, self.w] = ord("\n")

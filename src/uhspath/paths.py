@@ -5,9 +5,10 @@ sink-first: wave k labels every surviving node whose surviving successors
 all carry labels below k, so a node's label is the number of vertices on the
 longest surviving path that starts there.  The predecessors of node v are
 v // sigma + b * sigma^(w-1), and all of them share the successor row
-v // sigma, so each wave reads whole successor rows of a bool ``pending``
-array; it needs no degree array, no hashing and no scatter-add.  Nodes still
-pending at the end lie on a cycle or lead into one.
+v // sigma.  Each wave tests the rows the last wave touched with sigma 1-D
+gathers, one per successor symbol, from strided column views of a bool
+``pending`` array; it needs no degree array, no hashing and no scatter-add.
+Nodes still pending at the end lie on a cycle or lead into one.
 
 The label array doubles as a certificate: ``verify_labels`` checks, without
 the peel, that labels strictly decrease along every surviving edge, which
@@ -43,6 +44,15 @@ class PathReport:
     cycle_witness: list[int] = field(default_factory=list)
 
 
+def _idle_rows(cols: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """The rows with no pending entry in any column view.  The busy mask
+    lives only in this call, so it is freed before the wave allocates."""
+    busy = cols[0][rows]
+    for col in cols[1:]:
+        busy |= col[rows]
+    return rows[~busy]
+
+
 def _reverse_peel(survives: np.ndarray, sigma: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Sink-first peel restricted to surviving nodes.
 
@@ -53,17 +63,20 @@ def _reverse_peel(survives: np.ndarray, sigma: int, n: int) -> tuple[np.ndarray,
     the owners of row r are r + b*m, so a wave keeps the rows the last
     frontier touched that have nothing pending, and takes their pending
     owners; for sorted rows, the owners come out sorted in b-major order.
+    Column a of that reshape, a strided view of ``pending``, says whether
+    each row's successor ending in symbol a is pending, so ``_idle_rows``
+    tests a wave's rows with sigma 1-D gathers.
     """
     m = n // sigma
     pending = survives.copy()
-    pending_rows = pending.reshape(m, sigma)
+    cols = [pending.reshape(m, sigma)[:, a] for a in range(sigma)]
     label = np.zeros(n, dtype=np.int32)
     owners = np.arange(sigma, dtype=np.int64)[:, None] * m
     rows = np.arange(m, dtype=np.int64)
     k = 0
     while rows.size:
         k += 1
-        rows = rows[~pending_rows[rows].any(1)]
+        rows = _idle_rows(cols, rows)
         cand = (rows + owners).ravel()
         frontier = cand[pending[cand]]
         if frontier.size == 0:

@@ -5,28 +5,18 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
-from uhspath.core import (
-    Kmer,
-    canonical_rotation_code,
-    debruijn_sequence,
-    kmer_decode,
-    necklace_count,
-    parse_symbols,
-)
+from uhspath.core import necklace_count, parse_symbols
 from uhspath.contexts import build_context_set_forward, build_context_set_local
 from uhspath.forbidden import (
     bracket_holds,
     build_forbidden_set,
-    dominant_eigenvector,
     dominant_root,
     eigenpair_residual,
     forbidden_d,
     remaining_path_witness,
     survival_probability,
 )
-from uhspath.kmerset import KmerSet
 from uhspath.mds import enumerate_mds
 from uhspath.mykkeltveit import build_long_path, build_mykkeltveit_set
 from uhspath.paths import ACYCLIC, is_decycling, longest_remaining_path

@@ -396,6 +396,20 @@ class TestExitCodes:
         assert run(["mykkeltveit", "--sigma", "2", "--w", "6"]) == 3
         assert "internal error: sign classification bug" in capsys.readouterr().err
 
+    def test_longest_path_rejects_wide_alphabet_first(self, capsys, monkeypatch):
+        # the witnesses print as digit text, so sigma > 10 fails before any work
+        from uhspath import mykkeltveit, paths
+
+        def never(*args, **kwargs):
+            raise AssertionError("set built or peeled before the alphabet check")
+
+        monkeypatch.setattr(mykkeltveit, "build_mykkeltveit_set", never)
+        monkeypatch.setattr(paths, "longest_remaining_path", never)
+        assert run(["longest-path", "--sigma", "11", "--w", "7", "--set", "mykkeltveit"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: digit text form only supports sigma <= 10\n"
+
     def test_long_path_undefined_width(self, capsys):
         # the even program leaves the upper half plane at w=18: bad input, not a bug
         assert run(["long-path", "--sigma", "2", "--w", "18"]) == 1

@@ -25,7 +25,7 @@ def _summary(report):
 
 
 class TestAgainstBruteForce:
-    @pytest.mark.parametrize("sigma", [2, 3, 4])
+    @pytest.mark.parametrize("sigma", [2, 3, 4, 5])
     @given(data=st.data())
     def test_random_sets(self, sigma, data):
         # kind, length, witness and labels against the depth-first search
@@ -43,9 +43,10 @@ class TestAgainstBruteForce:
         [
             lambda: build_mykkeltveit_set(2, 14),
             lambda: build_mykkeltveit_set(3, 8),
+            lambda: build_mykkeltveit_set(4, 6),
             lambda: build_forbidden_set(2, 16),
         ],
-        ids=["mykkeltveit-2-14", "mykkeltveit-3-8", "forbidden-2-16"],
+        ids=["mykkeltveit-2-14", "mykkeltveit-3-8", "mykkeltveit-4-6", "forbidden-2-16"],
     )
     def test_constructions(self, build):
         kset = build()
