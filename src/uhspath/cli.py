@@ -44,6 +44,12 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj))
 
 
+def _check_text_out(args) -> None:
+    """A text --out holds digit lines, so sigma > 10 fails before any work."""
+    if args.out and not args.binary:
+        check_digit_text(args.sigma)
+
+
 def _save_set(kset, path: str, binary: bool) -> None:
     if binary:
         kset.save_binary(path)
@@ -124,6 +130,7 @@ def _cmd_mykkeltveit(args) -> None:
     from . import paths
     from .mykkeltveit import build_mykkeltveit_set
 
+    _check_text_out(args)
     kset = build_mykkeltveit_set(args.sigma, args.w, budget=args.budget)
     if args.out:
         _save_set(kset, args.out, args.binary)
@@ -143,6 +150,7 @@ def _cmd_mykkeltveit(args) -> None:
 def _cmd_forbidden(args) -> None:
     from . import forbidden, paths
 
+    _check_text_out(args)
     kset = forbidden.build_forbidden_set(args.sigma, args.w, budget=args.budget)
     if args.out:
         _save_set(kset, args.out, args.binary)
@@ -162,6 +170,7 @@ def _cmd_forbidden(args) -> None:
 def _cmd_contexts(args) -> None:
     from . import contexts
 
+    _check_text_out(args)
     scheme = _load_scheme(args)
     if args.variant == "local":
         cs = contexts.build_context_set_local(scheme, budget=args.budget)

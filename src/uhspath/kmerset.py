@@ -197,5 +197,5 @@ class KmerSet:
             raw = fh.read((n + 7) // 8)
             if len(raw) != (n + 7) // 8:
                 raise ValueError(f"truncated set file {path}")
-            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        return cls(sigma, w, bits[:n].astype(bool))
+            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n, bitorder="little")
+        return cls(sigma, w, bits.view(bool))

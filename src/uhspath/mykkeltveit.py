@@ -33,6 +33,8 @@ from .core import (
 from .exactsign import NEG, POS, ZERO
 from .kmerset import KmerSet
 
+_BLOCK = 1 << 18  # codes per block of the bulk build
+
 
 def _raw_embedding(symbols, w: int) -> complex:
     """P of a symbol sequence, in doubles."""
@@ -73,6 +75,28 @@ def _member(im, im_rot, re, least):
     )
 
 
+def _im_float_signs(
+    sigma: int, w: int, th: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(im_sgn, band, im_band): the int8 sign of Im P in doubles over every
+    code, the guard-band codes |Im P| <= th, whose signs still need
+    certifying, and their doubles.  Im P is summed from two half-word tables
+    one block of whole hi rows (about _BLOCK codes) at a time, so no float
+    array spans all sigma^w codes."""
+    im_hi, im_lo = _half_tables(sigma, w, np.sin)
+    im_sgn = np.empty(im_hi.size * im_lo.size, dtype=np.int8)
+    step = max(1, _BLOCK // im_lo.size)
+    band, im_band = [], []
+    for i in range(0, im_hi.size, step):
+        im = (im_hi[i : i + step, None] + im_lo[None, :]).ravel()
+        first = i * im_lo.size  # code of the block's first entry
+        near = np.flatnonzero((-th <= im) & (im <= th))
+        band.append(first + near)
+        im_band.append(im[near])
+        im_sgn[first : first + im.size] = np.sign(im, out=im)
+    return im_sgn, np.concatenate(band), np.concatenate(im_band)
+
+
 def build_mykkeltveit_set(
     sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET
 ) -> KmerSet:
@@ -82,45 +106,48 @@ def build_mykkeltveit_set(
     otherwise the member exactly on the negative real axis if one exists,
     else the unique member with Im(P(x)) < 0 and Im(P(R(x))) > 0.
 
-    P is summed in doubles from two half-word tables; the codes in the guard
-    band are expanded to digit rows and certified by `exactsign.signs`.
+    Im P is summed in doubles from two half-word tables, a block of codes at
+    a time, into one int8 sign per code; the codes in the guard band are
+    expanded to digit rows and certified by `exactsign.signs`, and so is the
+    sign of Re P where Im P = 0.  The keep rule then runs block by block.
     """
     check_alphabet(sigma)
     if w < 2:
         raise ValueError("need w >= 2")
     n = sigma**w
     check_budget(n, budget, "decycling set construction")
-    th = exactsign.guard(sigma, w)
-
-    im_hi, im_lo = _half_tables(sigma, w, np.sin)
-    im = (im_hi[:, None] + im_lo[None, :]).ravel()
-    b = np.flatnonzero((-th <= im) & (im <= th))
+    im_sgn, b, im_b = _im_float_signs(sigma, w, exactsign.guard(sigma, w))
     rows = _digit_rows(b, sigma, w)
-    im_b = exactsign.signs(rows, im[b], sigma, "im")
-    im_sgn = np.sign(im, out=im).astype(np.int8)
-    del im
-    im_sgn[b] = im_b
+    im_sgn[b] = exactsign.signs(rows, im_b, sigma, "im")
 
-    # Re's sign only matters where Im = 0
-    on_axis = im_b == ZERO
+    # P(R(x)) for x = a.r (leading symbol a) is at code r.a, so over a block
+    # of codes with one leading symbol the rotated signs are a strided view.
+    # Re and `least` only matter where Im = 0: the blocks take them as zero
+    # and those codes are decided again below.
+    m = n // sigma
+    mask = np.empty(n, dtype=bool)
+    for a in range(sigma):
+        for j in range(0, m, _BLOCK):
+            k = min(j + _BLOCK, m)
+            x = slice(a * m + j, a * m + k)
+            im_rot = im_sgn[j * sigma + a : k * sigma : sigma]
+            mask[x] = _member(im_sgn[x], im_rot, ZERO, False)
+
+    on_axis = im_sgn[b] == ZERO
     z, rows = b[on_axis], rows[on_axis]
     re_hi, re_lo = _half_tables(sigma, w, np.cos)
-    re = re_hi[z // re_lo.size] + re_lo[z % re_lo.size]
-    re_sgn = np.zeros(n, dtype=np.int8)
-    re_sgn[z] = exactsign.signs(rows, re, sigma, "re")
-
+    re = exactsign.signs(rows, re_hi[z // re_lo.size] + re_lo[z % re_lo.size], sigma, "re")
     # classes embedded at the origin (the all-zero word's among them) keep
     # their least rotation
-    c = origin = z[re_sgn[z] == ZERO]
+    c = origin = z[re == ZERO]
     canon = origin.copy()
     for _ in range(w - 1):
         c = rotation_code(c, sigma, w)
         np.minimum(canon, c, out=canon)
-    least = np.zeros(n, dtype=bool)
-    least[origin] = canon == origin
-    # P(R(x)) for x = a.r (leading symbol a) is at code r.a
-    im_rot = im_sgn.reshape(-1, sigma).T.ravel()
-    mask = _member(im_sgn, im_rot, re_sgn, least)
+    least = np.zeros(z.size, dtype=bool)
+    least[re == ZERO] = canon == origin
+    mask[z] = _member(im_sgn[z], im_sgn[rotation_code(z, sigma, w)], re, least)
+    del im_sgn  # before KmerSet copies the mask
 
     kset = KmerSet(sigma, w, mask)
     if kset.cardinality != necklace_count(sigma, w):

@@ -1,20 +1,26 @@
 """Longest remaining path and decycling checks on the implicit de Bruijn graph.
 
-The surviving subgraph (the graph on sigma^w nodes minus a set) is peeled
-sink-first: wave k labels every surviving node whose surviving successors
-all carry labels below k, so a node's label is the number of vertices on the
-longest surviving path that starts there.  The predecessors of node v are
-v // sigma + b * sigma^(w-1), and all of them share the successor row
-v // sigma.  Each wave tests the rows the last wave touched with sigma 1-D
-gathers, one per successor symbol, from strided column views of a bool
-``pending`` array; it needs no degree array, no hashing and no scatter-add.
-Nodes still pending at the end lie on a cycle or lead into one.
+A w-mer u is an edge of the order-(w-1) de Bruijn graph, from its prefix row
+u // sigma to its suffix row u mod m, m = sigma^(w-1): the w-mers leaving row
+r are r*sigma + a and those entering it are b*m + r.  The successors of a
+surviving w-mer are the surviving w-mers leaving its suffix row, so its
+label, the number of vertices on the longest surviving path that starts
+there, depends on that row alone: it is h[u mod m].
 
-The label array doubles as a certificate: ``verify_labels`` checks, without
-the peel, that labels strictly decrease along every surviving edge, which
-proves both acyclicity and the upper bound.  Path lengths are always counted
-in vertices (w-mers); a string of L symbols corresponds to a walk of
-L - w + 1 vertices.
+The peel (Kahn 1962) keeps, per row, the count of its surviving out-edges
+still unlabelled.  A row whose count reaches 0 goes idle: wave k sets
+h[r] = k on the rows that went idle after wave k - 1 and labels the
+surviving edges entering them, which lowers the counts of their prefix rows.
+It reads the set's mask as it is and keeps about 5/sigma bytes per w-mer (a
+count that holds sigma and an int32 wave per row) besides the wave in
+flight.  Rows still counting at the end lie on a cycle or lead into one.
+
+h, with m entries, is the certificate of the longest path: expanded to one
+label per w-mer (``path_labels``), ``verify_labels`` checks without the peel
+that labels strictly decrease along every surviving edge, which proves both
+acyclicity and the upper bound; a stored certificate needs only h.  Path
+lengths are always counted in vertices (w-mers); a string of L symbols
+corresponds to a walk of L - w + 1 vertices.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ from .kmerset import KmerSet
 
 ACYCLIC = "ACYCLIC"
 CYCLIC = "CYCLIC"
+
+_CHUNK = 1 << 16  # rows per peel slice
 
 
 @dataclass(frozen=True)
@@ -44,48 +52,48 @@ class PathReport:
     cycle_witness: list[int] = field(default_factory=list)
 
 
-def _idle_rows(cols: list[np.ndarray], rows: np.ndarray) -> np.ndarray:
-    """The rows with no pending entry in any column view.  The busy mask
-    lives only in this call, so it is freed before the wave allocates."""
-    busy = cols[0][rows]
-    for col in cols[1:]:
-        busy |= col[rows]
-    return rows[~busy]
+def _peel(mask: np.ndarray, sigma: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Counting peel on the (w-1)-mer rows of a membership mask.
 
-
-def _reverse_peel(survives: np.ndarray, sigma: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sink-first peel restricted to surviving nodes.
-
-    Returns (label, pending): label[v] >= 1 is the number of vertices on the
-    longest surviving path from v, 0 for removed or pending nodes; pending
-    marks survivors that lie on or lead into a cycle.  With m = sigma^(w-1),
-    node u's successors are row u % m of ``pending.reshape(m, sigma)`` and
-    the owners of row r are r + b*m, so a wave keeps the rows the last
-    frontier touched that have nothing pending, and takes their pending
-    owners; for sorted rows, the owners come out sorted in b-major order.
-    Column a of that reshape, a strided view of ``pending``, says whether
-    each row's successor ending in symbol a is pending, so ``_idle_rows``
-    tests a wave's rows with sigma 1-D gathers.
+    Returns (h, left, longest): h[r] (int32) is the wave in which row r went
+    idle, 0 if it never did; left[r] counts row r's surviving out-edges still
+    unlabelled, nonzero only on rows that reach a cycle; longest is the last
+    wave that labelled an edge.  A wave runs in slices of at most _CHUNK
+    sorted rows: the surviving edges f = r + b*m entering a slice's rows,
+    taken b-major, have their prefix rows f // sigma in order, so each run of
+    equal prefixes comes off `left` at once.  A row goes idle at most once,
+    so slicing a wave changes no label.
     """
-    m = n // sigma
-    pending = survives.copy()
-    cols = [pending.reshape(m, sigma)[:, a] for a in range(sigma)]
-    label = np.zeros(n, dtype=np.int32)
-    owners = np.arange(sigma, dtype=np.int64)[:, None] * m
-    rows = np.arange(m, dtype=np.int64)
-    k = 0
+    m = mask.size // sigma
+    left = np.full(m, sigma, dtype=np.min_scalar_type(sigma))
+    for a in range(sigma):
+        left -= mask[a::sigma]
+    entering = np.arange(sigma, dtype=np.int64)[:, None] * m
+    h = np.zeros(m, dtype=np.int32)
+    rows = np.flatnonzero(left == 0)
+    wave = longest = 0
     while rows.size:
-        k += 1
-        rows = _idle_rows(cols, rows)
-        cand = (rows + owners).ravel()
-        frontier = cand[pending[cand]]
-        if frontier.size == 0:
-            break
-        pending[frontier] = False
-        label[frontier] = k
-        rows = frontier // sigma
-        rows = rows[np.r_[True, rows[1:] != rows[:-1]]]
-    return label, pending
+        wave += 1
+        h[rows] = wave
+        idle = []
+        for i in range(0, rows.size, _CHUNK):
+            f = (rows[i : i + _CHUNK] + entering).ravel()
+            f = f[~mask[f]]
+            if f.size == 0:
+                continue
+            longest = wave
+            t = f // sigma
+            edge = np.empty(t.size + 1, dtype=bool)
+            edge[0] = edge[-1] = True
+            np.not_equal(t[1:], t[:-1], out=edge[1:-1])
+            edge = np.flatnonzero(edge)
+            t = t[edge[:-1]]
+            left[t] -= np.diff(edge).astype(left.dtype)
+            idle.append(t[left[t] == 0])
+        rows = np.concatenate(idle) if idle else rows[:0]
+        if len(idle) > 1:  # one sorted run per slice; timsort merges them
+            rows.sort(kind="stable")
+    return h, left, longest
 
 
 def _cycle_witness(pending: np.ndarray, sigma: int, n: int) -> list[int]:
@@ -118,7 +126,9 @@ def path_labels(kset: KmerSet, budget: int = DEFAULT_NODE_BUDGET) -> np.ndarray:
     set; 0 means v is in the set, or lies on or leads into a cycle.
     """
     check_budget(kset.n, budget, "path labels")
-    label, _ = _reverse_peel(~kset.mask, kset.sigma, kset.n)
+    h, _, _ = _peel(kset.mask, kset.sigma)
+    label = np.tile(h, kset.sigma)
+    label[kset.mask] = 0
     return label
 
 
@@ -155,29 +165,35 @@ def longest_remaining_path(kset: KmerSet, budget: int = DEFAULT_NODE_BUDGET) -> 
     """
     sigma, n = kset.sigma, kset.n
     check_budget(n, budget, "longest remaining path")
-    label, pending = _reverse_peel(~kset.mask, sigma, n)
-
-    if pending.any():
+    mask = kset.mask
+    h, left, longest = _peel(mask, sigma)
+    if left.any():
+        pending = ~mask & np.tile(h == 0, sigma)
         return PathReport(CYCLIC, cycle_witness=_cycle_witness(pending, sigma, n))
-
-    v = int(np.argmax(label))
-    longest = int(label[v])
     if longest == 0:
         return PathReport(ACYCLIC, longest_vertices=0)
+
+    # node b*m + r carries label h[r] unless it is a member
+    m = n // sigma
+    top = np.flatnonzero(h == longest)
+    for b in range(sigma):
+        r = top[~mask[b * m + top]]
+        if r.size:
+            v = b * m + int(r[0])
+            break
     path = [v]
     for k in range(longest - 1, 0, -1):
         base = (v * sigma) % n
-        v = next(u for u in range(base, base + sigma) if label[u] == k)
+        v = next(u for u in range(base, base + sigma) if not mask[u] and h[u % m] == k)
         path.append(v)
     return PathReport(ACYCLIC, longest_vertices=longest, witness=path)
 
 
 def is_decycling(kset: KmerSet, budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """True iff the subgraph induced by the complement of the set is acyclic."""
-    n = kset.n
-    check_budget(n, budget, "decycling check")
-    _, pending = _reverse_peel(~kset.mask, kset.sigma, n)
-    return not pending.any()
+    check_budget(kset.n, budget, "decycling check")
+    _, left, _ = _peel(kset.mask, kset.sigma)
+    return not left.any()
 
 
 def is_uhs(kset: KmerSet, l: int, budget: int = DEFAULT_NODE_BUDGET) -> bool:

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -265,11 +266,22 @@ class TestExitCodes:
         assert captured.err == f"error: {message.format(f=f)}\n"
 
     @pytest.mark.parametrize(
-        "argv",
-        ["mykkeltveit --sigma 11 --w 2", "contexts --sigma 11 --w 1 --minimizer --k 1"],
-        ids=["mykkeltveit", "contexts"],
+        "argv,module,builder",
+        [
+            ("mykkeltveit --sigma 11 --w 7", "mykkeltveit", "build_mykkeltveit_set"),
+            ("contexts --sigma 11 --w 1 --minimizer --k 1", "contexts", "build_context_set_local"),
+            ("forbidden --sigma 11 --w 7", "forbidden", "build_forbidden_set"),
+        ],
+        ids=["mykkeltveit", "contexts", "forbidden"],
     )
-    def test_failed_text_save_leaves_no_file(self, capsys, tmp_path, argv):
+    def test_failed_text_save_leaves_no_file(
+        self, capsys, monkeypatch, tmp_path, argv, module, builder
+    ):
+        # a text set file holds digit lines, so sigma > 10 fails before the build
+        def never(*args, **kwargs):
+            raise AssertionError("set built before the alphabet check")
+
+        monkeypatch.setattr(importlib.import_module(f"uhspath.{module}"), builder, never)
         out = tmp_path / "s.txt"
         assert run(argv.split() + ["--out", str(out)]) == 1
         captured = capsys.readouterr()

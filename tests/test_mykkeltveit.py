@@ -1,5 +1,6 @@
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -179,6 +180,16 @@ class TestAgainstClassWalk:
         w = data.draw(widths(sigma, 1 << 12, low=2))
         assert np.array_equal(build_mykkeltveit_set(sigma, w).mask, class_walk_mask(sigma, w))
 
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    @given(data=st.data())
+    def test_blocks(self, block, data):
+        # blocks of 1 to 7 codes cut every hi row and leading-symbol range
+        sigma = data.draw(st.integers(2, 6))
+        w = data.draw(widths(sigma, 1 << 10, low=2))
+        with mock.patch.object(mykkeltveit, "_BLOCK", block):
+            mask = build_mykkeltveit_set(sigma, w).mask
+        assert np.array_equal(mask, class_walk_mask(sigma, w))
+
     @pytest.mark.parametrize("w", [40, 41])
     def test_long_path_vertices(self, w):
         for v in build_long_path(2, w).vertices:
@@ -194,6 +205,11 @@ class TestAgainstDigitLoop:
         for w in range(CLASS_WALK_WMAX[sigma] + 1, wmax + 1):
             m = build_mykkeltveit_set(sigma, w)
             assert np.array_equal(m.mask, digit_loop_build(sigma, w)), (sigma, w)
+
+    @pytest.mark.parametrize("sigma,w", [(2, 16), (3, 10)])
+    def test_blocks(self, monkeypatch, sigma, w):
+        monkeypatch.setattr(mykkeltveit, "_BLOCK", 7)
+        assert np.array_equal(build_mykkeltveit_set(sigma, w).mask, digit_loop_build(sigma, w))
 
 
 class TestOneWayCrossing:

@@ -1,8 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from oracles import dfs_longest, hits, kmer_sets
+from uhspath import paths
 from uhspath.core import BudgetError
 from uhspath.forbidden import build_forbidden_set
 from uhspath.kmerset import KmerSet
@@ -64,6 +68,72 @@ class TestAgainstBruteForce:
         report = longest_remaining_path(kset)
         assert report.kind == CYCLIC
         assert report.cycle_witness == [0]
+
+
+class TestSlices:
+    # slices of 1 to 7 rows put seams inside every wave, and split runs of
+    # edges that share a prefix row
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("sigma", [2, 3, 4, 5])
+    @given(data=st.data())
+    def test_against_dfs(self, sigma, chunk, data):
+        kset = data.draw(kmer_sets(sigma, max_nodes=1 << 10))
+        whole = longest_remaining_path(kset)
+        with mock.patch.object(paths, "_CHUNK", chunk):
+            report = longest_remaining_path(kset)
+            labels = path_labels(kset)
+            decycling = is_decycling(kset)
+        kind, oracle_labels, witness = dfs_longest(kset)
+        assert report == whole  # the cycle witness too
+        assert report.kind == kind and decycling == (kind == ACYCLIC)
+        assert verify_witness(kset, report)
+        if kind == ACYCLIC:
+            assert _summary(report) == (kind, max(oracle_labels), witness)
+            assert labels.tolist() == oracle_labels
+            assert verify_labels(kset, labels) == report.longest_vertices
+        else:
+            assert verify_labels(kset, labels) is None
+
+    @pytest.mark.parametrize("chunk", [None, 1])
+    def test_wave_without_surviving_owner(self, chunk):
+        # only 001 survives: row 00 goes idle in wave 2, but the edges entering
+        # it, 000 and 100, are members, so wave 2 labels nothing
+        kset = KmerSet(2, 3, ~KmerSet.from_codes(2, 3, [1]).mask)
+        with mock.patch.object(paths, "_CHUNK", chunk or paths._CHUNK):
+            h, left, longest = paths._peel(kset.mask, 2)
+            report = longest_remaining_path(kset)
+            labels = path_labels(kset)
+        assert h.tolist() == [2, 1, 1, 1] and not left.any() and longest == 1
+        assert _summary(report) == (ACYCLIC, 1, [1])
+        assert labels.tolist() == dfs_longest(kset)[1]
+
+
+def _peak(fn, *args):
+    """tracemalloc's peak over one call, in bytes."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBytesPerNode:
+    # peaks at sigma = 2, w = 20, a little above those measured when the peel
+    # moved to rows and the build to blocks (3.6, 7.5 and 6.1 B/node; before,
+    # 11.1, 16.0 and 13.2), so that a later change cannot quietly lose them
+    @pytest.mark.parametrize(
+        "build,bound",
+        [(build_mykkeltveit_set, 4.0), (build_forbidden_set, 8.0)],
+        ids=["mykkeltveit", "forbidden"],
+    )
+    def test_peel(self, build, bound):
+        kset = build(2, 20)
+        assert _peak(longest_remaining_path, kset) <= bound * kset.n
+
+    def test_mykkeltveit_build(self):
+        assert _peak(build_mykkeltveit_set, 2, 20) <= 6.5 * 2**20
 
 
 class TestDeterminism:
