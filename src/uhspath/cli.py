@@ -79,11 +79,12 @@ def _load_scheme(args):
     from .kmerset import KmerSet
 
     if args.minimizer:
-        return schemes.lexicographic_minimizer(args.sigma, 1 if args.k is None else args.k, args.w)
+        k = 1 if args.k is None else args.k
+        return schemes.minimizer_scheme(args.sigma, k, args.w, budget=args.budget)
     if args.table:
         scheme = schemes.load_scheme_table(args.table, budget=args.budget)
     elif args.order:
-        scheme = schemes.load_minimizer_order(args.order, args.sigma, args.w)
+        scheme = schemes.load_minimizer_order(args.order, args.sigma, args.w, budget=args.budget)
     else:
         U = KmerSet.load(args.compatible, args.budget)
         scheme = schemes.build_compatible_minimizer(U, args.w, budget=args.budget)

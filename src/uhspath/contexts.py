@@ -48,7 +48,7 @@ def build_context_set_local(
     W = local_context_symbols(scheme)
     m = sigma**W
     check_budget(m, budget, "local context set")
-    fv = scheme_values(scheme, budget=budget).astype(np.int16, copy=False)
+    fv = scheme_values(scheme, budget=budget)
     last = digit_slice(fv, sigma, scheme.w - 1, W)
     member = np.ones(m, dtype=bool)
     for i in range(scheme.w - 1):
@@ -72,7 +72,7 @@ def build_context_set_forward(
     ws = scheme.window_symbols
     m = sigma ** (ws + 1)
     check_budget(m, budget, "forward context set")
-    fv = scheme_values(scheme, budget=budget).astype(np.int16, copy=False)
+    fv = scheme_values(scheme, budget=budget)
     member = digit_slice(fv + 1, sigma, 1, ws + 1) != digit_slice(fv, sigma, 0, ws + 1)
     return ContextSet(KmerSet(sigma, ws + 1, member))
 

@@ -3,12 +3,11 @@
 w-mers are packed as integers in base sigma with the first symbol as the
 most significant digit, so walking an edge of the de Bruijn graph is a
 single multiply-add: the edge from x that appends symbol a ends at code
-(x.code * sigma + a) mod sigma**w.  The graph itself is never materialized.
+(x * sigma + a) mod sigma**w.  The graph itself is never materialized.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -75,49 +74,30 @@ def render_symbols(symbols: Iterable[int], sigma: int) -> str:
     return bytes(symbols).translate(_DIGIT_BYTES).decode()
 
 
-@dataclass(frozen=True)
-class Kmer:
-    """A w-mer packed as an integer code, with explicit (sigma, w) context."""
-
-    code: int
-    sigma: int
-    w: int
-
-    def __post_init__(self) -> None:
-        if self.w < 1:
-            raise ValueError(f"w must be >= 1, got {self.w}")
-        check_alphabet(self.sigma)
-        if not 0 <= self.code < self.sigma**self.w:
-            raise ValueError(f"code {self.code} out of range for sigma={self.sigma}, w={self.w}")
-
-    def symbols(self) -> tuple[int, ...]:
-        out = []
-        c = self.code
-        for _ in range(self.w):
-            c, r = divmod(c, self.sigma)
-            out.append(r)
-        return tuple(reversed(out))
-
-    def text(self) -> str:
-        return render_symbols(self.symbols(), self.sigma)
-
-    def __str__(self) -> str:
-        return self.text()
-
-
-def kmer_encode(s: str | Sequence[int], sigma: int) -> Kmer:
-    """Pack a symbol string into a Kmer, first symbol most significant."""
+def kmer_encode(s: str | Sequence[int], sigma: int) -> int:
+    """The integer code of a symbol string, first symbol most significant."""
     syms = parse_symbols(s, sigma)
     if not syms:
         raise ValueError("cannot encode an empty string")
+    check_alphabet(sigma)
     code = 0
     for v in syms:
         code = code * sigma + v
-    return Kmer(code, sigma, len(syms))
+    return code
 
 
 def kmer_decode(code: int, sigma: int, w: int) -> str:
-    return Kmer(code, sigma, w).text()
+    """Digit text of the w-mer with this code."""
+    if w < 1:
+        raise ValueError(f"w must be >= 1, got {w}")
+    check_alphabet(sigma)
+    if not 0 <= code < sigma**w:
+        raise ValueError(f"code {code} out of range for sigma={sigma}, w={w}")
+    syms = []
+    for _ in range(w):
+        code, r = divmod(code, sigma)
+        syms.append(r)
+    return render_symbols(reversed(syms), sigma)
 
 
 def rotation_code(code: int, sigma: int, w: int) -> int:
@@ -137,18 +117,16 @@ def canonical_rotation_code(code: int, sigma: int, w: int) -> int:
     return best
 
 
-def conjugacy_class(x: Kmer) -> list[Kmer]:
-    """Distinct rotations of x, in rotation order from the canonical representative.
-
-    The class size equals the shortest period of x.
-    """
-    start = canonical_rotation_code(x.code, x.sigma, x.w)
+def conjugacy_class(code: int, sigma: int, w: int) -> list[int]:
+    """Codes of the distinct rotations of a w-mer, in rotation order from the
+    canonical representative.  The class size equals the shortest period."""
+    start = canonical_rotation_code(code, sigma, w)
     out = [start]
-    c = rotation_code(start, x.sigma, x.w)
+    c = rotation_code(start, sigma, w)
     while c != start:
         out.append(c)
-        c = rotation_code(c, x.sigma, x.w)
-    return [Kmer(c, x.sigma, x.w) for c in out]
+        c = rotation_code(c, sigma, w)
+    return out
 
 
 def necklace_count(sigma: int, w: int) -> int:

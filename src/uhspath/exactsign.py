@@ -1,8 +1,8 @@
 """Certified signs of real/imaginary parts of root-of-unity sums.
 
 Quantities of the form sum_i x_i * zeta^(i+1), zeta = e^(2 pi i / w), are
-evaluated in doubles first, and `signs` certifies them for one word or for
-many.  A value outside the guard band keeps its float sign.  Borderline
+evaluated in doubles first, and `signs` certifies them for a stack of
+words.  A value outside the guard band keeps its float sign.  Borderline
 values get an exact zero test: an integer combination of powers of zeta
 vanishes iff the w-th cyclotomic polynomial Phi_w divides the corresponding
 integer polynomial, and reduction mod Phi_w is an integer linear map (Lam &
@@ -120,18 +120,13 @@ def _mp_sign(row: list[int], part: str) -> int:
     raise ArithmeticError(f"could not certify sign for {tuple(row)}")
 
 
-def signs(digits, approx, sigma: int, part: str):
-    """Certified NEG/ZERO/POS of the `part` ("im" or "re") of sum x_i zeta^(i+1).
-
-    `digits` is one word (shape (w,)) with a float `approx`, giving an int,
-    or a stack (shape (m, w)) with an array `approx` of shape (m,), giving an
-    int8 array.  A double outside `guard` keeps its sign; all band rows go
-    through one `zero_rows` call, and only the nonzero ones through mpmath.
+def signs(digits, approx, sigma: int, part: str) -> np.ndarray:
+    """Certified NEG/ZERO/POS of the `part` ("im" or "re") of sum x_i zeta^(i+1),
+    as int8, for a stack of words: `digits` of shape (m, w) and their doubles
+    `approx` of shape (m,).  A double outside `guard` keeps its sign; all band
+    rows go through one `zero_rows` call, and only the nonzero ones through
+    mpmath.
     """
-    if not isinstance(approx, np.ndarray):
-        if abs(approx) > guard(sigma, len(digits)):
-            return POS if approx > 0 else NEG
-        return int(signs(np.asarray(digits)[None], np.array([approx]), sigma, part)[0])
     d = np.asarray(digits, dtype=np.int64)
     out = np.sign(approx).astype(np.int8)
     band = np.flatnonzero(np.abs(approx) <= guard(sigma, d.shape[-1]))

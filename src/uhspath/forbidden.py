@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .core import DEFAULT_NODE_BUDGET, check_alphabet, check_budget
+from .core import DEFAULT_NODE_BUDGET, check_alphabet, check_budget, kmer_encode
 
 # The set builders import numpy and KmerSet themselves, so the survival FSM
 # (the fsm subcommand) runs without numpy.
@@ -107,15 +107,7 @@ def remaining_path_witness(sigma: int, w: int) -> list[int]:
     if d < 1:
         raise ValueError("construction needs d >= 1")
     s = [1] * (w - d) + [0] * d + [1] * (w - d - 1)
-    n = sigma**w
-    code = 0
-    for v in s[:w]:
-        code = code * sigma + v
-    out = [code]
-    for v in s[w:]:
-        code = (code * sigma + v) % n
-        out.append(code)
-    return out
+    return [kmer_encode(s[i : i + w], sigma) for i in range(w - d)]
 
 
 # -- survival FSM ------------------------------------------------------------

@@ -51,10 +51,10 @@ def encode_lines(lines: Iterable[str], sigma: int, w: int) -> np.ndarray:
     else:
         ok[:] = False
     for i in np.flatnonzero(~ok):
-        k = kmer_encode(texts[i], sigma)
-        if k.w != w:
+        code = kmer_encode(texts[i], sigma)  # one symbol per character
+        if len(texts[i]) != w:
             raise ValueError(f"k-mer {texts[i]!r} has wrong length, expected {w}")
-        codes[i] = k.code
+        codes[i] = code
     return codes
 
 
@@ -75,7 +75,10 @@ def read_header(line: str, kind: str, error: str) -> tuple[int, int]:
 
 
 class KmerSet:
-    """Immutable membership bitmap over all sigma^w w-mer codes."""
+    """Immutable membership bitmap over all sigma^w w-mer codes.
+
+    The set keeps the mask it is given, uncopied, and marks it read-only.
+    """
 
     __slots__ = ("sigma", "w", "mask", "_cardinality")
 
@@ -88,7 +91,6 @@ class KmerSet:
             raise ValueError(f"mask must be a bool array of length sigma**w = {n}")
         self.sigma = sigma
         self.w = w
-        mask = mask.copy()
         mask.flags.writeable = False
         self.mask = mask
         self._cardinality = int(mask.sum())

@@ -60,8 +60,7 @@ def enumerate_mds(sigma: int, w: int, emit_sets: bool = False) -> MdsCensus:
 
     # one class per necklace, members in rotation order from the representative
     members_of = [
-        [k.code for k in conjugacy_class(kmer_encode(word, sigma))]
-        for word, _ in necklaces(sigma, w)
+        conjugacy_class(kmer_encode(word, sigma), sigma, w) for word, _ in necklaces(sigma, w)
     ]
     assert len(members_of) == necklace_count(sigma, w)
     assert sum(map(len, members_of)) == n

@@ -147,7 +147,6 @@ def build_mykkeltveit_set(
     least = np.zeros(z.size, dtype=bool)
     least[re == ZERO] = canon == origin
     mask[z] = _member(im_sgn[z], im_sgn[rotation_code(z, sigma, w)], re, least)
-    del im_sgn  # before KmerSet copies the mask
 
     kset = KmerSet(sigma, w, mask)
     if kset.cardinality != necklace_count(sigma, w):

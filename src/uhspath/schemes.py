@@ -13,6 +13,8 @@ count of distinct selected positions is divided by the number of k-mer
 positions (|s| - k + 1) for minimizer kinds and by the number of windows
 (|s| - w + 1) for table schemes; on a cyclic sequence both equal the
 sequence length.  Exact expected density counts the scheme's context set.
+A table scheme stores its picks as int16, the dtype of the dense table
+`scheme_values` builds for minimizers, so every kind's picks are int16.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ class SelectionScheme:
     w: int
     kind: str
     k: int = 1
-    table: np.ndarray | None = None  # TABLE: f over all sigma^w window codes
+    table: np.ndarray | None = None  # TABLE: f over all sigma^w window codes, int16
     rank: np.ndarray | None = None  # minimizer kinds: total order on k-mer codes
     guarantee: bool | None = None  # COMPATIBLE: is_uhs(U, w) held? None = unverified
 
@@ -85,11 +87,18 @@ def table_scheme(sigma: int, w: int, table: Sequence[int]) -> SelectionScheme:
         raise ValueError(f"table must have sigma**w = {sigma**w} entries")
     if arr.min() < 0 or arr.max() >= w:
         raise ValueError("table values must lie in [0, w-1]")
-    return SelectionScheme(sigma, w, TABLE, table=arr)
+    return SelectionScheme(sigma, w, TABLE, table=arr.astype(np.int16))
 
 
-def minimizer_scheme(sigma: int, k: int, w: int, rank: Sequence[int] | None = None) -> SelectionScheme:
+def minimizer_scheme(
+    sigma: int,
+    k: int,
+    w: int,
+    rank: Sequence[int] | None = None,
+    budget: int = DEFAULT_NODE_BUDGET,
+) -> SelectionScheme:
     """Minimizer with window of w k-mers; rank=None means lexicographic order."""
+    check_budget(sigma**k, budget, "minimizer rank table")
     if rank is None:
         arr = np.arange(sigma**k, dtype=np.int64)
     else:
@@ -145,7 +154,8 @@ def digit_slice(values: np.ndarray, sigma: int, lead: int, total: int) -> np.nda
 
 
 def scheme_values(scheme: SelectionScheme, budget: int = DEFAULT_NODE_BUDGET) -> np.ndarray:
-    """f over every possible window code (dense array of sigma^window_symbols)."""
+    """f over every possible window code: a dense int16 array of
+    sigma^window_symbols picks."""
     sigma = scheme.sigma
     ws = scheme.window_symbols
     m = sigma**ws
@@ -169,7 +179,7 @@ def is_forward(scheme: SelectionScheme, budget: int = DEFAULT_NODE_BUDGET) -> bo
     sigma = scheme.sigma
     ws = scheme.window_symbols
     check_budget(sigma ** (ws + 1), budget, "forwardness check")
-    fv = scheme_values(scheme, budget=budget).astype(np.int16, copy=False)
+    fv = scheme_values(scheme, budget=budget)
     nxt = digit_slice(fv + 1, sigma, 1, ws + 1)  # the next window's pick, one symbol on
     return bool(np.all(nxt >= digit_slice(fv, sigma, 0, ws + 1)))
 
@@ -363,14 +373,17 @@ def load_scheme_table(path: str, budget: int = DEFAULT_NODE_BUDGET) -> Selection
     return table_scheme(sigma, w, table)
 
 
-def load_minimizer_order(path: str, sigma: int, w: int) -> SelectionScheme:
+def load_minimizer_order(
+    path: str, sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET
+) -> SelectionScheme:
     with open(path) as fh:
         kmers = [t for t in map(str.strip, fh) if t]
     if not kmers:
         raise ValueError(f"empty order file {path}")
     k = len(kmers[0])
+    check_budget(sigma**k, budget, "minimizer rank table")
     rank = np.full(sigma**k, -1, dtype=np.int64)
     rank[encode_lines(kmers, sigma, k)] = np.arange(len(kmers))
     if (rank < 0).any():
         raise ValueError(f"order file {path} does not list every k-mer")
-    return minimizer_scheme(sigma, k, w, rank)
+    return minimizer_scheme(sigma, k, w, rank, budget=budget)

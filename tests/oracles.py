@@ -20,7 +20,8 @@ Two kernels keep a second oracle for sizes the first cannot reach in test
 time: `digit_loop_build` (the Mykkeltveit mask up to sigma = 2, w = 20) and
 `matvec_survival` (survival at w = 2000).  `successor`, `pure_rotation`,
 `embedding` and `hits` are the per-word definitions the oracles and tests
-build on.  The Hypothesis strategies at the end draw the properties' inputs.
+build on; they take a w-mer as its code with (sigma, w), or as symbols.
+The Hypothesis strategies at the end draw the properties' inputs.
 """
 
 import math
@@ -34,7 +35,6 @@ from hypothesis import strategies as st
 
 from uhspath import exactsign
 from uhspath.core import (
-    Kmer,
     canonical_rotation_code,
     check_budget,
     debruijn_sequence,
@@ -62,16 +62,26 @@ from uhspath.schemes import (
 # -- per-word definitions ------------------------------------------------------
 
 
-def successor(x, a):
-    """Out-neighbor of x in the de Bruijn graph: drop the first symbol, append a."""
-    if not 0 <= a < x.sigma:
-        raise ValueError(f"symbol {a} out of range for sigma={x.sigma}")
-    return Kmer((x.code * x.sigma + a) % x.sigma**x.w, x.sigma, x.w)
+def symbols(code, sigma, w):
+    """The w symbols of a code, first symbol most significant."""
+    return tuple((code // sigma ** (w - 1 - i)) % sigma for i in range(w))
 
 
-def pure_rotation(x):
-    """Cyclic left rotation: the successor that stays inside x's conjugacy class."""
-    return successor(x, x.code // x.sigma ** (x.w - 1))
+def one_sign(syms, approx, sigma, part):
+    """`exactsign.signs` of one word, as a stack of one."""
+    return int(exactsign.signs(np.array([syms]), np.array([approx]), sigma, part)[0])
+
+
+def successor(code, sigma, w, a):
+    """Out-neighbor of a code in the de Bruijn graph: drop the first symbol, append a."""
+    if not 0 <= a < sigma:
+        raise ValueError(f"symbol {a} out of range for sigma={sigma}")
+    return (code * sigma + a) % sigma**w
+
+
+def pure_rotation(code, sigma, w):
+    """Cyclic left rotation: the successor that stays inside the code's conjugacy class."""
+    return successor(code, sigma, w, code // sigma ** (w - 1))
 
 
 @dataclass(frozen=True)
@@ -84,11 +94,11 @@ class ComplexPoint:
         return complex(self.re, self.im)
 
 
-def embedding(x):
+def embedding(code, sigma, w):
     """P(x) = sum x_i r^(i+1), with a certified sign for the imaginary part."""
-    syms = x.symbols()
-    p = _raw_embedding(syms, x.w)
-    return ComplexPoint(p.real, p.imag, exactsign.signs(syms, p.imag, x.sigma, "im"))
+    syms = symbols(code, sigma, w)
+    p = _raw_embedding(syms, w)
+    return ComplexPoint(p.real, p.imag, one_sign(syms, p.imag, sigma, "im"))
 
 
 def hits(kset, s):
@@ -97,7 +107,7 @@ def hits(kset, s):
     if len(syms) < kset.w:
         raise ValueError(f"string of length {len(syms)} is shorter than w={kset.w}")
     return any(
-        kset.contains_code(kmer_encode(syms[i : i + kset.w], kset.sigma).code)
+        kset.contains_code(kmer_encode(syms[i : i + kset.w], kset.sigma))
         for i in range(len(syms) - kset.w + 1)
     )
 
@@ -225,7 +235,7 @@ def charged_contexts(scheme, order):
     mask = np.zeros(n, dtype=bool)
     for i in range(n):
         start = i - back
-        code = kmer_encode([seq[(start + t) % n] for t in range(order)], sigma).code
+        code = kmer_encode([seq[(start + t) % n] for t in range(order)], sigma)
         mask[code] = p[i] not in {p[(i - j) % n] for j in range(1, back + 1)}
     return mask, len(set(p))
 
@@ -279,20 +289,20 @@ def class_pick(rep_code, sigma, w):
     while c != rep_code:
         members.append(c)
         c = rotation_code(c, sigma, w)
-    rep_syms = Kmer(members[0], sigma, w).symbols()
+    rep_syms = symbols(members[0], sigma, w)
     if exactsign.zero_rows(rep_syms, "im") and exactsign.zero_rows(rep_syms, "re"):
         return min(members)
     th = exactsign.guard(sigma, w)
     ims = []
     for mc in members:
-        syms = Kmer(mc, sigma, w).symbols()
+        syms = symbols(mc, sigma, w)
         p = _raw_embedding(syms, w)
         if abs(p.imag) > th:
             s = POS if p.imag > 0 else NEG
         else:
-            s = exactsign.signs(syms, p.imag, sigma, "im")
+            s = one_sign(syms, p.imag, sigma, "im")
         if s == ZERO:
-            rs = exactsign.signs(syms, p.real, sigma, "re")
+            rs = one_sign(syms, p.real, sigma, "re")
             if rs == NEG:
                 return mc
         ims.append(s)
@@ -328,8 +338,7 @@ def digit_loop_build(sigma, w):
 
     def certify(sgn, vals, borderline, part):
         for c in np.flatnonzero(borderline):
-            syms = Kmer(int(c), sigma, w).symbols()
-            sgn[c] = exactsign.signs(syms, float(vals[c]), sigma, part)
+            sgn[c] = one_sign(symbols(int(c), sigma, w), float(vals[c]), sigma, part)
 
     im_sgn = np.sign(im).astype(np.int8)
     certify(im_sgn, im, np.abs(im) <= th, "im")
@@ -379,10 +388,10 @@ def per_line_load_text(path, budget=1 << 28):
         for line in fh:
             line = line.strip()
             if line:
-                k = kmer_encode(line, sigma)
-                if k.w != w:
+                code = kmer_encode(line, sigma)
+                if len(parse_symbols(line, sigma)) != w:
                     raise ValueError(f"k-mer {line!r} has wrong length, expected {w}")
-                mask[k.code] = True
+                mask[code] = True
     return KmerSet(sigma, w, mask)
 
 

@@ -1,8 +1,12 @@
 import importlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import uhspath
 from uhspath.cli import run
 from uhspath.kmerset import KmerSet
 
@@ -337,6 +341,23 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error: ") and "budget is 1" in lines[0]
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            "density --sigma 2 --w 5 --minimizer --k 11 --estimate --sample 1000",
+            "density --sigma 2 --w 5 --order {o} --estimate --sample 1000",
+        ],
+        ids=["minimizer", "order"],
+    )
+    def test_minimizer_rank_table_budget(self, capsys, tmp_path, argv):
+        # the rank table has 2^11 entries; it is checked before it is allocated
+        o = tmp_path / "o.txt"
+        o.write_text("0" * 11 + "\n")
+        assert run([*argv.format(o=o).split(), "--budget", "1024"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: minimizer rank table needs 2048 states, budget is 1024\n"
+
+    @pytest.mark.parametrize(
         "argv", ["fsm --sigma 2 --d 3", "mds-count --sigma 2 --w 3"], ids=["fsm", "mds-count"]
     )
     def test_budget_only_where_read(self, capsys, argv):
@@ -439,3 +460,33 @@ class TestExitCodes:
         monkeypatch.setattr(mykkeltveit, "_run_ring", repeating)
         assert run(["long-path", "--sigma", "2", "--w", "16"]) == 3
         assert "internal error: constructed walk revisits a vertex" in capsys.readouterr().err
+
+
+class TestProcessEntryPoint:
+    """`cli.main` in a fresh interpreter, launched as the benchmark launches it."""
+
+    @pytest.mark.parametrize(
+        "argv,status",
+        [
+            ("necklaces --sigma 2 --w 4", 0),
+            ("necklaces --sigma 1 --w 4", 1),
+            ("mykkeltveit --sigma 2 --w 20 --budget 100", 2),
+        ],
+        ids=["ok", "validation", "budget"],
+    )
+    def test_exit_status_reaches_the_process(self, argv, status):
+        src = os.path.dirname(os.path.dirname(uhspath.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from uhspath.cli import main; main()", *argv.split()],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == status, proc.stderr
+        if status == 0:
+            assert proc.stdout == '{"sigma": 2, "w": 4, "necklace_count": 6}\n'
+            assert proc.stderr == ""
+        else:
+            assert proc.stdout == ""
+            assert len(proc.stderr.splitlines()) == 1
+            assert proc.stderr.startswith("error: ")

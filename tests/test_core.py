@@ -2,10 +2,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import orbit_count, pure_rotation, recursive_fkm, successor
+from oracles import orbit_count, pure_rotation, recursive_fkm, successor, symbols
 from uhspath.core import (
     BudgetError,
-    Kmer,
     _fkm,
     canonical_rotation_code,
     check_alphabet,
@@ -22,9 +21,9 @@ from uhspath.core import (
 
 class TestEncoding:
     def test_encode_decode_examples(self):
-        assert kmer_encode("ACGT", 4).code == 0 * 64 + 1 * 16 + 2 * 4 + 3
+        assert kmer_encode("ACGT", 4) == 0 * 64 + 1 * 16 + 2 * 4 + 3
         assert kmer_decode(27, 4, 4) == "0123"
-        assert kmer_encode("ACGT", 4).text() == "0123"  # ACGT is read, digits are written
+        assert kmer_decode(kmer_encode("ACGT", 4), 4, 4) == "0123"  # ACGT is read, digits are written
         with pytest.raises(ValueError, match="cannot encode an empty string"):
             kmer_encode("", 2)
 
@@ -37,10 +36,21 @@ class TestEncoding:
     def test_symbol_range_checked(self):
         with pytest.raises(ValueError):
             parse_symbols("012", 2)
-        with pytest.raises(ValueError):
-            Kmer(4, 2, 2)
+        with pytest.raises(ValueError, match="code 4 out of range for sigma=2, w=2"):
+            kmer_decode(4, 2, 2)
         with pytest.raises(ValueError, match="alphabet size must be >= 2, got 1"):
-            Kmer(0, 1, 2)
+            kmer_decode(0, 1, 2)
+        with pytest.raises(ValueError, match="w must be >= 1, got 0"):
+            kmer_decode(0, 2, 0)
+
+    def test_encode_error_order(self):
+        # symbol errors, then the empty string, then the alphabet
+        with pytest.raises(ValueError, match="symbol 1 out of range for sigma=1"):
+            kmer_encode([1], 1)
+        with pytest.raises(ValueError, match="cannot encode an empty string"):
+            kmer_encode("", 1)
+        with pytest.raises(ValueError, match="alphabet size must be >= 2, got 1"):
+            kmer_encode("0", 1)
 
     def test_alphabet(self):
         assert render_symbols(parse_symbols("GATTACA", 4), 4) == "2033010"
@@ -61,31 +71,31 @@ class TestEncoding:
     @given(st.integers(2, 6), st.lists(st.integers(0, 5), min_size=1, max_size=12))
     def test_roundtrip(self, sigma, syms):
         syms = [s % sigma for s in syms]
-        k = kmer_encode(syms, sigma)
-        assert list(k.symbols()) == syms
-        assert kmer_encode(k.text(), sigma) == k
+        code = kmer_encode(syms, sigma)
+        assert list(symbols(code, sigma, len(syms))) == syms
+        assert kmer_encode(kmer_decode(code, sigma, len(syms)), sigma) == code
 
 
 class TestGraphMoves:
     def test_successor_drops_first_symbol(self):
         x = kmer_encode("0110", 2)
-        assert successor(x, 1).text() == "1101"
-        assert successor(x, 0).text() == "1100"
+        assert kmer_decode(successor(x, 2, 4, 1), 2, 4) == "1101"
+        assert kmer_decode(successor(x, 2, 4, 0), 2, 4) == "1100"
 
     def test_pure_rotation_stays_in_class(self):
         x = kmer_encode("0110", 2)
-        r = pure_rotation(x)
-        assert r.text() == "1100"
-        assert canonical_rotation_code(r.code, 2, 4) == canonical_rotation_code(x.code, 2, 4)
+        r = pure_rotation(x, 2, 4)
+        assert kmer_decode(r, 2, 4) == "1100"
+        assert canonical_rotation_code(r, 2, 4) == canonical_rotation_code(x, 2, 4)
 
     def test_conjugacy_class_size_is_period(self):
-        assert len(conjugacy_class(kmer_encode("0101", 2))) == 2
-        assert len(conjugacy_class(kmer_encode("0000", 2))) == 1
-        assert len(conjugacy_class(kmer_encode("0011", 2))) == 4
+        assert len(conjugacy_class(kmer_encode("0101", 2), 2, 4)) == 2
+        assert len(conjugacy_class(kmer_encode("0000", 2), 2, 4)) == 1
+        assert len(conjugacy_class(kmer_encode("0011", 2), 2, 4)) == 4
 
     def test_class_rotation_order(self):
-        cls = conjugacy_class(kmer_encode("110", 2))
-        assert [k.text() for k in cls] == ["011", "110", "101"]
+        cls = conjugacy_class(kmer_encode("110", 2), 2, 3)
+        assert [kmer_decode(c, 2, 3) for c in cls] == ["011", "110", "101"]
 
 
 class TestNecklaces:
@@ -101,13 +111,13 @@ class TestNecklaces:
 
     def test_fkm_matches_canonical_reps(self):
         for sigma, w in [(2, 6), (3, 4)]:
-            reps = {kmer_encode(word, sigma).code for word, _ in necklaces(sigma, w)}
+            reps = {kmer_encode(word, sigma) for word, _ in necklaces(sigma, w)}
             assert reps == {canonical_rotation_code(c, sigma, w) for c in range(sigma**w)}
 
     def test_enumerate_classes_partitions(self):
         # the necklaces' conjugacy classes, as the MDS census builds them
-        classes = [conjugacy_class(kmer_encode(word, 2)) for word, _ in necklaces(2, 6)]
-        all_codes = sorted(k.code for members in classes for k in members)
+        classes = [conjugacy_class(kmer_encode(word, 2), 2, 6) for word, _ in necklaces(2, 6)]
+        all_codes = sorted(c for members in classes for c in members)
         assert all_codes == list(range(64))
         assert [size for _, size in necklaces(2, 6)] == [len(m) for m in classes]
 

@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import mp_im, mp_re, part_polynomial, reduce_mod_cyclotomic
+from oracles import mp_im, mp_re, one_sign, part_polynomial, reduce_mod_cyclotomic
 from uhspath.exactsign import (
     NEG,
     POS,
@@ -178,8 +178,8 @@ class TestCertifiedSigns:
         for _ in range(50):
             word = rng.integers(0, 4, size=w).tolist()
             fi, fr = float_im(word), float_re(word)
-            si = signs(word, fi, 4, "im")
-            sr = signs(word, fr, 4, "re")
+            si = one_sign(word, fi, 4, "im")
+            sr = one_sign(word, fr, 4, "re")
             hi, hr = mp_im(word), mp_im([0] + word[:-1])  # placeholder for re
             assert si == (0 if zero_rows(word, "im") else (1 if hi > 0 else -1))
             if abs(fr) > 1e-9:
@@ -187,8 +187,8 @@ class TestCertifiedSigns:
 
     def test_borderline_zero(self):
         word = [0, 1]  # exactly real
-        assert signs(word, 0.0, 2, "im") == ZERO
-        assert signs(word, 1.0, 2, "re") == POS
+        assert one_sign(word, 0.0, 2, "im") == ZERO
+        assert one_sign(word, 1.0, 2, "re") == POS
 
     def test_borderline_nonzero_near_float_zero(self):
         # w=12: zeta + zeta^5 + zeta^7 + zeta^11 = 0 exactly; perturb one term
@@ -202,14 +202,14 @@ class TestCertifiedSigns:
         tweak = list(base)
         tweak[0] = 2
         fi = float_im(tweak)
-        assert signs(tweak, fi, 2, "im") == (POS if mp_im(tweak) > 0 else NEG)
+        assert one_sign(tweak, fi, 2, "im") == (POS if mp_im(tweak) > 0 else NEG)
 
     def test_tiny_float_handed_in_gets_corrected(self):
         # pass a dishonest approx of 0.0; certification must still resolve it
         word = [1, 0, 0, 0]  # Im = 1 at w=4
-        assert signs(word, 0.0, 2, "im") == POS
+        assert one_sign(word, 0.0, 2, "im") == POS
         word = [0, 0, 1, 0]  # zeta^3 = -i
-        assert signs(word, 0.0, 2, "im") == NEG
+        assert one_sign(word, 0.0, 2, "im") == NEG
 
 
 def cascade_stack(sigma, w=12):
@@ -237,7 +237,7 @@ class TestOneCascade:
         approx[honest:] = 0.0
         stack = signs(rows, approx, sigma, part)
         assert stack.dtype == np.int8 and stack.shape == (len(rows),)
-        each = [signs(r, float(a), sigma, part) for r, a in zip(rows.tolist(), approx)]
+        each = [one_sign(r, float(a), sigma, part) for r, a in zip(rows.tolist(), approx)]
         assert stack.tolist() == each
         exact = mp_im if part == "im" else mp_re
         for r, s in zip(rows.tolist(), each):
@@ -262,23 +262,13 @@ class TestOneCascade:
         assert (out != ZERO).any() and (out == ZERO).any()
         assert calls == [rows.shape]
         calls.clear()
-        assert signs([1, 0, 0, 0], 0.0, 2, part) in (NEG, ZERO, POS)
+        assert signs(np.array([[1, 0, 0, 0]]), np.zeros(1), 2, part)[0] in (NEG, ZERO, POS)
         assert calls == [(1, 4)]
-
-    def test_word_outside_band_builds_no_arrays(self, monkeypatch):
-        from uhspath import exactsign
-
-        import types
-
-        # numpy reduced to the one type the dispatch reads
-        monkeypatch.setattr(exactsign, "np", types.SimpleNamespace(ndarray=np.ndarray))
-        assert signs((1, 0, 0, 0), 1.0, 2, "im") == POS
-        assert signs((0, 0, 1, 0), -1.0, 2, "im") == NEG
 
     def test_band_is_guard(self):
         from uhspath.exactsign import FLOAT_GUARD, guard
 
         assert guard(4, 12) == FLOAT_GUARD * 3 * 12
         word = [1, 0, 0, 0]
-        assert signs(word, -0.9 * guard(2, 4), 2, "im") == POS  # in the band: certified
-        assert signs(word, -1.1 * guard(2, 4), 2, "im") == NEG  # outside: the double's sign
+        assert one_sign(word, -0.9 * guard(2, 4), 2, "im") == POS  # in the band: certified
+        assert one_sign(word, -1.1 * guard(2, 4), 2, "im") == NEG  # outside: the double's sign

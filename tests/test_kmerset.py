@@ -35,8 +35,8 @@ class TestBasics:
 
     def test_contains(self):
         s = KmerSet.from_codes(2, 2, encode_lines(["10"], 2, 2))
-        assert s.contains_code(kmer_encode("10", 2).code)
-        assert not s.contains_code(kmer_encode("01", 2).code)
+        assert s.contains_code(kmer_encode("10", 2))
+        assert not s.contains_code(kmer_encode("01", 2))
         assert s.codes().tolist() == [2]
 
     def test_immutability(self):
@@ -233,7 +233,7 @@ class TestVectorisedParse:
             for w in (1, 4, 9):
                 codes = rng.integers(0, sigma**w, size=50)
                 texts = [kmer_decode(int(c), sigma, w) for c in codes]
-                assert encode_lines(texts, sigma, w).tolist() == [kmer_encode(t, sigma).code for t in texts]
+                assert encode_lines(texts, sigma, w).tolist() == [kmer_encode(t, sigma) for t in texts]
 
 
 class TestHits:

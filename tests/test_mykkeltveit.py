@@ -14,12 +14,12 @@ from oracles import (
     embedding,
     pure_rotation,
     successor,
+    symbols,
     widths,
 )
 from uhspath import exactsign, mykkeltveit
 from uhspath.core import (
     BudgetError,
-    Kmer,
     canonical_rotation_code,
     kmer_decode,
     kmer_encode,
@@ -40,28 +40,28 @@ from uhspath.paths import is_decycling, longest_remaining_path
 CLASS_WALK_WMAX = {2: 14, 3: 8, 4: 7, 5: 4, 6: 4}
 
 
-def weight(x):
+def weight(x, sigma, w):
     """Digit sum W(x), between 0 and (sigma-1) * w."""
-    return sum(x.symbols())
+    return sum(symbols(x, sigma, w))
 
 
-def weight_in_embedding(x):
+def weight_in_embedding(x, sigma, w):
     """Q(x) = P(x) - W(x); rotations spin Q around (-W, 0) instead of the origin."""
-    return complex(embedding(x)) - weight(x)
+    return complex(embedding(x, sigma, w)) - weight(x, sigma, w)
 
 
-def rotation_identity_check(x, a, eps=1e-9):
+def rotation_identity_check(x, sigma, w, a, eps=1e-9):
     """|P(S_a(x)) - (r^-1 P(x) + (a - x_0))| <= eps."""
-    r_inv = cmath.exp(-2j * math.pi / x.w)
-    lhs = complex(embedding(successor(x, a)))
-    x0 = x.code // x.sigma ** (x.w - 1)
-    rhs = r_inv * complex(embedding(x)) + (a - x0)
+    r_inv = cmath.exp(-2j * math.pi / w)
+    lhs = complex(embedding(successor(x, sigma, w, a), sigma, w))
+    x0 = x // sigma ** (w - 1)
+    rhs = r_inv * complex(embedding(x, sigma, w)) + (a - x0)
     return abs(lhs - rhs) <= eps
 
 
-def class_walk_member(x):
+def class_walk_member(x, sigma, w):
     """Membership decided from x's conjugacy class alone."""
-    return class_pick(canonical_rotation_code(x.code, x.sigma, x.w), x.sigma, x.w) == x.code
+    return class_pick(canonical_rotation_code(x, sigma, w), sigma, w) == x
 
 
 def ring_program(w):
@@ -71,21 +71,21 @@ def ring_program(w):
 class TestEmbedding:
     def test_point_examples(self):
         for w in (2, 3, 5, 8):
-            z = embedding(kmer_encode("0" * w, 2))
+            z = embedding(kmer_encode("0" * w, 2), 2, w)
             assert complex(z) == 0 and z.im_sign == ZERO
-            o = embedding(kmer_encode("1" * w, 2))
+            o = embedding(kmer_encode("1" * w, 2), 2, w)
             assert abs(complex(o)) < 1e-12 and o.im_sign == ZERO
         # "10" at w=2: 1 * zeta^1 = -1
-        assert complex(embedding(kmer_encode("10", 2))) == pytest.approx(-1)
+        assert complex(embedding(kmer_encode("10", 2), 2, 2)) == pytest.approx(-1)
 
     def test_weight(self):
-        assert weight(kmer_encode("1011", 2)) == 3
-        assert weight(kmer_encode("0321", 4)) == 6
+        assert weight(kmer_encode("1011", 2), 2, 4) == 3
+        assert weight(kmer_encode("0321", 4), 4, 4) == 6
 
     def test_weight_in_embedding(self):
         # all-ones: P = 0, W = w, so Q = -w
         for w in (4, 7):
-            q = weight_in_embedding(kmer_encode("1" * w, 2))
+            q = weight_in_embedding(kmer_encode("1" * w, 2), 2, w)
             assert q == pytest.approx(-w)
 
     def test_rotation_spins_q_around_minus_weight(self):
@@ -93,12 +93,12 @@ class TestEmbedding:
         rng = np.random.default_rng(0)
         for _ in range(30):
             w = int(rng.integers(3, 12))
-            x = Kmer(int(rng.integers(0, 2**w)), 2, w)
-            x0 = x.code // 2 ** (x.w - 1)
-            y = successor(x, x0)  # pure rotation
+            x = int(rng.integers(0, 2**w))
+            x0 = x // 2 ** (w - 1)
+            y = successor(x, 2, w, x0)  # pure rotation
             r_inv = cmath.exp(-2j * math.pi / w)
-            lhs = weight_in_embedding(y) + weight(y)
-            rhs = r_inv * (weight_in_embedding(x) + weight(x))
+            lhs = weight_in_embedding(y, 2, w) + weight(y, 2, w)
+            rhs = r_inv * (weight_in_embedding(x, 2, w) + weight(x, 2, w))
             assert abs(lhs - rhs) < 1e-9
 
     def test_rotation_identity(self):
@@ -108,7 +108,7 @@ class TestEmbedding:
             sigma = int(rng.integers(2, 5))
             x = kmer_encode(rng.integers(0, sigma, size=w).tolist(), sigma)
             a = int(rng.integers(0, sigma))
-            assert rotation_identity_check(x, a)
+            assert rotation_identity_check(x, sigma, w, a)
 
 
 class TestKeepRule:
@@ -145,15 +145,15 @@ class TestSetConstruction:
     def test_members_sit_just_below_axis(self):
         m = build_mykkeltveit_set(2, 9)
         for c in m.codes():
-            k = Kmer(int(c), 2, 9)
-            s = embedding(k).im_sign
+            k = int(c)
+            s = embedding(k, 2, 9).im_sign
             if s == ZERO:
-                pt = embedding(k)
+                pt = embedding(k, 2, 9)
                 # on the negative real axis, or an origin class representative
                 assert pt.re < 1e-9
             else:
                 assert s == NEG
-                assert embedding(pure_rotation(k)).im_sign == POS
+                assert embedding(pure_rotation(k, 2, 9), 2, 9).im_sign == POS
 
     def test_complement_antisymmetry(self):
         # flipping 0<->1 negates the embedding at sigma=2 ... P(xbar) = S - P(x)
@@ -162,9 +162,8 @@ class TestSetConstruction:
         for _ in range(40):
             w = int(rng.integers(2, 16))
             code = int(rng.integers(0, 2**w))
-            x = Kmer(code, 2, w)
-            xbar = Kmer(2**w - 1 - code, 2, w)
-            assert abs(complex(embedding(x)) + complex(embedding(xbar))) < 1e-9
+            xbar = 2**w - 1 - code
+            assert abs(complex(embedding(code, 2, w)) + complex(embedding(xbar, 2, w))) < 1e-9
 
 
 class TestAgainstClassWalk:
@@ -193,7 +192,7 @@ class TestAgainstClassWalk:
     @pytest.mark.parametrize("w", [40, 41])
     def test_long_path_vertices(self, w):
         for v in build_long_path(2, w).vertices:
-            assert class_walk_member(kmer_encode(v, 2)) is False
+            assert class_walk_member(kmer_encode(v, 2), 2, w) is False
 
 
 class TestAgainstDigitLoop:
@@ -224,17 +223,17 @@ class TestOneWayCrossing:
                 continue
             walks += 1
             seen_nonpos = False
-            x = Kmer(code, sigma, w)
+            x = code
             for _ in range(3 * w):
-                s = embedding(x).im_sign
+                s = embedding(x, sigma, w).im_sign
                 if seen_nonpos:
                     assert s != POS
                 if s != POS:
                     seen_nonpos = True
-                nxt = [a for a in range(sigma) if not m.contains_code(successor(x, a).code)]
+                nxt = [a for a in range(sigma) if not m.contains_code(successor(x, sigma, w, a))]
                 if not nxt:
                     break
-                x = successor(x, int(rng.choice(nxt)))
+                x = successor(x, sigma, w, int(rng.choice(nxt)))
 
 
 class TestLongPath:
@@ -254,7 +253,7 @@ class TestLongPath:
 
     def test_vertices_distinct_and_outside_set(self):
         lp = build_long_path(2, 16)
-        codes = [kmer_encode(v, 2).code for v in lp.vertices]
+        codes = [kmer_encode(v, 2) for v in lp.vertices]
         assert len(set(codes)) == len(codes)
         m = build_mykkeltveit_set(2, 16)
         assert not any(m.contains_code(c) for c in codes)
@@ -262,7 +261,7 @@ class TestLongPath:
     def test_edges_follow_graph(self):
         lp = build_long_path(2, 24)
         n = 2**24
-        codes = [kmer_encode(v, 2).code for v in lp.vertices]
+        codes = [kmer_encode(v, 2) for v in lp.vertices]
         for a, b in zip(codes, codes[1:]):
             assert b in ((a * 2) % n, (a * 2 + 1) % n)
 
@@ -273,9 +272,9 @@ class TestLongPath:
         walk = _run_ring(w, zero_tags, quads)
         windows = [walk[i : i + w] for i in range(len(walk) - w + 1)]
         codes = code_ring(sigma, w, zero_tags, quads)
-        assert [tuple(x) for x in windows] == [Kmer(c, sigma, w).symbols() for c in codes]
+        assert [tuple(x) for x in windows] == [symbols(c, sigma, w) for c in codes]
         if sigma == 2 or w == 24:
-            assert build_long_path(sigma, w).vertices == [str(Kmer(c, sigma, w)) for c in codes]
+            assert build_long_path(sigma, w).vertices == [kmer_decode(c, sigma, w) for c in codes]
 
     def test_one_signs_call_no_embedding(self, monkeypatch):
         calls = []

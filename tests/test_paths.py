@@ -135,6 +135,12 @@ class TestBytesPerNode:
     def test_mykkeltveit_build(self):
         assert _peak(build_mykkeltveit_set, 2, 20) <= 6.5 * 2**20
 
+    def test_load_binary(self, tmp_path):
+        # the unpacked mask (1 B/node) is the set's own mask, not copied (1.19 B/node)
+        path = str(tmp_path / "m.bin")
+        build_mykkeltveit_set(2, 20).save_binary(path)
+        assert _peak(KmerSet.load_binary, path) <= 1.5 * 2**20
+
 
 class TestDeterminism:
     def test_repeat_runs_identical(self):

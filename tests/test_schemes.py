@@ -251,7 +251,9 @@ class TestAgainstSelect:
     def test_scheme_values(self, sigma, data):
         sch = data.draw(selection_schemes(sigma, lambda k, w: k + w - 1, 1 << 10))
         expect = [select(sch, t) for t in window_texts(sigma, sch.window_symbols)]
-        assert scheme_values(sch).tolist() == expect
+        values = scheme_values(sch)
+        assert values.tolist() == expect
+        assert values.dtype == np.int16  # tables store their picks as int16 too
 
     @pytest.mark.parametrize("sigma", [2, 3, 4])
     @given(data=st.data())
