@@ -431,4 +431,9 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # Loading numpy starts OpenBLAS worker threads that spin for about 0.1 s
+    # of CPU on another core, and the only float matrix product here is a
+    # small table product in the Mykkeltveit build: one thread does it.  Set
+    # before any handler imports numpy; a value the user set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run())

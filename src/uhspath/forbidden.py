@@ -21,6 +21,8 @@ from typing import TYPE_CHECKING
 
 from .core import DEFAULT_NODE_BUDGET, check_alphabet, check_budget, kmer_encode
 
+_BLOCK = 1 << 18  # codes per block of the run-free mask
+
 # The set builders import numpy and KmerSet themselves, so the survival FSM
 # (the fsm subcommand) runs without numpy.
 if TYPE_CHECKING:
@@ -72,12 +74,21 @@ def _run_free(sigma: int, w: int, d: int) -> np.ndarray:
 
     A code is its leading ceil(w/2) symbols (hi) followed by its trailing
     floor(w/2) symbols (lo); its longest zero run is the longest of either
-    half's and hi's trailing run joined to lo's leading run.
+    half's and hi's trailing run joined to lo's leading run.  The mask is
+    filled one block of whole hi rows (about _BLOCK codes) at a time.
     """
+    import numpy as np
+
     _, trail_hi, best_hi = _zero_runs(sigma, w - w // 2)
     lead_lo, _, best_lo = _zero_runs(sigma, w // 2)
-    free = (best_hi < d)[:, None] & (best_lo < d)[None, :]
-    free &= trail_hi[:, None] < (d - lead_lo)[None, :]
+    free = np.empty((trail_hi.size, lead_lo.size), dtype=bool)
+    room, lo_free = (d - lead_lo)[None, :], (best_lo < d)[None, :]
+    step = max(1, _BLOCK // lead_lo.size)
+    for i in range(0, trail_hi.size, step):
+        hi = slice(i, i + step)
+        np.less(trail_hi[hi, None], room, out=free[hi])
+        free[hi] &= lo_free
+        free[hi] &= (best_hi[hi] < d)[:, None]
     return free.ravel()
 
 

@@ -34,6 +34,7 @@ from .exactsign import NEG, POS, ZERO
 from .kmerset import KmerSet
 
 _BLOCK = 1 << 18  # codes per block of the bulk build
+_ROWS = 1 << 12  # digit rows per block of the bulk build's sign certification
 
 
 def _raw_embedding(symbols, w: int) -> complex:
@@ -48,6 +49,16 @@ def _raw_embedding(symbols, w: int) -> complex:
 
 def _digit_rows(codes: np.ndarray, sigma: int, w: int) -> np.ndarray:
     return (codes[:, None] // sigma ** np.arange(w - 1, -1, -1)) % sigma
+
+
+def _certified(codes: np.ndarray, approx: np.ndarray, sigma: int, w: int, part: str) -> np.ndarray:
+    """`exactsign.signs` of `part` for each code, whose doubles are `approx`,
+    from the digit rows of a block of _ROWS codes at a time."""
+    out = np.empty(codes.size, dtype=np.int8)
+    for i in range(0, codes.size, _ROWS):
+        block = slice(i, i + _ROWS)
+        out[block] = exactsign.signs(_digit_rows(codes[block], sigma, w), approx[block], sigma, part)
+    return out
 
 
 def _half_tables(sigma: int, w: int, trig):
@@ -81,14 +92,16 @@ def _im_float_signs(
     """(im_sgn, band, im_band): the int8 sign of Im P in doubles over every
     code, the guard-band codes |Im P| <= th, whose signs still need
     certifying, and their doubles.  Im P is summed from two half-word tables
-    one block of whole hi rows (about _BLOCK codes) at a time, so no float
-    array spans all sigma^w codes."""
+    one block of whole hi rows (about _BLOCK codes) at a time into one
+    reused buffer, so no float array spans more than a block."""
     im_hi, im_lo = _half_tables(sigma, w, np.sin)
     im_sgn = np.empty(im_hi.size * im_lo.size, dtype=np.int8)
     step = max(1, _BLOCK // im_lo.size)
+    buf = np.empty((min(step, im_hi.size), im_lo.size))  # one block, reused
     band, im_band = [], []
     for i in range(0, im_hi.size, step):
-        im = (im_hi[i : i + step, None] + im_lo[None, :]).ravel()
+        hi = im_hi[i : i + step, None]
+        im = np.add(hi, im_lo, out=buf[: hi.shape[0]]).ravel()
         first = i * im_lo.size  # code of the block's first entry
         near = np.flatnonzero((-th <= im) & (im <= th))
         band.append(first + near)
@@ -117,8 +130,7 @@ def build_mykkeltveit_set(
     n = sigma**w
     check_budget(n, budget, "decycling set construction")
     im_sgn, b, im_b = _im_float_signs(sigma, w, exactsign.guard(sigma, w))
-    rows = _digit_rows(b, sigma, w)
-    im_sgn[b] = exactsign.signs(rows, im_b, sigma, "im")
+    im_sgn[b] = _certified(b, im_b, sigma, w, "im")
 
     # P(R(x)) for x = a.r (leading symbol a) is at code r.a, so over a block
     # of codes with one leading symbol the rotated signs are a strided view.
@@ -133,10 +145,9 @@ def build_mykkeltveit_set(
             im_rot = im_sgn[j * sigma + a : k * sigma : sigma]
             mask[x] = _member(im_sgn[x], im_rot, ZERO, False)
 
-    on_axis = im_sgn[b] == ZERO
-    z, rows = b[on_axis], rows[on_axis]
+    z = b[im_sgn[b] == ZERO]
     re_hi, re_lo = _half_tables(sigma, w, np.cos)
-    re = exactsign.signs(rows, re_hi[z // re_lo.size] + re_lo[z % re_lo.size], sigma, "re")
+    re = _certified(z, re_hi[z // re_lo.size] + re_lo[z % re_lo.size], sigma, w, "re")
     # classes embedded at the origin (the all-zero word's among them) keep
     # their least rotation
     c = origin = z[re == ZERO]

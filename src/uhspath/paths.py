@@ -11,9 +11,11 @@ The peel (Kahn 1962) keeps, per row, the count of its surviving out-edges
 still unlabelled.  A row whose count reaches 0 goes idle: wave k sets
 h[r] = k on the rows that went idle after wave k - 1 and labels the
 surviving edges entering them, which lowers the counts of their prefix rows.
-It reads the set's mask as it is and keeps about 5/sigma bytes per w-mer (a
-count that holds sigma and an int32 wave per row) besides the wave in
-flight.  Rows still counting at the end lie on a cycle or lead into one.
+It reads the set's mask as it is and keeps about 3/sigma bytes per w-mer (a
+count that holds sigma and a uint16 wave per row, widened to int32 only if
+the waves reach 65,535) besides the wave in flight, which is read back from
+h when it holds more than a sixteenth of the rows.  Rows still counting at
+the end lie on a cycle or lead into one.
 
 h, with m entries, is the certificate of the longest path: expanded to one
 label per w-mer (``path_labels``), ``verify_labels`` checks without the peel
@@ -36,6 +38,8 @@ ACYCLIC = "ACYCLIC"
 CYCLIC = "CYCLIC"
 
 _CHUNK = 1 << 16  # rows per peel slice
+_WAVE = np.uint16  # dtype of the peel's waves until they reach its largest value
+_LARGE = 16  # a wave of more than 1/_LARGE of the rows is read back from h
 
 
 @dataclass(frozen=True)
@@ -55,29 +59,37 @@ class PathReport:
 def _peel(mask: np.ndarray, sigma: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Counting peel on the (w-1)-mer rows of a membership mask.
 
-    Returns (h, left, longest): h[r] (int32) is the wave in which row r went
-    idle, 0 if it never did; left[r] counts row r's surviving out-edges still
+    Returns (h, left, longest): h[r] is the wave in which row r went idle, 0
+    if it never did, kept as _WAVE and widened to int32 once the waves reach
+    _WAVE's largest value; left[r] counts row r's surviving out-edges still
     unlabelled, nonzero only on rows that reach a cycle; longest is the last
     wave that labelled an edge.  A wave runs in slices of at most _CHUNK
     sorted rows: the surviving edges f = r + b*m entering a slice's rows,
     taken b-major, have their prefix rows f // sigma in order, so each run of
     equal prefixes comes off `left` at once.  A row goes idle at most once,
-    so slicing a wave changes no label.
+    so slicing a wave changes no label.  Rows are marked in h as they go
+    idle.  Wave 1, and any wave of more than m/_LARGE rows, is read back
+    from h a block of _CHUNK rows at a time; a smaller wave is also kept as
+    a sorted array of rows.
     """
     m = mask.size // sigma
     left = np.full(m, sigma, dtype=np.min_scalar_type(sigma))
     for a in range(sigma):
         left -= mask[a::sigma]
     entering = np.arange(sigma, dtype=np.int64)[:, None] * m
-    h = np.zeros(m, dtype=np.int32)
-    rows = np.flatnonzero(left == 0)
-    wave = longest = 0
-    while rows.size:
-        wave += 1
-        h[rows] = wave
-        idle = []
-        for i in range(0, rows.size, _CHUNK):
-            f = (rows[i : i + _CHUNK] + entering).ravel()
+    h = np.zeros(m, dtype=_WAVE)
+    h[left == 0] = 1
+    wave, longest, rows = 1, 0, None
+    while True:
+        if wave == np.iinfo(h.dtype).max:  # the next wave would not fit
+            h = h.astype(np.int32)
+        if rows is None:  # read the wave back from h
+            slices = (j + np.flatnonzero(h[j : j + _CHUNK] == wave) for j in range(0, m, _CHUNK))
+        else:
+            slices = (rows[i : i + _CHUNK] for i in range(0, rows.size, _CHUNK))
+        idle, count = [], 0
+        for part in slices:
+            f = (part + entering).ravel()
             f = f[~mask[f]]
             if f.size == 0:
                 continue
@@ -89,11 +101,19 @@ def _peel(mask: np.ndarray, sigma: int) -> tuple[np.ndarray, np.ndarray, int]:
             edge = np.flatnonzero(edge)
             t = t[edge[:-1]]
             left[t] -= np.diff(edge).astype(left.dtype)
-            idle.append(t[left[t] == 0])
-        rows = np.concatenate(idle) if idle else rows[:0]
-        if len(idle) > 1:  # one sorted run per slice; timsort merges them
+            t = t[left[t] == 0]
+            h[t] = wave + 1
+            count += t.size
+            if idle is not None and t.size:
+                idle.append(t)
+                if count > m // _LARGE:
+                    idle = None
+        if count == 0:
+            return h, left, longest
+        wave += 1
+        rows = None if idle is None else np.concatenate(idle)
+        if idle and len(idle) > 1:  # one sorted run per slice; timsort merges them
             rows.sort(kind="stable")
-    return h, left, longest
 
 
 def _cycle_witness(pending: np.ndarray, sigma: int, n: int) -> list[int]:
@@ -127,7 +147,8 @@ def path_labels(kset: KmerSet, budget: int = DEFAULT_NODE_BUDGET) -> np.ndarray:
     """
     check_budget(kset.n, budget, "path labels")
     h, _, _ = _peel(kset.mask, kset.sigma)
-    label = np.tile(h, kset.sigma)
+    label = np.empty(kset.n, dtype=np.int32)
+    label.reshape(kset.sigma, -1)[:] = h
     label[kset.mask] = 0
     return label
 

@@ -105,7 +105,11 @@ def minimizer_scheme(
         arr = np.asarray(rank, dtype=np.int64)
         if arr.shape != (sigma**k,):
             raise ValueError(f"rank must cover all sigma**k = {sigma**k} k-mers")
-        if sorted(arr.tolist()) != list(range(sigma**k)):
+        # a permutation: every rank in range and none twice, 1 byte per k-mer
+        seen = np.zeros(sigma**k, dtype=bool)
+        if 0 <= arr.min() and arr.max() < sigma**k:
+            seen[arr] = True
+        if not seen.all():
             raise ValueError("rank must be a permutation defining a total order")
     return SelectionScheme(sigma, w, MINIMIZER, k=k, rank=arr)
 

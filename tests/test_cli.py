@@ -490,3 +490,32 @@ class TestProcessEntryPoint:
             assert proc.stdout == ""
             assert len(proc.stderr.splitlines()) == 1
             assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("user", [None, "3"], ids=["unset", "user-set"])
+    def test_blas_pool_pinned_before_numpy_loads(self, user):
+        # main() sets OPENBLAS_NUM_THREADS=1 before a handler imports numpy,
+        # and keeps a value the user set
+        src = os.path.dirname(os.path.dirname(uhspath.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = src
+        if user is not None:
+            env["OPENBLAS_NUM_THREADS"] = user
+        script = (
+            "import os, sys\n"
+            "from uhspath.cli import main\n"
+            "before = 'numpy' in sys.modules\n"
+            "try:\n"
+            "    main()\n"
+            "except SystemExit as e:\n"
+            "    after = 'numpy' in sys.modules\n"
+            "    pin = os.environ.get('OPENBLAS_NUM_THREADS')\n"
+            "    print(e.code, before, after, pin, file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "mykkeltveit", "--sigma", "2", "--w", "10"],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.stderr.split() == ["0", "False", "True", user or "1"]
+        assert json.loads(proc.stdout)["cardinality"] == 108

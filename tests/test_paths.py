@@ -95,6 +95,21 @@ class TestSlices:
         else:
             assert verify_labels(kset, labels) is None
 
+    @pytest.mark.parametrize("large", [1, 10**9], ids=["rows", "read-back"])
+    @given(data=st.data())
+    def test_waves_read_back_from_h(self, large, data):
+        # _LARGE = 1 keeps every wave after the first as rows; 10**9 reads
+        # every wave back from h
+        kset = data.draw(kmer_sets(data.draw(st.sampled_from([2, 3])), max_nodes=1 << 10))
+        whole = longest_remaining_path(kset)
+        with mock.patch.object(paths, "_LARGE", large), mock.patch.object(paths, "_CHUNK", 7):
+            report = longest_remaining_path(kset)
+            labels = path_labels(kset)
+        kind, oracle_labels, _ = dfs_longest(kset)
+        assert report == whole
+        if kind == ACYCLIC:
+            assert labels.tolist() == oracle_labels
+
     @pytest.mark.parametrize("chunk", [None, 1])
     def test_wave_without_surviving_owner(self, chunk):
         # only 001 survives: row 00 goes idle in wave 2, but the edges entering
@@ -109,6 +124,28 @@ class TestSlices:
         assert labels.tolist() == dfs_longest(kset)[1]
 
 
+class TestWaveDtype:
+    # waves start as paths._WAVE and widen to int32 once they reach its
+    # largest value; a uint8 start widens at wave 255
+
+    def test_widened_report_matches(self):
+        kset = build_mykkeltveit_set(2, 18)  # L = 395; at w = 16 L is 255
+        whole = longest_remaining_path(kset)
+        with mock.patch.object(paths, "_WAVE", np.uint8):
+            report = longest_remaining_path(kset)
+            h, _, _ = paths._peel(kset.mask, 2)
+        assert whole.longest_vertices > 255 and h.dtype == np.int32
+        assert report == whole
+
+    def test_widened_labels_against_dfs(self):
+        kset = build_mykkeltveit_set(2, 17)  # L = 299
+        with mock.patch.object(paths, "_WAVE", np.uint8):
+            labels = path_labels(kset)
+        kind, oracle_labels, _ = dfs_longest(kset)
+        assert kind == ACYCLIC and max(oracle_labels) > 255
+        assert labels.tolist() == oracle_labels
+
+
 def _peak(fn, *args):
     """tracemalloc's peak over one call, in bytes."""
     tracemalloc.start()
@@ -120,12 +157,14 @@ def _peak(fn, *args):
 
 
 class TestBytesPerNode:
-    # peaks at sigma = 2, w = 20, a little above those measured when the peel
-    # moved to rows and the build to blocks (3.6, 7.5 and 6.1 B/node; before,
-    # 11.1, 16.0 and 13.2), so that a later change cannot quietly lose them
+    # peaks at sigma = 2, w = 20, a little above those measured once the peel
+    # kept uint16 waves and read its large waves back from them, and the
+    # builds certified and filled in blocks (2.2, 4.1, 3.7 and 1.2 B/node;
+    # before, 3.6, 7.5, 6.1 and 2.2), so that a later change cannot quietly
+    # lose them
     @pytest.mark.parametrize(
         "build,bound",
-        [(build_mykkeltveit_set, 4.0), (build_forbidden_set, 8.0)],
+        [(build_mykkeltveit_set, 2.4), (build_forbidden_set, 4.5)],
         ids=["mykkeltveit", "forbidden"],
     )
     def test_peel(self, build, bound):
@@ -133,7 +172,10 @@ class TestBytesPerNode:
         assert _peak(longest_remaining_path, kset) <= bound * kset.n
 
     def test_mykkeltveit_build(self):
-        assert _peak(build_mykkeltveit_set, 2, 20) <= 6.5 * 2**20
+        assert _peak(build_mykkeltveit_set, 2, 20) <= 4.0 * 2**20
+
+    def test_forbidden_build(self):
+        assert _peak(build_forbidden_set, 2, 20) <= 1.3 * 2**20
 
     def test_load_binary(self, tmp_path):
         # the unpacked mask (1 B/node) is the set's own mask, not copied (1.19 B/node)

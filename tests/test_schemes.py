@@ -439,6 +439,24 @@ class TestSchemeValidation:
         with pytest.raises(ValueError, match="alphabet size"):
             table_scheme(1, 2, [0])
 
+    @pytest.mark.parametrize("bad", [-1, 8, 3], ids=["negative", "too-large", "repeated"])
+    def test_rank_must_be_a_permutation(self, bad):
+        rank = np.arange(8)
+        rank[5] = bad
+        with pytest.raises(ValueError, match="rank must be a permutation defining a total order"):
+            minimizer_scheme(2, 3, 4, rank)
+
+    def test_rank_check_bytes_per_kmer(self):
+        # one bool per k-mer marks the ranks seen; sorting Python lists took 80 B
+        rank = np.random.default_rng(2).permutation(2**16)
+        tracemalloc.start()
+        try:
+            minimizer_scheme(2, 16, 5, rank)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**16
+
 
 class TestFiles:
     def test_scheme_table_roundtrip(self, tmp_path):
