@@ -46,11 +46,14 @@ def forbidden_d(sigma: int, w: int) -> int:
 
 
 def min_w_for_construction(sigma: int) -> int:
-    """Smallest w with forbidden_d >= 1."""
-    w = 2
-    while forbidden_d(sigma, w) < 1:
-        w += 1
-    return w
+    """Smallest w with forbidden_d >= 1, by doubling and then bisection."""
+    lo, hi = 3, 4  # the test fails at both, and w / ln w grows from w = 3 on
+    while forbidden_d(sigma, hi) < 1:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if forbidden_d(sigma, mid) < 1 else (lo, mid)
+    return hi
 
 
 def _zero_runs(sigma: int, length: int):

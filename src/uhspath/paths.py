@@ -17,11 +17,11 @@ the waves reach 65,535) besides the wave in flight, which is read back from
 h when it holds more than a sixteenth of the rows.  Rows still counting at
 the end lie on a cycle or lead into one.
 
-h, with m entries, is the certificate of the longest path: expanded to one
-label per w-mer (``path_labels``), ``verify_labels`` checks without the peel
-that labels strictly decrease along every surviving edge, which proves both
-acyclicity and the upper bound; a stored certificate needs only h.  Path
-lengths are always counted in vertices (w-mers); a string of L symbols
+h, with m entries, is the certificate of the longest path: ``verify_rows``
+checks without the peel that h[r] exceeds the label of every w-mer leaving
+row r (0 for a member), which proves both acyclicity and the upper bound,
+and ``longest_remaining_path`` runs it and ``verify_witness`` before it returns.
+Path lengths are always counted in vertices (w-mers); a string of L symbols
 corresponds to a walk of L - w + 1 vertices.
 """
 
@@ -121,7 +121,8 @@ def _cycle_witness(pending: np.ndarray, sigma: int, n: int) -> list[int]:
 
     Every pending node has a pending successor, so walking least-symbol
     pending successors from the least pending node must revisit a node; the
-    segment from its first visit is a cycle.
+    segment from its first visit is a cycle (a broken invariant would end the
+    walk on a lone node without one, which verify_witness rejects).
     """
     v = int(np.flatnonzero(pending)[0])
     seen: dict[int, int] = {}
@@ -134,46 +135,58 @@ def _cycle_witness(pending: np.ndarray, sigma: int, n: int) -> list[int]:
             if pending[base + a]:
                 v = base + a
                 break
-        else:  # pragma: no cover - impossible by the peel invariant
-            raise AssertionError("pending node without pending successor")
     return walk[seen[v] :]
 
 
-def path_labels(kset: KmerSet, budget: int = DEFAULT_NODE_BUDGET) -> np.ndarray:
-    """Longest-path label of every node (int32, length sigma^w).
+def _longest_path(mask: np.ndarray, sigma: int, h: np.ndarray, longest: int) -> list[int]:
+    """Walk from the least surviving code labelled `longest` (b*m + r has label
+    h[r] unless a member) along the least successor labelled one less; a
+    missing successor reads -1, which verify_witness rejects."""
+    if longest == 0:
+        return []
+    n, m = mask.size, h.size
+    top = np.flatnonzero(h == longest)
+    for b in range(sigma):
+        r = top[~mask[b * m + top]]
+        if r.size:
+            v = b * m + int(r[0])
+            break
+    path = [v]
+    for k in range(longest - 1, 0, -1):
+        base = (v * sigma) % n
+        v = next((u for u in range(base, base + sigma) if not mask[u] and h[u % m] == k), -1)
+        path.append(v)
+    return path
 
-    label[v] is the number of vertices on the longest path from v avoiding the
-    set; 0 means v is in the set, or lies on or leads into a cycle.
-    """
-    check_budget(kset.n, budget, "path labels")
-    h, _, _ = _peel(kset.mask, kset.sigma)
-    label = np.empty(kset.n, dtype=np.int32)
-    label.reshape(kset.sigma, -1)[:] = h
-    label[kset.mask] = 0
-    return label
 
-
-def verify_labels(kset: KmerSet, labels: np.ndarray) -> int | None:
+def verify_rows(mask: np.ndarray, sigma: int, h: np.ndarray) -> int | None:
     """Certified upper bound on the longest path avoiding the set, or None.
 
-    Accepts iff every surviving node has a label >= 1 and every surviving
-    edge u -> v has labels[u] > labels[v]; then no path avoiding the set has
-    more vertices than the largest survivor label, which is returned (for
-    labels from ``path_labels`` that is ``labels.max()``).  Independent of the
-    peel and O(sigma^w): with m = sigma^(w-1), the nodes r + b*m all have the
-    successors r*sigma .. r*sigma + sigma-1, so per r it compares the least
-    surviving owner label with the largest surviving successor label.
+    Label w-mer v with h[v mod m], m = sigma^(w-1), if it survives and 0 if
+    it is a member.  Accepts iff h[r] exceeds the label of every w-mer
+    r*sigma + a leaving row r: then a surviving path's last vertex has a
+    label >= 1 and labels strictly decrease along it, so no path avoiding
+    the set has more vertices than the largest label, which is returned.
+    It reads h in place, _CHUNK w-mers at a time: rows r and r + q, q =
+    m / sigma, share their successors, row r mod q of h.reshape(q, sigma).
     """
-    sigma, n = kset.sigma, kset.n
-    labels = np.asarray(labels)
-    if labels.shape != (n,) or labels.dtype.kind not in "iu":
-        raise ValueError(f"labels must be an integer array of length sigma**w = {n}")
-    survives = ~kset.mask
-    owner_min = np.where(survives, labels, np.iinfo(labels.dtype).max).reshape(sigma, -1).min(0)
-    succ_max = np.where(survives, labels, 0).reshape(-1, sigma).max(1)
-    if not bool((owner_min > succ_max).all()):
-        return None
-    return int(labels[survives].max()) if survives.any() else 0
+    h, m = np.asarray(h), mask.size // sigma
+    if mask.ndim != 1 or h.shape != (m,) or h.dtype.kind not in "iu":
+        raise ValueError(f"h must be an integer array of length sigma**(w-1) = {m}")
+    if m % sigma:  # w = 1: every w-mer is a self-loop on the one empty row
+        return 0 if mask.all() and h[0] > 0 else None
+    q, step = m // sigma, max(1, _CHUNK // sigma)
+    succ_rows, top = h.reshape(q, sigma), 0
+    for b in range(0, m, q):
+        for i in range(0, q, step):
+            j = min(i + step, q)
+            member = mask[(b + i) * sigma : (b + j) * sigma].reshape(-1, sigma)
+            label, own = succ_rows[i:j] * ~member, h[b + i : b + j]
+            if not all((label[:, a] < own).all() for a in range(sigma)):  # columns: no broadcast
+                return None
+            top = max(top, int(label.max()))
+            del label  # before the next block's is built
+    return top
 
 
 def longest_remaining_path(kset: KmerSet, budget: int = DEFAULT_NODE_BUDGET) -> PathReport:
@@ -190,31 +203,19 @@ def longest_remaining_path(kset: KmerSet, budget: int = DEFAULT_NODE_BUDGET) -> 
     h, left, longest = _peel(mask, sigma)
     if left.any():
         pending = ~mask & np.tile(h == 0, sigma)
-        return PathReport(CYCLIC, cycle_witness=_cycle_witness(pending, sigma, n))
-    if longest == 0:
-        return PathReport(ACYCLIC, longest_vertices=0)
-
-    # node b*m + r carries label h[r] unless it is a member
-    m = n // sigma
-    top = np.flatnonzero(h == longest)
-    for b in range(sigma):
-        r = top[~mask[b * m + top]]
-        if r.size:
-            v = b * m + int(r[0])
-            break
-    path = [v]
-    for k in range(longest - 1, 0, -1):
-        base = (v * sigma) % n
-        v = next(u for u in range(base, base + sigma) if not mask[u] and h[u % m] == k)
-        path.append(v)
-    return PathReport(ACYCLIC, longest_vertices=longest, witness=path)
+        report = PathReport(CYCLIC, cycle_witness=_cycle_witness(pending, sigma, n))
+    elif verify_rows(mask, sigma, h) != longest:  # checked before the walk trusts h
+        raise AssertionError("the peel's rows do not certify its longest path")
+    else:
+        report = PathReport(ACYCLIC, longest, _longest_path(mask, sigma, h, longest))
+    if not verify_witness(kset, report):
+        raise AssertionError(f"the {report.kind} witness fails its check")
+    return report
 
 
 def is_decycling(kset: KmerSet, budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """True iff the subgraph induced by the complement of the set is acyclic."""
-    check_budget(kset.n, budget, "decycling check")
-    _, left, _ = _peel(kset.mask, kset.sigma)
-    return not left.any()
+    return longest_remaining_path(kset, budget).kind == ACYCLIC
 
 
 def is_uhs(kset: KmerSet, l: int, budget: int = DEFAULT_NODE_BUDGET) -> bool:
@@ -228,17 +229,11 @@ def verify_witness(kset: KmerSet, report: PathReport) -> bool:
     each step a de Bruijn edge (v // sigma == u % sigma^(w-1)), the path as long
     as reported and the cycle closed."""
     sigma, n = kset.sigma, kset.n
-
-    def outside(codes: list[int]) -> bool:
-        return all(0 <= c < n for c in codes) and not kset.mask[codes].any()
-
-    def edges(pairs) -> bool:
-        return all(v // sigma == u % (n // sigma) for u, v in pairs)
-
     if report.kind == ACYCLIC:
-        path = report.witness
-        if len(path) != report.longest_vertices:
-            return False
-        return outside(path) and edges(zip(path, path[1:]))
-    cyc = report.cycle_witness
-    return bool(cyc) and outside(cyc) and edges(zip(cyc, cyc[1:] + cyc[:1]))
+        codes, ok = report.witness, len(report.witness) == report.longest_vertices
+        heads = codes[1:]
+    else:
+        codes = report.cycle_witness
+        ok, heads = bool(codes), codes[1:] + codes[:1]
+    outside = all(0 <= c < n for c in codes) and not kset.mask[codes].any()
+    return ok and outside and all(v // sigma == u % (n // sigma) for u, v in zip(codes, heads))

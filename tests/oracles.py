@@ -2,7 +2,8 @@
 
 Each kernel has one oracle here: a slow, direct reading of its definition.
 
-- peel (`paths.longest_remaining_path`, `path_labels`): `dfs_longest`;
+- peel (`paths.longest_remaining_path`, `paths._peel`'s rows through
+  `labels_from_rows`): `dfs_longest`;
 - selection (`schemes._selected`, `scheme_values`, `is_forward`, the
   densities): `select` on every window, through `picks` and `estimate`;
 - context sets: `charged_contexts`, the charged windows of a cyclic de Bruijn
@@ -158,6 +159,16 @@ def dfs_longest(kset):
         v = next(u for u in range((v * sigma) % n, (v * sigma) % n + sigma) if labels[u] == labels[v] - 1)
         path.append(v)
     return ACYCLIC, labels, path
+
+
+def labels_from_rows(h, mask, sigma):
+    """int32 label of every w-mer from the peel's rows: w-mer v gets
+    h[v mod sigma^(w-1)], its suffix row's wave, and members get 0, as
+    `dfs_longest` labels them on an acyclic graph."""
+    label = np.empty(mask.size, dtype=np.int32)
+    label.reshape(sigma, -1)[:] = h
+    label[mask] = 0
+    return label
 
 
 # -- selection -----------------------------------------------------------------

@@ -3,7 +3,9 @@ import json
 import os
 import subprocess
 import sys
+import time
 
+import numpy as np
 import pytest
 
 import uhspath
@@ -442,6 +444,53 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: digit text form only supports sigma <= 10\n"
+
+    @pytest.mark.parametrize("corrupt", ["row", "short", "loose"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "mykkeltveit --sigma 2 --w 10",
+            "forbidden --sigma 2 --w 16",
+            "check-uhs --sigma 2 --w 10 --set mykkeltveit --l 70",
+            "longest-path --sigma 2 --w 10 --set mykkeltveit",
+        ],
+        ids=["mykkeltveit", "forbidden", "check-uhs", "longest-path"],
+    )
+    def test_path_answer_certified_before_printing(self, capsys, monkeypatch, argv, corrupt):
+        # a peel that zeroes one surviving w-mer's row, reports its longest
+        # path one short, or doubles every wave (a certificate that holds
+        # but leaves the witness walk without a successor) exits 3
+        from uhspath import paths
+
+        real_peel = paths._peel
+
+        def corrupted(mask, sigma):
+            h, left, longest = real_peel(mask, sigma)
+            if corrupt == "row":
+                h[int(np.flatnonzero(~mask)[0]) % h.size] = 0
+            elif corrupt == "short":
+                longest -= 1
+            else:
+                h, longest = 2 * h, 2 * longest
+            return h, left, longest
+
+        monkeypatch.setattr(paths, "_peel", corrupted)
+        assert run(argv.split()) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: ")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_forbidden_huge_alphabet_fails_fast(self, capsys):
+        # the message names the least w that admits the construction, found
+        # by doubling and bisection rather than by counting up from w = 2
+        start = time.perf_counter()
+        assert run(["forbidden", "--sigma", str(10**30), "--w", "2"]) == 1
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: construction needs d >= 1")
 
     def test_long_path_undefined_width(self, capsys):
         # the even program leaves the upper half plane at w=18: bad input, not a bug

@@ -47,6 +47,20 @@ class TestParameterD:
         assert min_w_for_construction(2) == 9
         assert forbidden_d(2, 8) == 0
 
+    def test_min_w_against_linear_search(self):
+        # doubling and bisection find the w that counting up from 2 finds
+        for sigma in range(2, 41):
+            w = 2
+            while forbidden_d(sigma, w) < 1:
+                w += 1
+            assert min_w_for_construction(sigma) == w
+
+    def test_min_w_huge_alphabet(self):
+        # w / ln w >= sigma^2 first holds near w = 1.43e62 at sigma = 10^30
+        w = min_w_for_construction(10**30)
+        assert forbidden_d(10**30, w) == 1 and forbidden_d(10**30, w - 1) == 0
+        assert 1.4e62 < w < 1.5e62
+
 
 class TestSetConstruction:
     @given(data=st.data())

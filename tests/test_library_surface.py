@@ -16,12 +16,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "uhspath"
 
-# Public functions without a caller yet, each kept for a planned use.
-KEEP = {
-    "path_labels": "ROADMAP item 5: the CLI certifies the longest path with labels",
-    "verify_labels": "ROADMAP item 5: the CLI checks the labels before printing",
-    "verify_witness": "ROADMAP item 5: the CLI checks the witness before printing",
-}
+# Public functions without a caller yet, each kept for a planned use, with
+# the ROADMAP item that plans it: {"name": "ROADMAP item N: ..."}.
+KEEP = {}
 
 
 def used_names(tree):
@@ -123,4 +120,4 @@ def test_every_public_method_has_a_caller():
 def test_keep_list_is_current():
     # an entry goes once its planned caller lands
     assert sorted(set(KEEP) & set(unused_functions())) == sorted(KEEP)
-    assert all(reason.startswith("ROADMAP item 5") for reason in KEEP.values())
+    assert all(reason.startswith("ROADMAP item ") for reason in KEEP.values())

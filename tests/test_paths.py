@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from oracles import dfs_longest, hits, kmer_sets
+from oracles import dfs_longest, hits, kmer_sets, labels_from_rows
 from uhspath import paths
 from uhspath.core import BudgetError
 from uhspath.forbidden import build_forbidden_set
@@ -18,14 +18,23 @@ from uhspath.paths import (
     is_decycling,
     is_uhs,
     longest_remaining_path,
-    path_labels,
-    verify_labels,
+    verify_rows,
     verify_witness,
 )
 
 
 def _summary(report):
     return report.kind, report.longest_vertices, report.witness
+
+
+def _rows(kset):
+    """The peel's rows h, one wave per (w-1)-mer."""
+    return paths._peel(kset.mask, kset.sigma)[0]
+
+
+def _labels(kset):
+    """One label per w-mer, expanded from the peel's rows by the oracle."""
+    return labels_from_rows(_rows(kset), kset.mask, kset.sigma)
 
 
 class TestAgainstBruteForce:
@@ -40,7 +49,7 @@ class TestAgainstBruteForce:
         assert verify_witness(kset, report)
         if kind == ACYCLIC:
             assert _summary(report) == (kind, max(labels), witness)
-            assert path_labels(kset).tolist() == labels
+            assert _labels(kset).tolist() == labels
 
     @pytest.mark.parametrize(
         "build",
@@ -82,7 +91,8 @@ class TestSlices:
         whole = longest_remaining_path(kset)
         with mock.patch.object(paths, "_CHUNK", chunk):
             report = longest_remaining_path(kset)
-            labels = path_labels(kset)
+            h = _rows(kset)
+            bound = verify_rows(kset.mask, sigma, h)
             decycling = is_decycling(kset)
         kind, oracle_labels, witness = dfs_longest(kset)
         assert report == whole  # the cycle witness too
@@ -90,10 +100,10 @@ class TestSlices:
         assert verify_witness(kset, report)
         if kind == ACYCLIC:
             assert _summary(report) == (kind, max(oracle_labels), witness)
-            assert labels.tolist() == oracle_labels
-            assert verify_labels(kset, labels) == report.longest_vertices
+            assert labels_from_rows(h, kset.mask, sigma).tolist() == oracle_labels
+            assert bound == report.longest_vertices
         else:
-            assert verify_labels(kset, labels) is None
+            assert bound is None
 
     @pytest.mark.parametrize("large", [1, 10**9], ids=["rows", "read-back"])
     @given(data=st.data())
@@ -104,7 +114,7 @@ class TestSlices:
         whole = longest_remaining_path(kset)
         with mock.patch.object(paths, "_LARGE", large), mock.patch.object(paths, "_CHUNK", 7):
             report = longest_remaining_path(kset)
-            labels = path_labels(kset)
+            labels = _labels(kset)
         kind, oracle_labels, _ = dfs_longest(kset)
         assert report == whole
         if kind == ACYCLIC:
@@ -118,10 +128,9 @@ class TestSlices:
         with mock.patch.object(paths, "_CHUNK", chunk or paths._CHUNK):
             h, left, longest = paths._peel(kset.mask, 2)
             report = longest_remaining_path(kset)
-            labels = path_labels(kset)
         assert h.tolist() == [2, 1, 1, 1] and not left.any() and longest == 1
         assert _summary(report) == (ACYCLIC, 1, [1])
-        assert labels.tolist() == dfs_longest(kset)[1]
+        assert labels_from_rows(h, kset.mask, 2).tolist() == dfs_longest(kset)[1]
 
 
 class TestWaveDtype:
@@ -140,7 +149,7 @@ class TestWaveDtype:
     def test_widened_labels_against_dfs(self):
         kset = build_mykkeltveit_set(2, 17)  # L = 299
         with mock.patch.object(paths, "_WAVE", np.uint8):
-            labels = path_labels(kset)
+            labels = _labels(kset)
         kind, oracle_labels, _ = dfs_longest(kset)
         assert kind == ACYCLIC and max(oracle_labels) > 255
         assert labels.tolist() == oracle_labels
@@ -170,6 +179,14 @@ class TestBytesPerNode:
     def test_peel(self, build, bound):
         kset = build(2, 20)
         assert _peak(longest_remaining_path, kset) <= bound * kset.n
+
+    @pytest.mark.parametrize(
+        "build", [build_mykkeltveit_set, build_forbidden_set], ids=["mykkeltveit", "forbidden"]
+    )
+    def test_verify_rows(self, build):
+        # blocks of _CHUNK w-mers, about 0.2 B/node when measured
+        kset = build(2, 20)
+        assert _peak(verify_rows, kset.mask, 2, _rows(kset)) <= 0.5 * kset.n
 
     def test_mykkeltveit_build(self):
         assert _peak(build_mykkeltveit_set, 2, 20) <= 4.0 * 2**20
@@ -244,51 +261,79 @@ class TestUhsSemantics:
             longest_remaining_path(KmerSet(2, 10, np.zeros(1024, dtype=bool)), budget=100)
 
 
-class TestLabelCertificate:
+class TestRowCertificate:
     @given(data=st.data())
     def test_bound_equals_brute_force(self, data):
         kset = data.draw(kmer_sets(data.draw(st.sampled_from([2, 3, 4]))))
-        labels = path_labels(kset)
+        h = _rows(kset)
         kind, oracle_labels, _ = dfs_longest(kset)
         if kind == CYCLIC:
-            assert verify_labels(kset, labels) is None
+            assert verify_rows(kset.mask, kset.sigma, h) is None
             return
-        assert verify_labels(kset, labels) == max(oracle_labels)
+        assert verify_rows(kset.mask, kset.sigma, h) == max(oracle_labels)
         survivors = np.flatnonzero(~kset.mask)
         if survivors.size:
-            # one label lowered by one: a sink reads 0, any other node ties its
-            # best successor
-            labels[survivors[data.draw(st.integers(0, survivors.size - 1))]] -= 1
-            assert verify_labels(kset, labels) is None
+            # a survivor's row lowered by one: a sink row reads 0, any other
+            # row ties its best successor
+            v = int(survivors[data.draw(st.integers(0, survivors.size - 1))])
+            h[v % h.size] -= 1
+            assert verify_rows(kset.mask, kset.sigma, h) is None
 
     @pytest.mark.parametrize(
         "build",
-        [lambda: build_mykkeltveit_set(2, 12), lambda: build_forbidden_set(2, 16)],
-        ids=["mykkeltveit-2-12", "forbidden-2-16"],
+        [
+            lambda: build_mykkeltveit_set(2, 12),
+            lambda: build_mykkeltveit_set(3, 8),
+            lambda: build_forbidden_set(2, 16),
+        ],
+        ids=["mykkeltveit-2-12", "mykkeltveit-3-8", "forbidden-2-16"],
     )
     def test_accepts_constructions(self, build):
         kset = build()
-        labels = path_labels(kset)
-        assert verify_labels(kset, labels) == longest_remaining_path(kset).longest_vertices
+        bound = verify_rows(kset.mask, kset.sigma, _rows(kset))
+        assert bound == longest_remaining_path(kset).longest_vertices > 0
 
-    def test_rejects_zeroed_label(self):
+    @pytest.mark.parametrize("row", ["survivor", "sink"])
+    def test_rejects_zeroed_row(self, row):
+        # a surviving w-mer's row, or row 0^(w-1), whose out-edges 0^w and
+        # 0^(w-1)1 are both members (a member's label reads 0)
         kset = build_forbidden_set(2, 16)
-        labels = path_labels(kset)
-        survivor = int(np.flatnonzero(~kset.mask)[0])
-        labels[survivor] = 0
-        assert verify_labels(kset, labels) is None
+        h = _rows(kset)
+        r = int(np.flatnonzero(~kset.mask)[0]) % h.size if row == "survivor" else 0
+        assert kset.mask[:2].all() and verify_rows(kset.mask, 2, h) == 15
+        h[r] = 0
+        assert verify_rows(kset.mask, 2, h) is None
 
-    def test_rejects_swapped_adjacent_labels(self):
-        kset = build_mykkeltveit_set(2, 12)
-        labels = path_labels(kset)
-        u, v = longest_remaining_path(kset).witness[:2]
-        labels[u], labels[v] = labels[v], labels[u]
-        assert verify_labels(kset, labels) is None
+    def test_one_symbol_words(self):
+        # w = 1: one empty row, and every w-mer is a self-loop on it
+        members, one = np.ones(3, dtype=bool), np.ones(1, dtype=np.int32)
+        assert verify_rows(members, 3, one) == 0
+        assert verify_rows(members, 3, 0 * one) is None
+        assert verify_rows(np.array([True, False, True]), 3, 2 * one) is None
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: build_mykkeltveit_set(2, 12), lambda: build_forbidden_set(2, 12)],
+        ids=["mykkeltveit-2-12", "forbidden-2-12"],
+    )
+    def test_rejects_row_set_to_successor_wave(self, build):
+        # every row with a surviving out-edge u, set to u's wave h[u mod m]
+        kset = build()
+        h = _rows(kset)
+        survivors = np.flatnonzero(~kset.mask)
+        for u in survivors:
+            bad = h.copy()
+            bad[u // kset.sigma] = h[u % h.size]
+            assert verify_rows(kset.mask, kset.sigma, bad) is None
+        assert survivors.size > 100
 
     def test_rejects_wrong_shape(self):
-        kset = KmerSet(2, 3, np.zeros(8, dtype=bool))
+        mask = np.zeros(8, dtype=bool)
+        for h in (np.ones(3, dtype=np.int32), np.ones(4, dtype=float), np.ones((2, 2), dtype=np.int32)):
+            with pytest.raises(ValueError):
+                verify_rows(mask, 2, h)
         with pytest.raises(ValueError):
-            verify_labels(kset, np.zeros(7, dtype=np.int32))
+            verify_rows(mask.reshape(2, 4), 2, np.ones(4, dtype=np.int32))
 
 
 class TestWitnessCheck:
