@@ -8,7 +8,7 @@ from uhspath.paths import longest_remaining_path
 from uhspath.schemes import (
     build_compatible_minimizer,
     expected_density,
-    lexicographic_minimizer,
+    minimizer_scheme,
     particular_density,
 )
 
@@ -17,7 +17,7 @@ SEQ = "CACTGCTGTACCTCTTCT"
 
 def main():
     # a (3, 5)-minimizer over ACGT: pick the smallest 3-mer in each 7-symbol window
-    sch = lexicographic_minimizer(sigma=4, k=3, w=5)
+    sch = minimizer_scheme(sigma=4, k=3, w=5)
     res = particular_density(sch, SEQ)
     print(f"sequence          {SEQ}")
     print(f"selected/windows  {res.selected}/{res.windows}")

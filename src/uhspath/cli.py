@@ -10,12 +10,15 @@ produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 
 from .core import (
+    DIGIT_TEXT,
     BudgetError,
     DEFAULT_NODE_BUDGET,
     check_budget,
@@ -24,7 +27,6 @@ from .core import (
     kmer_decode,
     necklace_count,
     necklaces,
-    render_symbols,
 )
 
 # Handlers import what they run: necklaces, debruijn-seq, mds-count and fsm
@@ -100,18 +102,33 @@ def _load_scheme(args):
 
 
 def _cmd_necklaces(args) -> None:
+    # the count has more than w log10(sigma) - log10(w) digits: past the most
+    # that Python prints, fail before computing it
+    limit = sys.get_int_max_str_digits()
+    if limit and args.sigma >= 2 and args.w >= 1:
+        if args.w > (limit + 1 + math.log10(args.w)) / math.log10(args.sigma):
+            raise ValueError(
+                f"necklace count of sigma={args.sigma}, w={args.w} has more than "
+                f"{limit} digits, the most Python prints"
+            )
     out = {
         "sigma": args.sigma,
         "w": args.w,
         "necklace_count": necklace_count(args.sigma, args.w),
     }
-    if args.list:
-        check_budget(out["necklace_count"], args.budget, "necklace list")
-        reps = []
-        for word, period in necklaces(args.sigma, args.w):
-            reps.append({"rep": render_symbols(word, args.sigma), "size": period})
-        out["classes"] = reps
-    _emit(out)
+    if not args.list:
+        _emit(out)
+        return
+    check_budget(out["necklace_count"], args.budget, "necklace list")
+    check_digit_text(args.sigma)
+    # A class is the fixed JSON text {"rep": "<word>", "size": <period>}, its
+    # word a str of symbol code points below 10 and so apart from every
+    # other character: the list is joined as text and rendered by one
+    # translate, and the bytes are those of json.dumps with a "classes" list.
+    classes = ", ".join(
+        [f'{{"rep": "{word}", "size": {period}}}' for word, period in necklaces(args.sigma, args.w)]
+    )
+    print(json.dumps(out)[:-1] + f', "classes": [{classes.translate(DIGIT_TEXT)}]}}')
 
 
 def _cmd_debruijn_seq(args) -> None:
@@ -178,15 +195,15 @@ def _cmd_contexts(args) -> None:
     else:
         cs = contexts.build_context_set_forward(scheme, budget=args.budget)
     if args.out:
-        _save_set(cs.kset, args.out, args.binary)
+        _save_set(cs, args.out, args.binary)
     _emit(
         {
             "sigma": scheme.sigma,
             "w": scheme.w,
             "k": scheme.k,
             "variant": args.variant,
-            "context_symbols": cs.kset.w,
-            "cardinality": cs.kset.cardinality,
+            "context_symbols": cs.w,
+            "cardinality": cs.cardinality,
             "relative_size": _rat(cs.relative_size()),
         }
     )
@@ -436,4 +453,9 @@ def main() -> None:
     # small table product in the Mykkeltveit build: one thread does it.  Set
     # before any handler imports numpy; a value the user set wins.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    sys.exit(run())
+    status = run()
+    # Every output is written and its file closed by now.  Freezing moves the
+    # objects left (numpy's import leaves about 100k) out of the collector's
+    # reach, so the interpreter's final collection does not walk them.
+    gc.freeze()
+    sys.exit(status)

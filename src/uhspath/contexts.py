@@ -11,24 +11,11 @@ how `schemes.expected_density` computes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-
 import numpy as np
 
 from .core import DEFAULT_NODE_BUDGET, check_budget
 from .kmerset import KmerSet
 from .schemes import TABLE, SelectionScheme, digit_slice, is_forward, scheme_values
-
-
-@dataclass(frozen=True)
-class ContextSet:
-    """A KmerSet of charged contexts."""
-
-    kset: KmerSet
-
-    def relative_size(self) -> Fraction:
-        return self.kset.relative_size()
 
 
 def local_context_symbols(scheme: SelectionScheme) -> int:
@@ -41,25 +28,34 @@ def forward_context_symbols(scheme: SelectionScheme) -> int:
 
 def build_context_set_local(
     scheme: SelectionScheme, budget: int = DEFAULT_NODE_BUDGET
-) -> ContextSet:
+) -> KmerSet:
     """Contexts whose last window picks a position none of the w-1 windows
-    before it picked.  Valid for any scheme, forward or not."""
-    sigma = scheme.sigma
+    before it picked.  Valid for any scheme, forward or not.
+
+    Only the last window's picks are spelled out over every context; window
+    i is compared with them through a (sigma^i, sigma^ws, rest) view, its
+    picks broadcast along the first and last axes, into one reused buffer.
+    """
+    sigma, w = scheme.sigma, scheme.w
     W = local_context_symbols(scheme)
     m = sigma**W
     check_budget(m, budget, "local context set")
     fv = scheme_values(scheme, budget=budget)
-    last = digit_slice(fv, sigma, scheme.w - 1, W)
+    last = digit_slice(fv, sigma, w - 1, W)
     member = np.ones(m, dtype=bool)
-    for i in range(scheme.w - 1):
+    fresh = np.empty(m, dtype=bool)
+    for i in range(w - 1):
         # window i picks i + f(window i), the last window (w - 1) + f(last window)
-        member &= last != digit_slice(fv + (i - (scheme.w - 1)), sigma, i, W)
-    return ContextSet(KmerSet(sigma, W, member))
+        shape = (sigma**i, fv.size, -1)
+        picks = (fv + (i - (w - 1))).reshape(1, -1, 1)
+        np.not_equal(last.reshape(shape), picks, out=fresh.reshape(shape))
+        member &= fresh
+    return KmerSet(sigma, W, member)
 
 
 def build_context_set_forward(
     scheme: SelectionScheme, budget: int = DEFAULT_NODE_BUDGET
-) -> ContextSet:
+) -> KmerSet:
     """Contexts of ws + 1 symbols whose second window picks a fresh position.
 
     Requires a forward scheme: the selected position never moves backwards,
@@ -74,5 +70,5 @@ def build_context_set_forward(
     check_budget(m, budget, "forward context set")
     fv = scheme_values(scheme, budget=budget)
     member = digit_slice(fv + 1, sigma, 1, ws + 1) != digit_slice(fv, sigma, 0, ws + 1)
-    return ContextSet(KmerSet(sigma, ws + 1, member))
+    return KmerSet(sigma, ws + 1, member)
 

@@ -12,9 +12,16 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 ACGT = "ACGT"
+_DIGITS = "0123456789"
 _ACGT_VALUES = {c: i for i, c in enumerate(ACGT)}
-# byte table from symbol values to their digits
-_DIGIT_BYTES = bytes.maketrans(bytes(range(10)), b"0123456789")
+# byte tables from ACGT and digit text to symbol values, and from values to digits
+_ACGT_BYTES = bytes.maketrans(ACGT.encode(), bytes(range(4)))
+_VALUE_BYTES = bytes.maketrans(_DIGITS.encode(), bytes(range(10)))
+_DIGIT_BYTES = bytes.maketrans(bytes(range(10)), _DIGITS.encode())
+#: str.translate table from symbol code points (chr(v), the FKM words) to digits.
+DIGIT_TEXT = str.maketrans({chr(v): d for v, d in enumerate(_DIGITS)})
+# sigma**w is not built past this many bits (see check_power_budget)
+_POWER_BITS = 1 << 20
 
 #: Default cap on the number of graph nodes an operation may touch.
 DEFAULT_NODE_BUDGET = 1 << 28
@@ -37,6 +44,20 @@ def check_budget(n: int, budget: int = DEFAULT_NODE_BUDGET, what: str = "operati
         raise BudgetError(f"{what} needs {_count(n)} states, budget is {_count(budget)}")
 
 
+def check_power_budget(
+    sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET, what: str = "operation"
+) -> int:
+    """sigma**w after check_budget on it.  When its lower bound
+    2^(w * floor(log2 sigma)) already has more than _POWER_BITS bits and
+    passes the budget, the check fails without building sigma**w."""
+    low = w * (sigma.bit_length() - 1)
+    if low > max(_POWER_BITS, budget.bit_length()):
+        raise BudgetError(f"{what} needs at least 2^{low} states, budget is {_count(budget)}")
+    n = sigma**w
+    check_budget(n, budget, what)
+    return n
+
+
 def check_alphabet(sigma: int) -> None:
     if sigma < 2:
         raise ValueError(f"alphabet size must be >= 2, got {sigma}")
@@ -48,20 +69,27 @@ def check_digit_text(sigma: int) -> None:
 
 
 def parse_symbols(text: str | Sequence[int], sigma: int) -> tuple[int, ...]:
-    """Turn a digit string (or an ACGT string when sigma=4) into symbol values."""
-    if not isinstance(text, str):
-        syms = tuple(int(s) for s in text)
-    elif sigma == 4 and text and text[0] in _ACGT_VALUES:
-        try:
-            syms = tuple(_ACGT_VALUES[c] for c in text)
-        except KeyError as e:
-            raise ValueError(f"invalid ACGT symbol {e.args[0]!r}") from None
-    else:
-        check_digit_text(sigma)
+    """Turn a digit string (or an ACGT string when sigma=4) into symbol values.
+
+    Text whose every symbol is valid is converted in bulk by a byte table;
+    otherwise a per-symbol pass names the first bad one.
+    """
+    if isinstance(text, str):
+        acgt = sigma == 4 and text[:1] in _ACGT_VALUES
+        if not acgt:
+            check_digit_text(sigma)
+        valid, values = (ACGT, _ACGT_BYTES) if acgt else (_DIGITS[: max(sigma, 0)], _VALUE_BYTES)
+        if not text.strip(valid):
+            return tuple(text.encode().translate(values))
+        if acgt:
+            bad = next(c for c in text if c not in _ACGT_VALUES)
+            raise ValueError(f"invalid ACGT symbol {bad!r}")
         try:
             syms = tuple(int(c) for c in text)
         except ValueError:
             raise ValueError(f"invalid symbol in {text!r}") from None
+    else:
+        syms = tuple(int(s) for s in text)
     for s in syms:
         if not 0 <= s < sigma:
             raise ValueError(f"symbol {s} out of range for sigma={sigma}")
@@ -130,13 +158,18 @@ def conjugacy_class(code: int, sigma: int, w: int) -> list[int]:
 
 
 def necklace_count(sigma: int, w: int) -> int:
-    """Number of conjugacy classes of w-mers: (1/w) * sum over d|w of phi(d) sigma^(w/d)."""
+    """Number of conjugacy classes of w-mers: (1/w) * sum over d|w of phi(d) sigma^(w/d),
+    the divisors taken in pairs (d, w/d) with d <= sqrt(w)."""
     if sigma < 2 or w < 1:
         raise ValueError("need sigma >= 2 and w >= 1")
     total = 0
-    for d in range(1, w + 1):
+    d = 1
+    while d * d <= w:
         if w % d == 0:
             total += _totient(d) * sigma ** (w // d)
+            if d * d < w:
+                total += _totient(w // d) * sigma**d
+        d += 1
     assert total % w == 0
     return total // w
 
@@ -156,33 +189,35 @@ def _totient(n: int) -> int:
     return result
 
 
-def _fkm(sigma: int, n: int, lyndon: bool) -> Iterator[tuple[tuple[int, ...], int]]:
-    """FKM generation in lexicographic order.
+def _fkm(sigma: int, n: int, lyndon: bool) -> Iterator[tuple[str, int]]:
+    """FKM generation in lexicographic order (Ruskey, Savage and Wang 1992).
 
-    Yields (word, period): necklace representatives of length n when
-    lyndon=False, Lyndon words of length dividing n when lyndon=True.
-    Steps through the prenecklaces a, p the length of a's longest Lyndon
-    prefix (Duval 1983): raise the last symbol below sigma - 1 and repeat
-    the prefix up to it.  a is a necklace exactly when p divides n.
+    Yields (word, period), the word a str of symbol code points chr(v):
+    necklace representatives of length n when lyndon=False, Lyndon words of
+    length dividing n when lyndon=True.  Steps through the prenecklaces a,
+    p the length of a's longest Lyndon prefix (Duval 1983): raise the last
+    symbol below sigma - 1 and repeat the prefix up to it.  a is a necklace
+    exactly when p divides n.  Raising the last symbol gives p = n, so a
+    prenecklace's run of last-symbol raises comes out in one step.
     """
-    a = [0] * n
-    p = 1
-    top = sigma - 1
+    top = chr(sigma - 1)
+    a, p = chr(0) * n, 1
     while True:
         if n % p == 0:
-            yield (tuple(a[:p]) if lyndon else tuple(a)), p
-        i = n - 1
-        while i >= 0 and a[i] == top:
-            i -= 1
-        if i < 0:
+            yield (a[:p] if lyndon else a), p
+        head = a[:-1]
+        for v in range(ord(a[-1]) + 1, sigma):
+            yield head + chr(v), n
+        stem = head.rstrip(top)  # a is now head + top
+        if not stem:
             return
-        a[i] += 1
-        p = i + 1
-        a = (a[:p] * (n // p + 1))[:n]
+        p = len(stem)
+        a = ((stem[:-1] + chr(ord(stem[-1]) + 1)) * (n // p + 1))[:n]
 
 
-def necklaces(sigma: int, w: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """All conjugacy class representatives as (symbols, class size), lexicographic."""
+def necklaces(sigma: int, w: int) -> Iterator[tuple[str, int]]:
+    """All conjugacy class representatives as (word, class size), lexicographic;
+    the word is a str of symbol code points chr(v) (`DIGIT_TEXT` renders it)."""
     return _fkm(sigma, w, lyndon=False)
 
 
@@ -198,9 +233,8 @@ def debruijn_sequence(
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     check_budget(sigma**n + n - 1, budget, "de Bruijn sequence")
-    parts: list[int] = []
-    for word, _ in _fkm(sigma, n, lyndon=True):
-        parts.extend(word)
+    check_digit_text(sigma)
+    seq = "".join(word for word, _ in _fkm(sigma, n, lyndon=True))
     if not cyclic:
-        parts.extend(parts[: n - 1])
-    return render_symbols(parts, sigma)
+        seq += seq[: n - 1]
+    return seq.translate(DIGIT_TEXT)

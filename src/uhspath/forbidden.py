@@ -16,10 +16,17 @@ mu = 1/sigma.
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .core import DEFAULT_NODE_BUDGET, check_alphabet, check_budget, kmer_encode
+from .core import (
+    DEFAULT_NODE_BUDGET,
+    check_alphabet,
+    check_budget,
+    check_power_budget,
+    kmer_encode,
+)
 
 _BLOCK = 1 << 18  # codes per block of the run-free mask
 
@@ -32,12 +39,14 @@ if TYPE_CHECKING:
 
 
 def forbidden_d(sigma: int, w: int) -> int:
-    """floor(log_sigma(w / ln w)) - 1, computed away from float rounding."""
+    """floor(log_sigma(w / ln w)) - 1, computed away from float rounding:
+    sigma^t is compared exactly with w / ln w, ln w a double, for w of any size."""
     check_alphabet(sigma)
     if w < 2:
         raise ValueError("need w >= 2")
-    x = w / math.log(w)
-    t = int(math.floor(math.log(x) / math.log(sigma)))
+    lw = math.log(w)
+    x = Fraction(w) / Fraction(lw)
+    t = math.floor((lw - math.log(lw)) / math.log(sigma))
     while sigma**t > x:
         t -= 1
     while sigma ** (t + 1) <= x:
@@ -104,8 +113,7 @@ def build_forbidden_set(sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET) -
         raise ValueError(
             f"construction needs d >= 1; sigma={sigma} requires w >= {min_w_for_construction(sigma)}"
         )
-    n = sigma**w
-    check_budget(n, budget, "forbidden-run set")
+    n = check_power_budget(sigma, w, budget, "forbidden-run set")
     mask = _run_free(sigma, w, d)
     mask[: sigma ** (w - d)] = True  # first d symbols all zero
     return KmerSet(sigma, w, mask)
@@ -129,10 +137,12 @@ def remaining_path_witness(sigma: int, w: int) -> list[int]:
 
 def fsm_matrix(sigma: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
     """Rows of the zero-run chain's d x d transition matrix A_d, exact: first
-    row all 1 - mu (run resets), subdiagonal mu (run grows)."""
+    row all 1 - mu (run resets), subdiagonal mu (run grows).  Its d^2
+    entries are checked against the default budget."""
     check_alphabet(sigma)
     if d < 1:
         raise ValueError("need d >= 1")
+    check_budget(d * d, what="fsm matrix")
     mu = Fraction(1, sigma)
     rows = []
     for i in range(d):
@@ -148,19 +158,27 @@ def fsm_matrix(sigma: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
 def survival_probability(sigma: int, d: int, w: int) -> Fraction:
     """Exact probability that a uniform w-string contains no 0^d run.
 
-    The chain's steps in integers: counts[i] is the number of strings so
-    far with no 0^d run that end in a zero run of length i; a nonzero
-    symbol (sigma - 1 ways) resets any run, a zero lengthens it.
+    The chain's steps in integers: runs[i] is the number of strings so far
+    with no 0^d run that end in a zero run of length i, and total their sum;
+    a nonzero symbol (sigma - 1 ways) resets any run, and a zero lengthens
+    it, which drops the strings ending in d - 1 zeros.  A run longer than w
+    never occurs, so at most w + 1 lengths are kept.  The w steps add
+    integers of up to w log2(sigma) bits, and their 64-bit words are
+    checked against the default budget before the first step.
     """
     if w < 0:
         raise ValueError("need w >= 0")
     check_alphabet(sigma)
     if d < 1:
         raise ValueError("need d >= 1")
-    counts = [1] + [0] * (d - 1)
+    check_budget(w * (w * sigma.bit_length() // 64 + 1), what="survival recurrence")
+    runs = deque([1] + [0] * (min(d, w + 1) - 1))
+    total = 1
     for _ in range(w):
-        counts = [(sigma - 1) * sum(counts)] + counts[:-1]
-    return Fraction(sum(counts), sigma**w)
+        fresh = (sigma - 1) * total
+        total += fresh - runs.pop()
+        runs.appendleft(fresh)
+    return Fraction(total, sigma**w)
 
 
 #: Width at which `dominant_root` stops bisecting.

@@ -60,7 +60,8 @@ def enumerate_mds(sigma: int, w: int, emit_sets: bool = False) -> MdsCensus:
 
     # one class per necklace, members in rotation order from the representative
     members_of = [
-        conjugacy_class(kmer_encode(word, sigma), sigma, w) for word, _ in necklaces(sigma, w)
+        conjugacy_class(kmer_encode(list(map(ord, word)), sigma), sigma, w)
+        for word, _ in necklaces(sigma, w)
     ]
     assert len(members_of) == necklace_count(sigma, w)
     assert sum(map(len, members_of)) == n

@@ -18,6 +18,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import compress
+from operator import mul
 
 import numpy as np
 
@@ -35,13 +37,6 @@ from .kmerset import KmerSet
 
 _BLOCK = 1 << 18  # codes per block of the bulk build
 _ROWS = 1 << 12  # digit rows per block of the bulk build's sign certification
-
-
-def _raw_embedding(symbols, w: int) -> complex:
-    """P of a symbol sequence, in doubles."""
-    return sum(
-        x * cmath.exp(2j * math.pi * (i + 1) / w) for i, x in enumerate(symbols) if x
-    )
 
 
 # -- the set -----------------------------------------------------------------
@@ -263,7 +258,11 @@ def build_long_path(sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET) -> Lo
     vertices = [text[i : i + w] for i in range(len(walk) - w + 1)]
     if len(set(vertices)) != len(vertices):
         raise AssertionError("constructed walk revisits a vertex")
-    ps = [_raw_embedding(walk[i : i + w], w) for i in range(len(vertices))]
+    # P in doubles: x * r^(i+1) summed over the nonzero symbols x in order,
+    # the w roots computed once
+    roots = [cmath.exp(2j * math.pi * (i + 1) / w) for i in range(w)]
+    windows = (walk[i : i + w] for i in range(len(vertices)))
+    ps = [sum(compress(map(mul, x, roots), x)) for x in windows]
     rows = np.lib.stride_tricks.sliding_window_view(np.array(walk, dtype=np.int64), w)
     im_signs = exactsign.signs(rows, np.array([p.imag for p in ps]), sigma, "im")
     bad = np.flatnonzero(im_signs != POS)

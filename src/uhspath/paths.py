@@ -116,24 +116,41 @@ def _peel(mask: np.ndarray, sigma: int) -> tuple[np.ndarray, np.ndarray, int]:
             rows.sort(kind="stable")
 
 
-def _cycle_witness(pending: np.ndarray, sigma: int, n: int) -> list[int]:
+def _least_pending(mask: np.ndarray, h: np.ndarray) -> int:
+    """The least code b*m + r the peel left pending (outside the set, row r
+    never idle), found by scanning each b-block of the mask a slice of
+    _CHUNK rows at a time, in code order."""
+    m = h.size
+    for b in range(0, mask.size, m):
+        for j in range(0, m, _CHUNK):
+            k = min(j + _CHUNK, m)
+            hit = np.flatnonzero(~mask[b + j : b + k] & (h[j:k] == 0))
+            if hit.size:
+                return b + j + int(hit[0])
+    raise AssertionError("the peel left rows counting but no code pending")
+
+
+def _cycle_witness(mask: np.ndarray, sigma: int, h: np.ndarray) -> list[int]:
     """Extract one forward cycle from the nodes the peel left pending.
 
-    Every pending node has a pending successor, so walking least-symbol
-    pending successors from the least pending node must revisit a node; the
-    segment from its first visit is a cycle (a broken invariant would end the
-    walk on a lone node without one, which verify_witness rejects).
+    A node v is pending if it survives and its row h[v mod m] never went
+    idle.  Every pending node has a pending successor, so walking
+    least-symbol pending successors from the least pending node must revisit
+    a node; the segment from its first visit is a cycle (a broken invariant
+    would end the walk on a lone node without one, which verify_witness
+    rejects).
     """
-    v = int(np.flatnonzero(pending)[0])
+    n, m = mask.size, h.size
+    v = _least_pending(mask, h)
     seen: dict[int, int] = {}
     walk: list[int] = []
     while v not in seen:
         seen[v] = len(walk)
         walk.append(v)
         base = (v * sigma) % n
-        for a in range(sigma):
-            if pending[base + a]:
-                v = base + a
+        for u in range(base, base + sigma):
+            if not mask[u] and h[u % m] == 0:
+                v = u
                 break
     return walk[seen[v] :]
 
@@ -202,8 +219,7 @@ def longest_remaining_path(kset: KmerSet, budget: int = DEFAULT_NODE_BUDGET) -> 
     mask = kset.mask
     h, left, longest = _peel(mask, sigma)
     if left.any():
-        pending = ~mask & np.tile(h == 0, sigma)
-        report = PathReport(CYCLIC, cycle_witness=_cycle_witness(pending, sigma, n))
+        report = PathReport(CYCLIC, cycle_witness=_cycle_witness(mask, sigma, h))
     elif verify_rows(mask, sigma, h) != longest:  # checked before the walk trusts h
         raise AssertionError("the peel's rows do not certify its longest path")
     else:

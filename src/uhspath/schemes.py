@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import DEFAULT_NODE_BUDGET, check_alphabet, check_budget, parse_symbols
 from .kmerset import KmerSet, encode_lines, read_header
-from . import paths
 
 TABLE = "TABLE"
 MINIMIZER = "MINIMIZER"
@@ -114,10 +113,6 @@ def minimizer_scheme(
     return SelectionScheme(sigma, w, MINIMIZER, k=k, rank=arr)
 
 
-def lexicographic_minimizer(sigma: int, k: int, w: int) -> SelectionScheme:
-    return minimizer_scheme(sigma, k, w)
-
-
 def build_compatible_minimizer(
     U: KmerSet,
     window_positions: int,
@@ -138,7 +133,9 @@ def build_compatible_minimizer(
     perm = np.where(U.mask, c - 1, c[-1] + np.arange(n, dtype=np.int64) - c)
     guarantee = None
     if n <= budget:
-        guarantee = paths.is_uhs(U, window_positions, budget=budget)
+        from .paths import is_uhs  # only this scheme kind needs the peel
+
+        guarantee = is_uhs(U, window_positions, budget=budget)
     return SelectionScheme(
         U.sigma, window_positions, COMPATIBLE, k=U.w, rank=perm, guarantee=guarantee
     )
@@ -210,18 +207,39 @@ def _leftmost_min(rank: np.ndarray, w: int) -> np.ndarray:
     Keys rank << shift | position order by rank, then by position, so their
     minimum is the leftmost minimum and its low bits are its position.
     Doubling passes take the minimum over runs of 2, 4, ..., 2^p <= w keys,
-    and one more pass joins two overlapping 2^p runs into a run of w.
+    and one more pass joins two overlapping 2^p runs into a run of w.  The
+    keys are one int64 array, built and reduced in place.
     """
     m = rank.size
     shift = m.bit_length()
-    key = rank.astype(np.int64, copy=False) << shift | np.arange(m, dtype=np.int64)
-    h = 1
+    key = rank.astype(np.int64)
+    key <<= shift
+    key |= np.arange(m, dtype=np.int64)
+    n, h = m, 1  # key[:n] holds the minima over runs of h
     while 2 * h <= w:
-        key = np.minimum(key[:-h], key[h:])
-        h *= 2
+        np.minimum(key[: n - h], key[h:n], out=key[: n - h])
+        n, h = n - h, 2 * h
     if h < w:
-        key = np.minimum(key[: m - w + 1], key[w - h :])
-    return key & ((1 << shift) - 1)
+        np.minimum(key[: m - w + 1], key[w - h : n], out=key[: m - w + 1])
+    key = key[: m - w + 1]
+    key &= (1 << shift) - 1
+    return key
+
+
+def _codes(buf: np.ndarray, sigma: int, span: int) -> np.ndarray:
+    """Codes of the span-symbol runs of buf, first symbol most significant.
+
+    Doubling joins runs of h symbols into runs of 2h (code * sigma^h plus
+    the code h on), so ceil(log2 span) passes replace one per symbol; a
+    Horner step per symbol finishes a span that is not a power of two.
+    """
+    codes, h = buf, 1
+    while 2 * h <= span:
+        codes = codes[:-h] * sigma**h + codes[h:]
+        h *= 2
+    for j in range(h, span):
+        codes = codes[:-1] * sigma + buf[j:]
+    return codes
 
 
 def _selected(
@@ -232,13 +250,17 @@ def _selected(
     `chunks` are consecutive pieces of the symbol string; a cyclic string is
     extended by its first window_symbols - 1 symbols and its positions wrap
     modulo `length`.  The last window_symbols - 1 symbols of each piece are
-    carried into the next, so each piece rolls the codes of its windows
-    (window codes for tables, k-mer codes for minimizer kinds) and picks an
-    offset from the table or the leftmost minimum rank (`_leftmost_min`).
+    carried into the next, so each piece builds the codes of its windows
+    (window codes for tables, k-mer codes for minimizer kinds, `_codes`) and
+    picks an offset from the table or the leftmost minimum rank
+    (`_leftmost_min`), read from one copy of the ranks in the smallest
+    unsigned dtype that holds them.
     """
     sigma, ws = scheme.sigma, scheme.window_symbols
-    span = ws if scheme.kind == TABLE else scheme.k  # symbols per rolled code
+    span = ws if scheme.kind == TABLE else scheme.k  # symbols per code
     dtype = np.int32 if sigma**span < 1 << 31 else np.int64
+    if scheme.kind != TABLE:
+        rank = scheme.rank.astype(np.min_scalar_type(scheme.rank.size - 1))
     seen = np.zeros(length, dtype=bool)
     buf = np.zeros(0, dtype=dtype)
     start = 0  # string position of buf[0]
@@ -247,17 +269,14 @@ def _selected(
         n = buf.size - ws + 1  # windows in buf
         if n <= 0:
             continue
-        ncodes = n + ws - span
-        codes = np.zeros(ncodes, dtype=dtype)
-        for j in range(span):
-            codes *= sigma
-            codes += buf[j : j + ncodes]
+        codes = _codes(buf, sigma, span)
+        # np.take gathers by int32 codes as they are; indexing widens them first
         if scheme.kind == TABLE:
-            pick = np.arange(n) + scheme.table[codes]
+            pick = np.arange(start, start + n) + np.take(scheme.table, codes)
         else:
-            pick = _leftmost_min(scheme.rank[codes], scheme.w)
-        pos = start + pick
-        seen[pos % length if cyclic else pos] = True
+            pick = _leftmost_min(np.take(rank, codes), scheme.w)
+            pick += start
+        seen[pick % length if cyclic else pick] = True
         start += n
         buf = buf[n:]
     return seen
@@ -318,7 +337,7 @@ def expected_density(
         order, build = forward_context_symbols(scheme), build_context_set_forward
     windows = scheme.sigma**order
     if windows <= DEFAULT_EXACT_BUDGET:
-        selected = build(scheme, budget=budget).kset.cardinality
+        selected = build(scheme, budget=budget).cardinality
         return DensityResult(selected, windows, Fraction(selected, windows), EXPECTED_EXACT)
     return estimate_density(scheme, sample_symbols=sample_symbols, seed=seed)
 

@@ -20,11 +20,13 @@ Each kernel has one oracle here: a slow, direct reading of its definition.
 Two kernels keep a second oracle for sizes the first cannot reach in test
 time: `digit_loop_build` (the Mykkeltveit mask up to sigma = 2, w = 20) and
 `matvec_survival` (survival at w = 2000).  `successor`, `pure_rotation`,
-`embedding` and `hits` are the per-word definitions the oracles and tests
-build on; they take a w-mer as its code with (sigma, w), or as symbols.
+`raw_embedding`, `embedding` and `hits` are the per-word definitions the
+oracles and tests build on; they take a w-mer as its code with (sigma, w),
+or as symbols.
 The Hypothesis strategies at the end draw the properties' inputs.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +48,7 @@ from uhspath.core import (
 from uhspath.exactsign import NEG, POS, ZERO, cyclotomic_coeffs
 from uhspath.forbidden import fsm_matrix
 from uhspath.kmerset import KmerSet, read_header
-from uhspath.mykkeltveit import _member, _raw_embedding, build_mykkeltveit_set
+from uhspath.mykkeltveit import _member, build_mykkeltveit_set
 from uhspath.paths import ACYCLIC, CYCLIC
 from uhspath.schemes import (
     EXPECTED_ESTIMATE,
@@ -54,7 +56,6 @@ from uhspath.schemes import (
     DensityResult,
     _BATCHES,
     build_compatible_minimizer,
-    lexicographic_minimizer,
     minimizer_scheme,
     scheme_values,
     table_scheme,
@@ -95,10 +96,15 @@ class ComplexPoint:
         return complex(self.re, self.im)
 
 
+def raw_embedding(symbols, w):
+    """P of a symbol sequence in doubles, one root of unity per nonzero symbol."""
+    return sum(x * cmath.exp(2j * math.pi * (i + 1) / w) for i, x in enumerate(symbols) if x)
+
+
 def embedding(code, sigma, w):
     """P(x) = sum x_i r^(i+1), with a certified sign for the imaginary part."""
     syms = symbols(code, sigma, w)
-    p = _raw_embedding(syms, w)
+    p = raw_embedding(syms, w)
     return ComplexPoint(p.real, p.imag, one_sign(syms, p.imag, sigma, "im"))
 
 
@@ -307,7 +313,7 @@ def class_pick(rep_code, sigma, w):
     ims = []
     for mc in members:
         syms = symbols(mc, sigma, w)
-        p = _raw_embedding(syms, w)
+        p = raw_embedding(syms, w)
         if abs(p.imag) > th:
             s = POS if p.imag > 0 else NEG
         else:
@@ -524,7 +530,7 @@ def selection_schemes(draw, sigma, span=None, max_codes=None):
     k = draw(st.sampled_from([k for k in range(1, 4) if sigma**k <= 64 and fits(k, 1)]))
     w = draw(st.sampled_from([w for w in range(1, 6) if fits(k, w)]))
     if kind == "lexicographic":
-        return lexicographic_minimizer(sigma, k, w)
+        return minimizer_scheme(sigma, k, w)
     if kind == "compatible":
         U = _bits(draw, sigma**k)
         if not U.any():

@@ -25,7 +25,7 @@ from uhspath.schemes import (
     estimate_density,
     expected_density,
     is_forward,
-    lexicographic_minimizer,
+    minimizer_scheme,
     particular_density,
     table_scheme,
     _selected_positions,
@@ -51,7 +51,7 @@ def criterion(num: int, title: str):
 
 def test_criterion_01_minimizer_example():
     with criterion(1, "minimizer worked example") as info:
-        sch = lexicographic_minimizer(4, 3, 5)
+        sch = minimizer_scheme(4, 3, 5)
         syms = parse_symbols("CACTGCTGTACCTCTTCT", 4)
         positions = _selected_positions(sch, syms, False)
         assert positions == {1, 2, 5, 9, 10, 11}
@@ -186,7 +186,7 @@ def test_criterion_08_context_set_theorem():
         def check_local(sch):
             cs = build_context_set_local(sch)
             assert cs.relative_size() == expected_density(sch).density
-            report = longest_remaining_path(cs.kset)
+            report = longest_remaining_path(cs)
             assert report.kind == ACYCLIC
             assert report.longest_vertices <= sch.w - 1
 
@@ -212,9 +212,9 @@ def test_criterion_08_context_set_theorem():
                 if not is_forward(sch):
                     continue
                 cs = build_context_set_forward(sch)
-                assert cs.kset.w == w + 1
+                assert cs.w == w + 1
                 assert cs.relative_size() == expected_density(sch).density
-                report = longest_remaining_path(cs.kset)
+                report = longest_remaining_path(cs)
                 assert report.kind == ACYCLIC
                 assert report.longest_vertices <= w - 1
                 n_fwd += 1

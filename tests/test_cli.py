@@ -36,6 +36,18 @@ class TestBasics:
         assert sum(c["size"] for c in obj["classes"]) == 16
         assert obj["classes"][0] == {"rep": "0000", "size": 1}
 
+    @pytest.mark.parametrize("sigma,w", [(2, 1), (2, 9), (3, 6), (10, 3)])
+    def test_necklaces_list_is_json_dumps(self, capsys, sigma, w):
+        # the class list is joined as text: the bytes json.dumps writes
+        from uhspath.core import _fkm
+
+        assert run(["necklaces", "--sigma", str(sigma), "--w", str(w), "--list"]) == 0
+        classes = [
+            {"rep": "".join(str(ord(c)) for c in word), "size": p} for word, p in _fkm(sigma, w, False)
+        ]
+        want = {"sigma": sigma, "w": w, "necklace_count": len(classes), "classes": classes}
+        assert capsys.readouterr().out == json.dumps(want) + "\n"
+
     def test_debruijn_seq(self, capsys):
         obj = invoke_json(capsys, "debruijn-seq", "--sigma", "2", "--n", "2")
         assert obj["sequence"] == "00110"
@@ -492,6 +504,33 @@ class TestExitCodes:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: construction needs d >= 1")
 
+    @pytest.mark.parametrize(
+        "argv,status",
+        [
+            ("forbidden --sigma 2 --w " + str(10**400), 2),
+            ("forbidden --sigma " + str(10**200) + " --w 2", 1),
+            ("necklaces --sigma 2 --w 100000000", 1),
+            ("fsm --sigma 2 --d 3 --w 100000000", 2),
+            ("fsm --sigma 2 --d 100000 --w 5", 2),
+        ],
+        ids=["forbidden-huge-w", "forbidden-huge-sigma", "necklaces", "fsm-huge-w", "fsm-huge-d"],
+    )
+    def test_huge_arguments_fail_fast(self, capsys, argv, status):
+        # past a float's range, a printable count or any budget, each call
+        # fails before its work with one error line
+        start = time.perf_counter()
+        assert run(argv.split()) == status
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+
+    def test_largest_printable_necklace_count(self, capsys):
+        # 2^14000 / 14000 has 4211 digits, under Python's 4300: it still prints
+        obj = invoke_json(capsys, "necklaces", "--sigma", "2", "--w", "14000")
+        assert obj["necklace_count"] * 14000 >= 2**14000
+
     def test_long_path_undefined_width(self, capsys):
         # the even program leaves the upper half plane at w=18: bad input, not a bug
         assert run(["long-path", "--sigma", "2", "--w", "18"]) == 1
@@ -539,6 +578,61 @@ class TestProcessEntryPoint:
             assert proc.stdout == ""
             assert len(proc.stderr.splitlines()) == 1
             assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv,stdout",
+        [
+            (
+                "necklaces --sigma 2 --w 4 --list",
+                '{"sigma": 2, "w": 4, "necklace_count": 6, "classes": [{"rep": "0000", "size": 1}, '
+                '{"rep": "0001", "size": 4}, {"rep": "0011", "size": 4}, {"rep": "0101", "size": 2}, '
+                '{"rep": "0111", "size": 4}, {"rep": "1111", "size": 1}]}\n',
+            ),
+            (
+                "debruijn-seq --sigma 2 --n 3",
+                '{"sigma": 2, "order": 3, "cyclic": false, "length": 10, "sequence": "0001011100"}\n',
+            ),
+        ],
+        ids=["necklaces", "debruijn-seq"],
+    )
+    def test_literal_stdout(self, argv, stdout):
+        src = os.path.dirname(os.path.dirname(uhspath.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", "from uhspath.cli import main; main()", *argv.split()],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
+
+    def test_written_files_complete_at_exit(self, tmp_path):
+        # main() freezes the collector after run() returns: every --out and
+        # --csv file is closed by then, byte for byte what run() writes in process
+        src = os.path.dirname(os.path.dirname(uhspath.__file__))
+        argvs = [
+            "long-path --sigma 2 --w 100 --out {d}/lp.txt --csv {d}/lp.csv",
+            "mykkeltveit --sigma 2 --w 14 --out {d}/m.txt",
+            "forbidden --sigma 2 --w 16 --out {d}/f.bin --binary",
+        ]
+        for where in ("process", "in_process"):
+            d = tmp_path / where
+            d.mkdir()
+            for argv in argvs:
+                args = argv.format(d=d).split()
+                if where == "process":
+                    proc = subprocess.run(
+                        [sys.executable, "-c", "from uhspath.cli import main; main()", *args],
+                        env={**os.environ, "PYTHONPATH": src},
+                        capture_output=True,
+                    )
+                    assert proc.returncode == 0, proc.stderr
+                else:
+                    assert run(args) == 0
+        names = ["lp.txt", "lp.csv", "m.txt", "f.bin"]
+        for name in names:
+            got = (tmp_path / "process" / name).read_bytes()
+            assert got == (tmp_path / "in_process" / name).read_bytes(), name
+        assert (tmp_path / "process" / "lp.csv").read_text().count("\n") == 1314
 
     @pytest.mark.parametrize("user", [None, "3"], ids=["unset", "user-set"])
     def test_blas_pool_pinned_before_numpy_loads(self, user):

@@ -18,7 +18,6 @@ from uhspath.schemes import (
     TABLE,
     expected_density,
     is_forward,
-    lexicographic_minimizer,
     minimizer_scheme,
     scheme_values,
     table_scheme,
@@ -45,13 +44,13 @@ class TestAgainstCharged:
         sch = data.draw(selection_schemes(sigma, lambda k, w: 2 * w + k - 2, 1 << 10))
         cs = build_context_set_local(sch)
         mask, charged = charged_contexts(sch, local_context_symbols(sch))
-        assert cs.kset.mask.tolist() == mask.tolist()
-        assert cs.kset.cardinality == charged
+        assert cs.mask.tolist() == mask.tolist()
+        assert cs.cardinality == charged
         if sch.kind != TABLE or is_forward(sch):
             cs = build_context_set_forward(sch)
             mask, charged = charged_contexts(sch, forward_context_symbols(sch))
-            assert cs.kset.mask.tolist() == mask.tolist()
-            assert cs.kset.cardinality == charged
+            assert cs.mask.tolist() == mask.tolist()
+            assert cs.cardinality == charged
 
 
 class TestBytesPerCode:
@@ -59,7 +58,7 @@ class TestBytesPerCode:
     def test_local(self):
         rng = np.random.default_rng(3)
         table = table_scheme(2, 10, rng.integers(0, 10, size=2**10))
-        mini = lexicographic_minimizer(2, 5, 8)
+        mini = minimizer_scheme(2, 5, 8)
         for sch in (table, mini):
             assert local_context_symbols(sch) == 19
             assert traced_bytes_per_code(build_context_set_local, sch, 19) <= 8
@@ -76,12 +75,12 @@ class TestBytesPerCode:
 class TestLocal:
     def test_constant_scheme_all_contexts(self):
         cs = build_context_set_local(table_scheme(2, 2, [0] * 4))
-        assert cs.kset.cardinality == 8
+        assert cs.cardinality == 8
         assert cs.relative_size() == 1
 
     def test_one_mer_minimizer_example(self):
-        cs = build_context_set_local(lexicographic_minimizer(2, 1, 2))
-        texts = {kmer_decode(int(c), 2, 3) for c in cs.kset.codes()}
+        cs = build_context_set_local(minimizer_scheme(2, 1, 2))
+        texts = {kmer_decode(int(c), 2, 3) for c in cs.codes()}
         assert texts == {"000", "001", "010", "011", "110", "111"}
         assert cs.relative_size() == Fraction(3, 4)
 
@@ -91,7 +90,7 @@ class TestLocal:
         for _ in range(20):
             sch = table_scheme(2, w, rng.integers(0, w, size=2**w))
             mask, _ = charged_contexts(sch, local_context_symbols(sch))
-            assert np.array_equal(build_context_set_local(sch).kset.mask, mask)
+            assert np.array_equal(build_context_set_local(sch).mask, mask)
 
     def test_relative_size_is_expected_density(self):
         rng = np.random.default_rng(42)
@@ -102,22 +101,22 @@ class TestLocal:
             assert cs.relative_size() == expected_density(sch).density
 
     def test_minimizer_contexts(self):
-        sch = lexicographic_minimizer(2, 2, 3)
+        sch = minimizer_scheme(2, 2, 3)
         cs = build_context_set_local(sch)
-        assert cs.kset.w == local_context_symbols(sch) == 2 * 3 + 2 - 2
+        assert cs.w == local_context_symbols(sch) == 2 * 3 + 2 - 2
         assert cs.relative_size() == expected_density(sch).density
 
 
 class TestForward:
     def test_constant_scheme(self):
         cs = build_context_set_forward(table_scheme(2, 2, [0] * 4))
-        assert cs.kset.cardinality == 8
+        assert cs.cardinality == 8
 
     def test_one_mer_minimizer_coincides_with_local(self):
-        sch = lexicographic_minimizer(2, 1, 2)
+        sch = minimizer_scheme(2, 1, 2)
         fwd = build_context_set_forward(sch)
         loc = build_context_set_local(sch)
-        assert fwd.kset == loc.kset
+        assert fwd == loc
 
     def test_rejects_non_forward(self):
         table = [0] * 8
@@ -135,7 +134,7 @@ class TestForward:
                 continue
             checked += 1
             cs = build_context_set_forward(sch)
-            assert cs.kset.w == forward_context_symbols(sch)
+            assert cs.w == forward_context_symbols(sch)
             assert cs.relative_size() == expected_density(sch).density
         assert checked > 20
 
@@ -155,10 +154,10 @@ class TestContextsAreHittingSets:
                 schemes.append(table_scheme(2, w, rng.integers(0, w, size=2**w)))
         for sch in schemes:
             cs = build_context_set_local(sch)
-            report = longest_remaining_path(cs.kset)
+            report = longest_remaining_path(cs)
             assert report.kind == "ACYCLIC"
             assert report.longest_vertices <= w - 1
-            assert is_uhs(cs.kset, w)
+            assert is_uhs(cs, w)
 
     @pytest.mark.parametrize("w", [2, 3])
     def test_forward_contexts_are_uhs(self, w):
@@ -170,7 +169,7 @@ class TestContextsAreHittingSets:
             if not is_forward(sch):
                 continue
             cs = build_context_set_forward(sch)
-            assert is_uhs(cs.kset, w)
+            assert is_uhs(cs, w)
 
     def test_minimal_index_argument(self):
         # every context outside C_f has an earlier window selecting the same
@@ -185,7 +184,7 @@ class TestContextsAreHittingSets:
                 syms = [(code // 2 ** (W - 1 - i)) % 2 for i in range(W)]
                 last = (w - 1) + select(sch, syms[w - 1 :])
                 earlier = [i + select(sch, syms[i : i + w]) for i in range(w - 1)]
-                if cs.kset.contains_code(code):
+                if cs.contains_code(code):
                     assert last not in earlier
                 else:
                     assert last in earlier

@@ -6,6 +6,7 @@ from oracles import orbit_count, pure_rotation, recursive_fkm, successor, symbol
 from uhspath.core import (
     BudgetError,
     _fkm,
+    _totient,
     canonical_rotation_code,
     check_alphabet,
     conjugacy_class,
@@ -51,6 +52,40 @@ class TestEncoding:
             kmer_encode("", 1)
         with pytest.raises(ValueError, match="alphabet size must be >= 2, got 1"):
             kmer_encode("0", 1)
+
+    @pytest.mark.parametrize(
+        "text,sigma,message",
+        [
+            ("ACGU", 4, "invalid ACGT symbol 'U'"),
+            ("AC-GT", 4, "invalid ACGT symbol '-'"),
+            ("A0", 4, "invalid ACGT symbol '0'"),
+            ("01x2", 4, "invalid symbol in '01x2'"),
+            ("0A", 4, "invalid symbol in '0A'"),
+            ("0 1", 2, "invalid symbol in '0 1'"),
+            ("0120", 2, "symbol 2 out of range for sigma=2"),
+            ("0190", 4, "symbol 9 out of range for sigma=4"),
+            ("012", 11, "digit text form only supports sigma <= 10"),
+            ("01", 0, "symbol 0 out of range for sigma=0"),
+            ("01", -1, "symbol 0 out of range for sigma=-1"),
+        ],
+    )
+    def test_parse_errors_name_the_first_bad_symbol(self, text, sigma, message):
+        with pytest.raises(ValueError) as err:
+            parse_symbols(text, sigma)
+        assert str(err.value) == message
+
+    @given(st.data())
+    def test_bulk_parse_equals_per_symbol(self, data):
+        # the byte-table conversion against one int() per digit
+        sigma = data.draw(st.integers(2, 10))
+        text = "".join(data.draw(st.lists(st.sampled_from("0123456789"[:sigma]), max_size=40)))
+        assert parse_symbols(text, sigma) == tuple(int(c) for c in text)
+        acgt = "".join(data.draw(st.lists(st.sampled_from("ACGT"), min_size=1, max_size=40)))
+        assert parse_symbols(acgt, 4) == tuple("ACGT".index(c) for c in acgt)
+
+    def test_parse_other_unicode_digits(self):
+        # non-ASCII decimal digits still read as their values, as int() reads them
+        assert parse_symbols("0\u0661", 2) == (0, 1)
 
     def test_alphabet(self):
         assert render_symbols(parse_symbols("GATTACA", 4), 4) == "2033010"
@@ -111,21 +146,34 @@ class TestNecklaces:
 
     def test_fkm_matches_canonical_reps(self):
         for sigma, w in [(2, 6), (3, 4)]:
-            reps = {kmer_encode(word, sigma) for word, _ in necklaces(sigma, w)}
+            reps = {kmer_encode(list(map(ord, word)), sigma) for word, _ in necklaces(sigma, w)}
             assert reps == {canonical_rotation_code(c, sigma, w) for c in range(sigma**w)}
 
     def test_enumerate_classes_partitions(self):
         # the necklaces' conjugacy classes, as the MDS census builds them
-        classes = [conjugacy_class(kmer_encode(word, 2), 2, 6) for word, _ in necklaces(2, 6)]
+        classes = [
+            conjugacy_class(kmer_encode(list(map(ord, word)), 2), 2, 6) for word, _ in necklaces(2, 6)
+        ]
         all_codes = sorted(c for members in classes for c in members)
         assert all_codes == list(range(64))
         assert [size for _, size in necklaces(2, 6)] == [len(m) for m in classes]
 
     @pytest.mark.parametrize("lyndon", [False, True])
-    @pytest.mark.parametrize("sigma", [2, 3, 4, 5])
+    @pytest.mark.parametrize("sigma", [2, 3, 4, 5, 7, 10, 11, 12])
     def test_fkm_matches_recursive(self, sigma, lyndon):
+        # words are str of code points chr(v), so every sigma works
         for n in range(1, 9):
-            assert list(_fkm(sigma, n, lyndon)) == list(recursive_fkm(sigma, n, lyndon)), n
+            if sigma**n > 1 << 16:
+                break
+            got = [(tuple(map(ord, word)), p) for word, p in _fkm(sigma, n, lyndon)]
+            assert got == list(recursive_fkm(sigma, n, lyndon)), n
+
+    @pytest.mark.parametrize("sigma", [2, 3, 10])
+    def test_count_over_divisor_pairs(self, sigma):
+        # the pairs (d, w/d), d <= sqrt(w), against the sum over every d <= w
+        for w in list(range(1, 200)) + [360, 997, 1024, 2310]:
+            every = sum(_totient(d) * sigma ** (w // d) for d in range(1, w + 1) if w % d == 0)
+            assert necklace_count(sigma, w) == every // w
 
 
 class TestDeBruijnSequence:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import dfs_longest, matvec_survival, widths, zero_runs
+from uhspath.core import BudgetError
 from uhspath.forbidden import (
     _g,
     _run_free,
@@ -54,6 +55,20 @@ class TestParameterD:
             while forbidden_d(sigma, w) < 1:
                 w += 1
             assert min_w_for_construction(sigma) == w
+
+    @pytest.mark.parametrize("w", [10**20, 2**1023 + 1, 10**400])
+    def test_past_the_float_range(self, w):
+        # sigma^(d+1) <= w / ln w < sigma^(d+2), compared exactly
+        for sigma in (2, 3, 10**30):
+            d = forbidden_d(sigma, w)
+            x = Fraction(w) / Fraction(math.log(w))
+            assert sigma ** (d + 1) <= x < sigma ** (d + 2)
+
+    def test_min_w_beyond_float_range(self):
+        # w / ln w >= sigma^2 needs w near 4.6e402 at sigma = 10^200
+        w = min_w_for_construction(10**200)
+        assert forbidden_d(10**200, w) == 1 and forbidden_d(10**200, w - 1) == 0
+        assert 10**402 < w < 10**403
 
     def test_min_w_huge_alphabet(self):
         # w / ln w >= sigma^2 first holds near w = 1.43e62 at sigma = 10^30
@@ -167,6 +182,21 @@ class TestSurvival:
     def test_design_point_equals_matvec_oracle(self):
         # the fsm step of the benchmark: sigma = 2, d = 6, w = 2000
         assert survival_probability(2, 6, 2000) == matvec_survival(2, 6, 2000)
+
+    @pytest.mark.parametrize("sigma", [2, 3])
+    def test_run_longer_than_string(self, sigma):
+        # runs of more than w zeros never occur: at most w + 1 lengths are kept
+        for d in (5, 9, 40):
+            for w in (0, 1, 4, 8):
+                expect = 1 if d > w else matvec_survival(sigma, d, w)
+                assert survival_probability(sigma, d, w) == expect
+
+    def test_budget_checked_before_work(self):
+        with pytest.raises(BudgetError, match="survival recurrence needs"):
+            survival_probability(2, 3, 10**8)
+        with pytest.raises(BudgetError, match="fsm matrix needs 10000000000 states"):
+            fsm_matrix(2, 10**5)
+        assert survival_probability(2, 3, 60000) < 1  # about 2^26 words of steps
 
     def test_rejects_bad_shape(self):
         for sigma in (1, 0):

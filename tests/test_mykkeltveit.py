@@ -13,6 +13,7 @@ from oracles import (
     digit_loop_build,
     embedding,
     pure_rotation,
+    raw_embedding,
     successor,
     symbols,
     widths,
@@ -275,6 +276,16 @@ class TestLongPath:
         assert [tuple(x) for x in windows] == [symbols(c, sigma, w) for c in codes]
         if sigma == 2 or w == 24:
             assert build_long_path(sigma, w).vertices == [kmer_decode(c, sigma, w) for c in codes]
+
+    @pytest.mark.parametrize("sigma", [2, 3])
+    @pytest.mark.parametrize("w", [16, 25, 100, 101])
+    def test_embeddings_bit_equal_oracle(self, sigma, w):
+        # one root table, summed over the nonzero symbols in order: the same
+        # doubles as one cmath.exp per symbol, signed zeros included
+        lp = build_long_path(sigma, w)
+        for v, p in zip(lp.vertices, lp.embeddings):
+            q = raw_embedding([int(c) for c in v], w)
+            assert (p.real.hex(), p.imag.hex()) == (q.real.hex(), q.imag.hex())
 
     def test_one_signs_call_no_embedding(self, monkeypatch):
         calls = []

@@ -180,6 +180,20 @@ class TestBytesPerNode:
         kset = build(2, 20)
         assert _peak(longest_remaining_path, kset) <= bound * kset.n
 
+    @pytest.mark.parametrize("case", ["empty", "less-first", "less-last"])
+    def test_cycle_witness(self, case):
+        # the empty set, and the Mykkeltveit set less its first or last
+        # member: the least pending code is found by a blocked scan, so a
+        # cyclic answer is held to the acyclic bound (10.5 and 5.5 B/node
+        # when the pending codes were one sigma^w bool array)
+        mask = np.zeros(2**20, dtype=bool)
+        if case != "empty":
+            mask = build_mykkeltveit_set(2, 20).mask.copy()
+            mask[np.flatnonzero(mask)[0 if case == "less-first" else -1]] = False
+        kset = KmerSet(2, 20, mask)
+        assert _peak(longest_remaining_path, kset) <= 2.4 * kset.n
+        assert longest_remaining_path(kset).kind == CYCLIC
+
     @pytest.mark.parametrize(
         "build", [build_mykkeltveit_set, build_forbidden_set], ids=["mykkeltveit", "forbidden"]
     )

@@ -32,13 +32,13 @@ from uhspath.schemes import (
     estimate_density,
     expected_density,
     is_forward,
-    lexicographic_minimizer,
     load_minimizer_order,
     load_scheme_table,
     minimizer_scheme,
     particular_density,
     scheme_values,
     table_scheme,
+    _codes,
     _leftmost_min,
     _selected_positions,
     _string_selected,
@@ -66,7 +66,7 @@ def save_minimizer_order(scheme, path):
 
 class TestSelect:
     def test_worked_example_windows(self):
-        sch = lexicographic_minimizer(4, 3, 5)
+        sch = minimizer_scheme(4, 3, 5)
         assert select(sch, "CACTGCT") == 1  # minimum 3-mer ACT
         assert select(sch, "TGCTGTA") == 2  # minimum 3-mer CTG, leftmost
         assert select(sch, [0, 0, 0, 0, 0, 0, 0]) == 0
@@ -77,17 +77,17 @@ class TestSelect:
 
     def test_window_length_checked(self):
         with pytest.raises(ValueError):
-            select(lexicographic_minimizer(4, 3, 5), "ACGT")
+            select(minimizer_scheme(4, 3, 5), "ACGT")
 
     def test_leftmost_tie_break(self):
-        sch = lexicographic_minimizer(2, 1, 3)
+        sch = minimizer_scheme(2, 1, 3)
         assert select(sch, "000") == 0
         assert select(sch, "101") == 1
 
 
 class TestParticularDensity:
     def test_worked_example_positions(self):
-        sch = lexicographic_minimizer(4, 3, 5)
+        sch = minimizer_scheme(4, 3, 5)
         res = particular_density(sch, WORKED_SEQ)
         assert res.density == Fraction(6, 16)
         positions = _selected_positions(sch, parse_symbols(WORKED_SEQ, 4), False)
@@ -98,13 +98,13 @@ class TestParticularDensity:
         assert particular_density(t, "010011010").density == 1
 
     def test_one_mer_minimizer_cyclic(self):
-        sch = lexicographic_minimizer(2, 1, 2)
+        sch = minimizer_scheme(2, 1, 2)
         res = particular_density(sch, "00010111", cyclic=True)
         assert res.density == Fraction(6, 8)
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            particular_density(lexicographic_minimizer(2, 3, 4), "00100")
+            particular_density(minimizer_scheme(2, 3, 4), "00100")
 
     @given(data=st.data())
     def test_matches_straight_line_reimplementation(self, data):
@@ -128,6 +128,40 @@ class TestSelectionKernel:
         with mock.patch.object(schemes, "_CHUNK", chunk or schemes._CHUNK):
             got = _string_selected(sch, syms, cyclic)
         assert got.tolist() == selected_mask(sch, syms, cyclic).tolist()
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("span", [1, 3, 5, 7, 17])
+    def test_spans_equal_rolling_oracle(self, chunk, span):
+        # codes by doubling plus a Horner tail, for spans that are not powers
+        # of two: minimizers with k = span, and tables with span-symbol windows
+        rng = np.random.default_rng(span)
+        sigma = 2 if span > 7 else 3
+        cases = [
+            minimizer_scheme(sigma, span, 4, rng.permutation(sigma**span)),
+            minimizer_scheme(sigma, span, 1),
+            table_scheme(sigma, span, rng.integers(0, span, size=sigma**span)),
+        ]
+        syms = rng.integers(0, sigma, size=span + 60).tolist()
+        for sch in cases:
+            for cyclic in (False, True):
+                with mock.patch.object(schemes, "_CHUNK", chunk or schemes._CHUNK):
+                    got = _string_selected(sch, syms, cyclic)
+                assert got.tolist() == selected_mask(sch, syms, cyclic).tolist()
+
+    @pytest.mark.parametrize(
+        "sigma,span", [(2, 30), (2, 31), (2, 32), (3, 19), (3, 20), (10, 9), (10, 10), (4, 13)]
+    )
+    def test_codes_both_sides_of_int32(self, sigma, span):
+        # _selected builds codes in int32 while sigma^span < 2^31, else in int64
+        dtype = np.int32 if sigma**span < 1 << 31 else np.int64
+        rng = np.random.default_rng(sigma * 100 + span)
+        buf = rng.integers(0, sigma, size=span + 50).astype(dtype)
+        buf[:span] = sigma - 1  # the largest code, sigma^span - 1, comes first
+        got = _codes(buf, sigma, span)
+        s = buf.tolist()
+        want = [sum(v * sigma ** (span - 1 - j) for j, v in enumerate(s[i : i + span])) for i in range(51)]
+        assert got.dtype == dtype
+        assert got.tolist() == want and want[0] == sigma**span - 1
 
     def test_non_forward_tables_covered(self):
         # the examples the kernel property draws reach tables that are not forward
@@ -212,7 +246,7 @@ class TestStreamingDraw:
 
     def test_bytes_per_sample_symbol(self):
         # the mask of selected positions is the only per-symbol array: about 1 B
-        sch = lexicographic_minimizer(2, 6, 12)
+        sch = minimizer_scheme(2, 6, 12)
 
         def peak(n):
             tracemalloc.start()
@@ -266,7 +300,7 @@ class TestAgainstSelect:
 
 class TestIsForward:
     def test_minimizers_are_forward(self):
-        assert is_forward(lexicographic_minimizer(2, 2, 3))
+        assert is_forward(minimizer_scheme(2, 2, 3))
         rng = np.random.default_rng(1)
         for _ in range(10):
             sch = minimizer_scheme(2, 2, 3, rng.permutation(4))
@@ -287,7 +321,7 @@ class TestExpectedDensity:
         assert expected_density(table_scheme(2, 3, [0] * 8)).density == 1
 
     def test_one_mer_minimizer(self):
-        res = expected_density(lexicographic_minimizer(2, 1, 2))
+        res = expected_density(minimizer_scheme(2, 1, 2))
         assert res.mode == EXPECTED_EXACT
         assert res.density == Fraction(3, 4)
 
@@ -335,7 +369,7 @@ class TestExpectedDensity:
         assert found > 10
 
     def test_estimate_reproducible_and_close(self):
-        sch = lexicographic_minimizer(2, 3, 4)
+        sch = minimizer_scheme(2, 3, 4)
         a = estimate_density(sch, sample_symbols=200_000, seed=9)
         b = estimate_density(sch, sample_symbols=200_000, seed=9)
         assert a == b
@@ -344,7 +378,7 @@ class TestExpectedDensity:
         assert abs(float(a.density) - float(exact.density)) <= 5 * a.stderr
 
     def test_estimate_matches_python_scan(self):
-        sch = lexicographic_minimizer(2, 2, 3)
+        sch = minimizer_scheme(2, 2, 3)
         assert estimate_density(sch, sample_symbols=3000, seed=13) == estimate(sch, 3000, 13)
 
 
@@ -357,8 +391,8 @@ class TestEstimateErrorBars:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: lexicographic_minimizer(4, 3, 5),
-            lambda: lexicographic_minimizer(2, 6, 12),
+            lambda: minimizer_scheme(4, 3, 5),
+            lambda: minimizer_scheme(2, 6, 12),
             compatible_forbidden_12,
         ],
         ids=["s4k3w5", "s2k6w12", "compatible_f12"],
@@ -373,14 +407,14 @@ class TestEstimateErrorBars:
 
     @pytest.mark.parametrize("sample", [-1, 0, 2, 5])
     def test_shorter_than_window(self, sample):
-        sch = lexicographic_minimizer(2, 3, 4)  # a window spans 6 symbols
+        sch = minimizer_scheme(2, 3, 4)  # a window spans 6 symbols
         with pytest.raises(ValueError, match="shorter than a window"):
             estimate_density(sch, sample_symbols=sample)
 
     def test_too_short_for_batches(self):
         with pytest.raises(ValueError, match="batches"):
-            estimate_density(lexicographic_minimizer(2, 3, 4), sample_symbols=31)
-        assert estimate_density(lexicographic_minimizer(2, 3, 4), sample_symbols=32).stderr >= 0
+            estimate_density(minimizer_scheme(2, 3, 4), sample_symbols=31)
+        assert estimate_density(minimizer_scheme(2, 3, 4), sample_symbols=32).stderr >= 0
 
 
 class TestCompatibleMinimizer:
@@ -394,7 +428,7 @@ class TestCompatibleMinimizer:
     def test_full_set_degenerates_to_lexicographic(self):
         U = KmerSet(2, 2, np.ones(4, dtype=bool))
         sch = build_compatible_minimizer(U, 3)
-        lex = lexicographic_minimizer(2, 2, 3)
+        lex = minimizer_scheme(2, 2, 3)
         assert np.array_equal(scheme_values(sch), scheme_values(lex))
 
     def test_density_bounded_by_relative_size_when_guaranteed(self):
@@ -433,9 +467,9 @@ class TestSchemeValidation:
 
     def test_builders_reject(self):
         with pytest.raises(ValueError, match="got w=0 k=2"):
-            lexicographic_minimizer(2, 2, 0)
+            minimizer_scheme(2, 2, 0)
         with pytest.raises(ValueError, match="got w=3 k=-1"):
-            lexicographic_minimizer(2, -1, 3)
+            minimizer_scheme(2, -1, 3)
         with pytest.raises(ValueError, match="alphabet size"):
             table_scheme(1, 2, [0])
 
@@ -497,7 +531,7 @@ class TestFiles:
 
     def test_minimizer_values_match_table_dump(self, tmp_path):
         # dumping a minimizer as a dense table keeps its behavior
-        sch = lexicographic_minimizer(2, 2, 3)
+        sch = minimizer_scheme(2, 2, 3)
         p = str(tmp_path / "t.txt")
         save_scheme_table(sch, p)
         back = load_scheme_table(p)
