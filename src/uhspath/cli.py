@@ -103,8 +103,9 @@ def _load_scheme(args):
 
 def _cmd_necklaces(args) -> None:
     # the count has more than w log10(sigma) - log10(w) digits: past the most
-    # that Python prints, fail before computing it
-    limit = sys.get_int_max_str_digits()
+    # that Python prints, fail before computing it (Pythons before 3.10.7 have
+    # no such limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit and args.sigma >= 2 and args.w >= 1:
         if args.w > (limit + 1 + math.log10(args.w)) / math.log10(args.sigma):
             raise ValueError(

@@ -531,6 +531,12 @@ class TestExitCodes:
         obj = invoke_json(capsys, "necklaces", "--sigma", "2", "--w", "14000")
         assert obj["necklace_count"] * 14000 >= 2**14000
 
+    def test_necklace_count_without_digit_limit(self, capsys, monkeypatch):
+        # Pythons before 3.10.7 have no sys.get_int_max_str_digits: no limit to check
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        obj = invoke_json(capsys, "necklaces", "--sigma", "2", "--w", "6")
+        assert obj["necklace_count"] == 14
+
     def test_long_path_undefined_width(self, capsys):
         # the even program leaves the upper half plane at w=18: bad input, not a bug
         assert run(["long-path", "--sigma", "2", "--w", "18"]) == 1

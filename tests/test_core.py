@@ -161,9 +161,10 @@ class TestNecklaces:
     @pytest.mark.parametrize("lyndon", [False, True])
     @pytest.mark.parametrize("sigma", [2, 3, 4, 5, 7, 10, 11, 12])
     def test_fkm_matches_recursive(self, sigma, lyndon):
-        # words are str of code points chr(v), so every sigma works
+        # words are str of code points chr(v), so every sigma works; sigma <= 5
+        # runs every n, the larger alphabets stop past 2^16 words
         for n in range(1, 9):
-            if sigma**n > 1 << 16:
+            if sigma > 5 and sigma**n > 1 << 16:
                 break
             got = [(tuple(map(ord, word)), p) for word, p in _fkm(sigma, n, lyndon)]
             assert got == list(recursive_fkm(sigma, n, lyndon)), n

@@ -115,38 +115,33 @@ class TestParticularDensity:
         assert res.density == Fraction(len(set(picks(sch, s, cyclic=True))), len(s))
 
 
+@st.composite
+def fixed_span_schemes(draw):
+    """Minimizers with k = span and tables with span-symbol windows, for spans
+    that are not powers of two: their codes take doubling plus a Horner tail."""
+    span = draw(st.sampled_from([1, 3, 5, 7, 17]))
+    sigma = 2 if span > 7 else 3
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["order", "lexicographic", "table"]))
+    if kind == "order":
+        return minimizer_scheme(sigma, span, draw(st.integers(1, 5)), rng.permutation(sigma**span))
+    if kind == "lexicographic":
+        return minimizer_scheme(sigma, span, 1)
+    return table_scheme(sigma, span, rng.integers(0, span, size=sigma**span))
+
+
 class TestSelectionKernel:
     @pytest.mark.parametrize("chunk", [None, 1, 7])
     @given(data=st.data())
     def test_equals_rolling_oracle(self, chunk, data):
         # the kernel's mask against select on every window; pieces of 1 and 7
         # symbols put seams everywhere
-        sigma = data.draw(st.integers(2, 4))
-        sch = data.draw(selection_schemes(sigma))
+        sch = data.draw(st.one_of(st.integers(2, 4).flatmap(selection_schemes), fixed_span_schemes()))
         cyclic = data.draw(st.booleans())
-        syms = data.draw(symbol_lists(sigma, sch.window_symbols))
+        syms = data.draw(symbol_lists(sch.sigma, sch.window_symbols))
         with mock.patch.object(schemes, "_CHUNK", chunk or schemes._CHUNK):
             got = _string_selected(sch, syms, cyclic)
         assert got.tolist() == selected_mask(sch, syms, cyclic).tolist()
-
-    @pytest.mark.parametrize("chunk", [None, 7])
-    @pytest.mark.parametrize("span", [1, 3, 5, 7, 17])
-    def test_spans_equal_rolling_oracle(self, chunk, span):
-        # codes by doubling plus a Horner tail, for spans that are not powers
-        # of two: minimizers with k = span, and tables with span-symbol windows
-        rng = np.random.default_rng(span)
-        sigma = 2 if span > 7 else 3
-        cases = [
-            minimizer_scheme(sigma, span, 4, rng.permutation(sigma**span)),
-            minimizer_scheme(sigma, span, 1),
-            table_scheme(sigma, span, rng.integers(0, span, size=sigma**span)),
-        ]
-        syms = rng.integers(0, sigma, size=span + 60).tolist()
-        for sch in cases:
-            for cyclic in (False, True):
-                with mock.patch.object(schemes, "_CHUNK", chunk or schemes._CHUNK):
-                    got = _string_selected(sch, syms, cyclic)
-                assert got.tolist() == selected_mask(sch, syms, cyclic).tolist()
 
     @pytest.mark.parametrize(
         "sigma,span", [(2, 30), (2, 31), (2, 32), (3, 19), (3, 20), (10, 9), (10, 10), (4, 13)]
