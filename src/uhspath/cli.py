@@ -120,7 +120,7 @@ def _cmd_necklaces(args) -> None:
     if not args.list:
         _emit(out)
         return
-    check_budget(out["necklace_count"], args.budget, "necklace list")
+    check_budget(out["necklace_count"], 1, args.budget, "necklace list")
     check_digit_text(args.sigma)
     # A class is the fixed JSON text {"rep": "<word>", "size": <period>}, its
     # word a str of symbol code points below 10 and so apart from every

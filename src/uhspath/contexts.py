@@ -38,8 +38,7 @@ def build_context_set_local(
     """
     sigma, w = scheme.sigma, scheme.w
     W = local_context_symbols(scheme)
-    m = sigma**W
-    check_budget(m, budget, "local context set")
+    m = check_budget(sigma, W, budget, "local context set")
     fv = scheme_values(scheme, budget=budget)
     last = digit_slice(fv, sigma, w - 1, W)
     member = np.ones(m, dtype=bool)
@@ -66,8 +65,7 @@ def build_context_set_forward(
         raise ValueError("scheme is not forward")
     sigma = scheme.sigma
     ws = scheme.window_symbols
-    m = sigma ** (ws + 1)
-    check_budget(m, budget, "forward context set")
+    check_budget(sigma, ws + 1, budget, "forward context set")
     fv = scheme_values(scheme, budget=budget)
     member = digit_slice(fv + 1, sigma, 1, ws + 1) != digit_slice(fv, sigma, 0, ws + 1)
     return KmerSet(sigma, ws + 1, member)

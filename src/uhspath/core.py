@@ -20,7 +20,7 @@ _VALUE_BYTES = bytes.maketrans(_DIGITS.encode(), bytes(range(10)))
 _DIGIT_BYTES = bytes.maketrans(bytes(range(10)), _DIGITS.encode())
 #: str.translate table from symbol code points (chr(v), the FKM words) to digits.
 DIGIT_TEXT = str.maketrans({chr(v): d for v, d in enumerate(_DIGITS)})
-# sigma**w is not built past this many bits (see check_power_budget)
+# base**exp is not built past this many bits (see check_budget)
 _POWER_BITS = 1 << 20
 
 #: Default cap on the number of graph nodes an operation may touch.
@@ -39,22 +39,18 @@ def _count(n: int) -> str:
         return f"at least 2^{n.bit_length() - 1}"
 
 
-def check_budget(n: int, budget: int = DEFAULT_NODE_BUDGET, what: str = "operation") -> None:
-    if n > budget:
-        raise BudgetError(f"{what} needs {_count(n)} states, budget is {_count(budget)}")
-
-
-def check_power_budget(
-    sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET, what: str = "operation"
+def check_budget(
+    base: int, exp: int, budget: int = DEFAULT_NODE_BUDGET, what: str = "operation"
 ) -> int:
-    """sigma**w after check_budget on it.  When its lower bound
-    2^(w * floor(log2 sigma)) already has more than _POWER_BITS bits and
-    passes the budget, the check fails without building sigma**w."""
-    low = w * (sigma.bit_length() - 1)
+    """base**exp, the size of a stage, once it fits the budget.  When its lower
+    bound 2^(exp * floor(log2 base)) already has more than _POWER_BITS bits and
+    passes the budget, the check fails without building base**exp."""
+    low = exp * (base.bit_length() - 1)
     if low > max(_POWER_BITS, budget.bit_length()):
         raise BudgetError(f"{what} needs at least 2^{low} states, budget is {_count(budget)}")
-    n = sigma**w
-    check_budget(n, budget, what)
+    n = base**exp
+    if n > budget:
+        raise BudgetError(f"{what} needs {_count(n)} states, budget is {_count(budget)}")
     return n
 
 
@@ -232,7 +228,8 @@ def debruijn_sequence(
     check_alphabet(sigma)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    check_budget(sigma**n + n - 1, budget, "de Bruijn sequence")
+    words = check_budget(sigma, n, budget, "de Bruijn sequence")
+    check_budget(words + n - 1, 1, budget, "de Bruijn sequence")
     check_digit_text(sigma)
     seq = "".join(word for word, _ in _fkm(sigma, n, lyndon=True))
     if not cyclic:

@@ -24,7 +24,6 @@ from .core import (
     DEFAULT_NODE_BUDGET,
     check_alphabet,
     check_budget,
-    check_power_budget,
     kmer_encode,
 )
 
@@ -113,7 +112,7 @@ def build_forbidden_set(sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET) -
         raise ValueError(
             f"construction needs d >= 1; sigma={sigma} requires w >= {min_w_for_construction(sigma)}"
         )
-    n = check_power_budget(sigma, w, budget, "forbidden-run set")
+    check_budget(sigma, w, budget, "forbidden-run set")
     mask = _run_free(sigma, w, d)
     mask[: sigma ** (w - d)] = True  # first d symbols all zero
     return KmerSet(sigma, w, mask)
@@ -142,7 +141,7 @@ def fsm_matrix(sigma: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
     check_alphabet(sigma)
     if d < 1:
         raise ValueError("need d >= 1")
-    check_budget(d * d, what="fsm matrix")
+    check_budget(d, 2, what="fsm matrix")
     mu = Fraction(1, sigma)
     rows = []
     for i in range(d):
@@ -171,7 +170,7 @@ def survival_probability(sigma: int, d: int, w: int) -> Fraction:
     check_alphabet(sigma)
     if d < 1:
         raise ValueError("need d >= 1")
-    check_budget(w * (w * sigma.bit_length() // 64 + 1), what="survival recurrence")
+    check_budget(w * (w * sigma.bit_length() // 64 + 1), 1, what="survival recurrence")
     runs = deque([1] + [0] * (min(d, w + 1) - 1))
     total = 1
     for _ in range(w):
@@ -225,15 +224,18 @@ def dominant_root(sigma: int, d: int) -> Fraction:
     return (lo + hi) / 2
 
 
-def dominant_eigenvector(sigma: int, d: int, root: Fraction) -> tuple[Fraction, ...]:
-    """Right eigenvector (1, s, ..., s^(d-1)) with s = mu / root."""
-    s = Fraction(1, sigma) / Fraction(root)
-    return tuple(s**i for i in range(d))
-
-
 def eigenpair_residual(sigma: int, d: int, root: Fraction) -> float:
-    """max_i |(A v)_i - root v_i| for the closed-form eigenpair."""
+    """max_i |(A v)_i - root v_i| for the eigenvector v = (1, s, ..., s^(d-1)),
+    s = mu / root = p / q.  Rows 1..d-1 are mu s^(i-1) - root s^i = 0 exactly,
+    so the residual is row 0's, (1 - mu)(1 + s + ... + s^(d-1)) - root.  The
+    sum is n / q^(d-1), n = p^(d-1) + p^(d-2) q + ... + q^(d-1) built by
+    Horner in integers, and the residual is one correctly rounded quotient."""
     lam = Fraction(root)
-    v = dominant_eigenvector(sigma, d, lam)
-    Av = [sum(r * x for r, x in zip(row, v)) for row in fsm_matrix(sigma, d)]
-    return max(abs(float(a - lam * x)) for a, x in zip(Av, v))
+    s = Fraction(1, sigma) / lam
+    p, q = s.numerator, s.denominator
+    n, power = 0, 1  # after k steps: sum of p^i q^(k-1-i) over i < k, and p^k
+    for _ in range(d):
+        n, power = n * q + power, power * p
+    qd = q ** (d - 1)
+    diff = (sigma - 1) * n * lam.denominator - sigma * qd * lam.numerator
+    return abs(diff / (sigma * qd * lam.denominator))

@@ -101,11 +101,11 @@ class KmerSet:
     def from_codes(
         cls, sigma: int, w: int, codes: Iterable[int], budget: int = DEFAULT_NODE_BUDGET
     ) -> "KmerSet":
-        check_budget(sigma**w, budget, "KmerSet")
-        mask = np.zeros(sigma**w, dtype=bool)
+        n = check_budget(sigma, w, budget, "KmerSet")
+        mask = np.zeros(n, dtype=bool)
         idx = np.fromiter((int(c) for c in codes), dtype=np.int64)
         if idx.size:
-            if idx.min() < 0 or idx.max() >= sigma**w:
+            if idx.min() < 0 or idx.max() >= n:
                 raise ValueError("code out of range")
             mask[idx] = True
         return cls(sigma, w, mask)
@@ -162,8 +162,7 @@ class KmerSet:
     def load_text(cls, path: str, budget: int = DEFAULT_NODE_BUDGET) -> "KmerSet":
         with open(path) as fh:
             sigma, w = read_header(fh.readline(), "uhs", f"bad set file header in {path}")
-            check_budget(sigma**w, budget, "KmerSet")
-            mask = np.zeros(sigma**w, dtype=bool)
+            mask = np.zeros(check_budget(sigma, w, budget, "KmerSet"), dtype=bool)
             mask[encode_lines(fh.read().split("\n"), sigma, w)] = True
         return cls(sigma, w, mask)
 
@@ -194,8 +193,7 @@ class KmerSet:
                 raise ValueError(f"truncated set file {path}")
             sigma = header[4]
             w = int.from_bytes(header[5:], "little")
-            n = sigma**w
-            check_budget(n, budget, "KmerSet")
+            n = check_budget(sigma, w, budget, "KmerSet")
             raw = fh.read((n + 7) // 8)
             if len(raw) != (n + 7) // 8:
                 raise ValueError(f"truncated set file {path}")

@@ -122,8 +122,7 @@ def build_mykkeltveit_set(
     check_alphabet(sigma)
     if w < 2:
         raise ValueError("need w >= 2")
-    n = sigma**w
-    check_budget(n, budget, "decycling set construction")
+    n = check_budget(sigma, w, budget, "decycling set construction")
     im_sgn, b, im_b = _im_float_signs(sigma, w, exactsign.guard(sigma, w))
     im_sgn[b] = _certified(b, im_b, sigma, w, "im")
 
@@ -249,7 +248,7 @@ def build_long_path(sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET) -> Lo
     # a tag costs its write and the rotations from the pointer, one past the last tag
     tags = [t for quad in quads for t in quad]
     steps = sum(((t - p - 1) % w or w) + 1 for p, t in zip([0, *tags], tags))
-    check_budget(1 + steps, budget, "long path")
+    check_budget(1 + steps, 1, budget, "long path")
     walk = _run_ring(w, zero_tags, quads)
 
     # A revisit can only come from a bug (AssertionError); Im(P) <= 0 means

@@ -214,9 +214,8 @@ def longest_remaining_path(kset: KmerSet, budget: int = DEFAULT_NODE_BUDGET) -> 
     optimal continuations.  Returns a CYCLIC report with a witness cycle
     when the complement subgraph is not acyclic.
     """
-    sigma, n = kset.sigma, kset.n
-    check_budget(n, budget, "longest remaining path")
-    mask = kset.mask
+    sigma, mask = kset.sigma, kset.mask
+    check_budget(sigma, kset.w, budget, "longest remaining path")
     h, left, longest = _peel(mask, sigma)
     if left.any():
         report = PathReport(CYCLIC, cycle_witness=_cycle_witness(mask, sigma, h))

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_NODE_BUDGET, check_alphabet, check_budget, parse_symbols
+from .core import DEFAULT_NODE_BUDGET, BudgetError, check_alphabet, check_budget, parse_symbols
 from .kmerset import KmerSet, encode_lines, read_header
 
 TABLE = "TABLE"
@@ -97,16 +97,16 @@ def minimizer_scheme(
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> SelectionScheme:
     """Minimizer with window of w k-mers; rank=None means lexicographic order."""
-    check_budget(sigma**k, budget, "minimizer rank table")
+    n = check_budget(sigma, k, budget, "minimizer rank table")
     if rank is None:
-        arr = np.arange(sigma**k, dtype=np.int64)
+        arr = np.arange(n, dtype=np.int64)
     else:
         arr = np.asarray(rank, dtype=np.int64)
-        if arr.shape != (sigma**k,):
-            raise ValueError(f"rank must cover all sigma**k = {sigma**k} k-mers")
+        if arr.shape != (n,):
+            raise ValueError(f"rank must cover all sigma**k = {n} k-mers")
         # a permutation: every rank in range and none twice, 1 byte per k-mer
-        seen = np.zeros(sigma**k, dtype=bool)
-        if 0 <= arr.min() and arr.max() < sigma**k:
+        seen = np.zeros(n, dtype=bool)
+        if 0 <= arr.min() and arr.max() < n:
             seen[arr] = True
         if not seen.all():
             raise ValueError("rank must be a permutation defining a total order")
@@ -159,8 +159,7 @@ def scheme_values(scheme: SelectionScheme, budget: int = DEFAULT_NODE_BUDGET) ->
     sigma^window_symbols picks."""
     sigma = scheme.sigma
     ws = scheme.window_symbols
-    m = sigma**ws
-    check_budget(m, budget, "dense scheme table")
+    m = check_budget(sigma, ws, budget, "dense scheme table")
     if scheme.kind == TABLE:
         return scheme.table
     # ranks are a permutation of [0, sigma^k): the smallest dtype holds them
@@ -179,7 +178,7 @@ def is_forward(scheme: SelectionScheme, budget: int = DEFAULT_NODE_BUDGET) -> bo
     """Exhaustive forwardness check over all (window_symbols+1)-symbol strings."""
     sigma = scheme.sigma
     ws = scheme.window_symbols
-    check_budget(sigma ** (ws + 1), budget, "forwardness check")
+    check_budget(sigma, ws + 1, budget, "forwardness check")
     fv = scheme_values(scheme, budget=budget)
     nxt = digit_slice(fv + 1, sigma, 1, ws + 1)  # the next window's pick, one symbol on
     return bool(np.all(nxt >= digit_slice(fv, sigma, 0, ws + 1)))
@@ -335,11 +334,12 @@ def expected_density(
         order, build = local_context_symbols(scheme), build_context_set_local
     else:
         order, build = forward_context_symbols(scheme), build_context_set_forward
-    windows = scheme.sigma**order
-    if windows <= DEFAULT_EXACT_BUDGET:
-        selected = build(scheme, budget=budget).cardinality
-        return DensityResult(selected, windows, Fraction(selected, windows), EXPECTED_EXACT)
-    return estimate_density(scheme, sample_symbols=sample_symbols, seed=seed)
+    try:
+        windows = check_budget(scheme.sigma, order, DEFAULT_EXACT_BUDGET)
+    except BudgetError:
+        return estimate_density(scheme, sample_symbols=sample_symbols, seed=seed)
+    selected = build(scheme, budget=budget).cardinality
+    return DensityResult(selected, windows, Fraction(selected, windows), EXPECTED_EXACT)
 
 
 def estimate_density(
@@ -374,8 +374,7 @@ def estimate_density(
 def load_scheme_table(path: str, budget: int = DEFAULT_NODE_BUDGET) -> SelectionScheme:
     with open(path) as fh:
         sigma, w = read_header(fh.readline(), "scheme", f"bad scheme file header in {path}")
-        check_budget(sigma**w, budget, "scheme table")
-        table = np.full(sigma**w, -1, dtype=np.int64)
+        table = np.full(check_budget(sigma, w, budget, "scheme table"), -1, dtype=np.int64)
         windows, picks = [], []
         for lineno, line in enumerate(fh, 2):
             fields = line.split()
@@ -404,8 +403,7 @@ def load_minimizer_order(
     if not kmers:
         raise ValueError(f"empty order file {path}")
     k = len(kmers[0])
-    check_budget(sigma**k, budget, "minimizer rank table")
-    rank = np.full(sigma**k, -1, dtype=np.int64)
+    rank = np.full(check_budget(sigma, k, budget, "minimizer rank table"), -1, dtype=np.int64)
     rank[encode_lines(kmers, sigma, k)] = np.arange(len(kmers))
     if (rank < 0).any():
         raise ValueError(f"order file {path} does not list every k-mer")

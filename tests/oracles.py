@@ -10,6 +10,8 @@ Each kernel has one oracle here: a slow, direct reading of its definition.
   sequence;
 - the compatible minimizer's rank: `compatible_rank`;
 - the forbidden-run set and its survival count: `zero_runs`;
+- the eigenpair residual: `matvec_residual`, the FSM matrix times
+  `dominant_eigenvector`;
 - the Mykkeltveit set: `class_pick`, one conjugacy class at a time;
 - the long path's ring walk: `code_ring`;
 - the bulk set-file parser: `per_line_load_text`;
@@ -295,6 +297,21 @@ def matvec_survival(sigma, d, w):
     return sum(p, Fraction(0))
 
 
+def dominant_eigenvector(sigma, d, root):
+    """Right eigenvector (1, s, ..., s^(d-1)) of the FSM matrix, s = mu / root."""
+    s = Fraction(1, sigma) / Fraction(root)
+    return tuple(s**i for i in range(d))
+
+
+def matvec_residual(sigma, d, root):
+    """The eigenpair residual max_i |(A v)_i - root v_i| from the d x d product
+    of the FSM matrix with `dominant_eigenvector`."""
+    lam = Fraction(root)
+    v = dominant_eigenvector(sigma, d, lam)
+    Av = [sum(r * x for r, x in zip(row, v)) for row in fsm_matrix(sigma, d)]
+    return max(abs(float(a - lam * x)) for a, x in zip(Av, v))
+
+
 # -- Mykkeltveit set -------------------------------------------------------------
 
 
@@ -400,7 +417,7 @@ def per_line_load_text(path, budget=1 << 28):
     library's own header check."""
     with open(path) as fh:
         sigma, w = read_header(fh.readline(), "uhs", f"bad set file header in {path}")
-        check_budget(sigma**w, budget, "KmerSet")
+        check_budget(sigma, w, budget, "KmerSet")
         mask = np.zeros(sigma**w, dtype=bool)
         for line in fh:
             line = line.strip()

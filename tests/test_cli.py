@@ -1,6 +1,7 @@
 import importlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -525,6 +526,53 @@ class TestExitCodes:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv,status",
+        [
+            ("mykkeltveit --sigma 3 --w 100000000", 2),
+            ("check-uhs --sigma 3 --w 100000000 --set mykkeltveit", 2),
+            ("contexts --sigma 3 --w 100000000 --minimizer --k 1", 2),
+            ("debruijn-seq --sigma 3 --n 100000000", 2),
+            ("density --sigma 3 --w 5 --minimizer --k 100000000 --estimate --sample 1000", 2),
+            ("density --sigma 3 --w 100000000 --minimizer --k 1", 1),
+            ("check-uhs --sigma 3 --w 100000000 --set {dir}/set.txt", 2),
+            ("check-uhs --sigma 3 --w 100000000 --set {dir}/set.bin", 2),
+            ("density --sigma 3 --w 100000000 --table {dir}/table.txt", 2),
+        ],
+        ids=[
+            "mykkeltveit", "check-uhs", "contexts", "debruijn-seq", "rank-table",
+            "exact-density", "text-set-header", "binary-set-header", "table-header",
+        ],
+    )
+    def test_power_sizes_fail_before_built(self, capsys, tmp_path, argv, status):
+        # sigma^w with w = 10^8 has about 1.6e8 bits: the size gate refuses it
+        # from its lower bound, and the exact density falls back to a sample
+        # shorter than a window.  The alarm fails a call still running.
+        (tmp_path / "set.txt").write_text("uhs sigma=3 w=100000000\n")
+        (tmp_path / "set.bin").write_bytes(b"UHS1" + bytes([3]) + (10**8).to_bytes(4, "little"))
+        (tmp_path / "table.txt").write_text("scheme sigma=3 w=100000000\n")
+
+        def ring(signum, frame):
+            pytest.fail(f"{argv} still running after 5 s")
+
+        previous = signal.signal(signal.SIGALRM, ring)
+        signal.alarm(5)
+        try:
+            start = time.perf_counter()
+            assert run(argv.format(dir=tmp_path).split()) == status
+            assert time.perf_counter() - start < 1.0
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        if status == 1:
+            assert lines[0] == (
+                "error: string of length 10000000 is shorter than a window (100000000 symbols)"
+            )
 
     def test_largest_printable_necklace_count(self, capsys):
         # 2^14000 / 14000 has 4211 digits, under Python's 4300: it still prints

@@ -9,6 +9,7 @@ from uhspath.core import (
     _totient,
     canonical_rotation_code,
     check_alphabet,
+    check_budget,
     conjugacy_class,
     debruijn_sequence,
     kmer_decode,
@@ -177,6 +178,24 @@ class TestNecklaces:
             assert necklace_count(sigma, w) == every // w
 
 
+class TestCheckBudget:
+    def test_returns_the_power(self):
+        assert check_budget(3, 4, budget=81) == 81
+        assert check_budget(12, 1, budget=12) == 12
+        assert check_budget(10**30, 0) == 1
+
+    def test_message_names_the_size(self):
+        with pytest.raises(BudgetError, match=r"^fsm matrix needs 82 states, budget is 81$"):
+            check_budget(82, 1, budget=81, what="fsm matrix")
+        with pytest.raises(BudgetError, match=r"^x needs 1099511627776 states, budget is 268435456$"):
+            check_budget(2, 40, what="x")
+
+    def test_lower_bound_past_the_cap(self):
+        # 8^(2^20 + 1) = 2^3145731 is past the 2^20-bit cap: refused unbuilt
+        with pytest.raises(BudgetError, match=r"^x needs at least 2\^3145731 states, budget is 1$"):
+            check_budget(8, (1 << 20) + 1, budget=1, what="x")
+
+
 class TestDeBruijnSequence:
     def test_order_2(self):
         assert debruijn_sequence(2, 2) == "00110"
@@ -204,6 +223,14 @@ class TestDeBruijnSequence:
     def test_budget(self):
         with pytest.raises(BudgetError):
             debruijn_sequence(2, 30, budget=1 << 20)
+
+    def test_budget_names_the_sequence_length(self):
+        # the gate names a sigma^n past the budget; below it, all sigma^n + n - 1 symbols count
+        with pytest.raises(BudgetError, match=r"^de Bruijn sequence needs 19 states, budget is 18$"):
+            debruijn_sequence(2, 4, budget=18)
+        with pytest.raises(BudgetError, match=r"^de Bruijn sequence needs 16 states, budget is 15$"):
+            debruijn_sequence(2, 4, budget=15)
+        assert len(debruijn_sequence(2, 4, budget=19)) == 19
 
     @pytest.mark.parametrize("n", [0, -2])
     def test_order_below_one_rejected(self, n):

@@ -1,18 +1,25 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import dfs_longest, matvec_survival, widths, zero_runs
+from oracles import (
+    dfs_longest,
+    dominant_eigenvector,
+    matvec_residual,
+    matvec_survival,
+    widths,
+    zero_runs,
+)
 from uhspath.core import BudgetError
 from uhspath.forbidden import (
     _g,
     _run_free,
     bracket_holds,
     build_forbidden_set,
-    dominant_eigenvector,
     dominant_root,
     eigenpair_residual,
     forbidden_d,
@@ -262,6 +269,15 @@ class TestDominantRoot:
         # sigma=2, d=2: lambda = (1+sqrt(5))/4 + ... golden-ratio flavoured
         lam = float(dominant_root(2, 2))
         assert abs(lam - 0.8090169943749475) < 1e-11
+
+    @pytest.mark.parametrize("sigma,d", [(2, 1), (2, 2), (3, 1), (3, 5), (4, 50), (2, 200)])
+    def test_residual_is_the_matvec_oracle(self, sigma, d):
+        # rows 1..d-1 of A v - root v are exactly 0; row 0 in closed form
+        root = dominant_root(sigma, d)
+        start = time.perf_counter()
+        residual = eigenpair_residual(sigma, d, root)
+        assert time.perf_counter() - start < 0.05
+        assert residual == matvec_residual(sigma, d, root)
 
     def test_eigenvector_shape(self):
         lam = dominant_root(2, 3)
