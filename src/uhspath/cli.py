@@ -30,7 +30,7 @@ from .core import (
 )
 
 # Handlers import what they run: necklaces, debruijn-seq, mds-count and fsm
-# load neither numpy nor mpmath.
+# do not load numpy.
 
 
 class _Parser(argparse.ArgumentParser):

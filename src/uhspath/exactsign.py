@@ -1,14 +1,22 @@
 """Certified signs of real/imaginary parts of root-of-unity sums.
 
-Quantities of the form sum_i x_i * zeta^(i+1), zeta = e^(2 pi i / w), are
-evaluated in doubles first, and `signs` certifies them for a stack of
-words.  A value outside the guard band keeps its float sign.  Borderline
-values get an exact zero test: an integer combination of powers of zeta
-vanishes iff the w-th cyclotomic polynomial Phi_w divides the corresponding
-integer polynomial, and reduction mod Phi_w is an integer linear map (Lam &
-Leung 2000), so the test is one product of the digit rows with a cached
-w x phi(w) integer matrix.  Provably nonzero values have their sign pinned
-down with escalating mpmath precision; mpmath is imported only then.
+`signs` certifies the sign of Im P or Re P, P(x) = sum_i x_i zeta^(i+1) with
+zeta = e^(2 pi i / w), for a stack of words and the doubles made for them.
+
+Doubles.  A double sums w terms x_i t_i, t_i within 2^-48 + 2^-53 of its
+sine or cosine (a double angle, then libm), and its products and sum add
+(sigma-1) w (w+1) 2^-53 to first order.  For w <= 2^12 the total is below
+(sigma-1) w 2^-40 = `guard(sigma, w)`: a double outside it has the true sign.
+
+Fixed point.  A part is alpha/2 or alpha/2i for alpha = P +- conj P, an
+algebraic integer of Q(zeta) whose phi(w) conjugates have modulus at most
+2 top w, top the largest |digit|.  A nonzero alpha has a nonzero integer
+norm, so a nonzero part has modulus at least 1/2 (2 top w)^-(phi(w)-1)
+(Myerson, Amer. Math. Monthly 93, 1986).  Each entry of `_roots(w, q)` is
+within 1 of 2^q cos or 2^q sin, so a row's integer sum S is within E = top w
+of 2^q times its part, and q = 1 + phi(w) bitlen(2 top w) puts a nonzero
+part past 2E: |S| <= E exactly when the part is zero, and otherwise S has
+its sign.  The table's 2 w q bits pass `core.check_budget` before it is built.
 """
 
 from __future__ import annotations
@@ -17,87 +25,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from .core import _totient, check_budget
+
 NEG, ZERO, POS = -1, 0, 1
 
 #: doubles closer to zero than this, scaled by `guard`, are re-checked exactly
 FLOAT_GUARD = 2.0**-40
-
-#: sign of the conjugate term in each part's polynomial
-_CONJ = {"im": -1, "re": 1}
-
-
-def _divide_monic(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # exact quotient of integer polynomials (ascending), den monic
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = q[i] = num[i + len(den) - 1]
-        if c:
-            for j, p in enumerate(den):
-                num[i + j] -= c * p
-    assert not any(num), "cyclotomic division left a remainder"
-    return q
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_coeffs(w: int) -> tuple[int, ...]:
-    """Coefficients of the w-th cyclotomic polynomial, ascending degree.
-
-    (x^w - 1) divided by Phi_d for every proper divisor d of w.
-    """
-    poly = [-1] + [0] * (w - 1) + [1]
-    for d in range(1, w):
-        if w % d == 0:
-            poly = _divide_monic(poly, cyclotomic_coeffs(d))
-    return tuple(poly)
-
-
-@lru_cache(maxsize=None)
-def _power_remainders(w: int) -> tuple[tuple[int, ...], ...]:
-    # x^k mod Phi_w for k < w, each as phi(w) ascending coefficients
-    phi = cyclotomic_coeffs(w)
-    deg = len(phi) - 1
-    rem = [1] + [0] * (deg - 1)
-    out = [tuple(rem)]
-    for _ in range(w - 1):
-        lead = rem[-1]
-        rem = [0] + rem[:-1]
-        rem = [r - lead * p for r, p in zip(rem, phi)]
-        out.append(tuple(rem))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _reduction_matrix(w: int, part: str, top: int) -> np.ndarray:
-    """w x phi(w) integer matrix mapping a digit row to a remainder mod Phi_w.
-
-    Row i is the remainder of digit i's term in the Im ('im': z^(i+1) -
-    z^-(i+1)) or Re ('re': z^(i+1) + z^-(i+1)) polynomial, exponents mod w,
-    so `digits @ A` is the remainder of a whole row and the row's part is
-    zero iff it is.  int64 when rows of digits up to `top` cannot overflow
-    it, else Python ints (dtype=object).
-    """
-    powers = _power_remainders(w)
-    conj = _CONJ[part]
-    rows = [
-        [a + conj * b for a, b in zip(powers[(i + 1) % w], powers[(w - i - 1) % w])]
-        for i in range(w)
-    ]
-    big = max(abs(v) for row in rows for v in row) * top * w >= 2**63
-    A = np.array(rows, dtype=object if big else np.int64)
-    A.flags.writeable = False  # shared by every caller through the cache
-    return A
-
-
-def zero_rows(digits, part: str) -> np.ndarray:
-    """Exactly decide, per digit row, whether its `part` of sum x_i zeta^(i+1) is 0.
-
-    `digits` is one word (shape (w,)) or a stack of words (shape (m, w));
-    the result is a bool per word.
-    """
-    d = np.asarray(digits, dtype=np.int64)
-    A = _reduction_matrix(d.shape[-1], part, int(np.abs(d).max(initial=0)))
-    return ~(d @ A).any(axis=-1)
 
 
 def guard(sigma: int, w: int) -> float:
@@ -106,32 +39,99 @@ def guard(sigma: int, w: int) -> float:
     return FLOAT_GUARD * (sigma - 1) * w
 
 
-def _mp_sign(row: list[int], part: str) -> int:
-    # escalating precision for a part proven nonzero
-    import mpmath as mp
+def _pi(p: int) -> int:
+    """pi 2^p by Machin's formula, pi = 16 atan(1/5) - 4 atan(1/239), within
+    4p + 40.  Each series term is one floor of its exact value, and each
+    series stops at its first zero term, so atan(1/x) is within its term
+    count plus one."""
 
-    trig = mp.sin if part == "im" else mp.cos
-    for dps in (60, 120, 240, 480):
-        with mp.workdps(dps):
-            step = 2 * mp.pi / len(row)
-            v = mp.fsum(x * trig(step * (i + 1)) for i, x in enumerate(row) if x)
-            if abs(v) > mp.mpf(10) ** (10 - dps):
-                return POS if v > 0 else NEG
-    raise ArithmeticError(f"could not certify sign for {tuple(row)}")
+    def atan_inv(x: int) -> int:
+        total, power, k = 0, (1 << p) // x, 0
+        while power:
+            term = power // (2 * k + 1)
+            total += -term if k & 1 else term
+            power //= x * x
+            k += 1
+        return total
+
+    return 16 * atan_inv(5) - 4 * atan_inv(239)
+
+
+@lru_cache(maxsize=8)
+def _roots(w: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(re, im) with re[k] and im[k] within 1 of 2^q cos(2 pi (k+1) / w) and
+    2^q sin(2 pi (k+1) / w), for k < w, in integers only.
+
+    Works at p = q + g bits: theta = 2 pi / w from `_pi` is within 8p + 81;
+    its Taylor terms, floored one from the last, are each within e^theta <
+    2^10, and at most 2p of them are nonzero, so zeta is within
+    (p + 2) 2^12 =: delta.  The powers are floored products, and the k-th
+    is within 2 k delta; g makes 2 w delta <= 2^(g-1), so rounding off g
+    bits leaves each entry within 1/2 + 1/2.
+    """
+    g = 64 + w.bit_length() + (2 * q + 256).bit_length()
+    p = q + g
+    theta = 2 * _pi(p) // w
+    c = s = 0
+    term, k = 1 << p, 0  # (i theta)^k / k!
+    while term:
+        if k & 1:
+            s += -term if k & 2 else term
+        else:
+            c += -term if k & 2 else term
+        k += 1
+        term = (term * theta >> p) // k
+    # zeta^k for k <= w/2 by floored products, three multiplications each;
+    # then zeta^(w-k) = conj zeta^k, and zeta^w = 1
+    half = 1 << (g - 1)
+    re, im = [], []
+    x, y = c, s
+    for _ in range(w // 2):
+        re.append((x + half) >> g)
+        im.append((y + half) >> g)
+        t = c * (x + y)
+        x, y = (t - y * (c + s)) >> p, (t + x * (s - c)) >> p
+    rest = w - 1 - w // 2
+    re += re[:rest][::-1] + [1 << q]
+    im += [-v for v in im[:rest][::-1]] + [0]
+    return tuple(re), tuple(im)
 
 
 def signs(digits, approx, sigma: int, part: str) -> np.ndarray:
     """Certified NEG/ZERO/POS of the `part` ("im" or "re") of sum x_i zeta^(i+1),
     as int8, for a stack of words: `digits` of shape (m, w) and their doubles
     `approx` of shape (m,).  A double outside `guard` keeps its sign; all band
-    rows go through one `zero_rows` call, and only the nonzero ones through
-    mpmath.
+    rows are summed once against the `_roots` table at the precision the norm
+    bound asks for (see the module docstring).
     """
     d = np.asarray(digits, dtype=np.int64)
     out = np.sign(approx).astype(np.int8)
     band = np.flatnonzero(np.abs(approx) <= guard(sigma, d.shape[-1]))
-    zero = zero_rows(d[band], part)
-    out[band[zero]] = ZERO
-    for i in band[~zero]:
-        out[i] = _mp_sign(d[i].tolist(), part)
+    if not band.size:
+        return out
+    rows = d[band]
+    w = rows.shape[-1]
+    err = max(int(np.abs(rows).max()), 1) * w  # |S - 2^q part| <= err
+    q = 1 + _totient(w) * (2 * err).bit_length()
+    check_budget(2 * w * q, 1, what="sign table")
+    table = _roots(w, q)[part == "im"]
+    if err.bit_length() <= 29:
+        # 32-bit limbs, the top one signed, in int64: products and carries
+        # stay below 2^62
+        n = (q + 33) // 32
+        raw = b"".join(t.to_bytes(4 * n, "little", signed=True) for t in table)
+        limbs = np.frombuffer(raw, dtype="<u4").reshape(w, n).astype(np.int64)
+        limbs[:, -1] -= (limbs[:, -1] >> 31) << 32
+        acc = rows @ limbs
+    else:
+        acc = rows.astype(object) @ np.array(table, dtype=object)[:, None]
+    # acc becomes S + err with every limb but the top one in [0, 2^32)
+    acc[:, 0] += err
+    for j in range(acc.shape[1] - 1):
+        carry = acc[:, j] >> 32
+        acc[:, j] -= carry << 32
+        acc[:, j + 1] += carry
+    neg = acc[:, -1] < 0
+    zero = ~neg & (acc[:, 1:] == 0).all(axis=1) & (acc[:, 0] <= 2 * err)
+    out[band] = np.where(neg, NEG, np.where(zero, ZERO, POS))
     return out

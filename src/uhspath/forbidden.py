@@ -184,44 +184,49 @@ def survival_probability(sigma: int, d: int, w: int) -> Fraction:
 ROOT_TOL = Fraction(1, 10**12)
 
 
-def _g(mu: Fraction, d: int, lam: Fraction) -> Fraction:
-    # the characteristic polynomial, times (lam - mu):
-    # det(A_d - lam I) = (-1)^d g(lam) / (lam - mu) for lam != mu
-    return lam ** (d + 1) - lam**d - mu ** (d + 1) + mu**d
+def _g_sign(sigma: int, d: int, a: int, b: int) -> int:
+    """Sign of g(a/b), b > 0, where g(lam) = lam^(d+1) - lam^d - mu^(d+1) + mu^d
+    is the characteristic polynomial times (lam - mu): det(A_d - lam I) =
+    (-1)^d g(lam) / (lam - mu) for lam != mu.  It is the sign of the integer
+    g(a/b) (b sigma)^(d+1) = sigma^(d+1) a^d (a - b) + (sigma - 1) b^(d+1)."""
+    v = sigma ** (d + 1) * a**d * (a - b) + (sigma - 1) * b ** (d + 1)
+    return (v > 0) - (v < 0)
 
 
 def bracket_holds(sigma: int, d: int) -> bool:
-    """Sign change of the characteristic polynomial on (1 - mu^d, 1 - mu^(d+1))."""
-    mu = Fraction(1, sigma)
-    lo, hi = 1 - mu**d, 1 - mu ** (d + 1)
-    return _g(mu, d, lo) * _g(mu, d, hi) < 0
+    """Sign change of the characteristic polynomial on (1 - mu^d, 1 - mu^(d+1)),
+    whose ends are (den - sigma)/den and (den - 1)/den, den = sigma^(d+1)."""
+    den = sigma ** (d + 1)
+    return _g_sign(sigma, d, den - sigma, den) * _g_sign(sigma, d, den - 1, den) < 0
 
 
 def dominant_root(sigma: int, d: int) -> Fraction:
     """Dominant eigenvalue of A_d by exact bisection on its bracket, to ROOT_TOL.
 
-    Raises when the bracket carries no sign change (it fails for sigma=2,
-    d=1, where the polynomial has a double root at 1/2).
+    The ends stay integers over one denominator, sigma^(d+1) at first, which
+    doubles at each halving.  Raises when the bracket carries no sign change
+    (it fails for sigma=2, d=1, where the polynomial has a double root at 1/2).
     """
-    mu = Fraction(1, sigma)
-    lo, hi = 1 - mu**d, 1 - mu ** (d + 1)
-    glo, ghi = _g(mu, d, lo), _g(mu, d, hi)
+    den = sigma ** (d + 1)
+    lo, hi = den - sigma, den - 1
+    glo, ghi = _g_sign(sigma, d, lo, den), _g_sign(sigma, d, hi, den)
     if glo == 0:
-        return lo
+        return Fraction(lo, den)
     if ghi == 0:
-        return hi
-    if (glo < 0) == (ghi < 0):
+        return Fraction(hi, den)
+    if glo == ghi:
         raise ValueError(f"no sign change on the bracket for sigma={sigma}, d={d}")
-    while hi - lo > ROOT_TOL:
-        mid = (lo + hi) / 2
-        gm = _g(mu, d, mid)
+    while (hi - lo) * ROOT_TOL.denominator > ROOT_TOL.numerator * den:
+        mid, den = lo + hi, 2 * den
+        lo, hi = 2 * lo, 2 * hi
+        gm = _g_sign(sigma, d, mid, den)
         if gm == 0:
-            return mid
-        if (gm < 0) == (glo < 0):
-            lo, glo = mid, gm
+            return Fraction(mid, den)
+        if gm == glo:
+            lo = mid
         else:
             hi = mid
-    return (lo + hi) / 2
+    return Fraction(lo + hi, 2 * den)
 
 
 def eigenpair_residual(sigma: int, d: int, root: Fraction) -> float:

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress
 from operator import mul
+from typing import Iterator
 
 import numpy as np
 
@@ -195,61 +196,53 @@ def _run_ring(w: int, zero_tags: list[int], quads: list[tuple[int, ...]]) -> lis
     return walk
 
 
-def _even_quadruples(w: int) -> list[tuple[int, ...]]:
-    m = w // 2
-    a, b = m - 1, w - 1
-    q = -(-w // 8)
-    return [((a - j) % w, (a + j) % w, (b - j) % w, (b + j) % w) for j in range(1, q + 1)]
-
-
-def _odd_quadruples(w: int) -> tuple[list[int], list[tuple[int, ...]]]:
+def _quadruples(w: int) -> Iterator[tuple[int, ...]]:
+    """The ring program's quadruples at w, made one at a time; its tape
+    starts all ones but for a zero at b = w - 1."""
+    m, b = w // 2, w - 1
+    if w % 2 == 0:
+        if w < 16:
+            raise ValueError("even construction needs w >= 16")
+        for j in range(1, -(-w // 8) + 1):
+            yield (m - 1 - j) % w, (m - 1 + j) % w, (b - j) % w, (b + j) % w
+        return
     # Tags a0, a1 carry the two roots of unity flanking -1; b carries +1.
     # Starting from all ones with a single zero at b puts the absolute
     # embedding exactly at -1, and the imperfect quadruples keep it on the
     # real axis near -1 round after round.
-    m = w // 2
-    a0, a1, b = m - 1, m, w - 1
-    j0 = max(2, -(-w // 20))
-    j_hi = w // 10
+    a0, a1 = m - 1, m
+    j0, j_hi = max(2, -(-w // 20)), w // 10
     if j0 > j_hi:
         raise ValueError(f"w={w} too small: quadruple range [{j0}, {j_hi}] is empty")
-
-    def tag_sum(tags) -> float:
-        v = sum(cmath.exp(2j * math.pi * ((t % w) + 1) / w) for t in tags)
-        assert abs(v.imag) < 1e-9  # candidate quadruples are built to cancel on Im
-        return v.real
-
-    quads = []
     l = -1.0
     for j in range(j0, j_hi + 1, 2):
-        plus = (a0 - j, a1 + j, b - j, b + j)
-        minus = (a0 - j + 1, a1 + j - 1, b - j, b + j)
-        quad = minus if l < -1 else plus
-        l -= tag_sum(quad)
-        quads.append(tuple(t % w for t in quad))
-    return [b], quads
+        quad = (a0 - j + 1, a1 + j - 1, b - j, b + j) if l < -1 else (a0 - j, a1 + j, b - j, b + j)
+        v = sum(cmath.exp(2j * math.pi * ((t % w) + 1) / w) for t in quad)
+        assert abs(v.imag) < 1e-9  # candidate quadruples are built to cancel on Im
+        l -= v.real
+        yield tuple(t % w for t in quad)
 
 
 def build_long_path(sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET) -> LongPath:
-    """Explicit path avoiding the decycling set, about w^2/8 vertices long.
+    """Explicit path avoiding the decycling set, about w^2/8 vertices long
+    for even w and about w^2/40 for odd w.
 
     Follows the ring program (`_run_ring`).  The vertices are the w-windows
     of one symbol string, so every step is a de Bruijn edge, and one
     `exactsign.signs` call certifies Im(P) > 0 for all of them, which keeps
-    them out of the set (the keep rule `_member` never holds there).
+    them out of the set (the keep rule `_member` never holds there).  The
+    steps are counted against the budget as each quadruple is made.
     """
     check_alphabet(sigma)
-    if w % 2 == 0:
-        if w < 16:
-            raise ValueError("even construction needs w >= 16")
-        zero_tags, quads = [w - 1], _even_quadruples(w)
-    else:
-        zero_tags, quads = _odd_quadruples(w)
     # a tag costs its write and the rotations from the pointer, one past the last tag
-    tags = [t for quad in quads for t in quad]
-    steps = sum(((t - p - 1) % w or w) + 1 for p, t in zip([0, *tags], tags))
-    check_budget(1 + steps, 1, budget, "long path")
-    walk = _run_ring(w, zero_tags, quads)
+    quads, steps, last = [], 0, 0
+    for quad in _quadruples(w):
+        for t in quad:
+            steps += ((t - last - 1) % w or w) + 1
+            last = t
+        check_budget(1 + steps, 1, budget, "long path")
+        quads.append(quad)
+    walk = _run_ring(w, [w - 1], quads)
 
     # A revisit can only come from a bug (AssertionError); Im(P) <= 0 means
     # the program does not work at this w.

@@ -12,12 +12,14 @@ Each kernel has one oracle here: a slow, direct reading of its definition.
 - the forbidden-run set and its survival count: `zero_runs`;
 - the eigenpair residual: `matvec_residual`, the FSM matrix times
   `dominant_eigenvector`;
+- the characteristic polynomial's signs and the dominant root: `char_g` in
+  Fractions and `fraction_bisection`;
 - the Mykkeltveit set: `class_pick`, one conjugacy class at a time;
 - the long path's ring walk: `code_ring`;
 - the bulk set-file parser: `per_line_load_text`;
 - FKM necklace generation: `recursive_fkm`; the necklace count: `orbit_count`;
-- the mpmath sign tier: `mp_im` and `mp_re`; the cyclotomic zero test:
-  `reduce_mod_cyclotomic` of a `part_polynomial`.
+- the fixed-point sign tier: `mp_im` and `mp_re` at 200 digits, and the
+  cyclotomic zero test, `reduce_mod_cyclotomic` of a `part_polynomial`.
 
 Two kernels keep a second oracle for sizes the first cannot reach in test
 time: `digit_loop_build` (the Mykkeltveit mask up to sigma = 2, w = 20) and
@@ -47,8 +49,8 @@ from uhspath.core import (
     parse_symbols,
     rotation_code,
 )
-from uhspath.exactsign import NEG, POS, ZERO, cyclotomic_coeffs
-from uhspath.forbidden import fsm_matrix
+from uhspath.exactsign import NEG, POS, ZERO
+from uhspath.forbidden import ROOT_TOL, fsm_matrix
 from uhspath.kmerset import KmerSet, read_header
 from uhspath.mykkeltveit import _member, build_mykkeltveit_set
 from uhspath.paths import ACYCLIC, CYCLIC
@@ -297,6 +299,36 @@ def matvec_survival(sigma, d, w):
     return sum(p, Fraction(0))
 
 
+def char_g(mu, d, lam):
+    """The characteristic polynomial times (lam - mu), in Fractions:
+    det(A_d - lam I) = (-1)^d g(lam) / (lam - mu) for lam != mu."""
+    return lam ** (d + 1) - lam**d - mu ** (d + 1) + mu**d
+
+
+def fraction_bisection(sigma, d):
+    """The dominant root by bisection in Fractions on (1 - mu^d, 1 - mu^(d+1))
+    to ROOT_TOL, evaluating `char_g` at every midpoint."""
+    mu = Fraction(1, sigma)
+    lo, hi = 1 - mu**d, 1 - mu ** (d + 1)
+    glo, ghi = char_g(mu, d, lo), char_g(mu, d, hi)
+    if glo == 0:
+        return lo
+    if ghi == 0:
+        return hi
+    if (glo < 0) == (ghi < 0):
+        raise ValueError(f"no sign change on the bracket for sigma={sigma}, d={d}")
+    while hi - lo > ROOT_TOL:
+        mid = (lo + hi) / 2
+        gm = char_g(mu, d, mid)
+        if gm == 0:
+            return mid
+        if (gm < 0) == (glo < 0):
+            lo, glo = mid, gm
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
 def dominant_eigenvector(sigma, d, root):
     """Right eigenvector (1, s, ..., s^(d-1)) of the FSM matrix, s = mu / root."""
     s = Fraction(1, sigma) / Fraction(root)
@@ -324,7 +356,7 @@ def class_pick(rep_code, sigma, w):
         members.append(c)
         c = rotation_code(c, sigma, w)
     rep_syms = symbols(members[0], sigma, w)
-    if exactsign.zero_rows(rep_syms, "im") and exactsign.zero_rows(rep_syms, "re"):
+    if all(reduce_mod_cyclotomic(part_polynomial(rep_syms, p), w) for p in ("im", "re")):
         return min(members)
     th = exactsign.guard(sigma, w)
     ims = []
@@ -472,6 +504,30 @@ def part_polynomial(symbols, part):
         coef[(i + 1) % w] += x
         coef[(w - i - 1) % w] += (-1 if part == "im" else 1) * x
     return coef
+
+
+def _divide_monic(num, den):
+    # exact quotient of integer polynomials (ascending), den monic
+    num = list(num)
+    q = [0] * (len(num) - len(den) + 1)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = num[i + len(den) - 1]
+        if c:
+            for j, p in enumerate(den):
+                num[i + j] -= c * p
+    assert not any(num), "cyclotomic division left a remainder"
+    return q
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_coeffs(w):
+    """Coefficients of the w-th cyclotomic polynomial, ascending degree:
+    (x^w - 1) divided by Phi_d for every proper divisor d of w."""
+    poly = [-1] + [0] * (w - 1) + [1]
+    for d in range(1, w):
+        if w % d == 0:
+            poly = _divide_monic(poly, cyclotomic_coeffs(d))
+    return tuple(poly)
 
 
 def reduce_mod_cyclotomic(coef, w):

@@ -539,16 +539,19 @@ class TestExitCodes:
             ("check-uhs --sigma 3 --w 100000000 --set {dir}/set.txt", 2),
             ("check-uhs --sigma 3 --w 100000000 --set {dir}/set.bin", 2),
             ("density --sigma 3 --w 100000000 --table {dir}/table.txt", 2),
+            ("long-path --sigma 2 --w 100000001", 2),
         ],
         ids=[
             "mykkeltveit", "check-uhs", "contexts", "debruijn-seq", "rank-table",
             "exact-density", "text-set-header", "binary-set-header", "table-header",
+            "long-path",
         ],
     )
     def test_power_sizes_fail_before_built(self, capsys, tmp_path, argv, status):
         # sigma^w with w = 10^8 has about 1.6e8 bits: the size gate refuses it
         # from its lower bound, and the exact density falls back to a sample
-        # shorter than a window.  The alarm fails a call still running.
+        # shorter than a window.  The long path's steps pass the budget within
+        # its first quadruples.  The alarm fails a call still running.
         (tmp_path / "set.txt").write_text("uhs sigma=3 w=100000000\n")
         (tmp_path / "set.bin").write_bytes(b"UHS1" + bytes([3]) + (10**8).to_bytes(4, "little"))
         (tmp_path / "table.txt").write_text("scheme sigma=3 w=100000000\n")

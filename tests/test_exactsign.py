@@ -1,23 +1,30 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
+import time
+from functools import partial
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import mp_im, mp_re, one_sign, part_polynomial, reduce_mod_cyclotomic
-from uhspath.exactsign import (
-    NEG,
-    POS,
-    ZERO,
-    _reduction_matrix,
+from oracles import (
     cyclotomic_coeffs,
-    signs,
-    zero_rows,
+    mp_im,
+    mp_re,
+    one_sign,
+    part_polynomial,
+    reduce_mod_cyclotomic,
 )
+from uhspath import exactsign
+from uhspath.core import BudgetError, _totient
+from uhspath.exactsign import NEG, POS, ZERO, _roots, signs
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def assert_cli_skips_modules(argv, modules):
@@ -40,6 +47,17 @@ def run_python(code):
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
     assert proc.returncode == 0, proc.stderr.decode()
+
+
+def false_zero_signs(words, sigma, part):
+    """`signs` of a stack of words, each handed a false double of 0.0, so
+    every row goes through the exact tier."""
+    words = np.atleast_2d(words)
+    return signs(words, np.zeros(len(words)), sigma, part)
+
+
+def is_zero(word, part):
+    return int(false_zero_signs(word, max(word) + 1, part)[0]) == ZERO
 
 
 def float_im(symbols):
@@ -77,6 +95,8 @@ class TestCyclotomic:
 class TestZeroMatrix:
     @pytest.mark.parametrize("sigma,wmax", [(2, 14), (3, 9)])
     def test_every_code_matches_division(self, sigma, wmax):
+        # every code handed 0.0: ZERO exactly where Phi_w divides the part's
+        # polynomial, and otherwise the sign of a double far from zero
         for w in range(1, wmax + 1):
             words = np.array(list(itertools.product(range(sigma), repeat=w)))
             for part in ("im", "re"):
@@ -84,20 +104,24 @@ class TestZeroMatrix:
                     reduce_mod_cyclotomic(part_polynomial(row, part), w)
                     for row in words.tolist()
                 ]
-                assert zero_rows(words, part).tolist() == expect, (w, part)
+                got = false_zero_signs(words, sigma, part)
+                assert (got == ZERO).tolist() == expect, (w, part)
+                floats = [(float_im if part == "im" else float_re)(r) for r in words.tolist()]
+                far = np.abs(floats) > 1e-9
+                assert np.array_equal(got[far], np.sign(floats)[far]), (w, part)
 
     def test_scalar_and_bulk_agree(self):
         words = np.random.default_rng(3).integers(0, 3, size=(200, 12))
-        bulk = zero_rows(words, "im")
-        assert [bool(zero_rows(row, "im")) for row in words.tolist()] == bulk.tolist()
+        bulk = false_zero_signs(words, 3, "im")
+        assert [one_sign(row, 0.0, 3, "im") for row in words.tolist()] == bulk.tolist()
 
     def test_wide_digits_use_python_ints(self):
         # digits large enough that an int64 product could overflow
         for w in (6, 12, 15):
             words = np.random.default_rng(w).integers(0, 2, size=(100, w))
             for part in ("im", "re"):
-                assert _reduction_matrix(w, part, 2**62).dtype == object
-                assert np.array_equal(zero_rows(words * 2**62, part), zero_rows(words, part))
+                wide = false_zero_signs(words * 2**62, 2, part)
+                assert np.array_equal(wide, false_zero_signs(words, 2, part))
 
     def test_no_sympy_at_runtime(self):
         assert_cli_skips_modules("mykkeltveit --sigma 3 --w 12", ["sympy"])
@@ -123,41 +147,48 @@ class TestImportFootprint:
         ids=["mykkeltveit", "long-path"],
     )
     def test_no_mpmath_without_escalation(self, argv):
-        # every band sign here is an exact zero, or no code is in the band
         assert_cli_skips_modules(argv, ["mpmath"])
 
-    def test_escalation_loads_mpmath(self):
-        # a word near zero but not zero reaches the mpmath tier
-        code = (
-            "import sys, numpy as np; from uhspath.exactsign import signs; "
-            "assert 'mpmath' not in sys.modules; "
-            "assert signs(np.array([[2, 0, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0]]), np.zeros(1), 3, 'im')[0] != 0; "
-            "assert 'mpmath' in sys.modules"
-        )
+    def test_near_cancelling_rows_skip_mpmath(self):
+        # the exact tier decides the near-cancelling and falsely zero rows
+        # in integers: the signs match mpmath's, and mpmath never loads
+        cases = []
+        for sigma in (2, 3, 4):
+            rows, _ = cascade_stack(sigma)
+            for part in ("im", "re"):
+                cases.append((rows.tolist(), sigma, part, [mp_sign(r, part) for r in rows.tolist()]))
+        code = "\n".join([
+            "import sys, numpy as np",
+            "from uhspath.exactsign import signs",
+            f"for rows, sigma, part, expect in {cases!r}:",
+            "    got = signs(np.array(rows), np.zeros(len(rows)), sigma, part).tolist()",
+            "    assert got == expect, (sigma, part)",
+            "assert 'mpmath' not in sys.modules",
+        ])
         run_python(code)
 
 
 class TestZeroDecisions:
     def test_examples(self):
         # "01": zeta^2 = 1 at w=2, real -> Im == 0
-        assert zero_rows([0, 1], "im")
+        assert is_zero([0, 1], "im")
         # "1000" at w=4: value is zeta = i, purely imaginary
-        assert not zero_rows([1, 0, 0, 0], "im")
-        assert zero_rows([1, 0, 0, 0], "re")
+        assert not is_zero([1, 0, 0, 0], "im")
+        assert is_zero([1, 0, 0, 0], "re")
         # "0001" at w=4: value is zeta^4 = 1
-        assert zero_rows([0, 0, 0, 1], "im")
-        assert not zero_rows([0, 0, 0, 1], "re")
+        assert is_zero([0, 0, 0, 1], "im")
+        assert not is_zero([0, 0, 0, 1], "re")
 
     def test_constant_words_sum_to_zero(self):
         for w in (2, 3, 5, 8, 12):
-            assert zero_rows([1] * w, "im")
-            assert zero_rows([1] * w, "re")
+            assert is_zero([1] * w, "im")
+            assert is_zero([1] * w, "re")
 
     def test_period_two_words(self):
         # "1010...": sum of even powers of zeta over w/2 values -> 0 when w even
         for w in (4, 6, 10):
             word = [1, 0] * (w // 2)
-            assert zero_rows(word, "im") and zero_rows(word, "re")
+            assert is_zero(word, "im") and is_zero(word, "re")
 
     @pytest.mark.parametrize("w", [3, 4, 5, 6, 7, 8, 9, 12, 15, 16])
     def test_agrees_with_high_precision(self, w):
@@ -165,7 +196,7 @@ class TestZeroDecisions:
         for _ in range(60):
             word = rng.integers(0, 4, size=w).tolist()
             im = mp_im(word)
-            if zero_rows(word, "im"):
+            if is_zero(word, "im"):
                 assert abs(im) < mp.mpf(10) ** -150
             else:
                 assert abs(im) > mp.mpf(10) ** -150
@@ -180,8 +211,7 @@ class TestCertifiedSigns:
             fi, fr = float_im(word), float_re(word)
             si = one_sign(word, fi, 4, "im")
             sr = one_sign(word, fr, 4, "re")
-            hi, hr = mp_im(word), mp_im([0] + word[:-1])  # placeholder for re
-            assert si == (0 if zero_rows(word, "im") else (1 if hi > 0 else -1))
+            assert si == mp_sign(word, "im")
             if abs(fr) > 1e-9:
                 assert sr == (1 if fr > 0 else -1)
 
@@ -196,8 +226,8 @@ class TestCertifiedSigns:
         base = [0] * w
         for e in (1, 5, 7, 11):
             base[e - 1] = 1
-        assert zero_rows(base, "re")
-        assert zero_rows(base, "im")
+        assert is_zero(base, "re")
+        assert is_zero(base, "im")
         # doubling one imaginary contribution breaks the cancellation
         tweak = list(base)
         tweak[0] = 2
@@ -210,6 +240,12 @@ class TestCertifiedSigns:
         assert one_sign(word, 0.0, 2, "im") == POS
         word = [0, 0, 1, 0]  # zeta^3 = -i
         assert one_sign(word, 0.0, 2, "im") == NEG
+
+
+def mp_sign(word, part):
+    """Sign of the part at 200 digits, ZERO below 10^-150."""
+    v = (mp_im if part == "im" else mp_re)(word)
+    return ZERO if abs(v) < mp.mpf(10) ** -150 else (POS if v > 0 else NEG)
 
 
 def cascade_stack(sigma, w=12):
@@ -239,31 +275,30 @@ class TestOneCascade:
         assert stack.dtype == np.int8 and stack.shape == (len(rows),)
         each = [one_sign(r, float(a), sigma, part) for r, a in zip(rows.tolist(), approx)]
         assert stack.tolist() == each
-        exact = mp_im if part == "im" else mp_re
-        for r, s in zip(rows.tolist(), each):
-            v = exact(r)
-            assert s == (ZERO if abs(v) < mp.mpf(10) ** -150 else (POS if v > 0 else NEG))
-        assert any(s != ZERO for s in each[honest:])  # the mpmath tier ran in the stack
+        assert each == [mp_sign(r, part) for r in rows.tolist()]
+        assert any(s != ZERO for s in each[honest:])  # nonzero rows reached the exact tier
 
     @pytest.mark.parametrize("part", ["im", "re"])
     def test_one_zero_test_per_call(self, monkeypatch, part):
-        from uhspath import exactsign
-
+        # one table per call, at q = 1 + phi(w) bitlen(2 top w), decides every band row
         calls = []
-        real = exactsign.zero_rows
+        real = exactsign._roots
 
-        def counting(digits, p):
-            calls.append(np.shape(digits))
-            return real(digits, p)
+        def counting(w, q):
+            calls.append((w, q))
+            return real(w, q)
 
-        monkeypatch.setattr(exactsign, "zero_rows", counting)
+        monkeypatch.setattr(exactsign, "_roots", counting)
         rows, _ = cascade_stack(3)
         out = signs(rows, np.zeros(len(rows)), 3, part)
         assert (out != ZERO).any() and (out == ZERO).any()
-        assert calls == [rows.shape]
+        assert calls == [(12, 1 + 4 * (2 * 2 * 12).bit_length())]
         calls.clear()
         assert signs(np.array([[1, 0, 0, 0]]), np.zeros(1), 2, part)[0] in (NEG, ZERO, POS)
-        assert calls == [(1, 4)]
+        assert calls == [(4, 1 + 2 * (2 * 4).bit_length())]
+        calls.clear()
+        assert signs(np.array([[1, 0, 0, 0]]), np.ones(1), 2, part).tolist() == [POS]
+        assert calls == []  # no band row, no table
 
     def test_band_is_guard(self):
         from uhspath.exactsign import FLOAT_GUARD, guard
@@ -272,3 +307,66 @@ class TestOneCascade:
         word = [1, 0, 0, 0]
         assert one_sign(word, -0.9 * guard(2, 4), 2, "im") == POS  # in the band: certified
         assert one_sign(word, -1.1 * guard(2, 4), 2, "im") == NEG  # outside: the double's sign
+
+
+class TestFixedPointTier:
+    @pytest.mark.parametrize("w", range(1, 65))
+    def test_table_within_one_of_mpmath(self, w):
+        # every entry within 1 of 2^q cos and 2^q sin, checked at 2q bits
+        for q in (8, 1 + _totient(w) * (2 * w).bit_length()):
+            re_, im_ = _roots(w, q)
+            with mp.workprec(2 * q):
+                for k in range(w):
+                    angle = 2 * mp.pi * (k + 1) / w
+                    assert abs(re_[k] - mp.ldexp(mp.cos(angle), q)) <= 1, (w, q, k)
+                    assert abs(im_[k] - mp.ldexp(mp.sin(angle), q)) <= 1, (w, q, k)
+
+    @pytest.mark.parametrize("w", [100, 101])
+    def test_long_path_rows_handed_zero(self, w):
+        # the long path's rows, each handed a false 0.0: at w = 101 the tier
+        # works at q = 801 bits, and every Im P is positive
+        from uhspath.mykkeltveit import build_long_path
+
+        lp = build_long_path(2, w)
+        rows = np.array([[int(c) for c in v] for v in lp.vertices])
+        start = time.perf_counter()
+        assert (false_zero_signs(rows, 2, "im") == POS).all()
+        assert time.perf_counter() - start < 0.5
+
+    def test_over_cap_precision_raises_before_table(self, monkeypatch):
+        # one row at prime w = 20011 asks for q = 1 + 20010 * 16 bits: the
+        # table's 2 w q bits pass the default budget, and no table is built
+        monkeypatch.setattr(exactsign, "_roots", lambda w, q: pytest.fail("table built"))
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match="^sign table needs 12813483542 states"):
+            false_zero_signs(np.ones((1, 20011), dtype=np.int64), 2, "im")
+        assert time.perf_counter() - start < 1.0
+
+    def test_over_cap_exits_2(self, capsys, monkeypatch):
+        # every code in the band and a table budget of 100 bits: one error line
+        from uhspath.cli import run
+        from uhspath.core import check_budget
+
+        monkeypatch.setattr(exactsign, "guard", lambda sigma, w: math.inf)
+        monkeypatch.setattr(exactsign, "check_budget", partial(check_budget, budget=100))
+        assert run(["mykkeltveit", "--sigma", "2", "--w", "12"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sign table needs 504 states, budget is 100\n"
+
+    def test_one_tier_in_source(self):
+        # the cyclotomic zero test and the mpmath escalation are gone from the
+        # package, and mpmath is a test dependency only
+        gone = ["mpmath", "ArithmeticError", "zero_rows", "cyclotomic_coeffs"]
+        found = [
+            (path.name, name)
+            for path in sorted((ROOT / "src" / "uhspath").glob("*.py"))
+            for name in gone
+            if name in path.read_text()
+        ]
+        assert found == []
+        pyproject = (ROOT / "pyproject.toml").read_text()
+        runtime = re.search(r"^\[project\]$.*?^dependencies = \[(.*?)\]", pyproject, re.M | re.S)
+        test_extra = re.search(r"^test = \[(.*?)\]", pyproject, re.M)
+        assert "numpy" in runtime.group(1) and "mpmath" not in runtime.group(1)
+        assert "mpmath" in test_extra.group(1)

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import (
+    char_g,
     dfs_longest,
     dominant_eigenvector,
+    fraction_bisection,
     matvec_residual,
     matvec_survival,
     widths,
@@ -16,7 +18,8 @@ from oracles import (
 )
 from uhspath.core import BudgetError
 from uhspath.forbidden import (
-    _g,
+    ROOT_TOL,
+    _g_sign,
     _run_free,
     bracket_holds,
     build_forbidden_set,
@@ -32,9 +35,9 @@ from uhspath.paths import ACYCLIC, longest_remaining_path, verify_witness
 
 
 def char_poly(sigma, d, lam):
-    """det(A_d - lam I) from _g, for lam != mu."""
+    """det(A_d - lam I) from char_g, for lam != mu."""
     mu = Fraction(1, sigma)
-    return (-1) ** d * _g(mu, d, lam) / (lam - mu)
+    return (-1) ** d * char_g(mu, d, lam) / (lam - mu)
 
 
 class TestParameterD:
@@ -237,7 +240,7 @@ class TestCharPoly:
 
     def test_exact_value(self):
         # sigma = 2, d = 2: A_2 - I = [[-1/2, 1/2], [1/2, -1]] has det 1/4
-        assert _g(Fraction(1, 2), 2, Fraction(1)) == Fraction(1, 8)
+        assert char_g(Fraction(1, 2), 2, Fraction(1)) == Fraction(1, 8)
         assert char_poly(2, 2, Fraction(1)) == Fraction(1, 4)
 
     def test_root_annihilates(self):
@@ -253,6 +256,35 @@ class TestDominantRoot:
         for d in range(2, 8):
             assert bracket_holds(2, d)
             assert bracket_holds(4, d)
+
+    @pytest.mark.parametrize("sigma", [2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 6, 40, 300])
+    def test_integer_sign_is_char_g_sign(self, sigma, d):
+        # g(a/b) (b sigma)^(d+1) in integers has the sign of g(a/b) in Fractions,
+        # at the bracket's ends, its midpoint and off it
+        mu = Fraction(1, sigma)
+        lo, hi = 1 - mu**d, 1 - mu ** (d + 1)
+        for lam in (lo, hi, (lo + hi) / 2, Fraction(0), mu, Fraction(3, 2)):
+            g = char_g(mu, d, lam)
+            assert _g_sign(sigma, d, lam.numerator, lam.denominator) == (g > 0) - (g < 0)
+
+    @pytest.mark.parametrize("sigma", [2, 3, 4, 5])
+    def test_root_is_fraction_bisection(self, sigma):
+        for d in range(1, 13):
+            assert dominant_root(sigma, d) == fraction_bisection(sigma, d), (sigma, d)
+
+    def test_large_d_is_fast(self):
+        # at d = 1000 the bracket is already narrower than ROOT_TOL, so the root
+        # is its midpoint; the integer signs take far under a second
+        mu = Fraction(1, 2)
+        lo, hi = 1 - mu**1000, 1 - mu**1001
+        assert hi - lo < ROOT_TOL
+        start = time.perf_counter()
+        assert bracket_holds(2, 1000)
+        assert time.perf_counter() - start < 0.5
+        start = time.perf_counter()
+        assert dominant_root(2, 1000) == (lo + hi) / 2
+        assert time.perf_counter() - start < 0.5
 
     def test_d1_root_is_endpoint(self):
         assert dominant_root(2, 1) == Fraction(1, 2)

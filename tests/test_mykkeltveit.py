@@ -28,9 +28,8 @@ from uhspath.core import (
 )
 from uhspath.exactsign import NEG, POS, ZERO
 from uhspath.mykkeltveit import (
-    _even_quadruples,
     _member,
-    _odd_quadruples,
+    _quadruples,
     _run_ring,
     build_long_path,
     build_mykkeltveit_set,
@@ -66,7 +65,7 @@ def class_walk_member(x, sigma, w):
 
 
 def ring_program(w):
-    return ([w - 1], _even_quadruples(w)) if w % 2 == 0 else _odd_quadruples(w)
+    return [w - 1], list(_quadruples(w))
 
 
 class TestEmbedding:
@@ -305,6 +304,28 @@ class TestLongPath:
         monkeypatch.setattr(mykkeltveit, "_run_ring", lambda *a: pytest.fail("walk built"))
         with pytest.raises(BudgetError, match="long path needs 313 states, budget is 312"):
             build_long_path(2, 101, budget=312)
+
+    def test_budget_counts_steps_as_quadruples_come(self, monkeypatch):
+        # the steps counted as each quadruple is made add up to the sum over
+        # the whole program's tags, for every w from 16 to 400
+        class Walked(Exception):
+            pass
+
+        def walk(*args):
+            raise Walked
+
+        monkeypatch.setattr(mykkeltveit, "_run_ring", walk)
+        for w in range(16, 401):
+            try:
+                _, quads = ring_program(w)
+            except ValueError:
+                continue
+            tags = [t for quad in quads for t in quad]
+            steps = sum(((t - p - 1) % w or w) + 1 for p, t in zip([0, *tags], tags))
+            with pytest.raises(BudgetError, match=f"^long path needs {1 + steps} states, budget is {steps}$"):
+                build_long_path(2, w, budget=steps)
+            with pytest.raises(Walked):
+                build_long_path(2, w, budget=1 + steps)
 
     def test_budget_counts_every_vertex(self):
         assert len(build_long_path(2, 101, budget=313).vertices) == 313
