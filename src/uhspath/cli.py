@@ -10,6 +10,7 @@ produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import math
@@ -270,29 +271,34 @@ def _cmd_longest_path(args) -> None:
 
 
 def _cmd_long_path(args) -> None:
+    import numpy as np
+
     from .mykkeltveit import build_long_path
 
+    check_digit_text(args.sigma)  # the vertices print as digit text
     lp = build_long_path(args.sigma, args.w, budget=args.budget)
-    lines = "\n".join(lp.vertices)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(lines + "\n")
-    else:
-        print(lines)
+    n, w = lp.vertices.shape
+    step = max(1, (1 << 22) // (w + 1))  # rows of about 4 MiB of text per write
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        for i in range(0, n, step):
+            digits = lp.vertices[i : i + step] + ord("0")
+            lines = np.pad(digits, [(0, 0), (0, 1)], constant_values=ord("\n"))
+            fh.write(lines.tobytes().decode())
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("step,re,im\n")
-            for i, p in enumerate(lp.embeddings):
-                fh.write(f"{i},{p.real!r},{p.imag!r}\n")
+            for i in range(0, n, step):
+                ps = enumerate(lp.embeddings[i : i + step].tolist(), i)
+                fh.write("".join([f"{k},{p.real!r},{p.imag!r}\n" for k, p in ps]))
     _emit(
         {
             "sigma": args.sigma,
             "w": args.w,
-            "vertices": len(lp.vertices),
+            "vertices": n,
             "quadruples": len(lp.quadruples),
             "validated": True,  # build_long_path raises on any failed check
             "all_im_positive": True,
-            "min_im": min(p.imag for p in lp.embeddings),
+            "min_im": float(lp.embeddings.imag.min()),
         }
     )
 
@@ -323,12 +329,12 @@ def _cmd_mds_count(args) -> None:
 def _cmd_fsm(args) -> None:
     from . import forbidden
 
-    out = {
-        "sigma": args.sigma,
-        "d": args.d,
-        "matrix": [[_rat(v) for v in row] for row in forbidden.fsm_matrix(args.sigma, args.d)],
-        "bracket_holds": forbidden.bracket_holds(args.sigma, args.d),
-    }
+    rows = forbidden.fsm_matrix(args.sigma, args.d)
+    # the rows share their few distinct entries: each one's JSON text is
+    # rendered once, looked up by id, and the matrix is joined as text
+    text = {k: json.dumps(_rat(v)) for k, v in {id(v): v for row in rows for v in row}.items()}
+    matrix = ", ".join("[" + ", ".join(map(text.__getitem__, map(id, row))) + "]" for row in rows)
+    out = {"bracket_holds": forbidden.bracket_holds(args.sigma, args.d)}
     if out["bracket_holds"]:
         root = forbidden.dominant_root(args.sigma, args.d)
         out["dominant_root"] = float(root)
@@ -340,7 +346,8 @@ def _cmd_fsm(args) -> None:
         out["survival"] = _rat(
             forbidden.survival_probability(args.sigma, args.d, args.w)
         )
-    _emit(out)
+    head = json.dumps({"sigma": args.sigma, "d": args.d})[:-1]
+    print(f'{head}, "matrix": [{matrix}], {json.dumps(out)[1:]}')
 
 
 # -- wiring ------------------------------------------------------------------

@@ -5,8 +5,9 @@ zeta = e^(2 pi i / w), for a stack of words and the doubles made for them.
 
 Doubles.  A double sums w terms x_i t_i, t_i within 2^-48 + 2^-53 of its
 sine or cosine (a double angle, then libm), and its products and sum add
-(sigma-1) w (w+1) 2^-53 to first order.  For w <= 2^12 the total is below
-(sigma-1) w 2^-40 = `guard(sigma, w)`: a double outside it has the true sign.
+(sigma-1) w (w+1) 2^-53 to first order.  The total is below (sigma-1) w
+2^-40 (1 + floor(w / 2^12)) = `guard(sigma, w)` for every w: a double outside
+it has the true sign.
 
 Fixed point.  A part is alpha/2 or alpha/2i for alpha = P +- conj P, an
 algebraic integer of Q(zeta) whose phi(w) conjugates have modulus at most
@@ -36,7 +37,7 @@ FLOAT_GUARD = 2.0**-40
 def guard(sigma: int, w: int) -> float:
     """Half-width of the band of doubles whose sign is not trusted, for the
     parts of a word of w digits below sigma."""
-    return FLOAT_GUARD * (sigma - 1) * w
+    return FLOAT_GUARD * (sigma - 1) * w * (1 + (w >> 12))
 
 
 def _pi(p: int) -> int:
@@ -99,18 +100,19 @@ def _roots(w: int, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def signs(digits, approx, sigma: int, part: str) -> np.ndarray:
     """Certified NEG/ZERO/POS of the `part` ("im" or "re") of sum x_i zeta^(i+1),
-    as int8, for a stack of words: `digits` of shape (m, w) and their doubles
-    `approx` of shape (m,).  A double outside `guard` keeps its sign; all band
-    rows are summed once against the `_roots` table at the precision the norm
-    bound asks for (see the module docstring).
+    as int8, for a stack of words: `digits` of shape (m, w), any integer dtype,
+    and their doubles `approx` of shape (m,).  A double outside `guard` keeps
+    its sign; only the band rows are widened to int64 and summed once against
+    the `_roots` table at the precision the norm bound asks for (see the
+    module docstring).
     """
-    d = np.asarray(digits, dtype=np.int64)
+    d = np.asarray(digits)
+    w = d.shape[-1]
     out = np.sign(approx).astype(np.int8)
-    band = np.flatnonzero(np.abs(approx) <= guard(sigma, d.shape[-1]))
+    band = np.flatnonzero(np.abs(approx) <= guard(sigma, w))
     if not band.size:
         return out
-    rows = d[band]
-    w = rows.shape[-1]
+    rows = d[band].astype(np.int64)
     err = max(int(np.abs(rows).max()), 1) * w  # |S - 2^q part| <= err
     q = 1 + _totient(w) * (2 * err).bit_length()
     check_budget(2 * w * q, 1, what="sign table")

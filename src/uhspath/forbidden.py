@@ -136,16 +136,16 @@ def remaining_path_witness(sigma: int, w: int) -> list[int]:
 
 def fsm_matrix(sigma: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
     """Rows of the zero-run chain's d x d transition matrix A_d, exact: first
-    row all 1 - mu (run resets), subdiagonal mu (run grows).  Its d^2
-    entries are checked against the default budget."""
+    row all 1 - mu (run resets), subdiagonal mu (run grows), one shared zero
+    elsewhere.  Its d^2 entries are checked against the default budget."""
     check_alphabet(sigma)
     if d < 1:
         raise ValueError("need d >= 1")
     check_budget(d, 2, what="fsm matrix")
-    mu = Fraction(1, sigma)
+    mu, zero = Fraction(1, sigma), Fraction(0)
     rows = []
     for i in range(d):
-        row = [Fraction(0)] * d
+        row = [zero] * d
         if i == 0:
             row = [1 - mu] * d
         else:
@@ -233,14 +233,13 @@ def eigenpair_residual(sigma: int, d: int, root: Fraction) -> float:
     """max_i |(A v)_i - root v_i| for the eigenvector v = (1, s, ..., s^(d-1)),
     s = mu / root = p / q.  Rows 1..d-1 are mu s^(i-1) - root s^i = 0 exactly,
     so the residual is row 0's, (1 - mu)(1 + s + ... + s^(d-1)) - root.  The
-    sum is n / q^(d-1), n = p^(d-1) + p^(d-2) q + ... + q^(d-1) built by
-    Horner in integers, and the residual is one correctly rounded quotient."""
+    sum is n / q^(d-1), n = p^(d-1) + p^(d-2) q + ... + q^(d-1) =
+    (q^d - p^d) / (q - p) in integers (d q^(d-1) when p = q), and the
+    residual is one correctly rounded quotient."""
     lam = Fraction(root)
     s = Fraction(1, sigma) / lam
     p, q = s.numerator, s.denominator
-    n, power = 0, 1  # after k steps: sum of p^i q^(k-1-i) over i < k, and p^k
-    for _ in range(d):
-        n, power = n * q + power, power * p
     qd = q ** (d - 1)
+    n = d * qd if p == q else (qd * q - p**d) // (q - p)
     diff = (sigma - 1) * n * lam.denominator - sigma * qd * lam.numerator
     return abs(diff / (sigma * qd * lam.denominator))

@@ -18,8 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import compress
-from operator import mul
 from typing import Iterator
 
 import numpy as np
@@ -30,7 +28,6 @@ from .core import (
     check_alphabet,
     check_budget,
     necklace_count,
-    render_symbols,
     rotation_code,
 )
 from .exactsign import NEG, POS, ZERO
@@ -168,32 +165,30 @@ def build_mykkeltveit_set(
 
 @dataclass(frozen=True)
 class LongPath:
-    """The ring program's walk: its vertices as digit text, P of each vertex
-    (every Im certified > 0 by the build), and the quadruples it ran."""
+    """The ring program's walk: its vertices, the (n, w) uint8 windows of one
+    array; P of each as complex128, every Im certified > 0; its quadruples."""
 
-    vertices: list[str]
-    embeddings: list[complex]
+    vertices: np.ndarray
+    embeddings: np.ndarray
     quadruples: list[tuple[int, ...]]
 
 
-def _run_ring(w: int, zero_tags: list[int], quads: list[tuple[int, ...]]) -> list[int]:
-    """Symbols of the ring program's walk, whose w-windows are its vertices.
+def _run_ring(w: int, zero_tags: list[int], quads: list[tuple[int, ...]]) -> np.ndarray:
+    """The ring program's walk as uint8 symbols; its w-windows are its vertices.
     The ring is a circular tape, all ones but for zeros at `zero_tags`.  A
     rotate appends the symbol under the pointer and moves it on; a write
     stores 0 at the tag and appends 0.  The tape read at 0 sits on the
     negative real axis, inside the set, so the walk starts one rotation on."""
-    tape = [0 if t in zero_tags else 1 for t in range(w)]
-    walk = tape[1:] + tape[:1]
-    pointer = 1
+    tape = np.ones(w, dtype=np.uint8)
+    tape[zero_tags] = 0
+    walk, pointer, zero = [np.roll(tape, -1)], 1, np.zeros(1, dtype=np.uint8)
     for quad in quads:
         for tag in quad:
-            for _ in range((tag - pointer) % w or w):
-                walk.append(tape[pointer])
-                pointer = (pointer + 1) % w
+            turn = np.arange(pointer, pointer + ((tag - pointer) % w or w))
+            walk += [tape.take(turn, mode="wrap"), zero]
             tape[tag] = 0
-            walk.append(0)
             pointer = (tag + 1) % w
-    return walk
+    return np.concatenate(walk)
 
 
 def _quadruples(w: int) -> Iterator[tuple[int, ...]]:
@@ -227,11 +222,14 @@ def build_long_path(sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET) -> Lo
     """Explicit path avoiding the decycling set, about w^2/8 vertices long
     for even w and about w^2/40 for odd w.
 
-    Follows the ring program (`_run_ring`).  The vertices are the w-windows
-    of one symbol string, so every step is a de Bruijn edge, and one
+    Follows the ring program (`_run_ring`).  The walk is one uint8 array and
+    the vertices are its (n, w) sliding-window view, so every step is a de
+    Bruijn edge; their doubles are one complex128 array, and one
     `exactsign.signs` call certifies Im(P) > 0 for all of them, which keeps
     them out of the set (the keep rule `_member` never holds there).  The
-    steps are counted against the budget as each quadruple is made.
+    steps are counted against the budget as each quadruple is made.  The
+    peak is about 60 bytes per vertex at sigma = 2, w = 401 and 1001; the
+    CLI at w = 2001 (100,249 vertices) takes about 1.4 s and 46 MB.
     """
     check_alphabet(sigma)
     # a tag costs its write and the rotations from the pointer, one past the last tag
@@ -243,21 +241,36 @@ def build_long_path(sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET) -> Lo
         check_budget(1 + steps, 1, budget, "long path")
         quads.append(quad)
     walk = _run_ring(w, [w - 1], quads)
-
+    vertices = np.lib.stride_tricks.sliding_window_view(walk, w)
+    # P in doubles, one window column at a time: column i is walk[i : i + n],
+    # and each of its nonzero symbols, all 1, adds r^(i+1), so every window
+    # sums x r^(i+1) over its nonzero symbols x in order
+    n = len(vertices)
+    ps = np.zeros(n, dtype=np.complex128)
+    for i in range(w):
+        np.add(ps, cmath.exp(2j * math.pi * (i + 1) / w), out=ps, where=walk[i : i + n] != 0)
     # A revisit can only come from a bug (AssertionError); Im(P) <= 0 means
     # the program does not work at this w.
-    text = render_symbols(walk, sigma)
-    vertices = [text[i : i + w] for i in range(len(walk) - w + 1)]
-    if len(set(vertices)) != len(vertices):
+    if _revisits(vertices, ps):
         raise AssertionError("constructed walk revisits a vertex")
-    # P in doubles: x * r^(i+1) summed over the nonzero symbols x in order,
-    # the w roots computed once
-    roots = [cmath.exp(2j * math.pi * (i + 1) / w) for i in range(w)]
-    windows = (walk[i : i + w] for i in range(len(vertices)))
-    ps = [sum(compress(map(mul, x, roots), x)) for x in windows]
-    rows = np.lib.stride_tricks.sliding_window_view(np.array(walk, dtype=np.int64), w)
-    im_signs = exactsign.signs(rows, np.array([p.imag for p in ps]), sigma, "im")
-    bad = np.flatnonzero(im_signs != POS)
+    bad = np.flatnonzero(exactsign.signs(vertices, ps.imag, sigma, "im") != POS)
     if bad.size:
         raise ValueError(f"vertex at step {bad[0]} has Im(P) <= 0")
     return LongPath(vertices, ps, quads)
+
+
+def _revisits(vertices: np.ndarray, ps: np.ndarray) -> bool:
+    """Whether two rows of `vertices` are equal.  Equal rows have bit-equal
+    doubles `ps`, so in the order of the doubles each row is compared with
+    the d-th next while they tie, d = 1, 2, ..., about 4 MiB of rows at a time."""
+    order = np.argsort(ps)
+    group = np.cumsum(np.r_[True, ps[order[1:]] != ps[order[:-1]]])
+    step = max(1, (1 << 22) // vertices.shape[1])
+    for d in range(1, ps.size):
+        pairs = np.flatnonzero(group[d:] == group[:-d])
+        if not pairs.size:
+            break
+        for k in np.split(pairs, range(step, pairs.size, step)):
+            if (vertices[order[k]] == vertices[order[k + d]]).all(axis=1).any():
+                return True
+    return False

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -73,6 +74,16 @@ class TestBasics:
         assert obj["bracket_holds"] is True
         assert abs(obj["dominant_root"] - 0.8090169943749475) < 1e-9
         assert obj["survival"] == {"num": 1, "den": 2, "float": 0.5}
+
+    def test_fsm_large_d(self, capsys):
+        # the 10^6-entry matrix renders one JSON text per distinct entry: the
+        # same bytes as one dict per entry, in about 0.7 s where that took 4 s
+        start = time.perf_counter()
+        code, out = invoke(capsys, "fsm", "--sigma", "2", "--d", "1000", "--w", "5")
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        digest = "2274a564e130847780d567ef614fb41d5349f36ca123ee5f48d572f26fffbe13"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_mds_count(self, capsys):
         obj = invoke_json(capsys, "mds-count", "--sigma", "2", "--w", "4")
@@ -172,6 +183,17 @@ class TestSetsAndFiles:
         lines = open(out).read().splitlines()
         assert len(lines) == 34
         assert open(csv).readline() == "step,re,im\n"
+
+    def test_long_path_bytes(self, capsys, tmp_path):
+        # stdout at w = 100, pinned; --out holds the same vertex lines
+        code, out = invoke(capsys, "long-path", "--sigma", "2", "--w", "100")
+        assert code == 0
+        digest = "7dd985684daa863ff621800013df0290c5272e87a9a2d1640671fe6eee4ab441"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        lines = str(tmp_path / "lp.txt")
+        code, json_line = invoke(capsys, "long-path", "--sigma", "2", "--w", "100", "--out", lines)
+        assert code == 0
+        assert open(lines).read() + json_line == out
 
     def test_long_path_json(self, capsys):
         obj = invoke_json(capsys, "long-path", "--sigma", "2", "--w", "16")
@@ -593,17 +615,35 @@ class TestExitCodes:
         assert run(["long-path", "--sigma", "2", "--w", "18"]) == 1
         assert "has Im(P) <= 0" in capsys.readouterr().err
 
-    def test_long_path_self_check_failure(self, capsys, monkeypatch):
+    def test_long_path_sigma_over_10_before_walk(self, capsys, monkeypatch):
+        # the vertices print as digit text: sigma > 10 fails before any work
         from uhspath import mykkeltveit
 
+        monkeypatch.setattr(mykkeltveit, "_run_ring", lambda *a: pytest.fail("walk built"))
+        assert run(["long-path", "--sigma", "11", "--w", "100"]) == 1
+        assert capsys.readouterr().err == "error: digit text form only supports sigma <= 10\n"
+
+    def test_long_path_self_check_failure(self, capsys, monkeypatch):
+        # the walk ends on its window j again, whose doubles tie with those of
+        # a third, different window k: the revisit is found among the ties
+        from uhspath import mykkeltveit
+
+        w = 100
+        lp = mykkeltveit.build_long_path(2, w)
+        first = {}
+        for k, p in enumerate(lp.embeddings.tolist()):
+            j = first.setdefault(p, k)
+            if j != k:
+                break
+        assert j != k and lp.vertices[j].tolist() != lp.vertices[k].tolist()
         real_run_ring = mykkeltveit._run_ring
 
-        def repeating(w, zero_tags, quads):
-            walk = real_run_ring(w, zero_tags, quads)
-            return walk + walk[-w:]  # ends on its own last window again
+        def repeating(*args):
+            walk = real_run_ring(*args)
+            return np.concatenate([walk, walk[j : j + w]])
 
         monkeypatch.setattr(mykkeltveit, "_run_ring", repeating)
-        assert run(["long-path", "--sigma", "2", "--w", "16"]) == 3
+        assert run(["long-path", "--sigma", "2", "--w", str(w)]) == 3
         assert "internal error: constructed walk revisits a vertex" in capsys.readouterr().err
 
 
@@ -690,6 +730,32 @@ class TestProcessEntryPoint:
             got = (tmp_path / "process" / name).read_bytes()
             assert got == (tmp_path / "in_process" / name).read_bytes(), name
         assert (tmp_path / "process" / "lp.csv").read_text().count("\n") == 1314
+
+    def test_long_path_peak_rss(self):
+        # a small parent forks the run and reads its peak from wait4, so the
+        # peak is the run's own: about 44 MB at w = 1001 with the walk as one
+        # array (129 MB when every vertex was a str)
+        src = os.path.dirname(os.path.dirname(uhspath.__file__))
+        script = (
+            "import os, sys\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    os.execv(sys.executable, [sys.executable, '-c',\n"
+            "             'from uhspath.cli import main; main()', *sys.argv[1:]])\n"
+            "_, status, usage = os.wait4(pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        )
+        argv = ["long-path", "--sigma", "2", "--w", "1001", "--out", os.devnull]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        status, maxrss_kib = map(int, proc.stdout.splitlines()[-1].split())
+        assert status == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[0])["vertices"] == 25124
+        assert maxrss_kib < 80 * 1024
 
     @pytest.mark.parametrize("user", [None, "3"], ids=["unset", "user-set"])
     def test_blas_pool_pinned_before_numpy_loads(self, user):

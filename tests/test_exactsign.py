@@ -308,6 +308,19 @@ class TestOneCascade:
         assert one_sign(word, -0.9 * guard(2, 4), 2, "im") == POS  # in the band: certified
         assert one_sign(word, -1.1 * guard(2, 4), 2, "im") == NEG  # outside: the double's sign
 
+    def test_guard_covers_float_bound_every_w(self):
+        # the module docstring's bound over (sigma - 1) w, in units of 2^-53:
+        # 2^5 + 1 for each root, w + 1 for the products and the sum.  The guard
+        # covers it for every w up to 2^20, and below 2^12 it is
+        # (sigma - 1) w 2^-40, so no band there moved when it widened
+        from uhspath.exactsign import FLOAT_GUARD, guard
+
+        w = np.arange(1, 2**20 + 1)
+        assert (2.0**-53 * w * (2**5 + 1 + w + 1) <= guard(2, w)).all()
+        assert (guard(4, w) == 3 * guard(2, w)).all()
+        assert (guard(2, w[:4095]) == FLOAT_GUARD * w[:4095]).all()
+        assert guard(2, 4096) == 2 * FLOAT_GUARD * 4096
+
 
 class TestFixedPointTier:
     @pytest.mark.parametrize("w", range(1, 65))
@@ -328,9 +341,8 @@ class TestFixedPointTier:
         from uhspath.mykkeltveit import build_long_path
 
         lp = build_long_path(2, w)
-        rows = np.array([[int(c) for c in v] for v in lp.vertices])
         start = time.perf_counter()
-        assert (false_zero_signs(rows, 2, "im") == POS).all()
+        assert (false_zero_signs(lp.vertices, 2, "im") == POS).all()
         assert time.perf_counter() - start < 0.5
 
     def test_over_cap_precision_raises_before_table(self, monkeypatch):

@@ -311,6 +311,29 @@ class TestDominantRoot:
         assert time.perf_counter() - start < 0.05
         assert residual == matvec_residual(sigma, d, root)
 
+    def test_closed_form_sum_is_horner(self):
+        # the geometric sum in closed form gives Horner's float at every d <= 200
+        # whose bracket holds, and at p = q
+        def horner(sigma, d, root):
+            s = Fraction(1, sigma) / root
+            p, q = s.numerator, s.denominator
+            n, power = 0, 1
+            for _ in range(d):
+                n, power = n * q + power, power * p
+            qd = q ** (d - 1)
+            diff = (sigma - 1) * n * root.denominator - sigma * qd * root.numerator
+            return abs(diff / (sigma * qd * root.denominator))
+
+        for sigma in (2, 3, 5):
+            for d in range(1, 201):
+                if bracket_holds(sigma, d):
+                    root = dominant_root(sigma, d)
+                    assert eigenpair_residual(sigma, d, root) == horner(sigma, d, root), (sigma, d)
+        for sigma, d in [(2, 1), (3, 7)]:
+            mu = Fraction(1, sigma)  # s = 1, so p = q
+            assert eigenpair_residual(sigma, d, mu) == horner(sigma, d, mu)
+            assert eigenpair_residual(sigma, d, mu) == matvec_residual(sigma, d, mu)
+
     def test_eigenvector_shape(self):
         lam = dominant_root(2, 3)
         v = dominant_eigenvector(2, 3, lam)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -191,7 +192,7 @@ class TestAgainstClassWalk:
 
     @pytest.mark.parametrize("w", [40, 41])
     def test_long_path_vertices(self, w):
-        for v in build_long_path(2, w).vertices:
+        for v in build_long_path(2, w).vertices.tolist():
             assert class_walk_member(kmer_encode(v, 2), 2, w) is False
 
 
@@ -270,21 +271,51 @@ class TestLongPath:
     def test_walk_windows_equal_code_ring(self, sigma, w):
         zero_tags, quads = ring_program(w)
         walk = _run_ring(w, zero_tags, quads)
-        windows = [walk[i : i + w] for i in range(len(walk) - w + 1)]
-        codes = code_ring(sigma, w, zero_tags, quads)
-        assert [tuple(x) for x in windows] == [symbols(c, sigma, w) for c in codes]
+        rows = [list(symbols(c, sigma, w)) for c in code_ring(sigma, w, zero_tags, quads)]
+        assert walk.dtype == np.uint8
+        assert np.lib.stride_tricks.sliding_window_view(walk, w).tolist() == rows
         if sigma == 2 or w == 24:
-            assert build_long_path(sigma, w).vertices == [kmer_decode(c, sigma, w) for c in codes]
+            assert build_long_path(sigma, w).vertices.tolist() == rows
 
     @pytest.mark.parametrize("sigma", [2, 3])
     @pytest.mark.parametrize("w", [16, 25, 100, 101])
     def test_embeddings_bit_equal_oracle(self, sigma, w):
-        # one root table, summed over the nonzero symbols in order: the same
-        # doubles as one cmath.exp per symbol, signed zeros included
+        # one root per window column, added where the symbol is nonzero: the
+        # same doubles as one cmath.exp per symbol, signed zeros included
         lp = build_long_path(sigma, w)
-        for v, p in zip(lp.vertices, lp.embeddings):
-            q = raw_embedding([int(c) for c in v], w)
+        for v, p in zip(lp.vertices.tolist(), lp.embeddings.tolist()):
+            q = raw_embedding(v, w)
             assert (p.real.hex(), p.imag.hex()) == (q.real.hex(), q.imag.hex())
+
+    def test_one_walk_array(self):
+        # the vertices are the overlapping windows of one uint8 walk
+        lp = build_long_path(2, 100)
+        assert lp.vertices.dtype == np.uint8 and lp.vertices.shape == (1313, 100)
+        assert lp.vertices.strides == (1, 1)
+        assert lp.embeddings.dtype == np.complex128 and lp.embeddings.shape == (1313,)
+
+    @pytest.mark.parametrize("w", [401, 1001])
+    def test_bytes_per_vertex(self, w):
+        # about 60 B a vertex when measured at both widths: the walk, its
+        # doubles and their sort (562 and 1173 B, growing as w, when every
+        # vertex was a str)
+        tracemalloc.start()
+        try:
+            n = len(build_long_path(2, w).vertices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 66 * n
+
+    def test_revisit_across_a_tie_group(self):
+        # three tied doubles whose first and last rows are equal, and which
+        # sort in place: comparing neighbours alone would miss the revisit
+        rows = np.array([[1, 0, 1], [0, 1, 1], [1, 0, 1]], dtype=np.uint8)
+        ps = np.zeros(3, dtype=np.complex128)
+        assert np.argsort(ps).tolist() == [0, 1, 2]
+        assert mykkeltveit._revisits(rows, ps)
+        assert not mykkeltveit._revisits(rows[:2], ps[:2])
+        assert not mykkeltveit._revisits(rows, np.array([0, 1, 2], dtype=np.complex128))
 
     def test_one_signs_call_no_embedding(self, monkeypatch):
         calls = []
