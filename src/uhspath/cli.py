@@ -1,10 +1,10 @@
 """Command-line front end: one subcommand per capability, JSON on stdout.
 
-Exit codes: 0 success, 1 validation error, 2 budget exceeded, 3 internal
-invariant failure (an AssertionError, i.e. a bug rather than bad input).  Exact
-rationals are emitted as {"num", "den", "float"} objects.  The one randomized
-path, density's sampled estimate, takes --seed, so identical invocations
-produce identical bytes.
+Exit codes: 0 success, 1 validation error, 2 budget exceeded or out of
+memory (a MemoryError), 3 internal invariant failure (an AssertionError, i.e.
+a bug rather than bad input).  Exact rationals are emitted as {"num", "den",
+"float"} objects.  The one randomized path, density's sampled estimate, takes
+--seed, so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -330,10 +330,6 @@ def _cmd_fsm(args) -> None:
     from . import forbidden
 
     rows = forbidden.fsm_matrix(args.sigma, args.d)
-    # the rows share their few distinct entries: each one's JSON text is
-    # rendered once, looked up by id, and the matrix is joined as text
-    text = {k: json.dumps(_rat(v)) for k, v in {id(v): v for row in rows for v in row}.items()}
-    matrix = ", ".join("[" + ", ".join(map(text.__getitem__, map(id, row))) + "]" for row in rows)
     out = {"bracket_holds": forbidden.bracket_holds(args.sigma, args.d)}
     if out["bracket_holds"]:
         root = forbidden.dominant_root(args.sigma, args.d)
@@ -346,8 +342,19 @@ def _cmd_fsm(args) -> None:
         out["survival"] = _rat(
             forbidden.survival_probability(args.sigma, args.d, args.w)
         )
-    head = json.dumps({"sigma": args.sigma, "d": args.d})[:-1]
-    print(f'{head}, "matrix": [{matrix}], {json.dumps(out)[1:]}')
+    # every field that can fail is known before the first byte; the matrix
+    # is then written a row at a time, its rows sharing a few distinct
+    # entries whose JSON text is rendered once each, looked up by id
+    write = sys.stdout.write
+    write(json.dumps({"sigma": args.sigma, "d": args.d})[:-1] + ', "matrix": [')
+    text, sep = {}, ""
+    for row in rows:
+        for key, v in dict(zip(map(id, row), row)).items():
+            if key not in text:
+                text[key] = json.dumps(_rat(v))
+        write(sep + "[" + ", ".join(map(text.__getitem__, map(id, row))) + "]")
+        sep = ", "
+    write("], " + json.dumps(out)[1:] + "\n")
 
 
 # -- wiring ------------------------------------------------------------------
@@ -445,6 +452,9 @@ def run(argv=None) -> int:
         args.fn(args)
     except BudgetError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
         return 2
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -11,6 +11,10 @@ small Markov chain: state i = current zero-run length, absorbing death at
 run d.  Its transition matrix A_d has a closed-form characteristic
 polynomial and a dominant eigenvalue bracketed in (1 - mu^d, 1 - mu^(d+1)),
 mu = 1/sigma.
+
+Neither keeps a whole table beside its output: the run-free mask is struck
+through reshaped views of itself (one byte per w-mer and one sigma^(w/2)
+row), and the chain's matrix is made one row at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .core import (
     DEFAULT_NODE_BUDGET,
@@ -26,8 +30,6 @@ from .core import (
     check_budget,
     kmer_encode,
 )
-
-_BLOCK = 1 << 18  # codes per block of the run-free mask
 
 # The set builders import numpy and KmerSet themselves, so the survival FSM
 # (the fsm subcommand) runs without numpy.
@@ -64,43 +66,30 @@ def min_w_for_construction(sigma: int) -> int:
     return hi
 
 
-def _zero_runs(sigma: int, length: int):
-    """(leading zeros, trailing zeros, longest zero run) of every length-symbol code."""
-    import numpy as np
-
-    codes = np.arange(sigma**length)
-    lead = np.zeros(codes.size, dtype=np.int64)
-    run = np.zeros(codes.size, dtype=np.int64)
-    best = np.zeros(codes.size, dtype=np.int64)
-    for i in range(length):
-        zero = (codes // sigma ** (length - 1 - i)) % sigma == 0
-        run = np.where(zero, run + 1, 0)
-        lead += run == i + 1  # still inside the leading run
-        np.maximum(best, run, out=best)
-    return lead, run, best
-
-
 def _run_free(sigma: int, w: int, d: int) -> np.ndarray:
     """Bool per w-mer code: no run of d zeros.
 
-    A code is its leading ceil(w/2) symbols (hi) followed by its trailing
-    floor(w/2) symbols (lo); its longest zero run is the longest of either
-    half's and hi's trailing run joined to lo's leading run.  The mask is
-    filled one block of whole hi rows (about _BLOCK codes) at a time.
+    A code has a 0^d run starting at digit i exactly when its middle index
+    in the (sigma^i, sigma^d, sigma^(w-i-d)) view of the mask is 0, so each
+    start is struck by one write.  The starts at i >= h = ceil(w/2) lie in
+    the trailing floor(w/2) digits: they are struck once in a row `lo` of
+    sigma^(w//2) codes, copied into each of the sigma^h rows of the mask.
+    The starts at i < h are then struck in the whole mask, each struck run
+    a contiguous chunk of at least sigma^(w//2 - d + 1) codes.
     """
     import numpy as np
 
-    _, trail_hi, best_hi = _zero_runs(sigma, w - w // 2)
-    lead_lo, _, best_lo = _zero_runs(sigma, w // 2)
-    free = np.empty((trail_hi.size, lead_lo.size), dtype=bool)
-    room, lo_free = (d - lead_lo)[None, :], (best_lo < d)[None, :]
-    step = max(1, _BLOCK // lead_lo.size)
-    for i in range(0, trail_hi.size, step):
-        hi = slice(i, i + step)
-        np.less(trail_hi[hi, None], room, out=free[hi])
-        free[hi] &= lo_free
-        free[hi] &= (best_hi[hi] < d)[:, None]
-    return free.ravel()
+    def strike(mask, starts):
+        for i in starts:
+            mask.reshape(sigma**i, sigma**d, -1)[:, 0] = False
+
+    h = w - w // 2
+    lo = np.ones(sigma ** (w // 2), dtype=bool)
+    strike(lo, range(w // 2 - d + 1))
+    free = np.empty((sigma**h, lo.size), dtype=bool)
+    free[:] = lo
+    strike(free.reshape(-1), range(min(h, w - d + 1)))
+    return free.reshape(-1)
 
 
 def build_forbidden_set(sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET) -> KmerSet:
@@ -134,24 +123,18 @@ def remaining_path_witness(sigma: int, w: int) -> list[int]:
 # -- survival FSM ------------------------------------------------------------
 
 
-def fsm_matrix(sigma: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows of the zero-run chain's d x d transition matrix A_d, exact: first
-    row all 1 - mu (run resets), subdiagonal mu (run grows), one shared zero
-    elsewhere.  Its d^2 entries are checked against the default budget."""
+def fsm_matrix(sigma: int, d: int) -> Iterator[tuple[Fraction, ...]]:
+    """Rows of the zero-run chain's d x d transition matrix A_d, exact, made
+    one at a time: first row all 1 - mu (run resets), subdiagonal mu (run
+    grows), one shared zero elsewhere.  sigma, d and the d^2 entries (against
+    the default budget) are checked when it is called, before any row."""
     check_alphabet(sigma)
     if d < 1:
         raise ValueError("need d >= 1")
     check_budget(d, 2, what="fsm matrix")
     mu, zero = Fraction(1, sigma), Fraction(0)
-    rows = []
-    for i in range(d):
-        row = [zero] * d
-        if i == 0:
-            row = [1 - mu] * d
-        else:
-            row[i - 1] = mu
-        rows.append(tuple(row))
-    return tuple(rows)
+    first = (1 - mu,) * d
+    return (first if i == 0 else (zero,) * (i - 1) + (mu,) + (zero,) * (d - i) for i in range(d))
 
 
 def survival_probability(sigma: int, d: int, w: int) -> Fraction:

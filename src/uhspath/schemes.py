@@ -46,6 +46,12 @@ _CHUNK = 1 << 18
 _BATCHES = 32
 
 
+def _check_shape(sigma: int, w: int, k: int) -> None:
+    check_alphabet(sigma)
+    if w < 1 or k < 1:
+        raise ValueError(f"need w >= 1 and k >= 1, got w={w} k={k}")
+
+
 @dataclass(frozen=True, eq=False)
 class SelectionScheme:
     """A selection function f mapping each window to a position in [0, w-1]."""
@@ -59,9 +65,7 @@ class SelectionScheme:
     guarantee: bool | None = None  # COMPATIBLE: is_uhs(U, w) held? None = unverified
 
     def __post_init__(self) -> None:
-        check_alphabet(self.sigma)
-        if self.w < 1 or self.k < 1:
-            raise ValueError(f"need w >= 1 and k >= 1, got w={self.w} k={self.k}")
+        _check_shape(self.sigma, self.w, self.k)
 
     @property
     def window_symbols(self) -> int:
@@ -97,6 +101,7 @@ def minimizer_scheme(
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> SelectionScheme:
     """Minimizer with window of w k-mers; rank=None means lexicographic order."""
+    _check_shape(sigma, w, k)  # before sigma**k is sized
     n = check_budget(sigma, k, budget, "minimizer rank table")
     if rank is None:
         arr = np.arange(n, dtype=np.int64)

@@ -292,7 +292,7 @@ def zero_runs(sigma, w):
 def matvec_survival(sigma, d, w):
     """Second survival oracle: w exact mat-vecs of the FSM matrix from the
     empty-run state, summed; it reaches the w = 2000 of the fsm benchmark."""
-    rows = fsm_matrix(sigma, d)
+    rows = list(fsm_matrix(sigma, d))
     p = tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(d))
     for _ in range(w):
         p = tuple(sum(r * x for r, x in zip(row, p)) for row in rows)

@@ -260,16 +260,44 @@ class TestExitCodes:
             ("mykkeltveit --sigma 0 --w 5", "alphabet size must be >= 2, got 0"),
             ("long-path --sigma 0 --w 100", "alphabet size must be >= 2, got 0"),
             ("long-path --sigma 1 --w 100", "alphabet size must be >= 2, got 1"),
+            ("density --sigma 0 --w 2 --minimizer --k -1", "alphabet size must be >= 2, got 0"),
+            ("contexts --sigma 0 --w 2 --minimizer --k -1", "alphabet size must be >= 2, got 0"),
         ],
         ids=["w0", "k-1", "sigma1", "forbidden_sigma1", "debruijn_sigma1", "debruijn_n0",
              "debruijn_n-2", "fsm_sigma1", "fsm_sigma1_matrix_only", "necklaces_list_sigma11",
-             "mykkeltveit_sigma0", "long_path_sigma0", "long_path_sigma1"],
+             "mykkeltveit_sigma0", "long_path_sigma0", "long_path_sigma1",
+             "density_sigma0_k-1", "contexts_sigma0_k-1"],
     )
     def test_bad_shape(self, capsys, argv, message):
+        # a minimizer's shape is checked before sigma^k is sized, so sigma = 0
+        # with k = -1 names the alphabet rather than dividing by zero
         assert run(argv.split()) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "error,line",
+        [
+            (MemoryError(), "error: out of memory"),
+            (
+                MemoryError("Unable to allocate 1.00 TiB"),
+                "error: out of memory: Unable to allocate 1.00 TiB",
+            ),
+        ],
+        ids=["bare", "with-message"],
+    )
+    def test_memory_error_is_exit_2(self, capsys, monkeypatch, error, line):
+        from uhspath import forbidden
+
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(forbidden, "build_forbidden_set", exhausted)
+        assert run(["forbidden", "--sigma", "2", "--w", "16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == line + "\n"
 
     @pytest.mark.parametrize(
         "line", ["01", "01 1 0", "01 x"], ids=["missing_pick", "extra_field", "non_integer_pick"]
@@ -540,7 +568,9 @@ class TestExitCodes:
     )
     def test_huge_arguments_fail_fast(self, capsys, argv, status):
         # past a float's range, a printable count or any budget, each call
-        # fails before its work with one error line
+        # fails before its work with one error line; fsm-huge-w fails the
+        # survival gate, which fsm passes before it writes the first byte of
+        # its streamed line
         start = time.perf_counter()
         assert run(argv.split()) == status
         assert time.perf_counter() - start < 1.0
@@ -731,10 +761,11 @@ class TestProcessEntryPoint:
             assert got == (tmp_path / "in_process" / name).read_bytes(), name
         assert (tmp_path / "process" / "lp.csv").read_text().count("\n") == 1314
 
-    def test_long_path_peak_rss(self):
-        # a small parent forks the run and reads its peak from wait4, so the
-        # peak is the run's own: about 44 MB at w = 1001 with the walk as one
-        # array (129 MB when every vertex was a str)
+    @staticmethod
+    def _child_peak(*argv):
+        """(exit status, stdout lines, peak RSS in KiB) of one `main()` run: a
+        small parent forks it and reads its peak from wait4, so the peak is
+        the run's own."""
         src = os.path.dirname(os.path.dirname(uhspath.__file__))
         script = (
             "import os, sys\n"
@@ -745,17 +776,33 @@ class TestProcessEntryPoint:
             "_, status, usage = os.wait4(pid, 0)\n"
             "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
         )
-        argv = ["long-path", "--sigma", "2", "--w", "1001", "--out", os.devnull]
         proc = subprocess.run(
             [sys.executable, "-c", script, *argv],
             env={**os.environ, "PYTHONPATH": src},
             capture_output=True,
             text=True,
         )
-        status, maxrss_kib = map(int, proc.stdout.splitlines()[-1].split())
+        lines = proc.stdout.splitlines()
+        status, maxrss_kib = map(int, lines[-1].split())
         assert status == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[0])["vertices"] == 25124
+        return lines[:-1], maxrss_kib
+
+    def test_long_path_peak_rss(self):
+        # about 44 MB at w = 1001 with the walk as one array (129 MB when
+        # every vertex was a str)
+        lines, maxrss_kib = self._child_peak(
+            "long-path", "--sigma", "2", "--w", "1001", "--out", os.devnull
+        )
+        assert json.loads(lines[0])["vertices"] == 25124
         assert maxrss_kib < 80 * 1024
+
+    def test_fsm_peak_rss(self):
+        # the 10^6-entry matrix is written a row at a time: about 16 MB, where
+        # the whole matrix and its whole text took 125 MB
+        lines, maxrss_kib = self._child_peak("fsm", "--sigma", "2", "--d", "1000", "--w", "5")
+        digest = "2274a564e130847780d567ef614fb41d5349f36ca123ee5f48d572f26fffbe13"
+        assert hashlib.sha256((lines[0] + "\n").encode()).hexdigest() == digest
+        assert maxrss_kib < 40 * 1024
 
     @pytest.mark.parametrize("user", [None, "3"], ids=["unset", "user-set"])
     def test_blas_pool_pinned_before_numpy_loads(self, user):

@@ -127,7 +127,7 @@ class TestSetConstruction:
             assert np.array_equal(build_forbidden_set(sigma, w).mask, (lead >= d) | (longest < d)), w
 
     @pytest.mark.parametrize("sigma", [3, 4])
-    def test_half_tables_give_longest_run(self, sigma):
+    def test_run_free_gives_longest_run(self, sigma):
         for w in range(1, 10):
             _, longest = zero_runs(sigma, w)
             for d in range(1, w + 2):
@@ -232,7 +232,7 @@ class TestCharPoly:
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 12])
     def test_matches_numpy_det(self, sigma, d):
         # (-1)^d g(lam) / (lam - mu) = det(A_d - lam I)
-        A = np.array(fsm_matrix(sigma, d), dtype=float)
+        A = np.array(list(fsm_matrix(sigma, d)), dtype=float)
         rng = np.random.default_rng(d)
         for lam in list(rng.uniform(-1, 1, size=8)) + [0.0, 1.0]:
             det = np.linalg.det(A - lam * np.eye(d))

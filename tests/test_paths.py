@@ -170,7 +170,9 @@ class TestBytesPerNode:
     # kept uint16 waves and read its large waves back from them, and the
     # builds certified and filled in blocks (2.2, 4.1, 3.7 and 1.2 B/node;
     # before, 3.6, 7.5, 6.1 and 2.2), so that a later change cannot quietly
-    # lose them
+    # lose them; the forbidden build, since it strikes the zero runs through
+    # views of the mask itself, measured 1.06 (the mask, one sigma^(w/2) row
+    # and the cardinality sum's 64 KiB buffer)
     @pytest.mark.parametrize(
         "build,bound",
         [(build_mykkeltveit_set, 2.4), (build_forbidden_set, 4.5)],
@@ -206,7 +208,7 @@ class TestBytesPerNode:
         assert _peak(build_mykkeltveit_set, 2, 20) <= 4.0 * 2**20
 
     def test_forbidden_build(self):
-        assert _peak(build_forbidden_set, 2, 20) <= 1.3 * 2**20
+        assert _peak(build_forbidden_set, 2, 20) <= 1.1 * 2**20
 
     def test_load_binary(self, tmp_path):
         # the unpacked mask (1 B/node) is the set's own mask, not copied (1.19 B/node)
