@@ -25,9 +25,9 @@ from .core import (
     check_budget,
     check_digit_text,
     debruijn_sequence,
-    kmer_decode,
     necklace_count,
     necklaces,
+    render_symbols,
 )
 
 # Handlers import what they run: necklaces, debruijn-seq, mds-count and fsm
@@ -255,6 +255,11 @@ def _cmd_check_uhs(args) -> None:
 
 def _cmd_longest_path(args) -> None:
     from . import paths
+    from .kmerset import digit_rows
+
+    def text(codes):
+        digits = render_symbols(digit_rows(codes, args.sigma, args.w).ravel().tolist(), args.sigma)
+        return [digits[i : i + args.w] for i in range(0, len(digits), args.w)]
 
     check_digit_text(args.sigma)  # the witnesses print as digit text
     kset = _resolve_set(args.set, args.sigma, args.w, args.budget)
@@ -264,8 +269,8 @@ def _cmd_longest_path(args) -> None:
         "w": args.w,
         "kind": report.kind,
         "longest_vertices": report.longest_vertices,
-        "witness": [kmer_decode(c, args.sigma, args.w) for c in report.witness],
-        "cycle_witness": [kmer_decode(c, args.sigma, args.w) for c in report.cycle_witness],
+        "witness": text(report.witness),
+        "cycle_witness": text(report.cycle_witness),
     }
     _emit(out)
 

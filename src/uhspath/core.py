@@ -110,20 +110,6 @@ def kmer_encode(s: str | Sequence[int], sigma: int) -> int:
     return code
 
 
-def kmer_decode(code: int, sigma: int, w: int) -> str:
-    """Digit text of the w-mer with this code."""
-    if w < 1:
-        raise ValueError(f"w must be >= 1, got {w}")
-    check_alphabet(sigma)
-    if not 0 <= code < sigma**w:
-        raise ValueError(f"code {code} out of range for sigma={sigma}, w={w}")
-    syms = []
-    for _ in range(w):
-        code, r = divmod(code, sigma)
-        syms.append(r)
-    return render_symbols(reversed(syms), sigma)
-
-
 def rotation_code(code: int, sigma: int, w: int) -> int:
     """Cyclic left rotation of a code: the successor inside its conjugacy class."""
     n = sigma**w

@@ -19,6 +19,17 @@ from .core import (
 _BINARY_MAGIC = b"UHS1"
 
 
+def digit_rows(codes, sigma: int, w: int) -> np.ndarray:
+    """The w symbols of each code, first symbol first, as an (n, w) array of
+    the least unsigned dtype that holds sigma - 1 (uint8 up to sigma = 256),
+    filled a digit column at a time."""
+    codes = np.asarray(codes, dtype=np.int64)
+    rows = np.empty((codes.size, w), dtype=np.min_scalar_type(sigma - 1))
+    for j in range(w):
+        rows[:, j] = codes // sigma ** (w - 1 - j) % sigma
+    return rows
+
+
 def encode_lines(lines: Iterable[str], sigma: int, w: int) -> np.ndarray:
     """int64 codes of the non-blank lines of a text file, in order.
 
@@ -93,7 +104,7 @@ class KmerSet:
         self.w = w
         mask.flags.writeable = False
         self.mask = mask
-        self._cardinality = int(mask.sum())
+        self._cardinality = int(np.count_nonzero(mask))
 
     # -- constructors ---------------------------------------------------
 
@@ -145,15 +156,12 @@ class KmerSet:
     # -- serialization ----------------------------------------------------
 
     def save_text(self, path: str) -> None:
-        """One digit line per member, in code order, rendered into one byte buffer
-        a digit column at a time; nothing is written for sigma > 10."""
+        """One digit line per member, in code order, rendered from its
+        `digit_rows` into one byte buffer; nothing is written for sigma > 10."""
         check_digit_text(self.sigma)
-        rest = self.codes()
-        lines = np.empty((rest.size, self.w + 1), dtype=np.uint8)
-        lines[:, self.w] = ord("\n")
-        for j in range(self.w - 1, -1, -1):
-            lines[:, j] = rest % self.sigma + ord("0")
-            rest //= self.sigma
+        digits = digit_rows(self.codes(), self.sigma, self.w) + ord("0")
+        lines = np.pad(digits, [(0, 0), (0, 1)], constant_values=ord("\n"))
+        del digits  # before the lines are copied out
         with open(path, "wb") as fh:
             fh.write(f"uhs sigma={self.sigma} w={self.w}\n".encode())
             fh.write(lines.tobytes())

@@ -31,7 +31,7 @@ from .core import (
     rotation_code,
 )
 from .exactsign import NEG, POS, ZERO
-from .kmerset import KmerSet
+from .kmerset import KmerSet, digit_rows
 
 _BLOCK = 1 << 18  # codes per block of the bulk build
 _ROWS = 1 << 12  # digit rows per block of the bulk build's sign certification
@@ -40,17 +40,13 @@ _ROWS = 1 << 12  # digit rows per block of the bulk build's sign certification
 # -- the set -----------------------------------------------------------------
 
 
-def _digit_rows(codes: np.ndarray, sigma: int, w: int) -> np.ndarray:
-    return (codes[:, None] // sigma ** np.arange(w - 1, -1, -1)) % sigma
-
-
 def _certified(codes: np.ndarray, approx: np.ndarray, sigma: int, w: int, part: str) -> np.ndarray:
     """`exactsign.signs` of `part` for each code, whose doubles are `approx`,
     from the digit rows of a block of _ROWS codes at a time."""
     out = np.empty(codes.size, dtype=np.int8)
     for i in range(0, codes.size, _ROWS):
         block = slice(i, i + _ROWS)
-        out[block] = exactsign.signs(_digit_rows(codes[block], sigma, w), approx[block], sigma, part)
+        out[block] = exactsign.signs(digit_rows(codes[block], sigma, w), approx[block], sigma, part)
     return out
 
 
@@ -59,8 +55,8 @@ def _half_tables(sigma: int, w: int, trig):
     and over the trailing floor(w/2) symbols (lo), one value per half code."""
     h = w - w // 2
     t = trig(2 * np.pi * np.arange(1, w + 1) / w)
-    hi = _digit_rows(np.arange(sigma**h), sigma, h) @ t[:h]
-    lo = _digit_rows(np.arange(sigma ** (w - h)), sigma, w - h) @ t[h:]
+    hi = digit_rows(np.arange(sigma**h), sigma, h) @ t[:h]
+    lo = digit_rows(np.arange(sigma ** (w - h)), sigma, w - h) @ t[h:]
     return hi, lo
 
 
@@ -73,10 +69,7 @@ def _member(im, im_rot, re, least):
     rotation.  Works elementwise on sign arrays; `least` is only consulted
     where P(x) = 0.
     """
-    on_axis = im == ZERO
-    return ((im == NEG) & (im_rot == POS)) | (on_axis & (re == NEG)) | (
-        on_axis & (re == ZERO) & least
-    )
+    return np.where(im == ZERO, (re == NEG) | ((re == ZERO) & least), (im == NEG) & (im_rot == POS))
 
 
 def _im_float_signs(

@@ -56,21 +56,22 @@ class PathReport:
     cycle_witness: list[int] = field(default_factory=list)
 
 
-def _peel(mask: np.ndarray, sigma: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _peel(mask: np.ndarray, sigma: int) -> tuple[np.ndarray, int]:
     """Counting peel on the (w-1)-mer rows of a membership mask.
 
-    Returns (h, left, longest): h[r] is the wave in which row r went idle, 0
-    if it never did, kept as _WAVE and widened to int32 once the waves reach
-    _WAVE's largest value; left[r] counts row r's surviving out-edges still
-    unlabelled, nonzero only on rows that reach a cycle; longest is the last
-    wave that labelled an edge.  A wave runs in slices of at most _CHUNK
-    sorted rows: the surviving edges f = r + b*m entering a slice's rows,
-    taken b-major, have their prefix rows f // sigma in order, so each run of
-    equal prefixes comes off `left` at once.  A row goes idle at most once,
-    so slicing a wave changes no label.  Rows are marked in h as they go
-    idle.  Wave 1, and any wave of more than m/_LARGE rows, is read back
-    from h a block of _CHUNK rows at a time; a smaller wave is also kept as
-    a sorted array of rows.
+    Returns (h, longest): h[r] is the wave in which row r went idle, 0 if it
+    never did, kept as _WAVE and widened to int32 once the waves reach
+    _WAVE's largest value; longest is the last wave that labelled an edge.
+    The count `left[r]` of row r's surviving out-edges still unlabelled
+    stays nonzero only on rows that reach a cycle.  A wave runs in slices of
+    at most _CHUNK sorted rows: the surviving edges f = r + b*m entering a
+    slice's rows, taken b-major, have their prefix rows f // sigma in order,
+    so each run of equal prefixes comes off `left` at once.  A row goes idle
+    at most once, so slicing a wave changes no label.  Rows are marked in h
+    as they go idle, wave 1 a block of _CHUNK rows at a time.  Wave 1, and
+    any wave of more than m/_LARGE rows, is read back from h a block of
+    _CHUNK rows at a time; a smaller wave is also kept as a sorted array of
+    rows.
     """
     m = mask.size // sigma
     left = np.full(m, sigma, dtype=np.min_scalar_type(sigma))
@@ -78,7 +79,8 @@ def _peel(mask: np.ndarray, sigma: int) -> tuple[np.ndarray, np.ndarray, int]:
         left -= mask[a::sigma]
     entering = np.arange(sigma, dtype=np.int64)[:, None] * m
     h = np.zeros(m, dtype=_WAVE)
-    h[left == 0] = 1
+    for j in range(0, m, _CHUNK):
+        h[j : j + _CHUNK] = left[j : j + _CHUNK] == 0
     wave, longest, rows = 1, 0, None
     while True:
         if wave == np.iinfo(h.dtype).max:  # the next wave would not fit
@@ -109,71 +111,46 @@ def _peel(mask: np.ndarray, sigma: int) -> tuple[np.ndarray, np.ndarray, int]:
                 if count > m // _LARGE:
                     idle = None
         if count == 0:
-            return h, left, longest
+            return h, longest
         wave += 1
         rows = None if idle is None else np.concatenate(idle)
         if idle and len(idle) > 1:  # one sorted run per slice; timsort merges them
             rows.sort(kind="stable")
 
 
-def _least_pending(mask: np.ndarray, h: np.ndarray) -> int:
-    """The least code b*m + r the peel left pending (outside the set, row r
-    never idle), found by scanning each b-block of the mask a slice of
-    _CHUNK rows at a time, in code order."""
+def _least(mask: np.ndarray, h: np.ndarray, label: int) -> int:
+    """The least surviving code b*m + r whose row holds `label`, h[r] ==
+    label (0: the row never went idle), or -1 if there is none; each b-block
+    of the mask is scanned a slice of _CHUNK rows at a time, in code order."""
     m = h.size
     for b in range(0, mask.size, m):
         for j in range(0, m, _CHUNK):
             k = min(j + _CHUNK, m)
-            hit = np.flatnonzero(~mask[b + j : b + k] & (h[j:k] == 0))
+            hit = np.flatnonzero(~mask[b + j : b + k] & (h[j:k] == label))
             if hit.size:
                 return b + j + int(hit[0])
-    raise AssertionError("the peel left rows counting but no code pending")
+    return -1
 
 
-def _cycle_witness(mask: np.ndarray, sigma: int, h: np.ndarray) -> list[int]:
-    """Extract one forward cycle from the nodes the peel left pending.
-
-    A node v is pending if it survives and its row h[v mod m] never went
-    idle.  Every pending node has a pending successor, so walking
-    least-symbol pending successors from the least pending node must revisit
-    a node; the segment from its first visit is a cycle (a broken invariant
-    would end the walk on a lone node without one, which verify_witness
-    rejects).
+def _walk(mask: np.ndarray, sigma: int, h: np.ndarray, label: int) -> list[int]:
+    """A witness read off the peel's rows: from the least surviving code
+    whose row holds `label`, step to the least surviving successor whose row
+    holds the next label.  For the longest path, `label` is the longest and
+    drops by one each step, down to 1.  For a cycle it stays 0: every code
+    left pending (surviving, its row never idle) has a pending successor, so
+    the walk revisits a code and is cut at that code's first visit.  A
+    missing successor ends the walk on -1, which verify_witness rejects.
     """
     n, m = mask.size, h.size
-    v = _least_pending(mask, h)
-    seen: dict[int, int] = {}
-    walk: list[int] = []
-    while v not in seen:
-        seen[v] = len(walk)
-        walk.append(v)
+    v, first = _least(mask, h, label), {}
+    while v not in first:  # a falling label repeats no code
+        first[v] = len(first)
+        if v < 0 or label == 1:
+            return list(first)
+        label = max(label - 1, 0)
         base = (v * sigma) % n
-        for u in range(base, base + sigma):
-            if not mask[u] and h[u % m] == 0:
-                v = u
-                break
-    return walk[seen[v] :]
-
-
-def _longest_path(mask: np.ndarray, sigma: int, h: np.ndarray, longest: int) -> list[int]:
-    """Walk from the least surviving code labelled `longest` (b*m + r has label
-    h[r] unless a member) along the least successor labelled one less; a
-    missing successor reads -1, which verify_witness rejects."""
-    if longest == 0:
-        return []
-    n, m = mask.size, h.size
-    top = np.flatnonzero(h == longest)
-    for b in range(sigma):
-        r = top[~mask[b * m + top]]
-        if r.size:
-            v = b * m + int(r[0])
-            break
-    path = [v]
-    for k in range(longest - 1, 0, -1):
-        base = (v * sigma) % n
-        v = next((u for u in range(base, base + sigma) if not mask[u] and h[u % m] == k), -1)
-        path.append(v)
-    return path
+        v = next((u for u in range(base, base + sigma) if not mask[u] and h[u % m] == label), -1)
+    return list(first)[first[v] :]
 
 
 def verify_rows(mask: np.ndarray, sigma: int, h: np.ndarray) -> int | None:
@@ -216,13 +193,13 @@ def longest_remaining_path(kset: KmerSet, budget: int = DEFAULT_NODE_BUDGET) -> 
     """
     sigma, mask = kset.sigma, kset.mask
     check_budget(sigma, kset.w, budget, "longest remaining path")
-    h, left, longest = _peel(mask, sigma)
-    if left.any():
-        report = PathReport(CYCLIC, cycle_witness=_cycle_witness(mask, sigma, h))
+    h, longest = _peel(mask, sigma)
+    if not h.all():  # a row never went idle: it reaches a cycle
+        report = PathReport(CYCLIC, cycle_witness=_walk(mask, sigma, h, 0))
     elif verify_rows(mask, sigma, h) != longest:  # checked before the walk trusts h
         raise AssertionError("the peel's rows do not certify its longest path")
     else:
-        report = PathReport(ACYCLIC, longest, _longest_path(mask, sigma, h, longest))
+        report = PathReport(ACYCLIC, longest, _walk(mask, sigma, h, longest) if longest else [])
     if not verify_witness(kset, report):
         raise AssertionError(f"the {report.kind} witness fails its check")
     return report

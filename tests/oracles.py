@@ -3,7 +3,7 @@
 Each kernel has one oracle here: a slow, direct reading of its definition.
 
 - peel (`paths.longest_remaining_path`, `paths._peel`'s rows through
-  `labels_from_rows`): `dfs_longest`;
+  `labels_from_rows`): `dfs_longest`; its cycle witness: `cycle_walk`;
 - selection (`schemes._selected`, `scheme_values`, `is_forward`, the
   densities): `select` on every window, through `picks` and `estimate`;
 - context sets: `charged_contexts`, the charged windows of a cyclic de Bruijn
@@ -16,7 +16,8 @@ Each kernel has one oracle here: a slow, direct reading of its definition.
   Fractions and `fraction_bisection`;
 - the Mykkeltveit set: `class_pick`, one conjugacy class at a time;
 - the long path's ring walk: `code_ring`;
-- the bulk set-file parser: `per_line_load_text`;
+- the bulk set-file parser: `per_line_load_text`; digit rows
+  (`kmerset.digit_rows`, `save_text`, the witness text): `kmer_decode`;
 - FKM necklace generation: `recursive_fkm`; the necklace count: `orbit_count`;
 - the fixed-point sign tier: `mp_im` and `mp_re` at 200 digits, and the
   cyclotomic zero test, `reduce_mod_cyclotomic` of a `part_polynomial`.
@@ -43,10 +44,12 @@ from hypothesis import strategies as st
 from uhspath import exactsign
 from uhspath.core import (
     canonical_rotation_code,
+    check_alphabet,
     check_budget,
     debruijn_sequence,
     kmer_encode,
     parse_symbols,
+    render_symbols,
     rotation_code,
 )
 from uhspath.exactsign import NEG, POS, ZERO
@@ -71,6 +74,16 @@ from uhspath.schemes import (
 def symbols(code, sigma, w):
     """The w symbols of a code, first symbol most significant."""
     return tuple((code // sigma ** (w - 1 - i)) % sigma for i in range(w))
+
+
+def kmer_decode(code, sigma, w):
+    """Digit text of the w-mer with this code, one code at a time."""
+    if w < 1:
+        raise ValueError(f"w must be >= 1, got {w}")
+    check_alphabet(sigma)
+    if not 0 <= code < sigma**w:
+        raise ValueError(f"code {code} out of range for sigma={sigma}, w={w}")
+    return render_symbols(symbols(code, sigma, w), sigma)
 
 
 def one_sign(syms, approx, sigma, part):
@@ -169,6 +182,28 @@ def dfs_longest(kset):
         v = next(u for u in range((v * sigma) % n, (v * sigma) % n + sigma) if labels[u] == labels[v] - 1)
         path.append(v)
     return ACYCLIC, labels, path
+
+
+def cycle_walk(kset):
+    """The cycle witness of a cyclic graph, by the production tie-break.
+
+    The pending codes are the survivors left after repeatedly dropping the
+    survivors that have no surviving successor.  The walk starts at the
+    least pending code, steps to the least-symbol pending successor, and is
+    cut at the first repeat, from that code's first visit.
+    """
+    sigma, n = kset.sigma, kset.n
+    pending = set(np.flatnonzero(~kset.mask).tolist())
+
+    def successors(v):
+        return [u for u in range((v * sigma) % n, (v * sigma) % n + sigma) if u in pending]
+
+    while dead := {v for v in pending if not successors(v)}:
+        pending -= dead
+    walk = [min(pending)]
+    while (v := successors(walk[-1])[0]) not in walk:
+        walk.append(v)
+    return walk[walk.index(v) :]
 
 
 def labels_from_rows(h, mask, sigma):

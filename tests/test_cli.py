@@ -528,14 +528,14 @@ class TestExitCodes:
         real_peel = paths._peel
 
         def corrupted(mask, sigma):
-            h, left, longest = real_peel(mask, sigma)
+            h, longest = real_peel(mask, sigma)
             if corrupt == "row":
                 h[int(np.flatnonzero(~mask)[0]) % h.size] = 0
             elif corrupt == "short":
                 longest -= 1
             else:
                 h, longest = 2 * h, 2 * longest
-            return h, left, longest
+            return h, longest
 
         monkeypatch.setattr(paths, "_peel", corrupted)
         assert run(argv.split()) == 3

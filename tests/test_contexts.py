@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import charged_contexts, select, selection_schemes
+from oracles import charged_contexts, kmer_decode, select, selection_schemes
 from uhspath.contexts import (
     build_context_set_forward,
     build_context_set_local,
     forward_context_symbols,
     local_context_symbols,
 )
-from uhspath.core import kmer_decode
 from uhspath.paths import is_uhs, longest_remaining_path
 from uhspath.schemes import (
     TABLE,

@@ -2,7 +2,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import orbit_count, pure_rotation, recursive_fkm, successor, symbols
+from oracles import kmer_decode, orbit_count, pure_rotation, recursive_fkm, successor, symbols
 from uhspath.core import (
     BudgetError,
     _fkm,
@@ -12,7 +12,6 @@ from uhspath.core import (
     check_budget,
     conjugacy_class,
     debruijn_sequence,
-    kmer_decode,
     kmer_encode,
     necklace_count,
     necklaces,

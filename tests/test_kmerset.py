@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import hits, kmer_sets, per_line_load_text
-from uhspath.core import BudgetError, kmer_decode, kmer_encode
-from uhspath.kmerset import KmerSet, encode_lines
+from oracles import hits, kmer_decode, kmer_sets, per_line_load_text, symbols
+from uhspath.core import BudgetError, kmer_encode
+from uhspath.kmerset import KmerSet, digit_rows, encode_lines
 
 
 def random_set(rng, sigma, w, p=0.3):
@@ -92,6 +92,14 @@ class TestSerialization:
             s.save_text(t)
             with open(t, "rb") as fh:
                 assert fh.read() == expect.encode()
+
+    @pytest.mark.parametrize("sigma,dtype", [(2, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_digit_rows_are_symbols(self, sigma, dtype):
+        # past 256 symbols the rows widen, as the Mykkeltveit build needs at w = 2
+        codes = [0, 1, sigma - 1, sigma**2 + 3, sigma**3 - 1]
+        rows = digit_rows(codes, sigma, 3)
+        assert rows.dtype == dtype
+        assert [tuple(r) for r in rows.tolist()] == [symbols(c, sigma, 3) for c in codes]
 
     def test_text_save_beyond_ten_symbols_writes_nothing(self, tmp_path):
         p = tmp_path / "s.txt"

@@ -13,6 +13,7 @@ from oracles import (
     code_ring,
     digit_loop_build,
     embedding,
+    kmer_decode,
     pure_rotation,
     raw_embedding,
     successor,
@@ -23,7 +24,6 @@ from uhspath import exactsign, mykkeltveit
 from uhspath.core import (
     BudgetError,
     canonical_rotation_code,
-    kmer_decode,
     kmer_encode,
     necklace_count,
 )

@@ -10,6 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from oracles import (
     compatible_rank,
     estimate,
+    kmer_decode,
     picks,
     select,
     selected_mask,
@@ -17,7 +18,7 @@ from oracles import (
     symbol_lists,
 )
 from uhspath import schemes
-from uhspath.core import debruijn_sequence, kmer_decode, parse_symbols
+from uhspath.core import debruijn_sequence, parse_symbols
 from uhspath.forbidden import build_forbidden_set
 from uhspath.kmerset import KmerSet
 from uhspath.paths import longest_remaining_path
