@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from .core import (
     DIGIT_TEXT,
@@ -39,7 +38,8 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _rat(x: Fraction) -> dict:
+def _rat(x) -> dict:
+    """An exact rational, a Fraction, as {"num", "den", "float"}."""
     return {"num": x.numerator, "den": x.denominator, "float": float(x)}
 
 
@@ -382,37 +382,35 @@ def _add_scheme_opts(p):
     p.add_argument("--k", type=int, help="k-mer length (default 1 for --minimizer)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="uhspath")
-    sub = parser.add_subparsers(dest="cmd", required=True)
+def _add_out(p):
+    p.add_argument("--out")
+    p.add_argument("--binary", action="store_true")
 
-    p = sub.add_parser("necklaces")
+
+def _opts_necklaces(p):
     _add_common(p)
     p.add_argument("--list", action="store_true")
-    p.set_defaults(fn=_cmd_necklaces)
 
-    p = sub.add_parser("debruijn-seq")
+
+def _opts_debruijn_seq(p):
     _add_common(p, w=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--cyclic", action="store_true")
-    p.set_defaults(fn=_cmd_debruijn_seq)
 
-    for name, fn in (("mykkeltveit", _cmd_mykkeltveit), ("forbidden", _cmd_forbidden)):
-        p = sub.add_parser(name)
-        _add_common(p)
-        p.add_argument("--out")
-        p.add_argument("--binary", action="store_true")
-        p.set_defaults(fn=fn)
 
-    p = sub.add_parser("contexts")
+def _opts_built_set(p):
+    _add_common(p)
+    _add_out(p)
+
+
+def _opts_contexts(p):
     _add_common(p)
     _add_scheme_opts(p)
     p.add_argument("--variant", choices=["local", "forward"], default="local")
-    p.add_argument("--out")
-    p.add_argument("--binary", action="store_true")
-    p.set_defaults(fn=_cmd_contexts)
+    _add_out(p)
 
-    p = sub.add_parser("density")
+
+def _opts_density(p):
     _add_common(p)
     _add_scheme_opts(p)
     p.add_argument("--seq", help="particular density on this string")
@@ -420,38 +418,69 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimate", action="store_true", help="skip the exact path")
     p.add_argument("--sample", type=int, default=10**7)
     p.add_argument("--seed", type=int, default=0, help="seed of the sampled string")
-    p.set_defaults(fn=_cmd_density)
 
-    for name, fn in (("check-uhs", _cmd_check_uhs), ("longest-path", _cmd_longest_path)):
-        p = sub.add_parser(name)
-        _add_common(p)
-        p.add_argument("--set", required=True, help="file path, 'forbidden' or 'mykkeltveit'")
-        if name == "check-uhs":
-            p.add_argument("--l", type=int)
-        p.set_defaults(fn=fn)
 
-    p = sub.add_parser("long-path")
+def _opts_named_set(p):
+    _add_common(p)
+    p.add_argument("--set", required=True, help="file path, 'forbidden' or 'mykkeltveit'")
+
+
+def _opts_check_uhs(p):
+    _opts_named_set(p)
+    p.add_argument("--l", type=int)
+
+
+def _opts_long_path(p):
     _add_common(p)
     p.add_argument("--out", help="vertex file (default: stdout)")
     p.add_argument("--csv", help="write per-step embeddings re,im")
-    p.set_defaults(fn=_cmd_long_path)
 
-    p = sub.add_parser("mds-count")
+
+def _opts_mds_count(p):
     _add_common(p, budget=False)
     p.add_argument("--emit", help="directory to write every set as a text file")
-    p.set_defaults(fn=_cmd_mds_count)
 
-    p = sub.add_parser("fsm")
+
+def _opts_fsm(p):
     _add_common(p, w=False, budget=False)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--w", type=int)
-    p.set_defaults(fn=_cmd_fsm)
 
+
+# each subcommand's handler and options, in the order the help lists them
+_COMMANDS = {
+    "necklaces": (_cmd_necklaces, _opts_necklaces),
+    "debruijn-seq": (_cmd_debruijn_seq, _opts_debruijn_seq),
+    "mykkeltveit": (_cmd_mykkeltveit, _opts_built_set),
+    "forbidden": (_cmd_forbidden, _opts_built_set),
+    "contexts": (_cmd_contexts, _opts_contexts),
+    "density": (_cmd_density, _opts_density),
+    "check-uhs": (_cmd_check_uhs, _opts_check_uhs),
+    "longest-path": (_cmd_longest_path, _opts_named_set),
+    "long-path": (_cmd_long_path, _opts_long_path),
+    "mds-count": (_cmd_mds_count, _opts_mds_count),
+    "fsm": (_cmd_fsm, _opts_fsm),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser, with the subparser of the subcommand that argv starts
+    with, or of every subcommand if it starts with none (the help and the
+    error that list them): building all eleven, mostly in add_parser, takes
+    about twice as long as building one."""
+    parser = _Parser(prog="uhspath")
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    for name in argv[:1] if argv[:1] and argv[0] in _COMMANDS else _COMMANDS:
+        fn, opts = _COMMANDS[name]
+        p = sub.add_parser(name)
+        opts(p)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         args.fn(args)

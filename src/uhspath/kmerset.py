@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -15,6 +14,9 @@ from .core import (
     check_digit_text,
     kmer_encode,
 )
+
+if TYPE_CHECKING:  # the module loads fractions only where a Fraction is built
+    from fractions import Fraction
 
 _BINARY_MAGIC = b"UHS1"
 
@@ -133,6 +135,8 @@ class KmerSet:
 
     def relative_size(self) -> Fraction:
         """Exact |A| / sigma^w."""
+        from fractions import Fraction
+
         return Fraction(self.cardinality, self.n)
 
     def contains_code(self, code: int) -> bool:

@@ -11,11 +11,15 @@ The peel (Kahn 1962) keeps, per row, the count of its surviving out-edges
 still unlabelled.  A row whose count reaches 0 goes idle: wave k sets
 h[r] = k on the rows that went idle after wave k - 1 and labels the
 surviving edges entering them, which lowers the counts of their prefix rows.
-It reads the set's mask as it is and keeps about 3/sigma bytes per w-mer (a
-count that holds sigma and a uint16 wave per row, widened to int32 only if
-the waves reach 65,535) besides the wave in flight, which is read back from
-h when it holds more than a sixteenth of the rows.  Rows still counting at
-the end lie on a cycle or lead into one.
+Its cost is the number of numpy passes per edge, so each slice of a wave
+makes few: a gather of the mask, one ``np.subtract.at`` whose scalar has the
+counts' dtype (a Python int sends ufunc.at down its slow casting loop), and
+``compress`` selects, faster than boolean indexing where about half the
+entries go.  It reads the set's mask as it is and keeps about 3/sigma bytes
+per w-mer (a count that holds sigma and a uint16 wave per row, widened to
+int32 only if the waves reach 65,535) besides the wave in flight, which is
+read back from h when it holds more than a sixteenth of the rows.  Rows
+still counting at the end lie on a cycle or lead into one.
 
 h, with m entries, is the certificate of the longest path: ``verify_rows``
 checks without the peel that h[r] exceeds the label of every w-mer leaving
@@ -65,13 +69,19 @@ def _peel(mask: np.ndarray, sigma: int) -> tuple[np.ndarray, int]:
     The count `left[r]` of row r's surviving out-edges still unlabelled
     stays nonzero only on rows that reach a cycle.  A wave runs in slices of
     at most _CHUNK sorted rows: the surviving edges f = r + b*m entering a
-    slice's rows, taken b-major, have their prefix rows f // sigma in order,
-    so each run of equal prefixes comes off `left` at once.  A row goes idle
-    at most once, so slicing a wave changes no label.  Rows are marked in h
-    as they go idle, wave 1 a block of _CHUNK rows at a time.  Wave 1, and
-    any wave of more than m/_LARGE rows, is read back from h a block of
-    _CHUNK rows at a time; a smaller wave is also kept as a sorted array of
-    rows.
+    slice's rows, taken b-major, have their prefix rows t = f // sigma in
+    order.  Each slice
+    - keeps the surviving edges, by boolean indexing (about 95% survive);
+    - takes one off `left` per edge with np.subtract.at, its scalar of
+      `left`'s dtype, so that ufunc.at runs its fast indexed loop;
+    - keeps, by compress, the prefix rows whose count reached 0, unless all
+      did, and marks them in h.
+    A row reached by several edges of the slice is listed once per edge;
+    its copies are adjacent, and are dropped by compress only while the
+    wave is kept as rows.  A row goes idle at most once, so slicing a wave
+    changes no label.  Wave 1, and any wave of more than m/_LARGE rows, is
+    read back from h a block of _CHUNK rows at a time; a smaller wave is
+    also kept as a sorted array of rows.
     """
     m = mask.size // sigma
     left = np.full(m, sigma, dtype=np.min_scalar_type(sigma))
@@ -81,9 +91,10 @@ def _peel(mask: np.ndarray, sigma: int) -> tuple[np.ndarray, int]:
     h = np.zeros(m, dtype=_WAVE)
     for j in range(0, m, _CHUNK):
         h[j : j + _CHUNK] = left[j : j + _CHUNK] == 0
+    one, top = left.dtype.type(1), np.iinfo(_WAVE).max
     wave, longest, rows = 1, 0, None
     while True:
-        if wave == np.iinfo(h.dtype).max:  # the next wave would not fit
+        if wave == top:  # the next wave would not fit
             h = h.astype(np.int32)
         if rows is None:  # read the wave back from h
             slices = (j + np.flatnonzero(h[j : j + _CHUNK] == wave) for j in range(0, m, _CHUNK))
@@ -92,18 +103,18 @@ def _peel(mask: np.ndarray, sigma: int) -> tuple[np.ndarray, int]:
         idle, count = [], 0
         for part in slices:
             f = (part + entering).ravel()
-            f = f[~mask[f]]
+            f = f[~mask.take(f)]
             if f.size == 0:
                 continue
             longest = wave
             t = f // sigma
-            edge = np.empty(t.size + 1, dtype=bool)
-            edge[0] = edge[-1] = True
-            np.not_equal(t[1:], t[:-1], out=edge[1:-1])
-            edge = np.flatnonzero(edge)
-            t = t[edge[:-1]]
-            left[t] -= np.diff(edge).astype(left.dtype)
-            t = t[left[t] == 0]
+            del f  # before the selects allocate
+            np.subtract.at(left, t, one)
+            went = left.take(t) == 0
+            if idle is not None:  # the wave is kept as rows: one copy of each
+                went[1:] &= t[1:] != t[:-1]
+            if np.count_nonzero(went) < t.size:
+                t = t.compress(went)
             h[t] = wave + 1
             count += t.size
             if idle is not None and t.size:

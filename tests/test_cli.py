@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import uhspath
+from uhspath import cli
 from uhspath.cli import run
 from uhspath.kmerset import KmerSet
 
@@ -677,6 +678,81 @@ class TestExitCodes:
         assert "internal error: constructed walk revisits a vertex" in capsys.readouterr().err
 
 
+class TestParser:
+    """The parser holds only the subparser that argv names; the help and the
+    errors that list every subcommand keep their bytes."""
+
+    COMMANDS = [
+        "necklaces", "debruijn-seq", "mykkeltveit", "forbidden", "contexts", "density",
+        "check-uhs", "longest-path", "long-path", "mds-count", "fsm",
+    ]
+    # sha256 of the --help text at COLUMNS=80, built with every subparser
+    # under the argparse of Python 3.10 and 3.11
+    HELP_SHA256 = {
+        "": "7e6e573055e3f63001567aefda8b921a93cde826f1a96e1a030725f16b485d1b",
+        "necklaces": "8b369393cb95c352dbe40fe0b5844dc9c1ab78c2955532958beba40081304d6a",
+        "debruijn-seq": "6f2de55ac11cc972f039c8f24aee3965e8199e1eb121e1b659c7983abc6565f4",
+        "mykkeltveit": "f0571454e7064321ed9e5ea069fdf6168dfaf0e7f648159a9248b0b6ad954f45",
+        "forbidden": "3e2720ea65fa2cc53b0bb43ea0294894daa187479f03dee5671c403d9a17266e",
+        "contexts": "5ca02e2d6ba42ac2c512924d47fdb6151690421b3ce015eda567d86e69e1c596",
+        "density": "365849bf96052fce394e9f5f47928d6707666a4cd5e36dcc28d29eab07214512",
+        "check-uhs": "8d958d7f91573eb14ffb900a4e4547a5d8d5a9ef1b0e9359402f2883b4166bd4",
+        "longest-path": "a672fd7859f3a4f8e8140cdfdcb822319be138341a597717a35a90bc60816162",
+        "long-path": "b86d10a8e2b985694056db6fb0f0fb8bc0f3dac22db732f45abd1d94d4f11e64",
+        "mds-count": "b762e06f097a9fd1a8f44a8a943bbf4e270294e3417101772a24101dec82ec7d",
+        "fsm": "942389d8e9401ec378e8a4f1e88e5dfca7b905fddb51ac977db049ac56f0ca64",
+    }
+    ERRORS = {
+        "": "error: the following arguments are required: cmd\n",
+        "bogus": "error: argument cmd: invalid choice: 'bogus' (choose from "
+        + ", ".join(map(repr, COMMANDS))
+        + ")\n",
+    }
+    PINNED = pytest.mark.skipif(
+        sys.version_info[:2] not in [(3, 10), (3, 11)],
+        reason="bytes pinned under the argparse of Python 3.10 and 3.11",
+    )
+
+    @staticmethod
+    def _run(capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        try:
+            code = run(argv)
+        except SystemExit as e:  # --help exits from inside argparse
+            code = e.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @PINNED
+    @pytest.mark.parametrize("cmd", list(HELP_SHA256))
+    def test_help_bytes(self, capsys, monkeypatch, cmd):
+        code, out, err = self._run(capsys, monkeypatch, cmd.split() + ["--help"])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.HELP_SHA256[cmd]
+
+    @PINNED
+    @pytest.mark.parametrize("argv", list(ERRORS), ids=["none", "bogus"])
+    def test_error_bytes(self, capsys, monkeypatch, argv):
+        assert self._run(capsys, monkeypatch, argv.split()) == (1, "", self.ERRORS[argv])
+
+    @pytest.mark.parametrize(
+        "argv",
+        ["", "-h", "bogus", "--sigma 2", "necklaces --sigma 2", "density --w 3", "fsm --d x"]
+        + [f"{cmd} --help" for cmd in COMMANDS],
+    )
+    def test_same_as_every_subparser(self, capsys, monkeypatch, argv):
+        # on any Python: the bytes of a parser built with all eleven
+        lazy = self._run(capsys, monkeypatch, argv.split())
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda _argv: build_parser())
+        assert self._run(capsys, monkeypatch, argv.split()) == lazy
+
+    def test_one_subparser_built(self):
+        parser = cli.build_parser(["fsm", "--d", "1"])
+        with pytest.raises(ValueError, match="invalid choice: 'necklaces'"):
+            parser.parse_args(["necklaces", "--w", "4"])
+
+
 class TestProcessEntryPoint:
     """`cli.main` in a fresh interpreter, launched as the benchmark launches it."""
 
@@ -803,6 +879,38 @@ class TestProcessEntryPoint:
         digest = "2274a564e130847780d567ef614fb41d5349f36ca123ee5f48d572f26fffbe13"
         assert hashlib.sha256((lines[0] + "\n").encode()).hexdigest() == digest
         assert maxrss_kib < 40 * 1024
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "necklaces --sigma 2 --w 4",
+            "debruijn-seq --sigma 2 --n 3",
+            "mds-count --sigma 2 --w 4",
+            "mykkeltveit --sigma 2 --w 10",
+            "longest-path --sigma 2 --w 10 --set mykkeltveit",
+        ],
+        ids=lambda argv: argv.split()[0],
+    )
+    def test_no_fractions_without_a_fraction(self, argv):
+        # fractions (and the decimal it loads) is imported where a Fraction
+        # is built, which these outputs never do
+        src = os.path.dirname(os.path.dirname(uhspath.__file__))
+        script = (
+            "import sys\n"
+            "before = {'fractions', 'decimal'} & set(sys.modules)\n"
+            "from uhspath.cli import main\n"
+            "try:\n"
+            "    main()\n"
+            "except SystemExit as e:\n"
+            "    print(e.code, sorted(({'fractions', 'decimal'} & set(sys.modules)) - before), file=sys.stderr)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv.split()],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.stderr == "0 []\n"
 
     @pytest.mark.parametrize("user", [None, "3"], ids=["unset", "user-set"])
     def test_blas_pool_pinned_before_numpy_loads(self, user):

@@ -81,10 +81,11 @@ class TestAgainstBruteForce:
 
 class TestSlices:
     # slices of 1 to 7 rows put seams inside every wave, and split runs of
-    # edges that share a prefix row
+    # edges that share a prefix row; at sigma = 7 a row's count and the
+    # copies of a prefix row in one slice reach 7
 
     @pytest.mark.parametrize("chunk", [1, 7])
-    @pytest.mark.parametrize("sigma", [2, 3, 4, 5])
+    @pytest.mark.parametrize("sigma", [2, 3, 4, 5, 7])
     @given(data=st.data())
     def test_against_dfs(self, sigma, chunk, data):
         kset = data.draw(kmer_sets(sigma, max_nodes=1 << 10))
