@@ -9,8 +9,15 @@ longest remaining path has exactly w - d vertices.
 The relative size of the run-avoiding part is the survival probability of a
 small Markov chain: state i = current zero-run length, absorbing death at
 run d.  Its transition matrix A_d has a closed-form characteristic
-polynomial and a dominant eigenvalue bracketed in (1 - mu^d, 1 - mu^(d+1)),
-mu = 1/sigma.
+polynomial and a dominant eigenvalue bracketed in (lo, hi) =
+(1 - mu^d, 1 - mu^(d+1)), mu = 1/sigma.  The bracket is proved, not
+computed: with g(lam) = lam^d (lam - 1) + mu^d (1 - mu), the characteristic
+polynomial times (lam - mu),
+    g(hi) = mu^d [(1 - mu) - mu hi^d] > mu^d (1 - 2 mu) >= 0, and
+    g(lo) = mu^d [(1 - mu) - lo^d],
+which is 0 at d = 1 (the root is lo itself).  For d >= 2 the strict
+Bernoulli inequality lo^d > 1 - d mu^d gives
+g(lo) < mu^(d+1) (d mu^(d-1) - 1) <= 0, as d <= 2^(d-1) <= sigma^(d-1).
 
 Neither keeps a whole table beside its output: the run-free mask is struck
 through reshaped views of itself (one byte per w-mer and one sigma^(w/2)
@@ -123,14 +130,19 @@ def remaining_path_witness(sigma: int, w: int) -> list[int]:
 # -- survival FSM ------------------------------------------------------------
 
 
+def _check_chain(sigma: int, d: int) -> None:
+    """The chain's shape, checked first by each function of it."""
+    check_alphabet(sigma)
+    if d < 1:
+        raise ValueError("need d >= 1")
+
+
 def fsm_matrix(sigma: int, d: int) -> Iterator[tuple[Fraction, ...]]:
     """Rows of the zero-run chain's d x d transition matrix A_d, exact, made
     one at a time: first row all 1 - mu (run resets), subdiagonal mu (run
     grows), one shared zero elsewhere.  sigma, d and the d^2 entries (against
     the default budget) are checked when it is called, before any row."""
-    check_alphabet(sigma)
-    if d < 1:
-        raise ValueError("need d >= 1")
+    _check_chain(sigma, d)
     check_budget(d, 2, what="fsm matrix")
     mu, zero = Fraction(1, sigma), Fraction(0)
     first = (1 - mu,) * d
@@ -150,9 +162,7 @@ def survival_probability(sigma: int, d: int, w: int) -> Fraction:
     """
     if w < 0:
         raise ValueError("need w >= 0")
-    check_alphabet(sigma)
-    if d < 1:
-        raise ValueError("need d >= 1")
+    _check_chain(sigma, d)
     check_budget(w * (w * sigma.bit_length() // 64 + 1), 1, what="survival recurrence")
     runs = deque([1] + [0] * (min(d, w + 1) - 1))
     total = 1
@@ -171,44 +181,43 @@ def _g_sign(sigma: int, d: int, a: int, b: int) -> int:
     """Sign of g(a/b), b > 0, where g(lam) = lam^(d+1) - lam^d - mu^(d+1) + mu^d
     is the characteristic polynomial times (lam - mu): det(A_d - lam I) =
     (-1)^d g(lam) / (lam - mu) for lam != mu.  It is the sign of the integer
-    g(a/b) (b sigma)^(d+1) = sigma^(d+1) a^d (a - b) + (sigma - 1) b^(d+1)."""
+    g(a/b) (b sigma)^(d+1) = sigma^(d+1) a^d (a - b) + (sigma - 1) b^(d+1).
+    Only `dominant_root`'s bisection calls it: the bracket's end signs are
+    proved (see the module docstring)."""
     v = sigma ** (d + 1) * a**d * (a - b) + (sigma - 1) * b ** (d + 1)
     return (v > 0) - (v < 0)
 
 
 def bracket_holds(sigma: int, d: int) -> bool:
-    """Sign change of the characteristic polynomial on (1 - mu^d, 1 - mu^(d+1)),
-    whose ends are (den - sigma)/den and (den - 1)/den, den = sigma^(d+1)."""
-    den = sigma ** (d + 1)
-    return _g_sign(sigma, d, den - sigma, den) * _g_sign(sigma, d, den - 1, den) < 0
+    """Whether the characteristic polynomial changes sign on the open bracket
+    (1 - mu^d, 1 - mu^(d+1)): exactly when d >= 2.  g is positive at the
+    upper end for every sigma >= 2.  At the lower end it is 0 for d = 1 and,
+    by Bernoulli's inequality, below mu^(d+1) (d mu^(d-1) - 1) <= 0 for
+    d >= 2 (the module docstring has the proof)."""
+    _check_chain(sigma, d)
+    return d >= 2
 
 
 def dominant_root(sigma: int, d: int) -> Fraction:
     """Dominant eigenvalue of A_d by exact bisection on its bracket, to ROOT_TOL.
 
-    The ends stay integers over one denominator, sigma^(d+1) at first, which
-    doubles at each halving.  Raises when the bracket carries no sign change
-    (it fails for sigma=2, d=1, where the polynomial has a double root at 1/2).
+    At d = 1 it is 1 - mu, the bracket's lower end, where g is 0.  For d >= 2
+    the proved end signs g(lo) < 0 < g(hi) (see `bracket_holds`) start the
+    bisection without evaluating g.  The ends stay integers over one
+    denominator, sigma^(d+1) at first, which doubles at each halving; once
+    the bracket is narrower than ROOT_TOL (d >= 39 at sigma = 2) its midpoint
+    is the root.  No midpoint is a root of g: by the rational root theorem
+    on sigma^(d+1) g, a rational root 0 < a/b < 1 has a | sigma - 1, so
+    a/b <= a / (a + 1) <= 1 - mu <= lo.
     """
+    _check_chain(sigma, d)
+    if d == 1:
+        return 1 - Fraction(1, sigma)
     den = sigma ** (d + 1)
     lo, hi = den - sigma, den - 1
-    glo, ghi = _g_sign(sigma, d, lo, den), _g_sign(sigma, d, hi, den)
-    if glo == 0:
-        return Fraction(lo, den)
-    if ghi == 0:
-        return Fraction(hi, den)
-    if glo == ghi:
-        raise ValueError(f"no sign change on the bracket for sigma={sigma}, d={d}")
     while (hi - lo) * ROOT_TOL.denominator > ROOT_TOL.numerator * den:
         mid, den = lo + hi, 2 * den
-        lo, hi = 2 * lo, 2 * hi
-        gm = _g_sign(sigma, d, mid, den)
-        if gm == 0:
-            return Fraction(mid, den)
-        if gm == glo:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, 2 * hi) if _g_sign(sigma, d, mid, den) < 0 else (2 * lo, mid)
     return Fraction(lo + hi, 2 * den)
 
 
@@ -219,7 +228,10 @@ def eigenpair_residual(sigma: int, d: int, root: Fraction) -> float:
     sum is n / q^(d-1), n = p^(d-1) + p^(d-2) q + ... + q^(d-1) =
     (q^d - p^d) / (q - p) in integers (d q^(d-1) when p = q), and the
     residual is one correctly rounded quotient."""
+    _check_chain(sigma, d)
     lam = Fraction(root)
+    if lam == 0:
+        raise ValueError("need a nonzero root")
     s = Fraction(1, sigma) / lam
     p, q = s.numerator, s.denominator
     qd = q ** (d - 1)

@@ -296,11 +296,6 @@ def _string_selected(scheme: SelectionScheme, syms: Sequence[int], cyclic: bool)
     return _selected(scheme, pieces, length, cyclic)
 
 
-def _selected_positions(scheme: SelectionScheme, syms: Sequence[int], cyclic: bool) -> set[int]:
-    """The selected positions as a set (the form the acceptance tests check)."""
-    return set(np.flatnonzero(_string_selected(scheme, syms, cyclic)).tolist())
-
-
 def particular_density(
     scheme: SelectionScheme, s: str | Sequence[int], cyclic: bool = False
 ) -> DensityResult:

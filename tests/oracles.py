@@ -13,7 +13,9 @@ Each kernel has one oracle here: a slow, direct reading of its definition.
 - the eigenpair residual: `matvec_residual`, the FSM matrix times
   `dominant_eigenvector`;
 - the characteristic polynomial's signs and the dominant root: `char_g` in
-  Fractions and `fraction_bisection`;
+  Fractions, `scaled_g` in integers and `fraction_bisection`; the proved
+  bracket (`bracket_holds`): `bracket_sign_change`, its end signs from
+  fixed-point bounds on a d-th power, exact where the bounds do not decide;
 - the Mykkeltveit set: `class_pick`, one conjugacy class at a time;
 - the long path's ring walk: `code_ring`;
 - the bulk set-file parser: `per_line_load_text`; digit rows
@@ -22,9 +24,10 @@ Each kernel has one oracle here: a slow, direct reading of its definition.
 - the fixed-point sign tier: `mp_im` and `mp_re` at 200 digits, and the
   cyclotomic zero test, `reduce_mod_cyclotomic` of a `part_polynomial`.
 
-Two kernels keep a second oracle for sizes the first cannot reach in test
-time: `digit_loop_build` (the Mykkeltveit mask up to sigma = 2, w = 20) and
-`matvec_survival` (survival at w = 2000).  `successor`, `pure_rotation`,
+Three kernels keep a second oracle for sizes the first cannot reach in test
+time: `digit_loop_build` (the Mykkeltveit mask up to sigma = 2, w = 20),
+`matvec_survival` (survival at w = 2000) and `g_residual` (the eigenpair
+residual at d = 1074, where it rounds to 0.0).  `successor`, `pure_rotation`,
 `raw_embedding`, `embedding` and `hits` are the per-word definitions the
 oracles and tests build on; they take a w-mer as its code with (sigma, w),
 or as symbols.
@@ -338,6 +341,61 @@ def char_g(mu, d, lam):
     """The characteristic polynomial times (lam - mu), in Fractions:
     det(A_d - lam I) = (-1)^d g(lam) / (lam - mu) for lam != mu."""
     return lam ** (d + 1) - lam**d - mu ** (d + 1) + mu**d
+
+
+def scaled_g(sigma, d, a, b):
+    """g(a/b) (b sigma)^(d+1) in integers, b > 0: the integer whose sign
+    `forbidden._g_sign` returns."""
+    return sigma ** (d + 1) * a**d * (a - b) + (sigma - 1) * b ** (d + 1)
+
+
+def power_bounds(p, q, d, bits):
+    """Integers l <= (p/q)^d 2^bits <= h, 0 <= p <= q, by square-and-multiply
+    in fixed point at `bits` fraction bits, floors carrying l, ceilings h."""
+    l, h = (p << bits) // q, -(-(p << bits) // q)
+    pl = ph = 1 << bits
+    while d:
+        if d & 1:
+            pl, ph = pl * l >> bits, -(-ph * h >> bits)
+        l, h = l * l >> bits, -(-h * h >> bits)
+        d >>= 1
+    return pl, ph
+
+
+def end_sign(sigma, d, q, c):
+    """Sign of g at the bracket end (q - 1)/q, read off the sign of
+    c - ((q - 1)/q)^d: g(lo) = mu^d [(1 - mu) - lo^d] with q = sigma^d and
+    c = 1 - mu, g(hi) = mu^(d+1) [(sigma - 1) - hi^d] with q = sigma^(d+1)
+    and c = sigma - 1.  `power_bounds` at 2 (d + 1) log2(sigma) + 64 bits
+    decides it; where c lies between its bounds (at d = 1, where g(lo) = 0),
+    the exact d^2-bit `scaled_g` does."""
+    bits = 64 + 2 * (d + 1) * sigma.bit_length()
+    l, h = power_bounds(q - 1, q, d, bits)
+    if h < c * 2**bits:
+        return 1
+    if l > c * 2**bits:
+        return -1
+    v = scaled_g(sigma, d, q - 1, q)
+    return (v > 0) - (v < 0)
+
+
+def bracket_sign_change(sigma, d):
+    """Whether g changes sign between the bracket's ends 1 - mu^d and
+    1 - mu^(d+1), each sign found by `end_sign` (the exact d^2-bit integers
+    at every end take about 2 s over sigma <= 10, d <= 200)."""
+    glo = end_sign(sigma, d, sigma**d, Fraction(sigma - 1, sigma))
+    ghi = end_sign(sigma, d, sigma ** (d + 1), sigma - 1)
+    return glo * ghi < 0
+
+
+def g_residual(sigma, d, root):
+    """The eigenpair residual read off g: row 0's (1 - mu)(1 + s + ... +
+    s^(d-1)) - root is -g(root) / (root^(d-1) (root - mu)), so for a root
+    a/b != mu it is |V| / |sigma^d a^(d-1) b (sigma a - b)|, V = `scaled_g`,
+    one correctly rounded quotient."""
+    lam = Fraction(root)
+    a, b = lam.numerator, lam.denominator
+    return abs(scaled_g(sigma, d, a, b)) / abs(sigma**d * a ** (d - 1) * b * (sigma * a - b))
 
 
 def fraction_bisection(sigma, d):

@@ -28,7 +28,7 @@ from uhspath.schemes import (
     minimizer_scheme,
     particular_density,
     table_scheme,
-    _selected_positions,
+    _string_selected,
 )
 
 
@@ -53,7 +53,7 @@ def test_criterion_01_minimizer_example():
     with criterion(1, "minimizer worked example") as info:
         sch = minimizer_scheme(4, 3, 5)
         syms = parse_symbols("CACTGCTGTACCTCTTCT", 4)
-        positions = _selected_positions(sch, syms, False)
+        positions = set(np.flatnonzero(_string_selected(sch, syms, False)).tolist())
         assert positions == {1, 2, 5, 9, 10, 11}
         res = particular_density(sch, "CACTGCTGTACCTCTTCT")
         assert res.density == Fraction(6, 16)

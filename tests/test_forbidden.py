@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import (
+    bracket_sign_change,
     char_g,
     dfs_longest,
     dominant_eigenvector,
     fraction_bisection,
+    g_residual,
     matvec_residual,
     matvec_survival,
+    scaled_g,
     widths,
     zero_runs,
 )
@@ -250,12 +253,11 @@ class TestCharPoly:
 
 class TestDominantRoot:
     def test_bracket_fails_only_at_d1(self):
-        # at d=1 the eigenvalue is exactly 1 - mu, the open bracket's endpoint
-        assert not bracket_holds(2, 1)
-        assert not bracket_holds(4, 1)
-        for d in range(2, 8):
-            assert bracket_holds(2, d)
-            assert bracket_holds(4, d)
+        # the proved bracket_holds (d >= 2) against the oracle's end signs; at
+        # d=1 the eigenvalue is exactly 1 - mu, the open bracket's end
+        for sigma in range(2, 11):
+            for d in range(1, 201):
+                assert bracket_holds(sigma, d) == bracket_sign_change(sigma, d) == (d >= 2)
 
     @pytest.mark.parametrize("sigma", [2, 3])
     @pytest.mark.parametrize("d", [1, 2, 6, 40, 300])
@@ -267,24 +269,53 @@ class TestDominantRoot:
         for lam in (lo, hi, (lo + hi) / 2, Fraction(0), mu, Fraction(3, 2)):
             g = char_g(mu, d, lam)
             assert _g_sign(sigma, d, lam.numerator, lam.denominator) == (g > 0) - (g < 0)
+            assert scaled_g(sigma, d, lam.numerator, lam.denominator) == g * (
+                lam.denominator * sigma
+            ) ** (d + 1)
 
-    @pytest.mark.parametrize("sigma", [2, 3, 4, 5])
+    @pytest.mark.parametrize("sigma", range(2, 11))
     def test_root_is_fraction_bisection(self, sigma):
-        for d in range(1, 13):
+        for d in range(1, 61):
             assert dominant_root(sigma, d) == fraction_bisection(sigma, d), (sigma, d)
 
     def test_large_d_is_fast(self):
-        # at d = 1000 the bracket is already narrower than ROOT_TOL, so the root
-        # is its midpoint; the integer signs take far under a second
+        # from d = 39 on at sigma = 2 the bracket is narrower than ROOT_TOL, so
+        # the root is its midpoint, found without evaluating g: well under
+        # 10 ms up to the largest d that fsm_matrix's d^2 gate admits
         mu = Fraction(1, 2)
-        lo, hi = 1 - mu**1000, 1 - mu**1001
-        assert hi - lo < ROOT_TOL
-        start = time.perf_counter()
-        assert bracket_holds(2, 1000)
-        assert time.perf_counter() - start < 0.5
-        start = time.perf_counter()
-        assert dominant_root(2, 1000) == (lo + hi) / 2
-        assert time.perf_counter() - start < 0.5
+        for d in (1000, 16384):
+            lo, hi = 1 - mu**d, 1 - mu ** (d + 1)
+            assert hi - lo < ROOT_TOL
+            start = time.perf_counter()
+            assert bracket_holds(2, d)
+            root = dominant_root(2, d)
+            assert time.perf_counter() - start < 0.01
+            assert root == (lo + hi) / 2
+
+    @pytest.mark.parametrize(
+        "call,args,match",
+        [
+            (bracket_holds, (1, 3), "alphabet size must be >= 2, got 1"),
+            (bracket_holds, (2, -1), "need d >= 1"),
+            (dominant_root, (2, 0), "need d >= 1"),
+            (dominant_root, (1, 3), "alphabet size must be >= 2, got 1"),
+            (dominant_root, (0, 2), "alphabet size must be >= 2, got 0"),
+            (eigenpair_residual, (2, 0, Fraction(1, 2)), "need d >= 1"),
+            (eigenpair_residual, (2, 3, Fraction(0)), "need a nonzero root"),
+        ],
+        ids=[
+            "bracket-sigma1",
+            "bracket-d-1",
+            "root-d0",
+            "root-sigma1",
+            "root-sigma0",
+            "residual-d0",
+            "residual-root0",
+        ],
+    )
+    def test_rejects_bad_shape(self, call, args, match):
+        with pytest.raises(ValueError, match=match):
+            call(*args)
 
     def test_d1_root_is_endpoint(self):
         assert dominant_root(2, 1) == Fraction(1, 2)
@@ -312,8 +343,8 @@ class TestDominantRoot:
         assert residual == matvec_residual(sigma, d, root)
 
     def test_closed_form_sum_is_horner(self):
-        # the geometric sum in closed form gives Horner's float at every d <= 200
-        # whose bracket holds, and at p = q
+        # the geometric sum in closed form gives Horner's float, and the g
+        # quotient's, at every d from 2 to 200, and at p = q
         def horner(sigma, d, root):
             s = Fraction(1, sigma) / root
             p, q = s.numerator, s.denominator
@@ -325,14 +356,33 @@ class TestDominantRoot:
             return abs(diff / (sigma * qd * root.denominator))
 
         for sigma in (2, 3, 5):
-            for d in range(1, 201):
-                if bracket_holds(sigma, d):
-                    root = dominant_root(sigma, d)
-                    assert eigenpair_residual(sigma, d, root) == horner(sigma, d, root), (sigma, d)
+            for d in range(2, 201):
+                root = dominant_root(sigma, d)
+                residual = eigenpair_residual(sigma, d, root)
+                assert residual == horner(sigma, d, root) == g_residual(sigma, d, root), (sigma, d)
         for sigma, d in [(2, 1), (3, 7)]:
             mu = Fraction(1, sigma)  # s = 1, so p = q
             assert eigenpair_residual(sigma, d, mu) == horner(sigma, d, mu)
             assert eigenpair_residual(sigma, d, mu) == matvec_residual(sigma, d, mu)
+
+    @given(
+        st.integers(2, 5),
+        st.integers(1, 60),
+        st.fractions(Fraction(1, 10), 2, max_denominator=2**40),
+    )
+    def test_residual_is_g_residual(self, sigma, d, root):
+        # at any root != mu, not only the bisection's (from 1/10 up, s <= 2)
+        if root != Fraction(1, sigma):
+            assert eigenpair_residual(sigma, d, root) == g_residual(sigma, d, root)
+
+    def test_residual_underflows_past_d_1073(self):
+        # from d = 39 at sigma = 2 the root is the bracket's midpoint, and
+        # g_residual there is just under mu^d / 2 = 2^-(d+1): it rounds to the
+        # least subnormal, 2^-1074, at d = 1073, and to 0.0 from d = 1074 on,
+        # where it is under half of it; fsm prints that 0.0
+        for d, printed in [(1073, 2.0**-1074), (1074, 0.0)]:
+            root = dominant_root(2, d)
+            assert eigenpair_residual(2, d, root) == g_residual(2, d, root) == printed
 
     def test_eigenvector_shape(self):
         lam = dominant_root(2, 3)

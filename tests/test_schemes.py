@@ -41,7 +41,6 @@ from uhspath.schemes import (
     table_scheme,
     _codes,
     _leftmost_min,
-    _selected_positions,
     _string_selected,
 )
 
@@ -91,7 +90,8 @@ class TestParticularDensity:
         sch = minimizer_scheme(4, 3, 5)
         res = particular_density(sch, WORKED_SEQ)
         assert res.density == Fraction(6, 16)
-        positions = _selected_positions(sch, parse_symbols(WORKED_SEQ, 4), False)
+        selected = _string_selected(sch, parse_symbols(WORKED_SEQ, 4), False)
+        positions = set(np.flatnonzero(selected).tolist())
         assert positions == {1, 2, 5, 9, 10, 11}
 
     def test_constant_scheme_density_one(self):
