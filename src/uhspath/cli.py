@@ -43,21 +43,35 @@ def _rat(x) -> dict:
     return {"num": x.numerator, "den": x.denominator, "float": float(x)}
 
 
-def _emit(obj: dict) -> None:
-    print(json.dumps(obj))
+def _write(out: dict) -> None:
+    """Writes out as the line json.dumps(out) + "\\n".  A value that is an
+    iterator stands for the array of its items, each already JSON text, and
+    is written an item at a time as it yields them; every other value is
+    known before the first byte, so only an iterator can fail mid-line."""
+    write = sys.stdout.write
+    write("{")
+    for i, (key, value) in enumerate(out.items()):
+        write((", " if i else "") + json.dumps(key) + ": ")
+        if hasattr(value, "__next__"):
+            write("[")
+            for j, item in enumerate(value):
+                write((", " if j else "") + item)
+            write("]")
+        else:
+            write(json.dumps(value))
+    write("}\n")
 
 
 def _check_text_out(args) -> None:
     """A text --out holds digit lines, so sigma > 10 fails before any work."""
-    if args.out and not args.binary:
+    if getattr(args, "out", None) and not args.binary:
         check_digit_text(args.sigma)
 
 
-def _save_set(kset, path: str, binary: bool) -> None:
-    if binary:
-        kset.save_binary(path)
-    else:
-        kset.save_text(path)
+def _save_set(kset, args) -> None:
+    """Saves kset to --out, where given, as the binary or the text form."""
+    if getattr(args, "out", None):
+        (kset.save_binary if args.binary else kset.save_text)(args.out)
 
 
 def _resolve_set(spec: str, sigma: int, w: int, budget: int):
@@ -75,6 +89,17 @@ def _resolve_set(spec: str, sigma: int, w: int, budget: int):
     if (kset.sigma, kset.w) != (sigma, w):
         raise ValueError(f"set file is sigma={kset.sigma} w={kset.w}, expected sigma={sigma} w={w}")
     return kset
+
+
+def _peeled_set(args, spec: str):
+    """(set, report): the set that spec names, saved to a --out that is
+    checked before the set is built, and its longest remaining path."""
+    from . import paths
+
+    _check_text_out(args)
+    kset = _resolve_set(spec, args.sigma, args.w, args.budget)
+    _save_set(kset, args)
+    return kset, paths.longest_remaining_path(kset, budget=args.budget)
 
 
 def _load_scheme(args):
@@ -99,10 +124,10 @@ def _load_scheme(args):
     return scheme
 
 
-# -- subcommand handlers -----------------------------------------------------
+# -- subcommand handlers: each returns its answer for run() to write ---------
 
 
-def _cmd_necklaces(args) -> None:
+def _cmd_necklaces(args) -> dict:
     # the count has more than w log10(sigma) - log10(w) digits: past the most
     # that Python prints, fail before computing it (Pythons before 3.10.7 have
     # no such limit)
@@ -118,76 +143,59 @@ def _cmd_necklaces(args) -> None:
         "w": args.w,
         "necklace_count": necklace_count(args.sigma, args.w),
     }
-    if not args.list:
-        _emit(out)
-        return
-    check_budget(out["necklace_count"], 1, args.budget, "necklace list")
-    check_digit_text(args.sigma)
-    # A class is the fixed JSON text {"rep": "<word>", "size": <period>}, its
-    # word a str of symbol code points below 10 and so apart from every
-    # other character: the list is joined as text and rendered by one
-    # translate, and the bytes are those of json.dumps with a "classes" list.
-    classes = ", ".join(
-        [f'{{"rep": "{word}", "size": {period}}}' for word, period in necklaces(args.sigma, args.w)]
-    )
-    print(json.dumps(out)[:-1] + f', "classes": [{classes.translate(DIGIT_TEXT)}]}}')
+    if args.list:
+        check_budget(out["necklace_count"], 1, args.budget, "necklace list")
+        check_digit_text(args.sigma)
+        # A class is the fixed JSON text {"rep": "<word>", "size": <period>},
+        # its word a str of symbol code points below 10 and so apart from
+        # every other character: the classes are joined as text and rendered
+        # by one translate, and handed on as one item that holds them all.
+        words = necklaces(args.sigma, args.w)
+        classes = ", ".join([f'{{"rep": "{word}", "size": {period}}}' for word, period in words])
+        out["classes"] = iter([classes.translate(DIGIT_TEXT)])
+    return out
 
 
-def _cmd_debruijn_seq(args) -> None:
+def _cmd_debruijn_seq(args) -> dict:
     seq = debruijn_sequence(args.sigma, args.n, cyclic=args.cyclic, budget=args.budget)
-    _emit(
-        {
-            "sigma": args.sigma,
-            "order": args.n,
-            "cyclic": args.cyclic,
-            "length": len(seq),
-            "sequence": seq,
-        }
-    )
+    return {
+        "sigma": args.sigma,
+        "order": args.n,
+        "cyclic": args.cyclic,
+        "length": len(seq),
+        "sequence": seq,
+    }
 
 
-def _cmd_mykkeltveit(args) -> None:
-    from . import paths
-    from .mykkeltveit import build_mykkeltveit_set
+def _cmd_mykkeltveit(args) -> dict:
+    from .paths import ACYCLIC
 
-    _check_text_out(args)
-    kset = build_mykkeltveit_set(args.sigma, args.w, budget=args.budget)
-    if args.out:
-        _save_set(kset, args.out, args.binary)
-    report = paths.longest_remaining_path(kset, budget=args.budget)
-    _emit(
-        {
-            "sigma": args.sigma,
-            "w": args.w,
-            "cardinality": kset.cardinality,
-            "necklace_count": necklace_count(args.sigma, args.w),
-            "decycling": report.kind == paths.ACYCLIC,
-            "longest_path": report.longest_vertices,
-        }
-    )
+    kset, report = _peeled_set(args, "mykkeltveit")
+    return {
+        "sigma": args.sigma,
+        "w": args.w,
+        "cardinality": kset.cardinality,
+        "necklace_count": necklace_count(args.sigma, args.w),
+        "decycling": report.kind == ACYCLIC,
+        "longest_path": report.longest_vertices,
+    }
 
 
-def _cmd_forbidden(args) -> None:
-    from . import forbidden, paths
+def _cmd_forbidden(args) -> dict:
+    from .forbidden import forbidden_d
 
-    _check_text_out(args)
-    kset = forbidden.build_forbidden_set(args.sigma, args.w, budget=args.budget)
-    if args.out:
-        _save_set(kset, args.out, args.binary)
-    report = paths.longest_remaining_path(kset, budget=args.budget)
-    _emit(
-        {
-            "sigma": args.sigma,
-            "w": args.w,
-            "d": forbidden.forbidden_d(args.sigma, args.w),
-            "cardinality": kset.cardinality,
-            "relative_size": _rat(kset.relative_size()),
-            "longest_path": report.longest_vertices,
-        }
-    )
+    kset, report = _peeled_set(args, "forbidden")
+    return {
+        "sigma": args.sigma,
+        "w": args.w,
+        "d": forbidden_d(args.sigma, args.w),
+        "cardinality": kset.cardinality,
+        "relative_size": _rat(kset.relative_size()),
+        "longest_path": report.longest_vertices,
+    }
 
 
-def _cmd_contexts(args) -> None:
+def _cmd_contexts(args) -> dict:
     from . import contexts
 
     _check_text_out(args)
@@ -196,22 +204,19 @@ def _cmd_contexts(args) -> None:
         cs = contexts.build_context_set_local(scheme, budget=args.budget)
     else:
         cs = contexts.build_context_set_forward(scheme, budget=args.budget)
-    if args.out:
-        _save_set(cs, args.out, args.binary)
-    _emit(
-        {
-            "sigma": scheme.sigma,
-            "w": scheme.w,
-            "k": scheme.k,
-            "variant": args.variant,
-            "context_symbols": cs.w,
-            "cardinality": cs.cardinality,
-            "relative_size": _rat(cs.relative_size()),
-        }
-    )
+    _save_set(cs, args)
+    return {
+        "sigma": scheme.sigma,
+        "w": scheme.w,
+        "k": scheme.k,
+        "variant": args.variant,
+        "context_symbols": cs.w,
+        "cardinality": cs.cardinality,
+        "relative_size": _rat(cs.relative_size()),
+    }
 
 
-def _cmd_density(args) -> None:
+def _cmd_density(args) -> dict:
     from . import schemes
 
     scheme = _load_scheme(args)
@@ -231,14 +236,13 @@ def _cmd_density(args) -> None:
         out["stderr"] = res.stderr
     if scheme.guarantee is not None:
         out["uhs_guarantee"] = scheme.guarantee
-    _emit(out)
+    return out
 
 
-def _cmd_check_uhs(args) -> None:
-    from . import paths
+def _cmd_check_uhs(args) -> dict:
+    from .paths import ACYCLIC
 
-    kset = _resolve_set(args.set, args.sigma, args.w, args.budget)
-    report = paths.longest_remaining_path(kset, budget=args.budget)
+    kset, report = _peeled_set(args, args.set)
     out = {
         "sigma": args.sigma,
         "w": args.w,
@@ -249,12 +253,11 @@ def _cmd_check_uhs(args) -> None:
     }
     if args.l is not None:
         out["l"] = args.l
-        out["is_uhs"] = report.kind == paths.ACYCLIC and report.longest_vertices < args.l
-    _emit(out)
+        out["is_uhs"] = report.kind == ACYCLIC and report.longest_vertices < args.l
+    return out
 
 
-def _cmd_longest_path(args) -> None:
-    from . import paths
+def _cmd_longest_path(args) -> dict:
     from .kmerset import digit_rows
 
     def text(codes):
@@ -262,9 +265,8 @@ def _cmd_longest_path(args) -> None:
         return [digits[i : i + args.w] for i in range(0, len(digits), args.w)]
 
     check_digit_text(args.sigma)  # the witnesses print as digit text
-    kset = _resolve_set(args.set, args.sigma, args.w, args.budget)
-    report = paths.longest_remaining_path(kset, budget=args.budget)
-    out = {
+    _, report = _peeled_set(args, args.set)
+    return {
         "sigma": args.sigma,
         "w": args.w,
         "kind": report.kind,
@@ -272,10 +274,9 @@ def _cmd_longest_path(args) -> None:
         "witness": text(report.witness),
         "cycle_witness": text(report.cycle_witness),
     }
-    _emit(out)
 
 
-def _cmd_long_path(args) -> None:
+def _cmd_long_path(args) -> dict:
     import numpy as np
 
     from .mykkeltveit import build_long_path
@@ -295,20 +296,18 @@ def _cmd_long_path(args) -> None:
             for i in range(0, n, step):
                 ps = enumerate(lp.embeddings[i : i + step].tolist(), i)
                 fh.write("".join([f"{k},{p.real!r},{p.imag!r}\n" for k, p in ps]))
-    _emit(
-        {
-            "sigma": args.sigma,
-            "w": args.w,
-            "vertices": n,
-            "quadruples": len(lp.quadruples),
-            "validated": True,  # build_long_path raises on any failed check
-            "all_im_positive": True,
-            "min_im": float(lp.embeddings.imag.min()),
-        }
-    )
+    return {
+        "sigma": args.sigma,
+        "w": args.w,
+        "vertices": n,
+        "quadruples": len(lp.quadruples),
+        "validated": True,  # build_long_path raises on any failed check
+        "all_im_positive": True,
+        "min_im": float(lp.embeddings.imag.min()),
+    }
 
 
-def _cmd_mds_count(args) -> None:
+def _cmd_mds_count(args) -> dict:
     from .mds import enumerate_mds
 
     census = enumerate_mds(args.sigma, args.w, emit_sets=bool(args.emit))
@@ -320,22 +319,34 @@ def _cmd_mds_count(args) -> None:
         for i, codes in enumerate(census.sets):
             kset = KmerSet.from_codes(args.sigma, args.w, codes)
             kset.save_text(os.path.join(args.emit, f"mds_{i:0{width}d}.txt"))
-    _emit(
-        {
-            "sigma": args.sigma,
-            "w": args.w,
-            "mds_count": census.mds_count,
-            "nodes_explored": census.nodes_explored,
-            "prunes": census.prunes,
-        }
-    )
+    return {
+        "sigma": args.sigma,
+        "w": args.w,
+        "mds_count": census.mds_count,
+        "nodes_explored": census.nodes_explored,
+        "prunes": census.prunes,
+    }
 
 
-def _cmd_fsm(args) -> None:
+def _cmd_fsm(args) -> dict:
     from . import forbidden
 
-    rows = forbidden.fsm_matrix(args.sigma, args.d)
-    out = {"bracket_holds": forbidden.bracket_holds(args.sigma, args.d)}
+    # the matrix is written a row at a time, its rows sharing a few distinct
+    # entries whose JSON text is rendered once each, looked up by id
+    text = {}
+
+    def row_text(row):
+        for key, v in dict(zip(map(id, row), row)).items():
+            if key not in text:
+                text[key] = json.dumps(_rat(v))
+        return "[" + ", ".join(map(text.__getitem__, map(id, row))) + "]"
+
+    out = {
+        "sigma": args.sigma,
+        "d": args.d,
+        "matrix": map(row_text, forbidden.fsm_matrix(args.sigma, args.d)),
+        "bracket_holds": forbidden.bracket_holds(args.sigma, args.d),
+    }
     if out["bracket_holds"]:
         root = forbidden.dominant_root(args.sigma, args.d)
         out["dominant_root"] = float(root)
@@ -347,19 +358,7 @@ def _cmd_fsm(args) -> None:
         out["survival"] = _rat(
             forbidden.survival_probability(args.sigma, args.d, args.w)
         )
-    # every field that can fail is known before the first byte; the matrix
-    # is then written a row at a time, its rows sharing a few distinct
-    # entries whose JSON text is rendered once each, looked up by id
-    write = sys.stdout.write
-    write(json.dumps({"sigma": args.sigma, "d": args.d})[:-1] + ', "matrix": [')
-    text, sep = {}, ""
-    for row in rows:
-        for key, v in dict(zip(map(id, row), row)).items():
-            if key not in text:
-                text[key] = json.dumps(_rat(v))
-        write(sep + "[" + ", ".join(map(text.__getitem__, map(id, row))) + "]")
-        sep = ", "
-    write("], " + json.dumps(out)[1:] + "\n")
+    return out
 
 
 # -- wiring ------------------------------------------------------------------
@@ -483,7 +482,7 @@ def run(argv=None) -> int:
     parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
-        args.fn(args)
+        _write(args.fn(args))
     except BudgetError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -507,7 +506,7 @@ def main() -> None:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     status = run()
     # Every output is written and its file closed by now.  Freezing moves the
-    # objects left (numpy's import leaves about 100k) out of the collector's
+    # objects left (numpy's import leaves about 20k) out of the collector's
     # reach, so the interpreter's final collection does not walk them.
     gc.freeze()
     sys.exit(status)

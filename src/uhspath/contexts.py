@@ -26,30 +26,39 @@ def forward_context_symbols(scheme: SelectionScheme) -> int:
     return scheme.window_symbols + 1
 
 
+def _fresh_picks(scheme: SelectionScheme, windows: int, budget: int, what: str) -> KmerSet:
+    """Contexts of `windows` windows whose last window picks a position none
+    of the windows before it picked.
+
+    Only the last window's picks are spelled out over every context; window
+    i is compared with them through a (sigma^i, sigma^ws, rest) view, its
+    picks broadcast along the first and last axes.  The first compare makes
+    the mask and each later one goes into one reused buffer, so two windows
+    take one pass; a single window leaves every context a member.
+    """
+    sigma = scheme.sigma
+    W = scheme.window_symbols + windows - 1
+    m = check_budget(sigma, W, budget, what)
+    fv = scheme_values(scheme, budget=budget)
+    last = digit_slice(fv, sigma, windows - 1, W)
+    member = (np.empty if windows > 1 else np.ones)(m, dtype=bool)
+    fresh = np.empty(m, dtype=bool)
+    for i in range(windows - 1):
+        # window i picks i + f(window i), the last window (windows - 1) + f(last window)
+        shape = (sigma**i, fv.size, -1)
+        picks = (fv + (i - (windows - 1))).reshape(1, -1, 1)
+        np.not_equal(last.reshape(shape), picks, out=(fresh if i else member).reshape(shape))
+        if i:
+            member &= fresh
+    return KmerSet(sigma, W, member)
+
+
 def build_context_set_local(
     scheme: SelectionScheme, budget: int = DEFAULT_NODE_BUDGET
 ) -> KmerSet:
     """Contexts whose last window picks a position none of the w-1 windows
-    before it picked.  Valid for any scheme, forward or not.
-
-    Only the last window's picks are spelled out over every context; window
-    i is compared with them through a (sigma^i, sigma^ws, rest) view, its
-    picks broadcast along the first and last axes, into one reused buffer.
-    """
-    sigma, w = scheme.sigma, scheme.w
-    W = local_context_symbols(scheme)
-    m = check_budget(sigma, W, budget, "local context set")
-    fv = scheme_values(scheme, budget=budget)
-    last = digit_slice(fv, sigma, w - 1, W)
-    member = np.ones(m, dtype=bool)
-    fresh = np.empty(m, dtype=bool)
-    for i in range(w - 1):
-        # window i picks i + f(window i), the last window (w - 1) + f(last window)
-        shape = (sigma**i, fv.size, -1)
-        picks = (fv + (i - (w - 1))).reshape(1, -1, 1)
-        np.not_equal(last.reshape(shape), picks, out=fresh.reshape(shape))
-        member &= fresh
-    return KmerSet(sigma, W, member)
+    before it picked.  Valid for any scheme, forward or not."""
+    return _fresh_picks(scheme, scheme.w, budget, "local context set")
 
 
 def build_context_set_forward(
@@ -63,10 +72,4 @@ def build_context_set_forward(
     """
     if scheme.kind == TABLE and not is_forward(scheme, budget=budget):
         raise ValueError("scheme is not forward")
-    sigma = scheme.sigma
-    ws = scheme.window_symbols
-    check_budget(sigma, ws + 1, budget, "forward context set")
-    fv = scheme_values(scheme, budget=budget)
-    member = digit_slice(fv + 1, sigma, 1, ws + 1) != digit_slice(fv, sigma, 0, ws + 1)
-    return KmerSet(sigma, ws + 1, member)
-
+    return _fresh_picks(scheme, 2, budget, "forward context set")

@@ -1,5 +1,7 @@
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
 import signal
@@ -9,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import uhspath
 from uhspath import cli
@@ -940,3 +943,138 @@ class TestProcessEntryPoint:
         )
         assert proc.stderr.split() == ["0", "False", "True", user or "1"]
         assert json.loads(proc.stdout)["cardinality"] == 108
+
+
+class TestStdoutPins:
+    """Every subcommand's stdout, in process, pinned by its sha256.  The
+    sampled --estimate is left out: its bytes follow numpy's RNG stream and
+    np.std, which numpy releases do not hold fixed."""
+
+    @pytest.mark.parametrize(
+        "argv,status,digest",
+        [
+            pytest.param(
+                "necklaces --sigma 3 --w 5", 0,
+                "6bff1833c8955b34d1fbce44181695910f39ff2869cbdfbc7206ea793cd8aee5",
+                id="necklaces",
+            ),
+            pytest.param(
+                "necklaces --sigma 3 --w 5 --list", 0,
+                "fb089c1dfc335f3d9ef2733220a1924ec6527878110dcd17d0248a06f27ce59b",
+                id="necklaces-list",
+            ),
+            pytest.param(
+                "debruijn-seq --sigma 3 --n 3 --cyclic", 0,
+                "b0ef6898a09abab940c5e6f72adafef369cb5001cc6b0be5947b1efc9c8e6f08",
+                id="debruijn-seq",
+            ),
+            pytest.param(
+                "mykkeltveit --sigma 2 --w 10", 0,
+                "feb1c1250ce63725273e68dc54c5a03019cc2882dc44169ba064dead18713b1e",
+                id="mykkeltveit",
+            ),
+            pytest.param(
+                "forbidden --sigma 2 --w 12", 0,
+                "5b0ae99f0012f22752d0dd0c8662cb0e82cf6dcaa0aedbf40cd99d93dbf22477",
+                id="forbidden",
+            ),
+            pytest.param(
+                "contexts --sigma 2 --w 4 --minimizer --k 3", 0,
+                "c49d366dfc443fabb0218a3bda7e7c4fcdcf3bea49e48464fd94fc70cb271bed",
+                id="contexts-local",
+            ),
+            pytest.param(
+                "contexts --sigma 2 --w 3 --minimizer --k 1 --variant forward", 0,
+                "b3f13bdc9c051ad1cf056de98264dc68cb447f1bed210527238a38e010360e27",
+                id="contexts-forward",
+            ),
+            pytest.param(
+                "density --sigma 2 --w 4 --minimizer --k 3", 0,
+                "3ea501d95e89b86fbccbb02b4b1aa673f71e2ef9c6c32cbda89b0ffa9d9f8b92",
+                id="density-exact",
+            ),
+            pytest.param(
+                "density --sigma 4 --w 5 --minimizer --k 3 --seq CACTGCTGTACCTCTTCT", 0,
+                "cf242cb99750edbfc41f612ee1ec600bde5fa3c69e280642122ff73295ef74e3",
+                id="density-seq",
+            ),
+            pytest.param(
+                "check-uhs --sigma 2 --w 10 --set forbidden --l 12", 0,
+                "d8a281d90cf7a84a329fa0bd724a5b243ace818504a6ad8ff3138cff95101ac3",
+                id="check-uhs",
+            ),
+            pytest.param(
+                "longest-path --sigma 2 --w 3 --set c3.txt", 0,
+                "b1f31e351c4377987fa3fcf5d1027e0609dfd748b969f332def248255b045148",
+                id="longest-path-cyclic",
+            ),
+            pytest.param(
+                "long-path --sigma 2 --w 20", 0,
+                "b9554deb22f34d9ef916537d6a71769471c7a8ab454f25a3bd8d0edb5046c160",
+                id="long-path",
+            ),
+            pytest.param(
+                "mds-count --sigma 2 --w 4", 0,
+                "f28c403b0e418206b6ae63d6e7a1edcb4136eeda0337c3109fd1a1b15dd9edfa",
+                id="mds-count",
+            ),
+            pytest.param(
+                "fsm --sigma 2 --d 3 --w 6", 0,
+                "898a0045f4015ca0a64d12d9a60d6948f4332ffdc614e2d6c9697e512da773ba",
+                id="fsm",
+            ),
+            pytest.param(
+                "necklaces --sigma 1 --w 4", 1, hashlib.sha256(b"").hexdigest(), id="exit-1"
+            ),
+            pytest.param(
+                "mykkeltveit --sigma 2 --w 20 --budget 100", 2, hashlib.sha256(b"").hexdigest(),
+                id="exit-2",
+            ),
+        ],
+    )
+    def test_stdout_sha256(self, capsys, monkeypatch, tmp_path, argv, status, digest):
+        # c3.txt leaves the cycles 010 -> 101 -> 010 and 111 -> 111 unhit
+        (tmp_path / "c3.txt").write_text("uhs sigma=2 w=3\n000\n100\n")
+        monkeypatch.chdir(tmp_path)
+        assert run(argv.split()) == status
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x7fé€\u2028😀'), st.characters()))
+RATIONAL = st.fixed_dictionaries({"num": st.integers(), "den": st.integers(1), "float": st.floats()})
+VALUE = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), TEXT, RATIONAL)
+
+
+def written(out: dict) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._write(out)
+    return buf.getvalue()
+
+
+class TestWriter:
+    @given(st.dictionaries(TEXT, st.one_of(VALUE, st.lists(VALUE))))
+    @example({})
+    @example({'"k\\"': 'v"\n', "é": [None, {"num": 1, "den": 3, "float": 1 / 3}], "e": []})
+    def test_bytes_of_json_dumps(self, fields):
+        # a drawn list is handed over as an iterator of its items' JSON texts,
+        # and must read as json.dumps writes the list of those items parsed
+        texts = {k: [json.dumps(v) for v in x] for k, x in fields.items() if isinstance(x, list)}
+        out = {k: iter(texts[k]) if k in texts else x for k, x in fields.items()}
+        want = {k: [json.loads(t) for t in texts[k]] if k in texts else x for k, x in fields.items()}
+        assert written(out) == json.dumps(want) + "\n"
+
+    def test_items_written_as_yielded(self):
+        # each item is on stdout before the iterator is asked for the next
+        seen = []
+        buf = io.StringIO()
+
+        def rows():
+            for i in range(3):
+                yield str(i)
+                seen.append(buf.getvalue())
+
+        with contextlib.redirect_stdout(buf):
+            cli._write({"a": 1, "m": rows(), "z": None})
+        assert seen == ['{"a": 1, "m": [0', '{"a": 1, "m": [0, 1', '{"a": 1, "m": [0, 1, 2']
+        assert buf.getvalue() == '{"a": 1, "m": [0, 1, 2], "z": null}\n'
