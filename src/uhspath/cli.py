@@ -26,7 +26,6 @@ from .core import (
     debruijn_sequence,
     necklace_count,
     necklaces,
-    render_symbols,
 )
 
 # Handlers import what they run: necklaces, debruijn-seq, mds-count and fsm
@@ -258,11 +257,10 @@ def _cmd_check_uhs(args) -> dict:
 
 
 def _cmd_longest_path(args) -> dict:
-    from .kmerset import digit_rows
+    from .kmerset import digit_lines, digit_rows
 
     def text(codes):
-        digits = render_symbols(digit_rows(codes, args.sigma, args.w).ravel().tolist(), args.sigma)
-        return [digits[i : i + args.w] for i in range(0, len(digits), args.w)]
+        return digit_lines(digit_rows(codes, args.sigma, args.w)).decode().split()
 
     check_digit_text(args.sigma)  # the witnesses print as digit text
     _, report = _peeled_set(args, args.set)
@@ -277,25 +275,24 @@ def _cmd_longest_path(args) -> dict:
 
 
 def _cmd_long_path(args) -> dict:
-    import numpy as np
-
+    from .kmerset import digit_lines
     from .mykkeltveit import build_long_path
 
     check_digit_text(args.sigma)  # the vertices print as digit text
     lp = build_long_path(args.sigma, args.w, budget=args.budget)
     n, w = lp.vertices.shape
     step = max(1, (1 << 22) // (w + 1))  # rows of about 4 MiB of text per write
-    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+    # both files are open before the first vertex byte: a bad path prints nothing
+    with contextlib.ExitStack() as files:
+        fh = files.enter_context(open(args.out, "w")) if args.out else sys.stdout
+        csv = files.enter_context(open(args.csv, "w")) if args.csv else None
+        if csv:
+            csv.write("step,re,im\n")
         for i in range(0, n, step):
-            digits = lp.vertices[i : i + step] + ord("0")
-            lines = np.pad(digits, [(0, 0), (0, 1)], constant_values=ord("\n"))
-            fh.write(lines.tobytes().decode())
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("step,re,im\n")
-            for i in range(0, n, step):
+            fh.write(digit_lines(lp.vertices[i : i + step]).decode())
+            if csv:
                 ps = enumerate(lp.embeddings[i : i + step].tolist(), i)
-                fh.write("".join([f"{k},{p.real!r},{p.imag!r}\n" for k, p in ps]))
+                csv.write("".join([f"{k},{p.real!r},{p.imag!r}\n" for k, p in ps]))
     return {
         "sigma": args.sigma,
         "w": args.w,

@@ -9,15 +9,15 @@ single multiply-add: the edge from x that appends symbol a ends at code
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 ACGT = "ACGT"
 _DIGITS = "0123456789"
-_ACGT_VALUES = {c: i for i, c in enumerate(ACGT)}
-# byte tables from ACGT and digit text to symbol values, and from values to digits
-_ACGT_BYTES = bytes.maketrans(ACGT.encode(), bytes(range(4)))
-_VALUE_BYTES = bytes.maketrans(_DIGITS.encode(), bytes(range(10)))
-_DIGIT_BYTES = bytes.maketrans(bytes(range(10)), _DIGITS.encode())
+#: bytes.translate tables from digit and ACGT text, encoded as ASCII with "?" for
+#: any other character, to symbol values; every other byte reads 255, no symbol.
+DIGIT_VALUES, ACGT_VALUES = (
+    bytes(s.index(chr(b)) if chr(b) in s else 255 for b in range(256)) for s in (_DIGITS, ACGT)
+)
 #: str.translate table from symbol code points (chr(v), the FKM words) to digits.
 DIGIT_TEXT = str.maketrans({chr(v): d for v, d in enumerate(_DIGITS)})
 # base**exp is not built past this many bits (see check_budget)
@@ -71,14 +71,13 @@ def parse_symbols(text: str | Sequence[int], sigma: int) -> tuple[int, ...]:
     otherwise a per-symbol pass names the first bad one.
     """
     if isinstance(text, str):
-        acgt = sigma == 4 and text[:1] in _ACGT_VALUES
-        if not acgt:
-            check_digit_text(sigma)
-        valid, values = (ACGT, _ACGT_BYTES) if acgt else (_DIGITS[: max(sigma, 0)], _VALUE_BYTES)
-        if not text.strip(valid):
-            return tuple(text.encode().translate(values))
+        check_digit_text(sigma)  # one character per symbol; ACGT is sigma = 4
+        acgt = sigma == 4 and text != "" and text[0] in ACGT
+        values = text.encode("ascii", "replace").translate(ACGT_VALUES if acgt else DIGIT_VALUES)
+        if not values.translate(None, bytes(range(sigma))):
+            return tuple(values)
         if acgt:
-            bad = next(c for c in text if c not in _ACGT_VALUES)
+            bad = next(c for c in text if c not in ACGT)
             raise ValueError(f"invalid ACGT symbol {bad!r}")
         try:
             syms = tuple(int(c) for c in text)
@@ -90,12 +89,6 @@ def parse_symbols(text: str | Sequence[int], sigma: int) -> tuple[int, ...]:
         if not 0 <= s < sigma:
             raise ValueError(f"symbol {s} out of range for sigma={sigma}")
     return syms
-
-
-def render_symbols(symbols: Iterable[int], sigma: int) -> str:
-    """Digit text of a symbol sequence (ints, not an array); ACGT is input only."""
-    check_digit_text(sigma)
-    return bytes(symbols).translate(_DIGIT_BYTES).decode()
 
 
 def kmer_encode(s: str | Sequence[int], sigma: int) -> int:

@@ -7,8 +7,9 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .core import (
-    ACGT,
+    ACGT_VALUES,
     DEFAULT_NODE_BUDGET,
+    DIGIT_VALUES,
     check_alphabet,
     check_budget,
     check_digit_text,
@@ -32,6 +33,13 @@ def digit_rows(codes, sigma: int, w: int) -> np.ndarray:
     return rows
 
 
+def digit_lines(rows: np.ndarray) -> bytes:
+    """The digit text of (n, w) uint8 symbol rows below 10, a newline-ended line per row."""
+    lines = np.full((len(rows), rows.shape[1] + 1), ord("\n"), dtype=np.uint8)
+    np.add(rows, ord("0"), out=lines[:, :-1])
+    return lines.tobytes()
+
+
 def encode_lines(lines: Iterable[str], sigma: int, w: int) -> np.ndarray:
     """int64 codes of the non-blank lines of a text file, in order.
 
@@ -43,26 +51,19 @@ def encode_lines(lines: Iterable[str], sigma: int, w: int) -> np.ndarray:
     """
     texts = [t for t in map(str.strip, lines) if t]
     codes = np.zeros(len(texts), dtype=np.int64)
-    ok = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)) == w
-    if ok.any() and 2 <= sigma <= 10:
-        chars = "".join(t for t, good in zip(texts, ok) if good)
-        raw = np.frombuffer(chars.encode("ascii", "replace"), dtype=np.uint8).reshape(-1, w)
-        lut = np.full(256, sigma, dtype=np.int64)  # sigma marks a bad symbol
-        lut[ord("0") : ord("0") + sigma] = np.arange(sigma)
-        vals = lut[raw]
+    ok = (np.fromiter(map(len, texts), dtype=np.int64, count=len(texts)) == w) & (2 <= sigma <= 10)
+    if ok.any():
+        chars = "".join(t for t, good in zip(texts, ok) if good).encode("ascii", "replace")
+        vals = np.frombuffer(chars.translate(DIGIT_VALUES), dtype=np.uint8).reshape(-1, w)
         if sigma == 4:
-            acgt = np.full(256, sigma, dtype=np.int64)
-            acgt[np.frombuffer(ACGT.encode(), dtype=np.uint8)] = np.arange(4)
-            letters = acgt[raw[:, 0]] < sigma
-            vals[letters] = acgt[raw[letters]]
+            acgt = np.frombuffer(chars.translate(ACGT_VALUES), dtype=np.uint8).reshape(-1, w)
+            vals = np.where(acgt[:, :1] < sigma, acgt, vals)  # lines that start with a letter
         good = np.zeros(len(vals), dtype=np.int64)
         for j in range(w):
             good *= sigma
             good += vals[:, j]
         codes[ok] = good
         ok[ok] = (vals < sigma).all(axis=1)
-    else:
-        ok[:] = False
     for i in np.flatnonzero(~ok):
         code = kmer_encode(texts[i], sigma)  # one symbol per character
         if len(texts[i]) != w:
@@ -160,15 +161,14 @@ class KmerSet:
     # -- serialization ----------------------------------------------------
 
     def save_text(self, path: str) -> None:
-        """One digit line per member, in code order, rendered from its
-        `digit_rows` into one byte buffer; nothing is written for sigma > 10."""
+        """One digit line per member, in code order, from its `digit_rows` in
+        blocks of about 4 MiB of text; nothing is written for sigma > 10."""
         check_digit_text(self.sigma)
-        digits = digit_rows(self.codes(), self.sigma, self.w) + ord("0")
-        lines = np.pad(digits, [(0, 0), (0, 1)], constant_values=ord("\n"))
-        del digits  # before the lines are copied out
+        codes, step = self.codes(), max(1, (1 << 22) // (self.w + 1))
         with open(path, "wb") as fh:
             fh.write(f"uhs sigma={self.sigma} w={self.w}\n".encode())
-            fh.write(lines.tobytes())
+            for i in range(0, len(codes), step):
+                fh.write(digit_lines(digit_rows(codes[i : i + step], self.sigma, self.w)))
 
     @classmethod
     def load_text(cls, path: str, budget: int = DEFAULT_NODE_BUDGET) -> "KmerSet":

@@ -19,7 +19,8 @@ Each kernel has one oracle here: a slow, direct reading of its definition.
 - the Mykkeltveit set: `class_pick`, one conjugacy class at a time;
 - the long path's ring walk: `code_ring`;
 - the bulk set-file parser: `per_line_load_text`; digit rows
-  (`kmerset.digit_rows`, `save_text`, the witness text): `kmer_decode`;
+  (`kmerset.digit_rows`, then `digit_lines` in `save_text`, `long-path` and
+  the witness text): `kmer_decode`;
 - FKM necklace generation: `recursive_fkm`; the necklace count: `orbit_count`;
 - the fixed-point sign tier: `mp_im` and `mp_re` at 200 digits, and the
   cyclotomic zero test, `reduce_mod_cyclotomic` of a `part_polynomial`.
@@ -52,7 +53,6 @@ from uhspath.core import (
     debruijn_sequence,
     kmer_encode,
     parse_symbols,
-    render_symbols,
     rotation_code,
 )
 from uhspath.exactsign import NEG, POS, ZERO
@@ -86,7 +86,7 @@ def kmer_decode(code, sigma, w):
     check_alphabet(sigma)
     if not 0 <= code < sigma**w:
         raise ValueError(f"code {code} out of range for sigma={sigma}, w={w}")
-    return render_symbols(symbols(code, sigma, w), sigma)
+    return "".join(map(str, symbols(code, sigma, w)))
 
 
 def one_sign(syms, approx, sigma, part):

@@ -3,7 +3,8 @@
 Each drawn argv runs in process, with small sizes and budgets, and must end
 in exit 0 (one JSON line on stdout, after the vertex lines for `long-path`
 without `--out`), or in exit 1 or 2 with nothing on stdout and exactly one
-`error:` line on stderr.  A traceback, an exit 3 or any other output fails.
+`error:` line on stderr.  An `--out` or `--csv` path that cannot be written
+never ends in exit 0.  A traceback, an exit 3 or any other output fails.
 """
 
 import contextlib
@@ -45,8 +46,15 @@ def flag(name):
     return st.sampled_from([[], [name]])
 
 
+def unwritable(f):
+    """Output paths that cannot be opened for writing: a directory, and a
+    file in a directory that does not exist."""
+    return [f["emit"], f["missing.txt"] + "/x"]
+
+
 def argvs(f):
-    path = st.sampled_from([f["out"], f["bad.txt"], f["emit"], f["missing.txt"] + "/x"])
+    # never an input file: a set saved over bad.txt would stop it being malformed
+    path = st.sampled_from([f["out"], *unwritable(f)])
     out = st.tuples(opt("--out", path), flag("--binary")).map(lambda t: t[0] + t[1])
     scheme = st.one_of(
         st.just(["--minimizer"]),
@@ -87,7 +95,8 @@ def argvs(f):
         command("longest-path", *common, sets.map(lambda s: ["--set", s]), BUDGET),
         command(
             "long-path", common[0], st.integers(-1, 24).map(lambda w: ["--w", str(w)]),
-            opt("--out", st.just(f["out"])), opt("--csv", st.just(f["csv"])), BUDGET,
+            opt("--out", st.sampled_from([f["out"], *unwritable(f)])),
+            opt("--csv", st.sampled_from([f["csv"], *unwritable(f)])), BUDGET,
         ),
         command(
             "mds-count", common[0], st.integers(-1, 4).map(lambda w: ["--w", str(w)]),
@@ -103,12 +112,19 @@ def test_every_argv_exits_cleanly(files):
     # a minimizer's shape is checked before sigma^k is sized: 0^-1 divides by zero
     @example(argv=["density", "--sigma", "0", "--w", "2", "--minimizer", "--k", "-1"])
     @example(argv=["contexts", "--sigma", "0", "--w", "2", "--minimizer", "--k", "-1"])
+    # the vertex lines come after both files are open
+    @example(argv=["long-path", "--sigma", "2", "--w", "20", "--csv", unwritable(files)[1]])
+    @example(argv=["long-path", "--sigma", "2", "--w", "20", "--out", files["out"],
+                   "--csv", unwritable(files)[0]])
     def check(argv):
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             status = run(argv)
         out, err = stdout.getvalue(), stderr.getvalue()
         assert status in (0, 1, 2), (argv, status, err)
+        writes = {v for k, v in zip(argv, argv[1:]) if k in ("--out", "--csv")}
+        if writes & set(unwritable(files)):
+            assert status != 0, argv
         if status == 0:
             lines = out.splitlines()
             obj = json.loads(lines[-1])

@@ -362,6 +362,19 @@ class TestExitCodes:
         assert captured.err == "error: digit text form only supports sigma <= 10\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    def test_unwritable_csv_prints_nothing(self, capsys, tmp_path, out):
+        # both files are opened before the first vertex line is written
+        argv = ["long-path", "--sigma", "2", "--w", "20", "--csv", str(tmp_path / "no" / "x.csv")]
+        if out:
+            argv += ["--out", str(tmp_path / "lp.txt")]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: [Errno 2] No such file or directory")
+        assert not out or (tmp_path / "lp.txt").read_text() == ""
+
     def test_set_file_alphabet(self, capsys, tmp_path):
         f = tmp_path / "f.txt"
         f.write_text("uhs sigma=0 w=3\n")

@@ -1,4 +1,5 @@
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,8 +17,26 @@ from uhspath.core import (
     necklace_count,
     necklaces,
     parse_symbols,
-    render_symbols,
 )
+from uhspath.kmerset import digit_lines
+
+
+def outcome(fn, *args):
+    """fn's value, or the type and text of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+def per_symbol(text, sigma):
+    """parse_symbols of digit text, one int() per character, as its outcome."""
+    try:
+        syms = tuple(int(c) for c in text)
+    except ValueError:
+        return ValueError, f"invalid symbol in {text!r}"
+    bad = [s for s in syms if s >= sigma]
+    return (ValueError, f"symbol {bad[0]} out of range for sigma={sigma}") if bad else syms
 
 
 class TestEncoding:
@@ -76,32 +95,36 @@ class TestEncoding:
 
     @given(st.data())
     def test_bulk_parse_equals_per_symbol(self, data):
-        # the byte-table conversion against one int() per digit
+        # the byte-table conversion against one int() per digit, on text that
+        # may hold control characters, which a partial table would read as
+        # the symbols chr(0) to chr(9), and non-ASCII digits, which int() reads
+        others = st.sampled_from([chr(i) for i in range(10)] + ["\u0661", "\u0966", "\uff19", "\u00e9"])
+
+        def word(symbols, first=st.just("")):
+            # all symbols (the bulk path), or symbols and others mixed
+            chars = symbols if data.draw(st.booleans()) else st.one_of(symbols, others)
+            return data.draw(first) + "".join(data.draw(st.lists(chars, max_size=40)))
+
         sigma = data.draw(st.integers(2, 10))
-        text = "".join(data.draw(st.lists(st.sampled_from("0123456789"[:sigma]), max_size=40)))
-        assert parse_symbols(text, sigma) == tuple(int(c) for c in text)
-        acgt = "".join(data.draw(st.lists(st.sampled_from("ACGT"), min_size=1, max_size=40)))
-        assert parse_symbols(acgt, 4) == tuple("ACGT".index(c) for c in acgt)
+        text = word(st.sampled_from("0123456789"[:sigma]))
+        assert outcome(parse_symbols, text, sigma) == per_symbol(text, sigma)
+        acgt = word(st.sampled_from("ACGT"), first=st.sampled_from("ACGT"))
+        bad = [c for c in acgt if c not in "ACGT"]
+        if bad:
+            expect = ValueError, f"invalid ACGT symbol {bad[0]!r}"
+        else:
+            expect = tuple(map("ACGT".index, acgt))
+        assert outcome(parse_symbols, acgt, 4) == expect
 
     def test_parse_other_unicode_digits(self):
         # non-ASCII decimal digits still read as their values, as int() reads them
         assert parse_symbols("0\u0661", 2) == (0, 1)
 
     def test_alphabet(self):
-        assert render_symbols(parse_symbols("GATTACA", 4), 4) == "2033010"
+        # ACGT is read, and written back as digits
+        assert digit_lines(np.array([parse_symbols("GATTACA", 4)], dtype=np.uint8)) == b"2033010\n"
         with pytest.raises(ValueError):
             check_alphabet(1)
-
-    @given(st.data())
-    def test_render_equals_str_join(self, data):
-        # the byte table against one str() per digit
-        syms = data.draw(st.lists(st.integers(0, 9), max_size=40))
-        sigma = data.draw(st.integers(max(2, max(syms, default=0) + 1), 10))
-        assert render_symbols(syms, sigma) == "".join(str(s) for s in syms)
-
-    def test_render_rejects_alphabets(self):
-        with pytest.raises(ValueError, match="digit text form only supports sigma <= 10"):
-            render_symbols([1, 0], 11)
 
     @given(st.integers(2, 6), st.lists(st.integers(0, 5), min_size=1, max_size=12))
     def test_roundtrip(self, sigma, syms):

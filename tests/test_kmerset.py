@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, strategies as st
 
 from oracles import hits, kmer_decode, kmer_sets, per_line_load_text, symbols
 from uhspath.core import BudgetError, kmer_encode
-from uhspath.kmerset import KmerSet, digit_rows, encode_lines
+from uhspath.kmerset import KmerSet, digit_lines, digit_rows, encode_lines
+from uhspath.mykkeltveit import build_mykkeltveit_set
 
 
 def random_set(rng, sigma, w, p=0.3):
@@ -101,6 +103,22 @@ class TestSerialization:
         assert rows.dtype == dtype
         assert [tuple(r) for r in rows.tolist()] == [symbols(c, sigma, 3) for c in codes]
 
+    def test_text_spans_blocks(self, tmp_path):
+        # about 700,000 lines of 7 bytes: save_text renders two 4 MiB blocks
+        s = random_set(np.random.default_rng(5), 10, 6, p=0.7)
+        p = tmp_path / "s.txt"
+        s.save_text(str(p))
+        assert p.stat().st_size == len("uhs sigma=10 w=6\n") + 7 * s.cardinality > 1 << 22
+        assert KmerSet.load_text(str(p)) == s
+
+    @given(st.integers(0, 6), st.integers(1, 12), st.data())
+    def test_digit_lines_equals_str_join(self, n, w, data):
+        # the one digit-row renderer against one str() per symbol, n = 0 included
+        row = st.lists(st.integers(0, 9), min_size=w, max_size=w)
+        rows = data.draw(st.lists(row, min_size=n, max_size=n))
+        expect = "".join("".join(map(str, row)) + "\n" for row in rows)
+        assert digit_lines(np.array(rows, dtype=np.uint8).reshape(n, w)) == expect.encode()
+
     def test_text_save_beyond_ten_symbols_writes_nothing(self, tmp_path):
         p = tmp_path / "s.txt"
         for mask in (np.zeros(11, dtype=bool), np.ones(11, dtype=bool)):
@@ -178,6 +196,22 @@ class TestSerialization:
 class TestVectorisedParse:
     """load_text encodes its lines in bulk; the per-line reader is the oracle."""
 
+    def test_load_text_bytes_per_symbol(self, tmp_path):
+        # the Mykkeltveit set at sigma = 2, w = 20: 52,488 lines of 20 symbols,
+        # read through byte tables into uint8 symbols (9.2 B/symbol measured;
+        # 17.2 when each symbol was looked up as an int64)
+        kset = build_mykkeltveit_set(2, 20)
+        path = str(tmp_path / "m20.txt")
+        kset.save_text(path)
+        tracemalloc.start()
+        try:
+            loaded = KmerSet.load_text(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == kset
+        assert peak <= 12 * kset.cardinality * kset.w
+
     @pytest.mark.parametrize("sigma", [2, 3, 4])
     def test_equals_per_line_oracle(self, tmp_path, sigma):
         rng = np.random.default_rng(40 + sigma)
@@ -222,6 +256,15 @@ class TestVectorisedParse:
         p = tmp_path / "bad.txt"
         p.write_text(f"uhs sigma={sigma} w={w}\n" + "\n".join(body) + "\n")
         assert outcome(KmerSet.load_text, str(p)) == outcome(per_line_load_text, str(p))
+
+    @pytest.mark.parametrize("sigma", [2, 4, 10])
+    def test_control_characters_are_no_symbols(self, tmp_path, sigma):
+        # chr(0) to chr(9) read 255 in the byte tables, not symbols 0 to 9
+        p = tmp_path / "bad.txt"
+        for c in map(chr, range(10)):
+            p.write_text(f"uhs sigma={sigma} w=2\n01\n1{c}\n")
+            got = outcome(KmerSet.load_text, str(p))
+            assert got == outcome(per_line_load_text, str(p)) and got[0] is ValueError
 
     def test_error_names_the_first_bad_line(self, tmp_path):
         p = tmp_path / "bad.txt"
