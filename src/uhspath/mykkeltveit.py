@@ -30,70 +30,58 @@ from .core import (
     necklace_count,
     rotation_code,
 )
-from .exactsign import NEG, POS, ZERO
+from .exactsign import POS, ZERO
 from .kmerset import KmerSet, digit_rows
 
 _BLOCK = 1 << 18  # codes per block of the bulk build
-_ROWS = 1 << 12  # digit rows per block of the bulk build's sign certification
 
 
 # -- the set -----------------------------------------------------------------
 
 
-def _certified(codes: np.ndarray, approx: np.ndarray, sigma: int, w: int, part: str) -> np.ndarray:
-    """`exactsign.signs` of `part` for each code, whose doubles are `approx`,
-    from the digit rows of a block of _ROWS codes at a time."""
-    out = np.empty(codes.size, dtype=np.int8)
-    for i in range(0, codes.size, _ROWS):
-        block = slice(i, i + _ROWS)
-        out[block] = exactsign.signs(digit_rows(codes[block], sigma, w), approx[block], sigma, part)
-    return out
-
-
-def _half_tables(sigma: int, w: int, trig):
-    """sum_i x_i trig(2 pi (i+1) / w) over the leading ceil(w/2) symbols (hi)
+def _sin_tables(sigma: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """sum_i x_i sin(2 pi (i+1) / w) over the leading ceil(w/2) symbols (hi)
     and over the trailing floor(w/2) symbols (lo), one value per half code."""
     h = w - w // 2
-    t = trig(2 * np.pi * np.arange(1, w + 1) / w)
+    t = np.sin(2 * np.pi * np.arange(1, w + 1) / w)
     hi = digit_rows(np.arange(sigma**h), sigma, h) @ t[:h]
     lo = digit_rows(np.arange(sigma ** (w - h)), sigma, w - h) @ t[h:]
     return hi, lo
 
 
-def _member(im, im_rot, re, least):
-    """The keep rule on certified signs of P(x) and P(R(x)), R the pure rotation.
+def _member(im, im_rot):
+    """The keep rule on certified signs of Im P(x) and Im P(R(x)), R the pure
+    rotation: Im P(x) <= 0 < Im P(R(x)).
 
-    Since P(R(x)) = r^-1 P(x), these signs place x on its class's circle:
-    keep x just below the negative real axis (Im P(x) < 0 < Im P(R(x))),
-    exactly on it, or, when the class sits at the origin, if x is its least
-    rotation.  Works elementwise on sign arrays; `least` is only consulted
-    where P(x) = 0.
+    Since P(R(x)) = r^-1 P(x), the rotation turns x clockwise on its class's
+    circle, and the rule keeps the member just below the negative real axis
+    or exactly on it.  There it is the paper's Re P(x) < 0: a real P(x) has
+    Im P(R(x)) = -sin(2 pi / w) Re P(x), of the opposite sign for w >= 3.
+    Classes at the origin, where both signs are 0, are decided apart.  Works
+    elementwise on sign arrays.
     """
-    return np.where(im == ZERO, (re == NEG) | ((re == ZERO) & least), (im == NEG) & (im_rot == POS))
+    return (im <= ZERO) & (im_rot == POS)
 
 
-def _im_float_signs(
-    sigma: int, w: int, th: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(im_sgn, band, im_band): the int8 sign of Im P in doubles over every
-    code, the guard-band codes |Im P| <= th, whose signs still need
-    certifying, and their doubles.  Im P is summed from two half-word tables
-    one block of whole hi rows (about _BLOCK codes) at a time into one
-    reused buffer, so no float array spans more than a block."""
-    im_hi, im_lo = _half_tables(sigma, w, np.sin)
+def _im_signs(sigma: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """(im_sgn, zero): the certified int8 sign of Im P for every code, and the
+    codes where it is 0.  Im P is summed in doubles from two half-word tables
+    one block of whole hi rows (about _BLOCK codes) at a time into one reused
+    buffer, so no float array spans more than a block, and `exactsign.signs`
+    decides the block, spelling the digit rows of the codes it asks for."""
+    im_hi, im_lo = _sin_tables(sigma, w)
     im_sgn = np.empty(im_hi.size * im_lo.size, dtype=np.int8)
     step = max(1, _BLOCK // im_lo.size)
     buf = np.empty((min(step, im_hi.size), im_lo.size))  # one block, reused
-    band, im_band = [], []
+    zero = []
     for i in range(0, im_hi.size, step):
         hi = im_hi[i : i + step, None]
         im = np.add(hi, im_lo, out=buf[: hi.shape[0]]).ravel()
         first = i * im_lo.size  # code of the block's first entry
-        near = np.flatnonzero((-th <= im) & (im <= th))
-        band.append(first + near)
-        im_band.append(im[near])
-        im_sgn[first : first + im.size] = np.sign(im, out=im)
-    return im_sgn, np.concatenate(band), np.concatenate(im_band)
+        s = im_sgn[first : first + im.size]
+        s[:] = exactsign.signs(im, sigma, w, lambda k: digit_rows(first + k, sigma, w))
+        zero.append(first + np.flatnonzero(s == ZERO))
+    return im_sgn, np.concatenate(zero)
 
 
 def build_mykkeltveit_set(
@@ -105,44 +93,39 @@ def build_mykkeltveit_set(
     otherwise the member exactly on the negative real axis if one exists,
     else the unique member with Im(P(x)) < 0 and Im(P(R(x))) > 0.
 
-    Im P is summed in doubles from two half-word tables, a block of codes at
-    a time, into one int8 sign per code; the codes in the guard band are
-    expanded to digit rows and certified by `exactsign.signs`, and so is the
-    sign of Re P where Im P = 0.  The keep rule then runs block by block.
+    For w >= 3 both cases are the one rule Im P(x) <= 0 < Im P(R(x))
+    (`_member`): on the axis, Re P(x) < 0 exactly when Im P(R(x)) > 0.  So
+    only Im P is signed, by `_im_signs`; the rule runs block by block, and
+    the origin codes, where Im P(x) = Im P(R(x)) = 0, keep their least
+    rotation.  At w = 2, P(x) = x_1 - x_0 is an integer and R(x) has -P(x),
+    so the set is x_1 <= x_0 (1 B/node).
     """
     check_alphabet(sigma)
     if w < 2:
         raise ValueError("need w >= 2")
     n = check_budget(sigma, w, budget, "decycling set construction")
-    im_sgn, b, im_b = _im_float_signs(sigma, w, exactsign.guard(sigma, w))
-    im_sgn[b] = _certified(b, im_b, sigma, w, "im")
-
-    # P(R(x)) for x = a.r (leading symbol a) is at code r.a, so over a block
-    # of codes with one leading symbol the rotated signs are a strided view.
-    # Re and `least` only matter where Im = 0: the blocks take them as zero
-    # and those codes are decided again below.
-    m = n // sigma
-    mask = np.empty(n, dtype=bool)
-    for a in range(sigma):
-        for j in range(0, m, _BLOCK):
-            k = min(j + _BLOCK, m)
-            x = slice(a * m + j, a * m + k)
-            im_rot = im_sgn[j * sigma + a : k * sigma : sigma]
-            mask[x] = _member(im_sgn[x], im_rot, ZERO, False)
-
-    z = b[im_sgn[b] == ZERO]
-    re_hi, re_lo = _half_tables(sigma, w, np.cos)
-    re = _certified(z, re_hi[z // re_lo.size] + re_lo[z % re_lo.size], sigma, w, "re")
-    # classes embedded at the origin (the all-zero word's among them) keep
-    # their least rotation
-    c = origin = z[re == ZERO]
-    canon = origin.copy()
-    for _ in range(w - 1):
-        c = rotation_code(c, sigma, w)
-        np.minimum(canon, c, out=canon)
-    least = np.zeros(z.size, dtype=bool)
-    least[re == ZERO] = canon == origin
-    mask[z] = _member(im_sgn[z], im_sgn[rotation_code(z, sigma, w)], re, least)
+    if w == 2:
+        mask = np.tri(sigma, dtype=bool).reshape(n)
+    else:
+        im_sgn, z = _im_signs(sigma, w)
+        # P(R(x)) for x = a.r (leading symbol a) is at code r.a, so over a
+        # block of codes with one leading symbol the rotated signs are a
+        # strided view
+        m = n // sigma
+        mask = np.empty(n, dtype=bool)
+        for a in range(sigma):
+            for j in range(0, m, _BLOCK):
+                k = min(j + _BLOCK, m)
+                x = slice(a * m + j, a * m + k)
+                mask[x] = _member(im_sgn[x], im_sgn[j * sigma + a : k * sigma : sigma])
+        # classes embedded at the origin (the all-zero word's among them)
+        # keep their least rotation
+        c = origin = z[im_sgn[rotation_code(z, sigma, w)] == ZERO]
+        canon = origin.copy()
+        for _ in range(w - 1):
+            c = rotation_code(c, sigma, w)
+            np.minimum(canon, c, out=canon)
+        mask[origin] = canon == origin
 
     kset = KmerSet(sigma, w, mask)
     if kset.cardinality != necklace_count(sigma, w):
@@ -246,7 +229,7 @@ def build_long_path(sigma: int, w: int, budget: int = DEFAULT_NODE_BUDGET) -> Lo
     # the program does not work at this w.
     if _revisits(vertices, ps):
         raise AssertionError("constructed walk revisits a vertex")
-    bad = np.flatnonzero(exactsign.signs(vertices, ps.imag, sigma, "im") != POS)
+    bad = np.flatnonzero(exactsign.signs(ps.imag, sigma, w, vertices.__getitem__) != POS)
     if bad.size:
         raise ValueError(f"vertex at step {bad[0]} has Im(P) <= 0")
     return LongPath(vertices, ps, quads)

@@ -350,11 +350,13 @@ def estimate_density(
     Neighbouring selections are correlated, so the error is not binomial: the
     selected-position mask is cut into _BATCHES equal batches and the reported
     standard error is the standard deviation of their densities over
-    sqrt(_BATCHES).
+    sqrt(_BATCHES).  The mask holds a byte per symbol, so `sample_symbols`
+    passes the default budget before the first draw.
     """
     _require_window(scheme, sample_symbols)
     if sample_symbols < _BATCHES:
         raise ValueError(f"a sample of {sample_symbols} symbols cannot fill {_BATCHES} batches")
+    check_budget(sample_symbols, 1, what="sampled estimate")
     rng = np.random.default_rng(seed)
     draws = (
         rng.integers(0, scheme.sigma, size=min(_CHUNK, sample_symbols - i), dtype=np.int64)

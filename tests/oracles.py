@@ -16,14 +16,17 @@ Each kernel has one oracle here: a slow, direct reading of its definition.
   Fractions, `scaled_g` in integers and `fraction_bisection`; the proved
   bracket (`bracket_holds`): `bracket_sign_change`, its end signs from
   fixed-point bounds on a d-th power, exact where the bounds do not decide;
-- the Mykkeltveit set: `class_pick`, one conjugacy class at a time;
+- the Mykkeltveit set: `class_pick`, one conjugacy class at a time, by the
+  paper's rule with Re P and signs from `part_sign`, which shares no code
+  with `exactsign`;
 - the long path's ring walk: `code_ring`;
 - the bulk set-file parser: `per_line_load_text`; digit rows
   (`kmerset.digit_rows`, then `digit_lines` in `save_text`, `long-path` and
   the witness text): `kmer_decode`;
 - FKM necklace generation: `recursive_fkm`; the necklace count: `orbit_count`;
 - the fixed-point sign tier: `mp_im` and `mp_re` at 200 digits, and the
-  cyclotomic zero test, `reduce_mod_cyclotomic` of a `part_polynomial`.
+  cyclotomic zero test, `reduce_mod_cyclotomic` of a `part_polynomial`;
+  `part_sign` decides a sign from the two.
 
 Three kernels keep a second oracle for sizes the first cannot reach in test
 time: `digit_loop_build` (the Mykkeltveit mask up to sigma = 2, w = 20),
@@ -58,7 +61,7 @@ from uhspath.core import (
 from uhspath.exactsign import NEG, POS, ZERO
 from uhspath.forbidden import ROOT_TOL, fsm_matrix
 from uhspath.kmerset import KmerSet, read_header
-from uhspath.mykkeltveit import _member, build_mykkeltveit_set
+from uhspath.mykkeltveit import build_mykkeltveit_set
 from uhspath.paths import ACYCLIC, CYCLIC
 from uhspath.schemes import (
     EXPECTED_ESTIMATE,
@@ -89,9 +92,27 @@ def kmer_decode(code, sigma, w):
     return "".join(map(str, symbols(code, sigma, w)))
 
 
-def one_sign(syms, approx, sigma, part):
-    """`exactsign.signs` of one word, as a stack of one."""
-    return int(exactsign.signs(np.array([syms]), np.array([approx]), sigma, part)[0])
+def one_sign(syms, approx, sigma):
+    """`exactsign.signs` of one word, as a block of one."""
+    rows = np.array([syms])
+    return int(exactsign.signs(np.array([approx]), sigma, len(syms), rows.__getitem__)[0])
+
+
+#: doubles of a part farther from zero than this keep their sign in the
+#: oracles: far above their error at the sizes the oracles run
+FLOAT_TRUST = 1e-9
+
+
+def part_sign(syms, part, approx):
+    """NEG/ZERO/POS of Im P ("im") or Re P ("re") of a word, with no code of
+    `exactsign`: a double `approx` past FLOAT_TRUST keeps its sign; nearer
+    zero, ZERO where Phi_w divides the part's polynomial, and otherwise the
+    sign of the part at 200 digits."""
+    if abs(approx) > FLOAT_TRUST:
+        return POS if approx > 0 else NEG
+    if reduce_mod_cyclotomic(part_polynomial(syms, part), len(syms)):
+        return ZERO
+    return POS if (mp_im if part == "im" else mp_re)(syms) > 0 else NEG
 
 
 def successor(code, sigma, w, a):
@@ -122,10 +143,10 @@ def raw_embedding(symbols, w):
 
 
 def embedding(code, sigma, w):
-    """P(x) = sum x_i r^(i+1), with a certified sign for the imaginary part."""
+    """P(x) = sum x_i r^(i+1), with the exact sign of the imaginary part."""
     syms = symbols(code, sigma, w)
     p = raw_embedding(syms, w)
-    return ComplexPoint(p.real, p.imag, one_sign(syms, p.imag, sigma, "im"))
+    return ComplexPoint(p.real, p.imag, part_sign(syms, "im", p.imag))
 
 
 def hits(kset, s):
@@ -442,7 +463,9 @@ def matvec_residual(sigma, d, root):
 
 def class_pick(rep_code, sigma, w):
     """The member of rep's conjugacy class the set keeps, found by walking
-    the whole class (about w embeddings per class)."""
+    the whole class (about w embeddings per class): the least member if P is
+    0, else the member with Im P = 0 and Re P < 0 if there is one, else the
+    member with Im P(x) < 0 < Im P(R(x))."""
     members = [rep_code]
     c = rotation_code(rep_code, sigma, w)
     while c != rep_code:
@@ -451,19 +474,13 @@ def class_pick(rep_code, sigma, w):
     rep_syms = symbols(members[0], sigma, w)
     if all(reduce_mod_cyclotomic(part_polynomial(rep_syms, p), w) for p in ("im", "re")):
         return min(members)
-    th = exactsign.guard(sigma, w)
     ims = []
     for mc in members:
         syms = symbols(mc, sigma, w)
         p = raw_embedding(syms, w)
-        if abs(p.imag) > th:
-            s = POS if p.imag > 0 else NEG
-        else:
-            s = one_sign(syms, p.imag, sigma, "im")
-        if s == ZERO:
-            rs = one_sign(syms, p.real, sigma, "re")
-            if rs == NEG:
-                return mc
+        s = part_sign(syms, "im", p.imag)
+        if s == ZERO and part_sign(syms, "re", p.real) == NEG:
+            return mc
         ims.append(s)
     k = len(members)
     kept = [members[j] for j in range(k) if ims[j] == NEG and ims[(j + 1) % k] == POS]
@@ -482,8 +499,9 @@ def class_walk_mask(sigma, w):
 
 def digit_loop_build(sigma, w):
     """Second Mykkeltveit oracle: the mask from w int64 digit passes over all
-    codes, each borderline sign certified one code at a time; it reaches
-    sizes (sigma = 2, w = 20) where the class walk is too slow."""
+    codes, each borderline sign decided by `part_sign` one code at a time,
+    and the paper's rule with Re P; it reaches sizes (sigma = 2, w = 20)
+    where the class walk is too slow."""
     n = sigma**w
     codes = np.arange(n, dtype=np.int64)
     im = np.zeros(n)
@@ -493,16 +511,15 @@ def digit_loop_build(sigma, w):
         ang = 2 * math.pi * (i + 1) / w
         im += digit * math.sin(ang)
         re += digit * math.cos(ang)
-    th = exactsign.guard(sigma, w)
 
     def certify(sgn, vals, borderline, part):
         for c in np.flatnonzero(borderline):
-            sgn[c] = one_sign(symbols(int(c), sigma, w), float(vals[c]), sigma, part)
+            sgn[c] = part_sign(symbols(int(c), sigma, w), part, float(vals[c]))
 
     im_sgn = np.sign(im).astype(np.int8)
-    certify(im_sgn, im, np.abs(im) <= th, "im")
+    certify(im_sgn, im, np.abs(im) <= FLOAT_TRUST, "im")
     re_sgn = np.sign(re).astype(np.int8)
-    certify(re_sgn, re, (np.abs(re) <= th) & (im_sgn == 0), "re")
+    certify(re_sgn, re, (np.abs(re) <= FLOAT_TRUST) & (im_sgn == 0), "re")
     rot = (codes * sigma + codes // (n // sigma)) % n
     least = (im_sgn == ZERO) & (re_sgn == ZERO)
     c = origin = np.flatnonzero(least)
@@ -511,7 +528,8 @@ def digit_loop_build(sigma, w):
         c = (c * sigma + c // (n // sigma)) % n
         np.minimum(canon, c, out=canon)
     least[origin] = canon == origin
-    return _member(im_sgn, im_sgn[rot], re_sgn, least)
+    on_axis = (re_sgn == NEG) | ((re_sgn == ZERO) & least)
+    return np.where(im_sgn == ZERO, on_axis, (im_sgn == NEG) & (im_sgn[rot] == POS))
 
 
 def code_ring(sigma, w, zero_tags, quads):

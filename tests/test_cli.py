@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +238,24 @@ class TestExitCodes:
         argv = ["density", "--sigma", "2", "--w", "4", "--minimizer", "--k", "3", "--budget", "10"]
         assert run(argv) == 2
         assert "budget is 10" in capsys.readouterr().err
+
+    def test_estimate_sample_over_budget(self, capsys):
+        # the sampled estimate's mask takes a byte per symbol: one past the
+        # default budget is refused before any draw, whatever --budget says
+        argv = ["density", "--sigma", "2", "--w", "3", "--minimizer", "--estimate",
+                "--sample", "268435457", "--budget", "1000"]
+        assert run(argv) == 2  # imports the modules outside the measurement
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert run(argv) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sampled estimate needs 268435457 states, budget is 268435456\n"
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("sample", ["0", "2", "5"])
     def test_estimate_sample_shorter_than_window(self, capsys, sample):

@@ -49,25 +49,20 @@ def run_python(code):
     assert proc.returncode == 0, proc.stderr.decode()
 
 
-def false_zero_signs(words, sigma, part):
-    """`signs` of a stack of words, each handed a false double of 0.0, so
+def false_zero_signs(words, sigma):
+    """`signs` of a block of words, each handed a false double of 0.0, so
     every row goes through the exact tier."""
     words = np.atleast_2d(words)
-    return signs(words, np.zeros(len(words)), sigma, part)
+    return signs(np.zeros(len(words)), sigma, words.shape[1], words.__getitem__)
 
 
-def is_zero(word, part):
-    return int(false_zero_signs(word, max(word) + 1, part)[0]) == ZERO
+def is_zero(word):
+    return int(false_zero_signs(word, max(word) + 1)[0]) == ZERO
 
 
 def float_im(symbols):
     w = len(symbols)
     return sum(x * math.sin(2 * math.pi * (i + 1) / w) for i, x in enumerate(symbols))
-
-
-def float_re(symbols):
-    w = len(symbols)
-    return sum(x * math.cos(2 * math.pi * (i + 1) / w) for i, x in enumerate(symbols))
 
 
 class TestCyclotomic:
@@ -99,29 +94,24 @@ class TestZeroMatrix:
         # polynomial, and otherwise the sign of a double far from zero
         for w in range(1, wmax + 1):
             words = np.array(list(itertools.product(range(sigma), repeat=w)))
-            for part in ("im", "re"):
-                expect = [
-                    reduce_mod_cyclotomic(part_polynomial(row, part), w)
-                    for row in words.tolist()
-                ]
-                got = false_zero_signs(words, sigma, part)
-                assert (got == ZERO).tolist() == expect, (w, part)
-                floats = [(float_im if part == "im" else float_re)(r) for r in words.tolist()]
-                far = np.abs(floats) > 1e-9
-                assert np.array_equal(got[far], np.sign(floats)[far]), (w, part)
+            expect = [reduce_mod_cyclotomic(part_polynomial(row, "im"), w) for row in words.tolist()]
+            got = false_zero_signs(words, sigma)
+            assert (got == ZERO).tolist() == expect, w
+            floats = [float_im(r) for r in words.tolist()]
+            far = np.abs(floats) > 1e-9
+            assert np.array_equal(got[far], np.sign(floats)[far]), w
 
     def test_scalar_and_bulk_agree(self):
         words = np.random.default_rng(3).integers(0, 3, size=(200, 12))
-        bulk = false_zero_signs(words, 3, "im")
-        assert [one_sign(row, 0.0, 3, "im") for row in words.tolist()] == bulk.tolist()
+        bulk = false_zero_signs(words, 3)
+        assert [one_sign(row, 0.0, 3) for row in words.tolist()] == bulk.tolist()
 
     def test_wide_digits_use_python_ints(self):
         # digits large enough that an int64 product could overflow
         for w in (6, 12, 15):
             words = np.random.default_rng(w).integers(0, 2, size=(100, w))
-            for part in ("im", "re"):
-                wide = false_zero_signs(words * 2**62, 2, part)
-                assert np.array_equal(wide, false_zero_signs(words, 2, part))
+            wide = false_zero_signs(words * 2**62, 2)
+            assert np.array_equal(wide, false_zero_signs(words, 2))
 
     def test_no_sympy_at_runtime(self):
         assert_cli_skips_modules("mykkeltveit --sigma 3 --w 12", ["sympy"])
@@ -155,14 +145,13 @@ class TestImportFootprint:
         cases = []
         for sigma in (2, 3, 4):
             rows, _ = cascade_stack(sigma)
-            for part in ("im", "re"):
-                cases.append((rows.tolist(), sigma, part, [mp_sign(r, part) for r in rows.tolist()]))
+            cases.append((rows.tolist(), sigma, [mp_sign(r) for r in rows.tolist()]))
         code = "\n".join([
             "import sys, numpy as np",
             "from uhspath.exactsign import signs",
-            f"for rows, sigma, part, expect in {cases!r}:",
-            "    got = signs(np.array(rows), np.zeros(len(rows)), sigma, part).tolist()",
-            "    assert got == expect, (sigma, part)",
+            f"for rows, sigma, expect in {cases!r}:",
+            "    got = signs(np.zeros(len(rows)), sigma, 12, np.array(rows).__getitem__).tolist()",
+            "    assert got == expect, sigma",
             "assert 'mpmath' not in sys.modules",
         ])
         run_python(code)
@@ -171,24 +160,20 @@ class TestImportFootprint:
 class TestZeroDecisions:
     def test_examples(self):
         # "01": zeta^2 = 1 at w=2, real -> Im == 0
-        assert is_zero([0, 1], "im")
+        assert is_zero([0, 1])
         # "1000" at w=4: value is zeta = i, purely imaginary
-        assert not is_zero([1, 0, 0, 0], "im")
-        assert is_zero([1, 0, 0, 0], "re")
+        assert not is_zero([1, 0, 0, 0])
         # "0001" at w=4: value is zeta^4 = 1
-        assert is_zero([0, 0, 0, 1], "im")
-        assert not is_zero([0, 0, 0, 1], "re")
+        assert is_zero([0, 0, 0, 1])
 
     def test_constant_words_sum_to_zero(self):
         for w in (2, 3, 5, 8, 12):
-            assert is_zero([1] * w, "im")
-            assert is_zero([1] * w, "re")
+            assert is_zero([1] * w)
 
     def test_period_two_words(self):
         # "1010...": sum of even powers of zeta over w/2 values -> 0 when w even
         for w in (4, 6, 10):
-            word = [1, 0] * (w // 2)
-            assert is_zero(word, "im") and is_zero(word, "re")
+            assert is_zero([1, 0] * (w // 2))
 
     @pytest.mark.parametrize("w", [3, 4, 5, 6, 7, 8, 9, 12, 15, 16])
     def test_agrees_with_high_precision(self, w):
@@ -196,7 +181,7 @@ class TestZeroDecisions:
         for _ in range(60):
             word = rng.integers(0, 4, size=w).tolist()
             im = mp_im(word)
-            if is_zero(word, "im"):
+            if is_zero(word):
                 assert abs(im) < mp.mpf(10) ** -150
             else:
                 assert abs(im) > mp.mpf(10) ** -150
@@ -208,17 +193,11 @@ class TestCertifiedSigns:
         rng = np.random.default_rng(w + 100)
         for _ in range(50):
             word = rng.integers(0, 4, size=w).tolist()
-            fi, fr = float_im(word), float_re(word)
-            si = one_sign(word, fi, 4, "im")
-            sr = one_sign(word, fr, 4, "re")
-            assert si == mp_sign(word, "im")
-            if abs(fr) > 1e-9:
-                assert sr == (1 if fr > 0 else -1)
+            assert one_sign(word, float_im(word), 4) == mp_sign(word)
 
     def test_borderline_zero(self):
         word = [0, 1]  # exactly real
-        assert one_sign(word, 0.0, 2, "im") == ZERO
-        assert one_sign(word, 1.0, 2, "re") == POS
+        assert one_sign(word, 0.0, 2) == ZERO
 
     def test_borderline_nonzero_near_float_zero(self):
         # w=12: zeta + zeta^5 + zeta^7 + zeta^11 = 0 exactly; perturb one term
@@ -226,25 +205,24 @@ class TestCertifiedSigns:
         base = [0] * w
         for e in (1, 5, 7, 11):
             base[e - 1] = 1
-        assert is_zero(base, "re")
-        assert is_zero(base, "im")
+        assert is_zero(base)
         # doubling one imaginary contribution breaks the cancellation
         tweak = list(base)
         tweak[0] = 2
-        fi = float_im(tweak)
-        assert one_sign(tweak, fi, 2, "im") == (POS if mp_im(tweak) > 0 else NEG)
+        assert one_sign(tweak, float_im(tweak), 2) == (POS if mp_im(tweak) > 0 else NEG)
 
     def test_tiny_float_handed_in_gets_corrected(self):
         # pass a dishonest approx of 0.0; certification must still resolve it
         word = [1, 0, 0, 0]  # Im = 1 at w=4
-        assert one_sign(word, 0.0, 2, "im") == POS
+        assert one_sign(word, 0.0, 2) == POS
         word = [0, 0, 1, 0]  # zeta^3 = -i
-        assert one_sign(word, 0.0, 2, "im") == NEG
+        assert one_sign(word, 0.0, 2) == NEG
 
 
-def mp_sign(word, part):
-    """Sign of the part at 200 digits, ZERO below 10^-150."""
-    v = (mp_im if part == "im" else mp_re)(word)
+def mp_sign(word, part=mp_im):
+    """Sign of Im P (or of `part`, mp_re for Re P) at 200 digits, ZERO below
+    10^-150."""
+    v = part(word)
     return ZERO if abs(v) < mp.mpf(10) ** -150 else (POS if v > 0 else NEG)
 
 
@@ -268,19 +246,28 @@ class TestOneCascade:
     @pytest.mark.parametrize("part", ["im", "re"])
     @pytest.mark.parametrize("sigma", [2, 3, 4])
     def test_stack_equals_each_row(self, sigma, part):
-        rows, honest = cascade_stack(sigma)
-        approx = np.array([(float_im if part == "im" else float_re)(r) for r in rows.tolist()])
+        # "im" signs the rows themselves; "re" signs their rotations R(x),
+        # which is how the Mykkeltveit build reads Re P(x) where Im P(x) = 0:
+        # sign Re P(x) = -sign Im P(R(x))
+        words, honest = cascade_stack(sigma)
+        rows = words if part == "im" else np.roll(words, -1, axis=1)
+        approx = np.array([float_im(r) for r in rows.tolist()])
         approx[honest:] = 0.0
-        stack = signs(rows, approx, sigma, part)
+        stack = signs(approx, sigma, 12, rows.__getitem__)
         assert stack.dtype == np.int8 and stack.shape == (len(rows),)
-        each = [one_sign(r, float(a), sigma, part) for r, a in zip(rows.tolist(), approx)]
+        each = [one_sign(r, float(a), sigma) for r, a in zip(rows.tolist(), approx)]
         assert stack.tolist() == each
-        assert each == [mp_sign(r, part) for r in rows.tolist()]
+        assert each == [mp_sign(r) for r in rows.tolist()]
         assert any(s != ZERO for s in each[honest:])  # nonzero rows reached the exact tier
+        if part == "re":
+            real = [k for k, x in enumerate(words.tolist()) if mp_sign(x) == ZERO]
+            re = [mp_sign(words[k].tolist(), mp_re) for k in real]
+            assert [-each[k] for k in real] == re
+            assert {NEG, ZERO, POS} <= set(re)  # both half-axes and the origin
 
-    @pytest.mark.parametrize("part", ["im", "re"])
-    def test_one_zero_test_per_call(self, monkeypatch, part):
-        # one table per call, at q = 1 + phi(w) bitlen(2 top w), decides every band row
+    def test_one_zero_test_per_call(self, monkeypatch):
+        # one table per block of band rows, at q = 1 + phi(w) bitlen(2 top w),
+        # decides every band row
         calls = []
         real = exactsign._roots
 
@@ -290,14 +277,15 @@ class TestOneCascade:
 
         monkeypatch.setattr(exactsign, "_roots", counting)
         rows, _ = cascade_stack(3)
-        out = signs(rows, np.zeros(len(rows)), 3, part)
+        out = signs(np.zeros(len(rows)), 3, 12, rows.__getitem__)
         assert (out != ZERO).any() and (out == ZERO).any()
         assert calls == [(12, 1 + 4 * (2 * 2 * 12).bit_length())]
         calls.clear()
-        assert signs(np.array([[1, 0, 0, 0]]), np.zeros(1), 2, part)[0] in (NEG, ZERO, POS)
+        word = np.array([[1, 0, 0, 0]])
+        assert signs(np.zeros(1), 2, 4, word.__getitem__).tolist() == [POS]
         assert calls == [(4, 1 + 2 * (2 * 4).bit_length())]
         calls.clear()
-        assert signs(np.array([[1, 0, 0, 0]]), np.ones(1), 2, part).tolist() == [POS]
+        assert signs(np.ones(1), 2, 4, word.__getitem__).tolist() == [POS]
         assert calls == []  # no band row, no table
 
     def test_band_is_guard(self):
@@ -305,8 +293,8 @@ class TestOneCascade:
 
         assert guard(4, 12) == FLOAT_GUARD * 3 * 12
         word = [1, 0, 0, 0]
-        assert one_sign(word, -0.9 * guard(2, 4), 2, "im") == POS  # in the band: certified
-        assert one_sign(word, -1.1 * guard(2, 4), 2, "im") == NEG  # outside: the double's sign
+        assert one_sign(word, -0.9 * guard(2, 4), 2) == POS  # in the band: certified
+        assert one_sign(word, -1.1 * guard(2, 4), 2) == NEG  # outside: the double's sign
 
     def test_guard_covers_float_bound_every_w(self):
         # the module docstring's bound over (sigma - 1) w, in units of 2^-53:
@@ -325,13 +313,13 @@ class TestOneCascade:
 class TestFixedPointTier:
     @pytest.mark.parametrize("w", range(1, 65))
     def test_table_within_one_of_mpmath(self, w):
-        # every entry within 1 of 2^q cos and 2^q sin, checked at 2q bits
+        # every entry within 1 of 2^q sin, checked at 2q bits
         for q in (8, 1 + _totient(w) * (2 * w).bit_length()):
-            re_, im_ = _roots(w, q)
+            im_ = _roots(w, q)
+            assert len(im_) == w
             with mp.workprec(2 * q):
                 for k in range(w):
                     angle = 2 * mp.pi * (k + 1) / w
-                    assert abs(re_[k] - mp.ldexp(mp.cos(angle), q)) <= 1, (w, q, k)
                     assert abs(im_[k] - mp.ldexp(mp.sin(angle), q)) <= 1, (w, q, k)
 
     @pytest.mark.parametrize("w", [100, 101])
@@ -342,7 +330,7 @@ class TestFixedPointTier:
 
         lp = build_long_path(2, w)
         start = time.perf_counter()
-        assert (false_zero_signs(lp.vertices, 2, "im") == POS).all()
+        assert (false_zero_signs(lp.vertices, 2) == POS).all()
         assert time.perf_counter() - start < 0.5
 
     def test_over_cap_precision_raises_before_table(self, monkeypatch):
@@ -351,7 +339,7 @@ class TestFixedPointTier:
         monkeypatch.setattr(exactsign, "_roots", lambda w, q: pytest.fail("table built"))
         start = time.perf_counter()
         with pytest.raises(BudgetError, match="^sign table needs 12813483542 states"):
-            false_zero_signs(np.ones((1, 20011), dtype=np.int64), 2, "im")
+            false_zero_signs(np.ones((1, 20011), dtype=np.int64), 2)
         assert time.perf_counter() - start < 1.0
 
     def test_over_cap_exits_2(self, capsys, monkeypatch):

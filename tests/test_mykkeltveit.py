@@ -14,6 +14,7 @@ from oracles import (
     digit_loop_build,
     embedding,
     kmer_decode,
+    part_sign,
     pure_rotation,
     raw_embedding,
     successor,
@@ -116,15 +117,63 @@ class TestKeepRule:
     def test_positive_im_never_kept(self):
         # build_long_path relies on this: Im P(x) > 0 alone keeps x out of the set
         for im_rot in (NEG, ZERO, POS):
-            for re in (NEG, ZERO, POS):
-                for least in (False, True):
-                    assert not _member(POS, im_rot, re, least), (im_rot, re, least)
+            assert not _member(POS, im_rot), im_rot
+
+    @given(data=st.data())
+    def test_real_p_has_rotation_of_opposite_sign(self, data):
+        # the lemma behind the rule: where Im P(x) is 0, P(R(x)) = r^-1 P(x)
+        # puts sign Re P(x) = -sign Im P(R(x)), both 0 together, for w >= 3;
+        # decided by the oracle, which shares no code with exactsign
+        sigma, w = data.draw(st.integers(2, 6)), data.draw(st.integers(3, 16))
+        word = data.draw(st.lists(st.integers(0, sigma - 1), min_size=w, max_size=w))
+        symmetric = data.draw(st.booleans())
+        if symmetric:  # x_i = x_(w-2-i) pairs r^(i+1) with its conjugate: Im P = 0
+            word = [word[min(i, w - 2 - i)] for i in range(w - 1)] + word[-1:]
+        p, rot = raw_embedding(word, w), word[1:] + word[:1]
+        im = part_sign(word, "im", p.imag)
+        assert im == ZERO or not symmetric
+        if im == ZERO:
+            q = raw_embedding(rot, w)
+            assert part_sign(word, "re", p.real) == -part_sign(rot, "im", q.imag)
 
 
 class TestSetConstruction:
     def test_w2_explicit(self):
         m = build_mykkeltveit_set(2, 2)
         assert {kmer_decode(int(c), 2, 2) for c in m.codes()} == {"00", "10", "11"}
+
+    @pytest.mark.parametrize("sigma", [2, 3, 10, 300])
+    def test_w2_is_x1_at_most_x0(self, sigma):
+        # P(x) = x_1 - x_0 at w = 2: the paper's Re P(x) < 0, and the
+        # one-word classes x_0 = x_1 at the origin
+        x0, x1 = np.divmod(np.arange(sigma**2), sigma)
+        m = build_mykkeltveit_set(sigma, 2)
+        assert m.mask.dtype == bool and np.array_equal(m.mask, x1 <= x0)
+        assert m.cardinality == necklace_count(sigma, 2)
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_one_decision_per_code(self, monkeypatch, block):
+        # every code's sign is decided by exactsign.signs, once: the doubles
+        # handed over cover all sigma^w codes exactly once, and each is Im P
+        # of the code its digit row spells
+        sigma, w = 3, 9
+        if block:
+            monkeypatch.setattr(mykkeltveit, "_BLOCK", block)
+        calls = []
+        real = exactsign.signs
+
+        def recording(approx, sigma_, w_, rows):
+            codes = [kmer_encode(r, sigma) for r in rows(np.arange(len(approx))).tolist()]
+            calls.append((approx.copy(), codes))
+            return real(approx, sigma_, w_, rows)
+
+        monkeypatch.setattr(exactsign, "signs", recording)
+        build_mykkeltveit_set(sigma, w)
+        codes = [c for _, cs in calls for c in cs]
+        assert sorted(codes) == list(range(sigma**w))
+        approx = np.concatenate([a for a, _ in calls])
+        exact = [raw_embedding(symbols(c, sigma, w), w).imag for c in codes]
+        assert np.allclose(approx, exact, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("sigma,wmax", [(2, 14), (3, 8), (4, 7)])
     def test_one_member_per_class(self, sigma, wmax):
@@ -194,6 +243,19 @@ class TestAgainstClassWalk:
     def test_long_path_vertices(self, w):
         for v in build_long_path(2, w).vertices.tolist():
             assert class_walk_member(kmer_encode(v, 2), 2, w) is False
+
+
+class TestOraclesIndependent:
+    def test_no_exactsign_in_oracles(self, monkeypatch):
+        # the oracles decide their signs with the cyclotomic zero test and
+        # mpmath, so they check the build with code it does not share
+        def fail(*args):
+            raise AssertionError("oracle called exactsign.signs")
+
+        monkeypatch.setattr(exactsign, "signs", fail)
+        assert class_walk_mask(3, 6).sum() == necklace_count(3, 6)
+        assert digit_loop_build(2, 12).sum() == necklace_count(2, 12)
+        assert embedding(kmer_encode("0101", 2), 2, 4).im_sign == ZERO
 
 
 class TestAgainstDigitLoop:
@@ -321,14 +383,14 @@ class TestLongPath:
         calls = []
         real = exactsign.signs
 
-        def counting(digits, approx, sigma, part):
-            calls.append((np.shape(digits), np.shape(approx), part))
-            return real(digits, approx, sigma, part)
+        def counting(approx, sigma, w, rows):
+            calls.append((np.shape(approx), sigma, w, rows(np.arange(len(approx))).tolist()))
+            return real(approx, sigma, w, rows)
 
         monkeypatch.setattr(exactsign, "signs", counting)
         lp = build_long_path(2, 100)
         assert len(lp.vertices) == 1313
-        assert calls == [((1313, 100), (1313,), "im")]
+        assert calls == [((1313,), 2, 100, lp.vertices.tolist())]
         assert min(p.imag for p in lp.embeddings) > 0
 
     def test_budget_checked_before_walk(self, monkeypatch):
