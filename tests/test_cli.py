@@ -14,10 +14,29 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import pins
+
 import uhspath
 from uhspath import cli
 from uhspath.cli import run
 from uhspath.kmerset import KmerSet
+
+
+# cli.main in a fresh interpreter, as the console script runs it
+MAIN = [sys.executable, "-c", "from uhspath.cli import main; main()"]
+
+
+def child_env():
+    """The environment a child needs to import the package these tests import."""
+    return {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(uhspath.__file__))}
+
+
+def failure(capsys, argv, status):
+    """stderr of a run of `argv` that exits `status` with nothing on stdout."""
+    assert run(argv) == status
+    out, err = capsys.readouterr()
+    assert out == ""
+    return err
 
 
 def invoke(capsys, *argv):
@@ -37,12 +56,6 @@ class TestBasics:
         obj = invoke_json(capsys, "necklaces", "--sigma", "2", "--w", "6")
         assert obj["necklace_count"] == 14
 
-    def test_necklaces_list(self, capsys):
-        obj = invoke_json(capsys, "necklaces", "--sigma", "2", "--w", "4", "--list")
-        assert len(obj["classes"]) == 6
-        assert sum(c["size"] for c in obj["classes"]) == 16
-        assert obj["classes"][0] == {"rep": "0000", "size": 1}
-
     @pytest.mark.parametrize("sigma,w", [(2, 1), (2, 9), (3, 6), (10, 3)])
     def test_necklaces_list_is_json_dumps(self, capsys, sigma, w):
         # the class list is joined as text: the bytes json.dumps writes
@@ -55,6 +68,15 @@ class TestBasics:
         want = {"sigma": sigma, "w": w, "necklace_count": len(classes), "classes": classes}
         assert capsys.readouterr().out == json.dumps(want) + "\n"
 
+    def test_defaults(self, capsys):
+        # an option left out reads as its default: --sigma 2, --k 1, --seed 0
+        for short, full in [
+            ("necklaces --w 4", "--sigma 2"),
+            ("contexts --w 3 --minimizer", "--k 1"),
+            ("density --w 4 --minimizer --k 2 --estimate --sample 64", "--seed 0"),
+        ]:
+            assert invoke(capsys, *short.split()) == invoke(capsys, *f"{short} {full}".split())
+
     def test_debruijn_seq(self, capsys):
         obj = invoke_json(capsys, "debruijn-seq", "--sigma", "2", "--n", "2")
         assert obj["sequence"] == "00110"
@@ -65,12 +87,6 @@ class TestBasics:
         obj = invoke_json(capsys, "mykkeltveit", "--sigma", "2", "--w", "8")
         assert obj["cardinality"] == obj["necklace_count"] == 36
         assert obj["decycling"] is True
-
-    def test_forbidden(self, capsys):
-        obj = invoke_json(capsys, "forbidden", "--sigma", "2", "--w", "16")
-        assert obj["d"] == 1
-        assert obj["longest_path"] == 15
-        assert obj["cardinality"] == 2**15 + 1
 
     def test_fsm(self, capsys):
         obj = invoke_json(capsys, "fsm", "--sigma", "2", "--d", "1")
@@ -87,25 +103,10 @@ class TestBasics:
         code, out = invoke(capsys, "fsm", "--sigma", "2", "--d", "1000", "--w", "5")
         assert time.perf_counter() - start < 2.0
         assert code == 0
-        digest = "2274a564e130847780d567ef614fb41d5349f36ca123ee5f48d572f26fffbe13"
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-    def test_mds_count(self, capsys):
-        obj = invoke_json(capsys, "mds-count", "--sigma", "2", "--w", "4")
-        assert obj["mds_count"] == 30
+        assert pins.sha256(out) == pins.BY_NAME["fsm-d1000"].stdout
 
 
 class TestDensity:
-    def test_particular_worked_sequence(self, capsys):
-        obj = invoke_json(
-            capsys,
-            "density",
-            "--sigma", "4", "--w", "5", "--minimizer", "--k", "3",
-            "--seq", "CACTGCTGTACCTCTTCT",
-        )
-        assert obj["density"]["float"] == 0.375
-        assert obj["selected"] == 6 and obj["windows"] == 16
-
     def test_expected_exact(self, capsys):
         obj = invoke_json(capsys, "density", "--sigma", "2", "--w", "2", "--minimizer", "--k", "1")
         assert obj["density"] == {"num": 3, "den": 4, "float": 0.75}
@@ -193,8 +194,7 @@ class TestSetsAndFiles:
         # stdout at w = 100, pinned; --out holds the same vertex lines
         code, out = invoke(capsys, "long-path", "--sigma", "2", "--w", "100")
         assert code == 0
-        digest = "7dd985684daa863ff621800013df0290c5272e87a9a2d1640671fe6eee4ab441"
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert pins.sha256(out) == pins.BY_NAME["long-path-w100"].stdout
         lines = str(tmp_path / "lp.txt")
         code, json_line = invoke(capsys, "long-path", "--sigma", "2", "--w", "100", "--out", lines)
         assert code == 0
@@ -230,9 +230,6 @@ class TestExitCodes:
         # d = 0 at w=8: construction refuses
         assert run(["forbidden", "--sigma", "2", "--w", "8"]) == 1
 
-    def test_budget_error(self, capsys):
-        assert run(["mykkeltveit", "--sigma", "2", "--w", "20", "--budget", "100"]) == 2
-
     def test_exact_density_budget(self, capsys):
         # the forward context set has 2^(4+3) = 128 states
         argv = ["density", "--sigma", "2", "--w", "4", "--minimizer", "--k", "3", "--budget", "10"]
@@ -262,10 +259,8 @@ class TestExitCodes:
         # a (k=3, w=4) minimizer window spans 6 symbols
         argv = ["density", "--sigma", "2", "--w", "4", "--minimizer", "--k", "3",
                 "--estimate", "--sample", sample]
-        assert run(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: string of length {sample} is shorter than a window (6 symbols)\n"
+        err = failure(capsys, argv, 1)
+        assert err == f"error: string of length {sample} is shorter than a window (6 symbols)\n"
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -294,10 +289,7 @@ class TestExitCodes:
     def test_bad_shape(self, capsys, argv, message):
         # a minimizer's shape is checked before sigma^k is sized, so sigma = 0
         # with k = -1 names the alphabet rather than dividing by zero
-        assert run(argv.split()) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert failure(capsys, argv.split(), 1) == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "error,line",
@@ -317,10 +309,7 @@ class TestExitCodes:
             raise error
 
         monkeypatch.setattr(forbidden, "build_forbidden_set", exhausted)
-        assert run(["forbidden", "--sigma", "2", "--w", "16"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == line + "\n"
+        assert failure(capsys, ["forbidden", "--sigma", "2", "--w", "16"], 2) == line + "\n"
 
     @pytest.mark.parametrize(
         "line", ["01", "01 1 0", "01 x"], ids=["missing_pick", "extra_field", "non_integer_pick"]
@@ -328,10 +317,8 @@ class TestExitCodes:
     def test_malformed_scheme_table(self, capsys, tmp_path, line):
         table = tmp_path / "t.txt"
         table.write_text(f"scheme sigma=2 w=2\n00 0\n\n{line}\n10 0\n11 1\n")
-        assert run(["density", "--sigma", "2", "--w", "2", "--table", str(table)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
+        err = failure(capsys, ["density", "--sigma", "2", "--w", "2", "--table", str(table)], 1)
+        assert err == (
             f"error: bad line 4 in scheme file {table}: expected a window and an integer pick\n"
         )
 
@@ -352,10 +339,7 @@ class TestExitCodes:
     def test_malformed_header(self, capsys, tmp_path, name, content, argv, message):
         f = tmp_path / name
         f.write_bytes(content)
-        assert run(argv.format(f=f).split()) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message.format(f=f)}\n"
+        assert failure(capsys, argv.format(f=f).split(), 1) == f"error: {message.format(f=f)}\n"
 
     @pytest.mark.parametrize(
         "argv,module,builder",
@@ -375,10 +359,8 @@ class TestExitCodes:
 
         monkeypatch.setattr(importlib.import_module(f"uhspath.{module}"), builder, never)
         out = tmp_path / "s.txt"
-        assert run(argv.split() + ["--out", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: digit text form only supports sigma <= 10\n"
+        err = failure(capsys, argv.split() + ["--out", str(out)], 1)
+        assert err == "error: digit text form only supports sigma <= 10\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
@@ -397,10 +379,8 @@ class TestExitCodes:
     def test_set_file_alphabet(self, capsys, tmp_path):
         f = tmp_path / "f.txt"
         f.write_text("uhs sigma=0 w=3\n")
-        assert run(["check-uhs", "--sigma", "0", "--w", "3", "--set", str(f)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: alphabet size must be >= 2, got 0\n"
+        err = failure(capsys, ["check-uhs", "--sigma", "0", "--w", "3", "--set", str(f)], 1)
+        assert err == "error: alphabet size must be >= 2, got 0\n"
 
     @pytest.mark.parametrize(
         "argv,what",
@@ -413,10 +393,7 @@ class TestExitCodes:
     )
     def test_budget_error_with_huge_count(self, capsys, argv, what):
         # sigma^w has more decimal digits than Python will print
-        assert run(argv.split()) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
+        lines = failure(capsys, argv.split(), 2).splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {what} needs at least 2^")
 
     @pytest.mark.parametrize(
@@ -435,10 +412,7 @@ class TestExitCodes:
         ids=lambda argv: argv.split()[0],
     )
     def test_every_budget_is_read(self, capsys, argv):
-        assert run([*argv.split(), "--budget", "1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
+        lines = failure(capsys, [*argv.split(), "--budget", "1"], 2).splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "budget is 1" in lines[0]
 
     @pytest.mark.parametrize(
@@ -453,19 +427,15 @@ class TestExitCodes:
         # the rank table has 2^11 entries; it is checked before it is allocated
         o = tmp_path / "o.txt"
         o.write_text("0" * 11 + "\n")
-        assert run([*argv.format(o=o).split(), "--budget", "1024"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: minimizer rank table needs 2048 states, budget is 1024\n"
+        err = failure(capsys, [*argv.format(o=o).split(), "--budget", "1024"], 2)
+        assert err == "error: minimizer rank table needs 2048 states, budget is 1024\n"
 
     @pytest.mark.parametrize(
         "argv", ["fsm --sigma 2 --d 3", "mds-count --sigma 2 --w 3"], ids=["fsm", "mds-count"]
     )
     def test_budget_only_where_read(self, capsys, argv):
-        assert run([*argv.split(), "--budget", "5"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: unrecognized arguments: --budget 5\n"
+        err = failure(capsys, [*argv.split(), "--budget", "5"], 1)
+        assert err == "error: unrecognized arguments: --budget 5\n"
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -493,10 +463,7 @@ class TestExitCodes:
         t.write_text("scheme sigma=2 w=2\n00 0\n01 1\n10 0\n11 1\n")
         o.write_text("00\n01\n10\n11\n")
         KmerSet.from_codes(2, 6, [0b000000, 0b010101]).save_binary(str(m))
-        assert run(argv.format(t=t, o=o, m=m).split()) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert failure(capsys, argv.format(t=t, o=o, m=m).split(), 1) == f"error: {message}\n"
 
     def test_scheme_matching_flags(self, capsys, tmp_path):
         t = tmp_path / "t.txt"
@@ -506,10 +473,8 @@ class TestExitCodes:
             assert (obj["sigma"], obj["w"], obj["k"], obj["kind"]) == (2, 2, 1, "TABLE")
 
     def test_seed_belongs_to_density(self, capsys):
-        assert run(["mykkeltveit", "--sigma", "2", "--w", "6", "--seed", "1"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: unrecognized arguments: --seed 1\n"
+        err = failure(capsys, ["mykkeltveit", "--sigma", "2", "--w", "6", "--seed", "1"], 1)
+        assert err == "error: unrecognized arguments: --seed 1\n"
         argv = ["density", "--sigma", "2", "--w", "6", "--minimizer", "--k", "3",
                 "--estimate", "--sample", "100000", "--seed"]
         a = invoke_json(capsys, *argv, "11")
@@ -539,10 +504,8 @@ class TestExitCodes:
 
         monkeypatch.setattr(mykkeltveit, "build_mykkeltveit_set", never)
         monkeypatch.setattr(paths, "longest_remaining_path", never)
-        assert run(["longest-path", "--sigma", "11", "--w", "7", "--set", "mykkeltveit"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: digit text form only supports sigma <= 10\n"
+        err = failure(capsys, ["longest-path", "--sigma", "11", "--w", "7", "--set", "mykkeltveit"], 1)
+        assert err == "error: digit text form only supports sigma <= 10\n"
 
     @pytest.mark.parametrize("corrupt", ["row", "short", "loose"])
     @pytest.mark.parametrize(
@@ -666,20 +629,32 @@ class TestExitCodes:
             )
 
     def test_largest_printable_necklace_count(self, capsys):
-        # 2^14000 / 14000 has 4211 digits, under Python's 4300: it still prints
-        obj = invoke_json(capsys, "necklaces", "--sigma", "2", "--w", "14000")
-        assert obj["necklace_count"] * 14000 >= 2**14000
+        # 2^14000 / 14000 has 4211 digits and 2^14298 / 14298 has 4300, under
+        # or at Python's 4300: both still print
+        for w in (14000, 14298):
+            obj = invoke_json(capsys, "necklaces", "--sigma", "2", "--w", str(w))
+            assert obj["necklace_count"] * w >= 2**w
+
+    def test_smallest_unprintable_necklace_count(self, capsys):
+        # 2^14302 / 14302 has 4302 digits: refused before it is computed
+        assert run(["necklaces", "--sigma", "2", "--w", "14302"]) == 1
+        assert capsys.readouterr().err.endswith("has more than 4300 digits, the most Python prints\n")
 
     def test_necklace_count_without_digit_limit(self, capsys, monkeypatch):
         # Pythons before 3.10.7 have no sys.get_int_max_str_digits: no limit to check
         monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
-        obj = invoke_json(capsys, "necklaces", "--sigma", "2", "--w", "6")
-        assert obj["necklace_count"] == 14
+        assert invoke_json(capsys, "necklaces", "--sigma", "2", "--w", "6")["necklace_count"] == 14
+        assert invoke_json(capsys, "necklaces", "--sigma", "2", "--w", "20")["necklace_count"] == 52488
+
+    def test_necklace_list_budget(self, capsys):
+        # the list holds one state per class: 6 at sigma = 2, w = 4
+        assert run("necklaces --sigma 2 --w 4 --list --budget 6".split()) == 0
+        assert run("necklaces --sigma 2 --w 4 --list --budget 5".split()) == 2
 
     def test_long_path_undefined_width(self, capsys):
         # the even program leaves the upper half plane at w=18: bad input, not a bug
         assert run(["long-path", "--sigma", "2", "--w", "18"]) == 1
-        assert "has Im(P) <= 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: vertex at step 47 has Im(P) <= 0\n"
 
     def test_long_path_sigma_over_10_before_walk(self, capsys, monkeypatch):
         # the vertices print as digit text: sigma > 10 fails before any work
@@ -739,9 +714,7 @@ class TestParser:
     }
     ERRORS = {
         "": "error: the following arguments are required: cmd\n",
-        "bogus": "error: argument cmd: invalid choice: 'bogus' (choose from "
-        + ", ".join(map(repr, COMMANDS))
-        + ")\n",
+        "bogus": pins.BY_NAME["exit-1-bad-command"].stderr + "\n",
     }
     PINNED = pytest.mark.skipif(
         sys.version_info[:2] not in [(3, 10), (3, 11)],
@@ -801,52 +774,24 @@ class TestProcessEntryPoint:
         ids=["ok", "validation", "budget"],
     )
     def test_exit_status_reaches_the_process(self, argv, status):
-        src = os.path.dirname(os.path.dirname(uhspath.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-c", "from uhspath.cli import main; main()", *argv.split()],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-        )
+        proc = subprocess.run([*MAIN, *argv.split()], env=child_env(), capture_output=True, text=True)
         assert proc.returncode == status, proc.stderr
         if status == 0:
-            assert proc.stdout == '{"sigma": 2, "w": 4, "necklace_count": 6}\n'
-            assert proc.stderr == ""
+            assert pins.differences(pins.BY_NAME["necklaces-s2w4"], ".", 0, proc.stdout, proc.stderr) == []
         else:
             assert proc.stdout == ""
             assert len(proc.stderr.splitlines()) == 1
             assert proc.stderr.startswith("error: ")
 
     @pytest.mark.parametrize(
-        "argv,stdout",
-        [
-            (
-                "necklaces --sigma 2 --w 4 --list",
-                '{"sigma": 2, "w": 4, "necklace_count": 6, "classes": [{"rep": "0000", "size": 1}, '
-                '{"rep": "0001", "size": 4}, {"rep": "0011", "size": 4}, {"rep": "0101", "size": 2}, '
-                '{"rep": "0111", "size": 4}, {"rep": "1111", "size": 1}]}\n',
-            ),
-            (
-                "debruijn-seq --sigma 2 --n 3",
-                '{"sigma": 2, "order": 3, "cyclic": false, "length": 10, "sequence": "0001011100"}\n',
-            ),
-        ],
-        ids=["necklaces", "debruijn-seq"],
+        "name", ["necklaces-list-s2w4", "debruijn-seq-s2n3"], ids=["necklaces", "debruijn-seq"]
     )
-    def test_literal_stdout(self, argv, stdout):
-        src = os.path.dirname(os.path.dirname(uhspath.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-c", "from uhspath.cli import main; main()", *argv.split()],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
-        )
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
+    def test_literal_stdout(self, name):
+        assert pins.run_command(MAIN, pins.BY_NAME[name], child_env()) == []
 
     def test_written_files_complete_at_exit(self, tmp_path):
         # main() freezes the collector after run() returns: every --out and
         # --csv file is closed by then, byte for byte what run() writes in process
-        src = os.path.dirname(os.path.dirname(uhspath.__file__))
         argvs = [
             "long-path --sigma 2 --w 100 --out {d}/lp.txt --csv {d}/lp.csv",
             "mykkeltveit --sigma 2 --w 14 --out {d}/m.txt",
@@ -858,11 +803,7 @@ class TestProcessEntryPoint:
             for argv in argvs:
                 args = argv.format(d=d).split()
                 if where == "process":
-                    proc = subprocess.run(
-                        [sys.executable, "-c", "from uhspath.cli import main; main()", *args],
-                        env={**os.environ, "PYTHONPATH": src},
-                        capture_output=True,
-                    )
+                    proc = subprocess.run([*MAIN, *args], env=child_env(), capture_output=True)
                     assert proc.returncode == 0, proc.stderr
                 else:
                     assert run(args) == 0
@@ -877,7 +818,6 @@ class TestProcessEntryPoint:
         """(exit status, stdout lines, peak RSS in KiB) of one `main()` run: a
         small parent forks it and reads its peak from wait4, so the peak is
         the run's own."""
-        src = os.path.dirname(os.path.dirname(uhspath.__file__))
         script = (
             "import os, sys\n"
             "pid = os.fork()\n"
@@ -888,10 +828,7 @@ class TestProcessEntryPoint:
             "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", script, *argv],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
+            [sys.executable, "-c", script, *argv], env=child_env(), capture_output=True, text=True
         )
         lines = proc.stdout.splitlines()
         status, maxrss_kib = map(int, lines[-1].split())
@@ -910,9 +847,8 @@ class TestProcessEntryPoint:
     def test_fsm_peak_rss(self):
         # the 10^6-entry matrix is written a row at a time: about 16 MB, where
         # the whole matrix and its whole text took 125 MB
-        lines, maxrss_kib = self._child_peak("fsm", "--sigma", "2", "--d", "1000", "--w", "5")
-        digest = "2274a564e130847780d567ef614fb41d5349f36ca123ee5f48d572f26fffbe13"
-        assert hashlib.sha256((lines[0] + "\n").encode()).hexdigest() == digest
+        lines, maxrss_kib = self._child_peak(*pins.BY_NAME["fsm-d1000"].argv.split())
+        assert pins.sha256(lines[0] + "\n") == pins.BY_NAME["fsm-d1000"].stdout
         assert maxrss_kib < 40 * 1024
 
     @pytest.mark.parametrize(
@@ -929,7 +865,6 @@ class TestProcessEntryPoint:
     def test_no_fractions_without_a_fraction(self, argv):
         # fractions (and the decimal it loads) is imported where a Fraction
         # is built, which these outputs never do
-        src = os.path.dirname(os.path.dirname(uhspath.__file__))
         script = (
             "import sys\n"
             "before = {'fractions', 'decimal'} & set(sys.modules)\n"
@@ -940,10 +875,7 @@ class TestProcessEntryPoint:
             "    print(e.code, sorted(({'fractions', 'decimal'} & set(sys.modules)) - before), file=sys.stderr)\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", script, *argv.split()],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
+            [sys.executable, "-c", script, *argv.split()], env=child_env(), capture_output=True, text=True
         )
         assert proc.stderr == "0 []\n"
 
@@ -951,9 +883,7 @@ class TestProcessEntryPoint:
     def test_blas_pool_pinned_before_numpy_loads(self, user):
         # main() sets OPENBLAS_NUM_THREADS=1 before a handler imports numpy,
         # and keeps a value the user set
-        src = os.path.dirname(os.path.dirname(uhspath.__file__))
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        env["PYTHONPATH"] = src
+        env = {k: v for k, v in child_env().items() if k != "OPENBLAS_NUM_THREADS"}
         if user is not None:
             env["OPENBLAS_NUM_THREADS"] = user
         script = (
@@ -978,98 +908,22 @@ class TestProcessEntryPoint:
 
 
 class TestStdoutPins:
-    """Every subcommand's stdout, in process, pinned by its sha256.  The
-    sampled --estimate is left out: its bytes follow numpy's RNG stream and
-    np.std, which numpy releases do not hold fixed."""
+    """Every row of the pin table, in process: stdout, exit status, stderr
+    where pinned, and the bytes of every file the run writes."""
 
-    @pytest.mark.parametrize(
-        "argv,status,digest",
-        [
-            pytest.param(
-                "necklaces --sigma 3 --w 5", 0,
-                "6bff1833c8955b34d1fbce44181695910f39ff2869cbdfbc7206ea793cd8aee5",
-                id="necklaces",
-            ),
-            pytest.param(
-                "necklaces --sigma 3 --w 5 --list", 0,
-                "fb089c1dfc335f3d9ef2733220a1924ec6527878110dcd17d0248a06f27ce59b",
-                id="necklaces-list",
-            ),
-            pytest.param(
-                "debruijn-seq --sigma 3 --n 3 --cyclic", 0,
-                "b0ef6898a09abab940c5e6f72adafef369cb5001cc6b0be5947b1efc9c8e6f08",
-                id="debruijn-seq",
-            ),
-            pytest.param(
-                "mykkeltveit --sigma 2 --w 10", 0,
-                "feb1c1250ce63725273e68dc54c5a03019cc2882dc44169ba064dead18713b1e",
-                id="mykkeltveit",
-            ),
-            pytest.param(
-                "forbidden --sigma 2 --w 12", 0,
-                "5b0ae99f0012f22752d0dd0c8662cb0e82cf6dcaa0aedbf40cd99d93dbf22477",
-                id="forbidden",
-            ),
-            pytest.param(
-                "contexts --sigma 2 --w 4 --minimizer --k 3", 0,
-                "c49d366dfc443fabb0218a3bda7e7c4fcdcf3bea49e48464fd94fc70cb271bed",
-                id="contexts-local",
-            ),
-            pytest.param(
-                "contexts --sigma 2 --w 3 --minimizer --k 1 --variant forward", 0,
-                "b3f13bdc9c051ad1cf056de98264dc68cb447f1bed210527238a38e010360e27",
-                id="contexts-forward",
-            ),
-            pytest.param(
-                "density --sigma 2 --w 4 --minimizer --k 3", 0,
-                "3ea501d95e89b86fbccbb02b4b1aa673f71e2ef9c6c32cbda89b0ffa9d9f8b92",
-                id="density-exact",
-            ),
-            pytest.param(
-                "density --sigma 4 --w 5 --minimizer --k 3 --seq CACTGCTGTACCTCTTCT", 0,
-                "cf242cb99750edbfc41f612ee1ec600bde5fa3c69e280642122ff73295ef74e3",
-                id="density-seq",
-            ),
-            pytest.param(
-                "check-uhs --sigma 2 --w 10 --set forbidden --l 12", 0,
-                "d8a281d90cf7a84a329fa0bd724a5b243ace818504a6ad8ff3138cff95101ac3",
-                id="check-uhs",
-            ),
-            pytest.param(
-                "longest-path --sigma 2 --w 3 --set c3.txt", 0,
-                "b1f31e351c4377987fa3fcf5d1027e0609dfd748b969f332def248255b045148",
-                id="longest-path-cyclic",
-            ),
-            pytest.param(
-                "long-path --sigma 2 --w 20", 0,
-                "b9554deb22f34d9ef916537d6a71769471c7a8ab454f25a3bd8d0edb5046c160",
-                id="long-path",
-            ),
-            pytest.param(
-                "mds-count --sigma 2 --w 4", 0,
-                "f28c403b0e418206b6ae63d6e7a1edcb4136eeda0337c3109fd1a1b15dd9edfa",
-                id="mds-count",
-            ),
-            pytest.param(
-                "fsm --sigma 2 --d 3 --w 6", 0,
-                "898a0045f4015ca0a64d12d9a60d6948f4332ffdc614e2d6c9697e512da773ba",
-                id="fsm",
-            ),
-            pytest.param(
-                "necklaces --sigma 1 --w 4", 1, hashlib.sha256(b"").hexdigest(), id="exit-1"
-            ),
-            pytest.param(
-                "mykkeltveit --sigma 2 --w 20 --budget 100", 2, hashlib.sha256(b"").hexdigest(),
-                id="exit-2",
-            ),
-        ],
-    )
-    def test_stdout_sha256(self, capsys, monkeypatch, tmp_path, argv, status, digest):
-        # c3.txt leaves the cycles 010 -> 101 -> 010 and 111 -> 111 unhit
-        (tmp_path / "c3.txt").write_text("uhs sigma=2 w=3\n000\n100\n")
+    @pytest.mark.parametrize("pin", pins.PINS, ids=[pin.name for pin in pins.PINS])
+    def test_stdout_sha256(self, capsys, monkeypatch, tmp_path, pin):
+        pins.write_inputs(pin, tmp_path)
         monkeypatch.chdir(tmp_path)
-        assert run(argv.split()) == status
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        status = run(pin.argv.split())
+        out, err = capsys.readouterr()
+        assert pins.differences(pin, tmp_path, status, out, err) == []
+
+    def test_table(self):
+        argvs = [pin.argv for pin in pins.PINS]
+        assert len(set(argvs)) == len(argvs)
+        assert {pin.argv.split()[0] for pin in pins.PINS if pin.status == 0} == set(cli._COMMANDS)
+        assert all(pin.stdout == "" for pin in pins.PINS if pin.status in (1, 2))
 
 
 TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x7fé€\u2028😀'), st.characters()))

@@ -213,9 +213,13 @@ class TestCheckBudget:
             check_budget(2, 40, what="x")
 
     def test_lower_bound_past_the_cap(self):
-        # 8^(2^20 + 1) = 2^3145731 is past the 2^20-bit cap: refused unbuilt
+        # 8^(2^20 + 1) = 2^3145731 is past the 2^20-bit cap: refused unbuilt;
+        # 3^(2^20) is not, and too long to print, so it is named by its bit length
         with pytest.raises(BudgetError, match=r"^x needs at least 2\^3145731 states, budget is 1$"):
             check_budget(8, (1 << 20) + 1, budget=1, what="x")
+        for w, bits in [(1 << 20, 1661953), (1_500_000, 1_500_000)]:
+            with pytest.raises(BudgetError, match=rf"^x needs at least 2\^{bits} states, budget is 1$"):
+                check_budget(3, w, budget=1, what="x")
 
 
 class TestDeBruijnSequence:

@@ -7,13 +7,16 @@ from pathlib import Path
 
 import pytest
 
+import uhspath
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def run_demo(path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # the package the tests import, wherever it lies
+    src = os.path.dirname(os.path.dirname(uhspath.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
         [sys.executable, str(path)], capture_output=True, text=True, env=env, timeout=120
     )

@@ -207,6 +207,9 @@ class TestSurvival:
     def test_budget_checked_before_work(self):
         with pytest.raises(BudgetError, match="survival recurrence needs"):
             survival_probability(2, 3, 10**8)
+        # w steps of w log2(sigma) bits: 10^5 (2 * 10^5 // 64 + 1) words
+        with pytest.raises(BudgetError, match="survival recurrence needs 312600000 states"):
+            survival_probability(2, 3, 10**5)
         with pytest.raises(BudgetError, match="fsm matrix needs 10000000000 states"):
             fsm_matrix(2, 10**5)
         assert survival_probability(2, 3, 60000) < 1  # about 2^26 words of steps

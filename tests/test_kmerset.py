@@ -29,6 +29,7 @@ class TestBasics:
         b = KmerSet.from_codes(2, 3, encode_lines(["000", "101", "111"], 2, 3))
         c = KmerSet(2, 3, np.isin(np.arange(8), [0, 5, 7]))
         assert a == b == c and a.cardinality == 3
+        assert KmerSet(2, 2, np.ones(4, dtype=bool)) != KmerSet(4, 1, np.ones(4, dtype=bool))
 
     def test_relative_size(self):
         s = KmerSet.from_codes(2, 2, encode_lines(["00", "10", "11"], 2, 2))
@@ -49,6 +50,8 @@ class TestBasics:
     def test_code_range_checked(self):
         with pytest.raises(ValueError):
             KmerSet.from_codes(2, 3, [8])
+        with pytest.raises(ValueError, match="must be a bool array"):
+            KmerSet(2, 3, np.zeros(8, dtype=np.uint8))
 
     @pytest.mark.parametrize("text", ["01", "0110"])
     def test_texts_of_another_w_rejected(self, text):
@@ -135,6 +138,10 @@ class TestSerialization:
         assert raw[4] == 2
         assert int.from_bytes(raw[5:9], "little") == 3
         assert raw[9] == 0b10000001  # bit i = membership of code i, LSB first
+        KmerSet(255, 1, np.ones(255, dtype=bool)).save_binary(str(p))
+        assert KmerSet.load_binary(str(p)).sigma == 255
+        with pytest.raises(ValueError, match="stores sigma as one byte"):
+            KmerSet(256, 1, np.zeros(256, dtype=bool)).save_binary(str(p))
 
     def test_load_tells_formats_apart(self, tmp_path, monkeypatch):
         s = KmerSet.from_codes(2, 4, [0b0110, 0b1111])
@@ -163,7 +170,7 @@ class TestSerialization:
         p.write_bytes(b"XXXX\x02\x03\x00\x00\x00")
         with pytest.raises(ValueError):
             KmerSet.load_binary(str(p))
-        for header in ("uhs sigma=x w=3", "uhs sigma=2 w=", "uhs w=3 sigma=2"):
+        for header in ("uhs sigma=x w=3", "uhs sigma=2 w=", "uhs w=3 sigma=2", "order sigma=2 w=3"):
             p.write_text(header + "\n000\n")
             with pytest.raises(ValueError, match=f"^bad set file header in {p}$"):
                 KmerSet.load_text(str(p))
@@ -285,6 +292,9 @@ class TestVectorisedParse:
                 codes = rng.integers(0, sigma**w, size=50)
                 texts = [kmer_decode(int(c), sigma, w) for c in codes]
                 assert encode_lines(texts, sigma, w).tolist() == [kmer_encode(t, sigma) for t in texts]
+        for sigma in (2, 5):  # ACGT is read at sigma = 4 only
+            with pytest.raises(ValueError, match="invalid symbol"):
+                encode_lines(["AC"], sigma, 2)
 
 
 class TestHits:

@@ -38,8 +38,10 @@ from uhspath.mykkeltveit import (
 )
 from uhspath.paths import is_decycling, longest_remaining_path
 
-# the widths up to which the class walk checks every code, per sigma
+# the widths up to which the class walk checks every code, and then the
+# digit loop, per sigma
 CLASS_WALK_WMAX = {2: 14, 3: 8, 4: 7, 5: 4, 6: 4}
+DIGIT_LOOP_WMAX = {2: 20, 3: 12, 4: 9, 5: 7, 6: 6}
 
 
 def weight(x, sigma, w):
@@ -219,8 +221,10 @@ class TestSetConstruction:
 class TestAgainstClassWalk:
     @pytest.mark.parametrize("sigma,wmax", CLASS_WALK_WMAX.items())
     def test_every_code(self, sigma, wmax):
-        for w in range(2, wmax + 1):
-            assert np.array_equal(build_mykkeltveit_set(sigma, w).mask, class_walk_mask(sigma, w)), w
+        # the class walk up to wmax, the digit loop past it
+        for w in range(2, DIGIT_LOOP_WMAX[sigma] + 1):
+            oracle = class_walk_mask if w <= wmax else digit_loop_build
+            assert np.array_equal(build_mykkeltveit_set(sigma, w).mask, oracle(sigma, w)), w
 
     @given(data=st.data())
     def test_any_alphabet(self, data):
@@ -259,15 +263,6 @@ class TestOraclesIndependent:
 
 
 class TestAgainstDigitLoop:
-    # the second oracle, for the widths past the class walk's
-    @pytest.mark.parametrize(
-        "sigma,wmax", [(2, 20), (3, 12), (4, 9), (5, 7), (6, 6)]
-    )
-    def test_masks_equal(self, sigma, wmax):
-        for w in range(CLASS_WALK_WMAX[sigma] + 1, wmax + 1):
-            m = build_mykkeltveit_set(sigma, w)
-            assert np.array_equal(m.mask, digit_loop_build(sigma, w)), (sigma, w)
-
     @pytest.mark.parametrize("sigma,w", [(2, 16), (3, 10)])
     def test_blocks(self, monkeypatch, sigma, w):
         monkeypatch.setattr(mykkeltveit, "_BLOCK", 7)
@@ -378,6 +373,7 @@ class TestLongPath:
         assert mykkeltveit._revisits(rows, ps)
         assert not mykkeltveit._revisits(rows[:2], ps[:2])
         assert not mykkeltveit._revisits(rows, np.array([0, 1, 2], dtype=np.complex128))
+        assert mykkeltveit._revisits(rows[::2], ps[::2])  # two equal neighbours
 
     def test_one_signs_call_no_embedding(self, monkeypatch):
         calls = []

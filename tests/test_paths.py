@@ -364,6 +364,7 @@ class TestWitnessCheck:
             [member] + path[1:],  # a member of the set
             path[:1] + path[:1] + path[2:],  # a repeated vertex is no edge here
             [path[0] + 256] + path[1:],  # out of range
+            [256] + path[1:],  # one past the last code
         ):
             assert not verify_witness(kset, PathReport(ACYCLIC, len(path), witness=bad))
         assert verify_witness(kset, PathReport(ACYCLIC, len(path), witness=list(path)))

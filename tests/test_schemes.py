@@ -18,7 +18,7 @@ from oracles import (
     symbol_lists,
 )
 from uhspath import schemes
-from uhspath.core import debruijn_sequence, parse_symbols
+from uhspath.core import BudgetError, debruijn_sequence, parse_symbols
 from uhspath.forbidden import build_forbidden_set
 from uhspath.kmerset import KmerSet
 from uhspath.paths import longest_remaining_path
@@ -297,6 +297,10 @@ class TestAgainstSelect:
 class TestIsForward:
     def test_minimizers_are_forward(self):
         assert is_forward(minimizer_scheme(2, 2, 3))
+        # the check reads sigma^(window + 1) = 8 strings here
+        assert is_forward(minimizer_scheme(2, 1, 2), budget=8)
+        with pytest.raises(BudgetError, match="^forwardness check needs 8 states, budget is 7$"):
+            is_forward(minimizer_scheme(2, 1, 2), budget=7)
         rng = np.random.default_rng(1)
         for _ in range(10):
             sch = minimizer_scheme(2, 2, 3, rng.permutation(4))
@@ -320,6 +324,12 @@ class TestExpectedDensity:
         res = expected_density(minimizer_scheme(2, 1, 2))
         assert res.mode == EXPECTED_EXACT
         assert res.density == Fraction(3, 4)
+        # past 2^20 context codes (here w + k = 21) the density is sampled,
+        # by default over 10^7 symbols from seed 0, as the CLI samples
+        big = minimizer_scheme(2, 1, 20)
+        res = expected_density(big)
+        assert res.mode == EXPECTED_ESTIMATE and res.windows == 10**7
+        assert res == estimate_density(big)
 
     def test_exact_equals_particular_on_debruijn(self):
         # oracle: walk the cyclic de Bruijn sequence of the context order
@@ -394,12 +404,20 @@ class TestEstimateErrorBars:
         ids=["s4k3w5", "s2k6w12", "compatible_f12"],
     )
     def test_seed_sweep(self, make):
-        # the reported standard error matches the spread of the estimate over seeds
+        # the reported standard error matches the spread of the estimate over
+        # seeds, and covers the exact density (the forward context set's
+        # relative size) as a 32-batch t interval does: |z| < 2.04, the t
+        # quantile for 31 degrees of freedom, in about 95% of the seeds
+        from uhspath.contexts import build_context_set_forward
+
         sch = make()
         runs = [estimate_density(sch, sample_symbols=20_000, seed=seed) for seed in range(200)]
         reported = np.mean([r.stderr for r in runs])
         empirical = np.std([float(r.density) for r in runs], ddof=1)
         assert 0.75 <= reported / empirical <= 1.25
+        exact = float(build_context_set_forward(sch).relative_size())
+        z = np.array([(float(r.density) - exact) / r.stderr for r in runs])
+        assert 0.92 <= np.mean(np.abs(z) < 2.04) <= 0.99
 
     @pytest.mark.parametrize("sample", [-1, 0, 2, 5])
     def test_shorter_than_window(self, sample):
@@ -420,12 +438,19 @@ class TestCompatibleMinimizer:
         assert sch.kind == "COMPATIBLE"
         assert select(sch, "1001") == 1  # leftmost 00
         assert select(sch, "0100") == 2
+        # U is checked as a hitting set when its sigma^k codes fit the budget
+        assert build_compatible_minimizer(U, 3, budget=4).guarantee is False
 
     def test_full_set_degenerates_to_lexicographic(self):
         U = KmerSet(2, 2, np.ones(4, dtype=bool))
         sch = build_compatible_minimizer(U, 3)
         lex = minimizer_scheme(2, 2, 3)
         assert np.array_equal(scheme_values(sch), scheme_values(lex))
+        # lexicographic 1-mers over 257 symbols, whose rank 256 needs 9 bits:
+        # a window picks its second symbol where that is less
+        lex257, symbols = minimizer_scheme(257, 1, 2), np.arange(257)
+        assert scheme_values(lex257).tolist() == np.greater.outer(symbols, symbols).ravel().tolist()
+        assert _string_selected(lex257, [256, 0, 256], False).tolist() == [False, True, False]
 
     def test_density_bounded_by_relative_size_when_guaranteed(self):
         from uhspath.mykkeltveit import build_mykkeltveit_set
@@ -468,6 +493,8 @@ class TestSchemeValidation:
             minimizer_scheme(2, -1, 3)
         with pytest.raises(ValueError, match="alphabet size"):
             table_scheme(1, 2, [0])
+        with pytest.raises(ValueError, match=r"table values must lie in \[0, w-1\]"):
+            table_scheme(2, 2, [0, 2, 0, 1])
 
     @pytest.mark.parametrize("bad", [-1, 8, 3], ids=["negative", "too-large", "repeated"])
     def test_rank_must_be_a_permutation(self, bad):
