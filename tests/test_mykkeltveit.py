@@ -38,10 +38,8 @@ from uhspath.mykkeltveit import (
 )
 from uhspath.paths import is_decycling, longest_remaining_path
 
-# the widths up to which the class walk checks every code, and then the
-# digit loop, per sigma
+# the widths up to which the class walk checks every code, per sigma
 CLASS_WALK_WMAX = {2: 14, 3: 8, 4: 7, 5: 4, 6: 4}
-DIGIT_LOOP_WMAX = {2: 20, 3: 12, 4: 9, 5: 7, 6: 6}
 
 
 def weight(x, sigma, w):
@@ -221,10 +219,8 @@ class TestSetConstruction:
 class TestAgainstClassWalk:
     @pytest.mark.parametrize("sigma,wmax", CLASS_WALK_WMAX.items())
     def test_every_code(self, sigma, wmax):
-        # the class walk up to wmax, the digit loop past it
-        for w in range(2, DIGIT_LOOP_WMAX[sigma] + 1):
-            oracle = class_walk_mask if w <= wmax else digit_loop_build
-            assert np.array_equal(build_mykkeltveit_set(sigma, w).mask, oracle(sigma, w)), w
+        for w in range(2, wmax + 1):
+            assert np.array_equal(build_mykkeltveit_set(sigma, w).mask, class_walk_mask(sigma, w)), w
 
     @given(data=st.data())
     def test_any_alphabet(self, data):
@@ -263,6 +259,15 @@ class TestOraclesIndependent:
 
 
 class TestAgainstDigitLoop:
+    # the second oracle, for the widths past the class walk's
+    @pytest.mark.parametrize(
+        "sigma,wmax", [(2, 20), (3, 12), (4, 9), (5, 7), (6, 6)]
+    )
+    def test_masks_equal(self, sigma, wmax):
+        for w in range(CLASS_WALK_WMAX[sigma] + 1, wmax + 1):
+            m = build_mykkeltveit_set(sigma, w)
+            assert np.array_equal(m.mask, digit_loop_build(sigma, w)), (sigma, w)
+
     @pytest.mark.parametrize("sigma,w", [(2, 16), (3, 10)])
     def test_blocks(self, monkeypatch, sigma, w):
         monkeypatch.setattr(mykkeltveit, "_BLOCK", 7)
