@@ -116,17 +116,15 @@ def signs(approx: np.ndarray, sigma: int, w: int, rows) -> np.ndarray:
         err = max(-int(d.min()), int(d.max()), 1) * w  # |S - 2^q Im P| <= err
         q = 1 + _totient(w) * (2 * err).bit_length()
         check_budget(2 * w * q, 1, what="sign table")
-        table = _roots(w, q)
-        if err.bit_length() <= 29:
-            # 32-bit limbs, the top one signed, in int64: products and carries
-            # stay below 2^62
-            n = (q + 33) // 32
-            raw = b"".join(t.to_bytes(4 * n, "little", signed=True) for t in table)
-            limbs = np.frombuffer(raw, dtype="<u4").reshape(w, n).astype(np.int64)
-            limbs[:, -1] -= (limbs[:, -1] >> 31) << 32
-            acc = d @ limbs
-        else:
-            acc = d.astype(object) @ np.array(table, dtype=object)[:, None]
+        # 32-bit limbs, the top one signed, in int64: products and carries
+        # stay below 2^62 while err < 2^29.  The callers' digits are 0 and 1,
+        # or below a sigma whose sine tables already hold sigma^2 entries
+        assert err.bit_length() <= 29
+        n = (q + 33) // 32
+        raw = b"".join(t.to_bytes(4 * n, "little", signed=True) for t in _roots(w, q))
+        limbs = np.frombuffer(raw, dtype="<u4").reshape(w, n).astype(np.int64)
+        limbs[:, -1] -= (limbs[:, -1] >> 31) << 32
+        acc = d @ limbs
         # acc becomes S + err with every limb but the top one in [0, 2^32)
         acc[:, 0] += err
         for j in range(acc.shape[1] - 1):

@@ -7,14 +7,19 @@ Zapf, "An experimental determination of sufficient mutant operators", TOSEM
 Operators, at every site outside docstrings: `<` <-> `<=` and `>` <-> `>=`;
 each relational operator to its negation; `+` <-> `-`, `*` <-> `//`, `<<` <->
 `>>`, `&` <-> `|`; `and` <-> `or`; each int constant + 1.  A mutant's id is
-`module:line:col:replacement` (`+1` for a constant).
+`module:scope:k:replacement` (`+1` for a constant): `scope` is the qualified
+name of the innermost enclosing def or class (`<module>` at top level) and `k`
+the site's 0-based index among that scope's sites in source order, so an edit
+renames only the ids of the scope it is in.
 
 Each mutant is written into a temp copy of `src/` (never into `src/`) and
 tested there by `pytest -o pythonpath=<copy>` with PYTHONPATH=<copy>, on two
 worker processes: first the module's own test file, recording every test that
 fails; a mutant that survives it then runs the rest of the suite with `-x`.
-A run over 10 times the clean run's time counts as killed.  Survivors listed
-in `tests/mutants_equivalent.txt` (`<id> <reason>` a line) count as
+A run over 10 times the clean run's time is rerun once at 3 times that bound:
+the mutant counts as timed out (killed) only if the rerun times out too, and
+otherwise the rerun's verdict stands; the report lists every rerun.  Survivors
+listed in `tests/mutants_equivalent.txt` (`<id> <reason>` a line) count as
 equivalent; the exit status is 1 if any other mutant survives or a listed
 mutant of a module run is no longer produced or is killed by a test (one
 that only times out, such as a write block of one row, still counts).
@@ -65,37 +70,47 @@ def mutants(module):
     ]
 
     def between(a, b):
-        """The operator tokens after node `a` and before node `b`."""
+        """(start, end) of the operator tokens after node `a` and before node `b`, or []."""
         lo, hi = at(a.end_lineno, a.end_col_offset), at(b.lineno, b.col_offset)
-        return [t for t in words if lo <= t.start < hi]
+        span = [t for t in words if lo <= t.start < hi]
+        return span and (span[0].start, span[-1].end)
 
-    sites = []  # (tokens to replace, operator)
-    for node in ast.walk(ast.parse(text)):
-        if isinstance(node, ast.BinOp):
-            sites.append(([between(node.left, node.right)], node.op))
+    sites = []  # (start, scope, spans to replace, replacements)
+
+    def operator(scope, spans, op):
+        if all(spans) and type(op) in OPS:
+            sites.append((spans[0][0], scope, spans, OPS[type(op)]))
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+        elif isinstance(node, ast.BinOp):
+            operator(scope, [between(node.left, node.right)], node.op)
         elif isinstance(node, ast.AugAssign):
-            sites.append(([between(node.target, node.value)], node.op))
+            operator(scope, [between(node.target, node.value)], node.op)
         elif isinstance(node, ast.BoolOp):
-            pairs = zip(node.values, node.values[1:])
-            sites.append(([between(a, b) for a, b in pairs], node.op))
+            operator(scope, [between(a, b) for a, b in zip(node.values, node.values[1:])], node.op)
         elif isinstance(node, ast.Compare):
             for a, b, op in zip([node.left, *node.comparators], node.comparators, node.ops):
-                sites.append(([between(a, b)], op))
+                operator(scope, [between(a, b)], op)
         elif isinstance(node, ast.Constant) and type(node.value) is int:
-            (row, col), end = at(node.lineno, node.col_offset), at(node.end_lineno, node.end_col_offset)
-            lo, hi = index(row, col), index(*end)
-            if text[lo:hi].isdigit():
-                yield f"{module}:{row}:{col}:+1", text[:lo] + str(node.value + 1) + text[hi:]
-    for spans, op in sites:
-        if not all(spans):
-            continue
-        for new in OPS.get(type(op), []):
-            row, col = spans[0][0].start
+            span = at(node.lineno, node.col_offset), at(node.end_lineno, node.end_col_offset)
+            if text[index(*span[0]) : index(*span[1])].isdigit():
+                sites.append((span[0], scope, [span], [str(node.value + 1)]))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(text), "<module>")
+    count = Counter()
+    for _, scope, spans, news in sorted(sites):
+        k = count[scope]
+        count[scope] += 1
+        for new in news:
             out = text
-            for span in reversed(spans):
-                lo, hi = index(*span[0].start), index(*span[-1].end)
-                out = out[:lo] + new + out[hi:]
-            yield f"{module}:{row}:{col}:{new.replace(' ', '_')}", out
+            for lo, hi in reversed(spans):
+                out = out[: index(*lo)] + new + out[index(*hi) :]
+            label = "+1" if new[0].isdigit() else new.replace(" ", "_")
+            yield f"{module}:{scope}:{k}:{label}", out
 
 
 def pytest(copy, files, first_only, limit):
@@ -147,7 +162,7 @@ def main(modules):
         assert failed == [], f"the clean tree fails {failed}"
         return 10 * took
 
-    kills, unkilled, counts = defaultdict(list), set(), {}
+    kills, unkilled, counts, reruns = defaultdict(list), set(), {}, []
     start = time.monotonic()
     try:
         with ThreadPoolExecutor(2) as pool:
@@ -163,6 +178,9 @@ def main(modules):
                     try:
                         for files, first_only, seconds in runs:
                             failed, _ = pytest(copy(), files, first_only, seconds) if files else ([], 0)
+                            if failed is None:  # once more at 3x: only a second timeout counts
+                                failed, _ = pytest(copy(), files, first_only, 3 * seconds)
+                                reruns.append((name, "timed out" if failed is None else "failed" if failed else "passed"))
                             if failed != []:
                                 return name, failed
                         return name, []
@@ -192,6 +210,8 @@ def main(modules):
         shutil.rmtree(scratch, ignore_errors=True)
     for test in sorted(kills):
         print(f"KILLS {test}  {' '.join(kills[test])}")
+    for name, verdict in sorted(reruns):
+        print(f"RERUN {name}  {verdict}")
     stale = sorted(n for n in allowed if n.split(":")[0] in modules and n not in unkilled)
     for name in stale:
         print(f"STALE {name}  (listed as equivalent, but killed)")

@@ -72,11 +72,6 @@ class TestBytesPerCode:
 
 
 class TestLocal:
-    def test_constant_scheme_all_contexts(self):
-        cs = build_context_set_local(table_scheme(2, 2, [0] * 4))
-        assert cs.cardinality == 8
-        assert cs.relative_size() == 1
-
     def test_one_mer_minimizer_example(self):
         cs = build_context_set_local(minimizer_scheme(2, 1, 2))
         texts = {kmer_decode(int(c), 2, 3) for c in cs.codes()}
@@ -107,10 +102,6 @@ class TestLocal:
 
 
 class TestForward:
-    def test_constant_scheme(self):
-        cs = build_context_set_forward(table_scheme(2, 2, [0] * 4))
-        assert cs.cardinality == 8
-
     def test_one_mer_minimizer_coincides_with_local(self):
         sch = minimizer_scheme(2, 1, 2)
         fwd = build_context_set_forward(sch)

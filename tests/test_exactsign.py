@@ -106,12 +106,12 @@ class TestZeroMatrix:
         bulk = false_zero_signs(words, 3)
         assert [one_sign(row, 0.0, 3) for row in words.tolist()] == bulk.tolist()
 
-    def test_wide_digits_use_python_ints(self):
-        # digits large enough that an int64 product could overflow
-        for w in (6, 12, 15):
-            words = np.random.default_rng(w).integers(0, 2, size=(100, w))
-            wide = false_zero_signs(words * 2**62, 2)
-            assert np.array_equal(wide, false_zero_signs(words, 2))
+    def test_wide_digits_raise(self):
+        # err = |digit| w past 2^29 could overflow the int64 limb sums
+        words = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [1, 1, 1, 1]])
+        assert false_zero_signs(words << 26, 2).tolist() == [POS, NEG, ZERO]
+        with pytest.raises(AssertionError):
+            false_zero_signs(words << 27, 2)
 
     def test_no_sympy_at_runtime(self):
         assert_cli_skips_modules("mykkeltveit --sigma 3 --w 12", ["sympy"])
@@ -158,23 +158,6 @@ class TestImportFootprint:
 
 
 class TestZeroDecisions:
-    def test_examples(self):
-        # "01": zeta^2 = 1 at w=2, real -> Im == 0
-        assert is_zero([0, 1])
-        # "1000" at w=4: value is zeta = i, purely imaginary
-        assert not is_zero([1, 0, 0, 0])
-        # "0001" at w=4: value is zeta^4 = 1
-        assert is_zero([0, 0, 0, 1])
-
-    def test_constant_words_sum_to_zero(self):
-        for w in (2, 3, 5, 8, 12):
-            assert is_zero([1] * w)
-
-    def test_period_two_words(self):
-        # "1010...": sum of even powers of zeta over w/2 values -> 0 when w even
-        for w in (4, 6, 10):
-            assert is_zero([1, 0] * (w // 2))
-
     @pytest.mark.parametrize("w", [3, 4, 5, 6, 7, 8, 9, 12, 15, 16])
     def test_agrees_with_high_precision(self, w):
         rng = np.random.default_rng(w)

@@ -320,21 +320,12 @@ class TestDominantRoot:
         with pytest.raises(ValueError, match=match):
             call(*args)
 
-    def test_d1_root_is_endpoint(self):
-        assert dominant_root(2, 1) == Fraction(1, 2)
-        assert dominant_root(4, 1) == Fraction(3, 4)
-
     @pytest.mark.parametrize("sigma,d", [(2, 2), (2, 3), (2, 5), (4, 2), (4, 3)])
     def test_root_in_bracket_with_small_residual(self, sigma, d):
         mu = Fraction(1, sigma)
         lam = dominant_root(sigma, d)
         assert 1 - mu**d < lam < 1 - mu ** (d + 1)
         assert eigenpair_residual(sigma, d, lam) <= 1e-10
-
-    def test_known_root(self):
-        # sigma=2, d=2: lambda = (1+sqrt(5))/4 + ... golden-ratio flavoured
-        lam = float(dominant_root(2, 2))
-        assert abs(lam - 0.8090169943749475) < 1e-11
 
     @pytest.mark.parametrize("sigma,d", [(2, 1), (2, 2), (3, 1), (3, 5), (4, 50), (2, 200)])
     def test_residual_is_the_matvec_oracle(self, sigma, d):

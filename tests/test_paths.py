@@ -310,17 +310,6 @@ class TestRowCertificate:
         bound = verify_rows(kset.mask, kset.sigma, _rows(kset))
         assert bound == longest_remaining_path(kset).longest_vertices > 0
 
-    @pytest.mark.parametrize("row", ["survivor", "sink"])
-    def test_rejects_zeroed_row(self, row):
-        # a surviving w-mer's row, or row 0^(w-1), whose out-edges 0^w and
-        # 0^(w-1)1 are both members (a member's label reads 0)
-        kset = build_forbidden_set(2, 16)
-        h = _rows(kset)
-        r = int(np.flatnonzero(~kset.mask)[0]) % h.size if row == "survivor" else 0
-        assert kset.mask[:2].all() and verify_rows(kset.mask, 2, h) == 15
-        h[r] = 0
-        assert verify_rows(kset.mask, 2, h) is None
-
     def test_one_symbol_words(self):
         # w = 1: one empty row, and every w-mer is a self-loop on it
         members, one = np.ones(3, dtype=bool), np.ones(1, dtype=np.int32)

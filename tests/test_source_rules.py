@@ -19,11 +19,17 @@ every source file.
   `x.name` attribute access in `src/` outside its own body, in `demos/`, or
   in the acceptance tests; accesses on `np` do not count.  Reference
   implementations that only tests need live in `tests/oracles.py`.
+- *A current list of equivalent mutants.*  Every id in
+  `tests/mutants_equivalent.txt` is one that `tests/mutate.py` makes from
+  today's source, and no two mutants share an id, so an edit that renames or
+  removes a listed mutant fails here rather than in a full mutation run.
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
+
+import mutate
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "uhspath"
@@ -163,3 +169,11 @@ def test_keep_list_is_current():
     # an entry goes once its planned caller lands
     assert sorted(set(KEEP) & set(unused_functions())) == sorted(KEEP)
     assert all(reason.startswith("ROADMAP item ") for reason in KEEP.values())
+
+
+def test_equivalent_mutants_are_made():
+    ids = Counter(name for module in TEXT for name, _ in mutate.mutants(module))
+    assert [name for name, n in ids.items() if n > 1] == []
+    listed = [line.split()[0] for line in mutate.ALLOWLIST.read_text().splitlines()
+              if line.strip() and not line.startswith("#")]
+    assert [name for name in listed if name not in ids] == []
