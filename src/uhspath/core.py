@@ -67,8 +67,8 @@ def check_digit_text(sigma: int) -> None:
 def parse_symbols(text: str | Sequence[int], sigma: int) -> tuple[int, ...]:
     """Turn a digit string (or an ACGT string when sigma=4) into symbol values.
 
-    Text whose every symbol is valid is converted in bulk by a byte table;
-    otherwise a per-symbol pass names the first bad one.
+    Every character is read through one byte table, ASCII digits or ACGT
+    letters; any other character, non-ASCII digits among them, is no symbol.
     """
     if isinstance(text, str):
         check_digit_text(sigma)  # one character per symbol; ACGT is sigma = 4
@@ -79,10 +79,9 @@ def parse_symbols(text: str | Sequence[int], sigma: int) -> tuple[int, ...]:
         if acgt:
             bad = next(c for c in text if c not in ACGT)
             raise ValueError(f"invalid ACGT symbol {bad!r}")
-        try:
-            syms = tuple(int(c) for c in text)
-        except ValueError:
-            raise ValueError(f"invalid symbol in {text!r}") from None
+        if 255 in values:
+            raise ValueError(f"invalid symbol in {text!r}")
+        syms = tuple(values)
     else:
         syms = tuple(int(s) for s in text)
     for s in syms:
@@ -107,29 +106,6 @@ def rotation_code(code: int, sigma: int, w: int) -> int:
     """Cyclic left rotation of a code: the successor inside its conjugacy class."""
     n = sigma**w
     return (code * sigma + code // (n // sigma)) % n
-
-
-def canonical_rotation_code(code: int, sigma: int, w: int) -> int:
-    """Lexicographically least rotation (the conjugacy class representative)."""
-    best = code
-    c = code
-    for _ in range(w - 1):
-        c = rotation_code(c, sigma, w)
-        if c < best:
-            best = c
-    return best
-
-
-def conjugacy_class(code: int, sigma: int, w: int) -> list[int]:
-    """Codes of the distinct rotations of a w-mer, in rotation order from the
-    canonical representative.  The class size equals the shortest period."""
-    start = canonical_rotation_code(code, sigma, w)
-    out = [start]
-    c = rotation_code(start, sigma, w)
-    while c != start:
-        out.append(c)
-        c = rotation_code(c, sigma, w)
-    return out
 
 
 def necklace_count(sigma: int, w: int) -> int:

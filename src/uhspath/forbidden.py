@@ -48,15 +48,13 @@ if TYPE_CHECKING:
 
 def forbidden_d(sigma: int, w: int) -> int:
     """floor(log_sigma(w / ln w)) - 1, computed away from float rounding:
-    sigma^t is compared exactly with w / ln w, ln w a double, for w of any size."""
+    sigma^t is compared exactly with x = w / ln w, ln w a double, for w of any
+    size, counting t up from 0 (x > 1 for every w >= 2)."""
     check_alphabet(sigma)
     if w < 2:
         raise ValueError("need w >= 2")
-    lw = math.log(w)
-    x = Fraction(w) / Fraction(lw)
-    t = math.floor((lw - math.log(lw)) / math.log(sigma))
-    while sigma**t > x:
-        t -= 1
+    x = Fraction(w) / Fraction(math.log(w))
+    t = 0
     while sigma ** (t + 1) <= x:
         t += 1
     return t - 1

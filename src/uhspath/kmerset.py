@@ -43,11 +43,11 @@ def digit_lines(rows: np.ndarray) -> bytes:
 def encode_lines(lines: Iterable[str], sigma: int, w: int) -> np.ndarray:
     """int64 codes of the non-blank lines of a text file, in order.
 
-    Each line is stripped and read as `kmer_encode` reads it: ACGT when
-    sigma = 4 and its first character is an ACGT letter, digits otherwise.
-    Lines of w ASCII symbols are encoded together; any other line goes
-    through `kmer_encode`, so the first bad line raises its error, or the
-    wrong-length error when it has a length other than w.
+    Each line is stripped and read as `kmer_encode` reads it, through the
+    same byte table: ACGT when sigma = 4 and its first character is an ACGT
+    letter, digits otherwise.  All lines are encoded together; the first line
+    that is not w symbols goes through `kmer_encode` only to raise its error,
+    or the wrong-length error when its symbols are good.
     """
     texts = [t for t in map(str.strip, lines) if t]
     codes = np.zeros(len(texts), dtype=np.int64)
@@ -64,12 +64,19 @@ def encode_lines(lines: Iterable[str], sigma: int, w: int) -> np.ndarray:
             good += vals[:, j]
         codes[ok] = good
         ok[ok] = (vals < sigma).all(axis=1)
-    for i in np.flatnonzero(~ok):
-        code = kmer_encode(texts[i], sigma)  # one symbol per character
-        if len(texts[i]) != w:
-            raise ValueError(f"k-mer {texts[i]!r} has wrong length, expected {w}")
-        codes[i] = code
+    if not ok.all():
+        text = texts[int(np.argmin(ok))]  # the first line that is not w symbols
+        kmer_encode(text, sigma)  # a bad symbol or alphabet raises here
+        raise ValueError(f"k-mer {text!r} has wrong length, expected {w}")
     return codes
+
+
+def _ascii_int(text: str) -> int:
+    """An ASCII decimal integer, with an optional leading "-": int() would also
+    read "+", "_" and non-ASCII digits."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
 
 
 def read_header(line: str, kind: str, error: str) -> tuple[int, int]:
@@ -79,7 +86,8 @@ def read_header(line: str, kind: str, error: str) -> tuple[int, int]:
     if len(fields) != 3 or fields[0] != kind:
         raise ValueError(error)
     try:
-        sigma, w = int(fields[1].removeprefix("sigma=")), int(fields[2].removeprefix("w="))
+        sigma = _ascii_int(fields[1].removeprefix("sigma="))
+        w = _ascii_int(fields[2].removeprefix("w="))
     except ValueError:
         raise ValueError(error) from None
     check_alphabet(sigma)
@@ -206,8 +214,11 @@ class KmerSet:
             sigma = header[4]
             w = int.from_bytes(header[5:], "little")
             n = check_budget(sigma, w, budget, "KmerSet")
-            raw = fh.read((n + 7) // 8)
-            if len(raw) != (n + 7) // 8:
+            size = (n + 7) // 8
+            raw = fh.read(size + 1)  # a byte past the mask is refused
+            if len(raw) < size:
                 raise ValueError(f"truncated set file {path}")
-            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n, bitorder="little")
-        return cls(sigma, w, bits.view(bool))
+            bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+            if len(raw) > size or bits[n:].any():
+                raise ValueError(f"bytes or bits past the mask in set file {path}")
+        return cls(sigma, w, bits[:n].view(bool))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import conjugacy_class, kmer_encode, necklace_count, necklaces
+from .core import kmer_encode, necklace_count, necklaces, rotation_code
 
 MAX_W = 7  # product of class sizes beyond this is out of reach
 
@@ -26,8 +26,10 @@ class MdsCensus:
     sets: list[tuple[int, ...]] = field(default_factory=list)  # sorted member codes
 
 
-def _has_cycle(alive: int, succ_mask: list[int], pred_mask: list[int]) -> bool:
-    """Trim nodes missing an alive successor or predecessor; cycle iff nonempty."""
+def _has_cycle(alive: int, succ_mask: list[int]) -> bool:
+    """Trim nodes with no alive successor until none is left; what remains
+    holds a cycle exactly when it is nonempty (a finite graph in which every
+    node has a successor has a cycle, and trimming never removes one)."""
     changed = True
     while changed and alive:
         changed = False
@@ -36,7 +38,7 @@ def _has_cycle(alive: int, succ_mask: list[int], pred_mask: list[int]) -> bool:
             b = m & -m
             m ^= b
             v = b.bit_length() - 1
-            if not (succ_mask[v] & alive and pred_mask[v] & alive):
+            if not succ_mask[v] & alive:
                 alive ^= b
                 changed = True
     return alive != 0
@@ -51,26 +53,23 @@ def enumerate_mds(sigma: int, w: int, emit_sets: bool = False) -> MdsCensus:
         raise ValueError(f"census needs 2 <= w <= {MAX_W}")
     n = sigma**w
     succ_mask = [0] * n
-    pred_mask = [0] * n
     for v in range(n):
         for a in range(sigma):
-            s = (v * sigma + a) % n
-            succ_mask[v] |= 1 << s
-            pred_mask[s] |= 1 << v
+            succ_mask[v] |= 1 << (v * sigma + a) % n
 
-    # one class per necklace, members in rotation order from the representative
-    members_of = [
-        conjugacy_class(kmer_encode(list(map(ord, word)), sigma), sigma, w)
-        for word, _ in necklaces(sigma, w)
-    ]
-    assert len(members_of) == necklace_count(sigma, w)
-    assert sum(map(len, members_of)) == n
-    classes = []  # per class, ascending size: list of (survivor mask, chosen code)
-    for members in sorted(members_of, key=len):
+    # one class per necklace, in ascending size, members in rotation order
+    # from the representative: its code, then period - 1 rotations
+    classes = []  # per class: list of (survivor mask, chosen code)
+    for word, period in sorted(necklaces(sigma, w), key=lambda necklace: necklace[1]):
+        members = [kmer_encode(list(map(ord, word)), sigma)]
+        for _ in range(period - 1):
+            members.append(rotation_code(members[-1], sigma, w))
         bits = 0
         for c in members:
             bits |= 1 << c
         classes.append([(bits ^ (1 << c), c) for c in members])
+    assert len(classes) == necklace_count(sigma, w)
+    assert sum(map(len, classes)) == n
 
     census = MdsCensus(sigma, w)
     depth = len(classes)
@@ -78,7 +77,7 @@ def enumerate_mds(sigma: int, w: int, emit_sets: bool = False) -> MdsCensus:
 
     def walk(level: int, alive: int) -> None:
         census.nodes_explored += 1
-        if _has_cycle(alive, succ_mask, pred_mask):
+        if _has_cycle(alive, succ_mask):
             census.prunes += 1
             return
         if level == depth:

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import DEFAULT_NODE_BUDGET, BudgetError, check_alphabet, check_budget, parse_symbols
-from .kmerset import KmerSet, encode_lines, read_header
+from .kmerset import KmerSet, _ascii_int, encode_lines, read_header
 
 TABLE = "TABLE"
 MINIMIZER = "MINIMIZER"
@@ -376,7 +376,7 @@ def estimate_density(
 def load_scheme_table(path: str, budget: int = DEFAULT_NODE_BUDGET) -> SelectionScheme:
     with open(path) as fh:
         sigma, w = read_header(fh.readline(), "scheme", f"bad scheme file header in {path}")
-        table = np.full(check_budget(sigma, w, budget, "scheme table"), -1, dtype=np.int64)
+        line_of = np.full(check_budget(sigma, w, budget, "scheme table"), -1, dtype=np.int64)
         windows, picks = [], []
         for lineno, line in enumerate(fh, 2):
             fields = line.split()
@@ -384,17 +384,18 @@ def load_scheme_table(path: str, budget: int = DEFAULT_NODE_BUDGET) -> Selection
                 continue
             try:
                 km, p = fields
-                picks.append(int(p))
+                picks.append(_ascii_int(p))
             except ValueError:
                 raise ValueError(
                     f"bad line {lineno} in scheme file {path}: "
                     "expected a window and an integer pick"
                 ) from None
             windows.append(km)
-    table[encode_lines(windows, sigma, w)] = picks
-    if (table < 0).any():
+    # each window's line, so that any pick, negative ones too, reaches table_scheme's check
+    line_of[encode_lines(windows, sigma, w)] = np.arange(len(windows))
+    if (line_of < 0).any():
         raise ValueError(f"scheme file {path} does not cover all windows")
-    return table_scheme(sigma, w, table)
+    return table_scheme(sigma, w, np.array(picks, dtype=np.int64)[line_of])
 
 
 def load_minimizer_order(

@@ -50,7 +50,6 @@ from hypothesis import strategies as st
 
 from uhspath import exactsign
 from uhspath.core import (
-    canonical_rotation_code,
     check_alphabet,
     check_budget,
     debruijn_sequence,
@@ -125,6 +124,14 @@ def successor(code, sigma, w, a):
 def pure_rotation(code, sigma, w):
     """Cyclic left rotation: the successor that stays inside the code's conjugacy class."""
     return successor(code, sigma, w, code // sigma ** (w - 1))
+
+
+def canonical_rotation_code(code, sigma, w):
+    """Least rotation of a code (its conjugacy class's representative), by
+    trying all w rotations."""
+    return min(
+        (code * sigma**r + code // sigma ** (w - r)) % sigma**w for r in range(w)
+    )
 
 
 @dataclass(frozen=True)

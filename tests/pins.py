@@ -116,6 +116,13 @@ PINS = [
         "'long-path', 'mds-count', 'fsm')")),
     Pin("exit-1-bad-sigma", "density --sigma 0 --w 2 --minimizer --k -1", 1),
     Pin("exit-1-unwritable-csv", "long-path --sigma 2 --w 20 --csv /nonexistent/x.csv", 1),
+    Pin("exit-1-non-ascii-seq", "density --sigma 2 --w 2 --minimizer --k 1 --seq \u0661\u0660\u0661\u0661", 1,
+        stderr="error: invalid symbol in '\u0661\u0660\u0661\u0661'"),
+    Pin("exit-1-trailing-byte-set", "check-uhs --sigma 2 --w 1 --set b.bin", 1,
+        inputs={"b.bin": "UHS1\x02\x01\x00\x00\x00\x03\x00"},
+        stderr="error: bytes or bits past the mask in set file b.bin"),
+    Pin("exit-1-underscore-header", "check-uhs --sigma 2 --w 10 --set h.txt", 1,
+        inputs={"h.txt": "uhs sigma=2 w=1_0\n0000000000\n"}, stderr="error: bad set file header in h.txt"),
     Pin("exit-2", "mykkeltveit --sigma 2 --w 20 --budget 100", 2),
     Pin("exit-2-huge-w", "mykkeltveit --sigma 3 --w 100000000", 2),
     Pin("exit-2-huge-long-path", "long-path --sigma 2 --w 100000001", 2),

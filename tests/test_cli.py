@@ -312,7 +312,9 @@ class TestExitCodes:
         assert failure(capsys, ["forbidden", "--sigma", "2", "--w", "16"], 2) == line + "\n"
 
     @pytest.mark.parametrize(
-        "line", ["01", "01 1 0", "01 x"], ids=["missing_pick", "extra_field", "non_integer_pick"]
+        "line",
+        ["01", "01 1 0", "01 x", "01 +0", "01 \u0660"],
+        ids=["missing_pick", "extra_field", "non_integer_pick", "plus_sign_pick", "non_ascii_pick"],
     )
     def test_malformed_scheme_table(self, capsys, tmp_path, line):
         table = tmp_path / "t.txt"
@@ -321,6 +323,14 @@ class TestExitCodes:
         assert err == (
             f"error: bad line 4 in scheme file {table}: expected a window and an integer pick\n"
         )
+
+    @pytest.mark.parametrize("pick", ["-1", "2"])
+    def test_pick_out_of_range(self, capsys, tmp_path, pick):
+        # a pick of -1 is read as one, not taken for an unlisted window
+        table = tmp_path / "t.txt"
+        table.write_text(f"scheme sigma=2 w=2\n00 0\n01 {pick}\n10 0\n11 1\n")
+        err = failure(capsys, ["density", "--sigma", "2", "--w", "2", "--table", str(table)], 1)
+        assert err == "error: table values must lie in [0, w-1]\n"
 
     @pytest.mark.parametrize(
         "name,content,argv,message",

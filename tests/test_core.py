@@ -3,20 +3,27 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import kmer_decode, orbit_count, pure_rotation, recursive_fkm, successor, symbols
+from oracles import (
+    canonical_rotation_code,
+    kmer_decode,
+    orbit_count,
+    pure_rotation,
+    recursive_fkm,
+    successor,
+    symbols,
+)
 from uhspath.core import (
     BudgetError,
     _fkm,
     _totient,
-    canonical_rotation_code,
     check_alphabet,
     check_budget,
-    conjugacy_class,
     debruijn_sequence,
     kmer_encode,
     necklace_count,
     necklaces,
     parse_symbols,
+    rotation_code,
 )
 from uhspath.kmerset import digit_lines
 
@@ -30,11 +37,10 @@ def outcome(fn, *args):
 
 
 def per_symbol(text, sigma):
-    """parse_symbols of digit text, one int() per character, as its outcome."""
-    try:
-        syms = tuple(int(c) for c in text)
-    except ValueError:
+    """parse_symbols of digit text, one ASCII digit lookup per character, as its outcome."""
+    if any(c not in "0123456789" for c in text):
         return ValueError, f"invalid symbol in {text!r}"
+    syms = tuple("0123456789".index(c) for c in text)
     bad = [s for s in syms if s >= sigma]
     return (ValueError, f"symbol {bad[0]} out of range for sigma={sigma}") if bad else syms
 
@@ -95,9 +101,10 @@ class TestEncoding:
 
     @given(st.data())
     def test_bulk_parse_equals_per_symbol(self, data):
-        # the byte-table conversion against one int() per digit, on text that
-        # may hold control characters, which a partial table would read as
+        # the byte-table conversion against one lookup per ASCII digit, on text
+        # that may hold control characters, which a partial table would read as
         # the symbols chr(0) to chr(9), and non-ASCII digits, which int() reads
+        # but a symbol reader must not
         others = st.sampled_from([chr(i) for i in range(10)] + ["\u0661", "\u0966", "\uff19", "\u00e9"])
 
         def word(symbols, first=st.just("")):
@@ -117,8 +124,10 @@ class TestEncoding:
         assert outcome(parse_symbols, acgt, 4) == expect
 
     def test_parse_other_unicode_digits(self):
-        # non-ASCII decimal digits still read as their values, as int() reads them
-        assert parse_symbols("0\u0661", 2) == (0, 1)
+        # non-ASCII decimal digits are no symbols, though int() reads them
+        with pytest.raises(ValueError) as err:
+            parse_symbols("0\u0661", 2)
+        assert str(err.value) == "invalid symbol in '0\u0661'"
 
     def test_alphabet(self):
         # ACGT is read, and written back as digits
@@ -146,15 +155,6 @@ class TestGraphMoves:
         assert kmer_decode(r, 2, 4) == "1100"
         assert canonical_rotation_code(r, 2, 4) == canonical_rotation_code(x, 2, 4)
 
-    def test_conjugacy_class_size_is_period(self):
-        assert len(conjugacy_class(kmer_encode("0101", 2), 2, 4)) == 2
-        assert len(conjugacy_class(kmer_encode("0000", 2), 2, 4)) == 1
-        assert len(conjugacy_class(kmer_encode("0011", 2), 2, 4)) == 4
-
-    def test_class_rotation_order(self):
-        cls = conjugacy_class(kmer_encode("110", 2), 2, 3)
-        assert [kmer_decode(c, 2, 3) for c in cls] == ["011", "110", "101"]
-
 
 class TestNecklaces:
     @pytest.mark.parametrize(
@@ -173,13 +173,17 @@ class TestNecklaces:
             assert reps == {canonical_rotation_code(c, sigma, w) for c in range(sigma**w)}
 
     def test_enumerate_classes_partitions(self):
-        # the necklaces' conjugacy classes, as the MDS census builds them
-        classes = [
-            conjugacy_class(kmer_encode(list(map(ord, word)), 2), 2, 6) for word, _ in necklaces(2, 6)
-        ]
-        all_codes = sorted(c for members in classes for c in members)
-        assert all_codes == list(range(64))
-        assert [size for _, size in necklaces(2, 6)] == [len(m) for m in classes]
+        # each necklace's word and period - 1 rotations, as the MDS census builds
+        # its classes: the period is the first return of the rotation to the
+        # word, and the classes cover every code once
+        all_codes = []
+        for word, period in necklaces(2, 6):
+            members = [kmer_encode(list(map(ord, word)), 2)]
+            for _ in range(period):
+                members.append(rotation_code(members[-1], 2, 6))
+            assert members[-1] == members[0] not in members[1:-1]
+            all_codes += members[:-1]
+        assert sorted(all_codes) == list(range(64))
 
     @pytest.mark.parametrize("lyndon", [False, True])
     @pytest.mark.parametrize("sigma", [2, 3, 4, 5, 7, 10, 11, 12])
@@ -223,9 +227,6 @@ class TestCheckBudget:
 
 
 class TestDeBruijnSequence:
-    def test_order_2(self):
-        assert debruijn_sequence(2, 2) == "00110"
-
     @pytest.mark.parametrize("sigma,n", [(2, 3), (2, 6), (3, 3), (4, 3)])
     def test_every_nmer_once(self, sigma, n):
         s = debruijn_sequence(sigma, n)

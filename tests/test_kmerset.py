@@ -170,13 +170,31 @@ class TestSerialization:
         p.write_bytes(b"XXXX\x02\x03\x00\x00\x00")
         with pytest.raises(ValueError):
             KmerSet.load_binary(str(p))
-        for header in ("uhs sigma=x w=3", "uhs sigma=2 w=", "uhs w=3 sigma=2", "order sigma=2 w=3"):
+        headers = ("uhs sigma=x w=3", "uhs sigma=2 w=", "uhs w=3 sigma=2", "order sigma=2 w=3")
+        # numbers are ASCII integers: int() would read these as 10, 2 and 2
+        for header in headers + ("uhs sigma=2 w=1_0", "uhs sigma=\u0662 w=3", "uhs sigma=+2 w=3"):
             p.write_text(header + "\n000\n")
             with pytest.raises(ValueError, match=f"^bad set file header in {p}$"):
                 KmerSet.load_text(str(p))
         for raw in (b"UHS1", b"UHS1\x02\x03\x00"):  # shorter than the 9-byte header
             p.write_bytes(raw)
             with pytest.raises(ValueError, match=f"^truncated set file {p}$"):
+                KmerSet.load_binary(str(p))
+
+    @pytest.mark.parametrize("w", [3, 2], ids=["n%8=0", "n=4"])
+    def test_bytes_past_the_mask_refused(self, tmp_path, w):
+        # save_binary writes the mask and nothing after it, its padding bits clear
+        p = tmp_path / "s.bin"
+        n = 2**w
+        KmerSet(2, w, np.ones(n, dtype=bool)).save_binary(str(p))
+        good = p.read_bytes()
+        assert KmerSet.load_binary(str(p)).cardinality == n
+        bad = [good + b"\x00", good + b"\x00\x00"]
+        if n % 8:
+            bad += [good[:-1] + bytes([good[-1] | 1 << b]) for b in (n % 8, 7)]  # a padding bit
+        for raw in bad:
+            p.write_bytes(raw)
+            with pytest.raises(ValueError, match=f"^bytes or bits past the mask in set file {p}$"):
                 KmerSet.load_binary(str(p))
 
     def test_bad_alphabet_or_width_in_header(self, tmp_path):
@@ -250,13 +268,14 @@ class TestVectorisedParse:
             (4, 3, ["ACG", "A1G"]),  # digit inside an ACGT line
             (4, 3, ["012", "0C1"]),  # letter inside a digit line
             (4, 3, ["ACG", "AC"]),  # short ACGT line
-            (2, 2, ["01", "\u0661\u0660"]),  # non-ASCII digits, which int() reads
+            (2, 2, ["01", "\u0661\u0660"]),  # non-ASCII digits, which int() reads but no table does
             (2, 2, ["01", "1\u00e9"]),  # non-ASCII letter
             (12, 1, ["1"]),  # digit text needs sigma <= 10
             (1, 2, ["00"]),  # one-letter alphabet
             (2, 0, ["0"]),  # no line has length 0
             (2, 3, []),  # empty file body
             (2, 3, ["", "   "]),  # only blank lines
+            (11, 2, ["10", "01"]),  # digit lines that would be symbols at sigma = 11 too
         ],
     )
     def test_error_text_parity(self, tmp_path, sigma, w, body):

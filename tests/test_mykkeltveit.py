@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import (
+    canonical_rotation_code,
     class_pick,
     class_walk_mask,
     code_ring,
@@ -24,7 +25,6 @@ from oracles import (
 from uhspath import exactsign, mykkeltveit
 from uhspath.core import (
     BudgetError,
-    canonical_rotation_code,
     kmer_encode,
     necklace_count,
 )
